@@ -68,8 +68,9 @@ def federated_optimum(model: SpikedModel, K: int) -> FederatedOptimum:
             "aggregate leading coefficient b0^(K) must be nonzero; this model "
             "and K sit on the degenerate set where the weight/rule split fails"
         )
+    rn = measures.rn_polynomials(model)
     p0 = optimal._denominator_coeffs(model)
-    q0 = optimal._numerator_coeffs(model, b)
+    q0 = optimal._numerator_coeffs(rn, b)
     lead = p0[-1]
     p = p0 / lead
     s0sq_r2_om0 = model.sigma0_sq * model.r**2 * measures.mixture_weights(model).omega0
@@ -79,9 +80,10 @@ def federated_optimum(model: SpikedModel, K: int) -> FederatedOptimum:
         roots = (-lam,)
     else:
         roots = optimal.denominator_roots(model, p)
-    fK = optimal.RationalRule(tuple(p), tuple(q0 / lead), roots)
-    q_local = tuple(q0 / (lead * rho))
-    local = optimal.RationalRule(tuple(p), q_local, roots)
+    fK = optimal.RationalRule(tuple(p), tuple(q0 / lead), roots,
+                              tuple(b / lead), rn)
+    local = optimal.RationalRule(tuple(p), tuple(q0 / (lead * rho)), roots,
+                                 tuple(b / (lead * rho)), rn)
     params = optimal.synthesize_sd_params(local)
     return FederatedOptimum(K, tuple(b), rho, fK, local, params)
 

@@ -61,6 +61,24 @@ class RnPolynomials:
                 out = out * (sc * (xs - x))
         return out
 
+    def combination(self, coeffs, x):
+        """coeffs[0] nu(x) + sum_j coeffs[j] nu_{-j}(x) (j = 1..s).
+
+        nu_{-j} is the product of the factors before j times those after
+        it, so running products give every term in O(s) array products.
+        """
+        x = np.asarray(x, dtype=float)
+        factors = [sc * (xs - x) for sc, xs in zip(self.scales, self.xstars)]
+        before = [np.ones_like(x)]
+        for f in factors:
+            before.append(before[-1] * f)
+        out = coeffs[0] * before[-1]
+        after = 1.0
+        for j in range(len(factors) - 1, -1, -1):
+            out = out + coeffs[j + 1] * (before[j] * after)
+            after = after * factors[j]
+        return out
+
 
 def mixture_weights(model: SpikedModel) -> MixtureWeights:
     """omega0 = 1 - sum_j alpha_j^2 / r^2, omega_j = alpha_j^2 / r^2."""

@@ -15,6 +15,7 @@ self-distillation chain.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -31,6 +32,80 @@ _polymul = np.polynomial.polynomial.polymul
 _polyder = np.polynomial.polynomial.polyder
 
 
+class _DD:
+    """Double-double number hi + lo, about 32 significant digits.
+
+    Dekker's error-free sum and product in plain floats; enough of the
+    arithmetic for the chain synthesis's forward substitution.
+    """
+
+    __slots__ = ("hi", "lo")
+
+    def __init__(self, hi: float, lo: float = 0.0):
+        self.hi, self.lo = hi, lo
+
+    def __add__(self, other):
+        if type(other) is not _DD:
+            other = _DD(float(other))
+        a, b = self.hi, other.hi
+        s = a + b
+        v = s - a
+        e = (a - (s - v)) + (b - v) + self.lo + other.lo  # two-sum error
+        hi = s + e
+        return _DD(hi, e - (hi - s))
+
+    def __neg__(self):
+        return _DD(-self.hi, -self.lo)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if type(other) is not _DD:
+            other = _DD(float(other))
+        a, b = self.hi, other.hi
+        p = a * b
+        t = 134217729.0 * a  # split at 2^27 + 1: halves multiply exactly
+        ah = t - (t - a)
+        t = 134217729.0 * b
+        bh = t - (t - b)
+        al, bl = a - ah, b - bh
+        e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+        e += a * other.lo + self.lo * b
+        hi = p + e
+        return _DD(hi, e - (hi - p))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if type(other) is not _DD:
+            other = _DD(float(other))
+        q1 = self.hi / other.hi
+        r = self - other * q1
+        q2 = r.hi / other.hi
+        r = r - other * q2
+        return _DD(q1) + q2 + r.hi / other.hi
+
+    def __float__(self):
+        return self.hi + self.lo
+
+
+def _basis_values(x, chosen, d: int) -> list:
+    """[x^(d-j) prod_{i<j} (x - chosen_i) for j = 0..len(chosen)].
+
+    Works on floats and on _DD alike.
+    """
+    powers = [1.0]
+    for _ in range(d):
+        powers.append(powers[-1] * x)
+    out, prefix = [], 1.0
+    for j in range(len(chosen) + 1):
+        out.append(prefix * powers[d - j])
+        if j < len(chosen):
+            prefix = prefix * (x - chosen[j])
+    return out
+
+
 @dataclass(frozen=True)
 class OptimalCoefficients:
     """Solution b of the optimality system plus the diagnostic inner
@@ -42,15 +117,31 @@ class OptimalCoefficients:
 
 @dataclass(frozen=True)
 class RationalRule:
-    """Monic rational rule Q/P with deg P = deg Q + 1 and known P roots."""
+    """Monic rational rule Q/P with deg P = deg Q + 1 and known P roots.
+
+    Rules built from a model also keep Q in the nu-product basis,
+    Q = q_nu[0] nu + sum_j q_nu[j] nu_{-j}, and evaluate it through the
+    factored nu products of `rn`. The monomial q_coeffs cancel badly when
+    outliers (and so roots of P) sit close together; they are kept for
+    output and for the coprimality check.
+    """
 
     p_coeffs: tuple[float, ...]
     q_coeffs: tuple[float, ...]
     roots_of_p: tuple[float, ...]
+    q_nu: tuple[float, ...] = ()
+    rn: measures.RnPolynomials | None = None
+
+    def q(self, x):
+        """Numerator Q at x."""
+        x = np.asarray(x, dtype=float)
+        if self.rn is None:
+            return _polyval(x, np.array(self.q_coeffs))
+        return self.rn.combination(self.q_nu, x)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        num = _polyval(x, np.array(self.q_coeffs))
+        num = self.q(x)
         den = np.ones_like(x)
         for g in self.roots_of_p:
             den = den * (x - g)
@@ -102,16 +193,16 @@ def _denominator_coeffs(model: SpikedModel) -> np.ndarray:
     return p0
 
 
-def _numerator_coeffs(model: SpikedModel, b: np.ndarray) -> np.ndarray:
-    rn = measures.rn_polynomials(model)
+def _numerator_coeffs(rn: measures.RnPolynomials, b: np.ndarray) -> np.ndarray:
+    s = len(rn.scales)
     q0 = b[0] * np.array(rn.nu_coeffs)
-    for j in range(model.s):
+    for j in range(s):
         q0 = np.polynomial.polynomial.polyadd(
             q0, b[j + 1] * np.array(rn.nu_minus_coeffs[j])
         )
     # pad so deg Q0 slots align with deg P0 - 1 = s
-    if q0.size < model.s + 1:
-        q0 = np.concatenate([q0, np.zeros(model.s + 1 - q0.size)])
+    if q0.size < s + 1:
+        q0 = np.concatenate([q0, np.zeros(s + 1 - q0.size)])
     return q0
 
 
@@ -198,15 +289,16 @@ def _solve_system(model: SpikedModel, dmat_diag: np.ndarray) -> np.ndarray:
 
 
 def _assemble(model: SpikedModel, b: np.ndarray) -> RationalRule:
+    rn = measures.rn_polynomials(model)
     p0 = _denominator_coeffs(model)
-    q0 = _numerator_coeffs(model, b)
+    q0 = _numerator_coeffs(rn, b)
     lead = p0[-1]
     if lead == 0.0:
         raise NumericalError("denominator lost its leading coefficient")
     p = p0 / lead
     q = q0 / lead
     roots = denominator_roots(model, p)
-    return RationalRule(tuple(p), tuple(q), roots)
+    return RationalRule(tuple(p), tuple(q), roots, tuple(b / lead), rn)
 
 
 def fixed_point_residual(model: SpikedModel, rule: RationalRule) -> float:
@@ -261,11 +353,13 @@ def optimal_est_rule(model: SpikedModel) -> RationalRule:
     lead = p0[-1]
     p = tuple(p0 / lead)
     q = tuple(q0 / lead)
+    q_nu = tuple(model.r**2 * np.array([w.omega0, *w.omegas]) / lead)
     if model.s == 0:
         lam = model.c * model.sigma_eps_sq / model.r**2
-        return RationalRule(p, q, (-lam,))
-    roots = denominator_roots(model, p)
-    return RationalRule(p, q, roots)
+        roots = (-lam,)
+    else:
+        roots = denominator_roots(model, p)
+    return RationalRule(p, q, roots, q_nu, rn)
 
 
 def isotropic_optimal(model: SpikedModel) -> Ridge:
@@ -286,36 +380,27 @@ def synthesize_sd_params(rule: RationalRule) -> SDParams:
     Roots are consumed in descending order, skipping any root where the
     residual polynomial vanishes (which would break the construction);
     the descending order puts the largest root at stage 0 so the initial
-    ridge has the single large negative penalty.
+    ridge has the single large negative penalty. Q is read at the roots
+    through `rule.q`, the factored form when the rule has one.
     """
     gammas_all = list(rule.roots_of_p)
     d = len(gammas_all) - 1
     q = np.asarray(rule.q_coeffs, dtype=float)
     lead_q = float(q[d]) if q.size > d else 0.0
-
-    def q_at(x):
-        return float(_polyval(x, q))
-
-    def basis_val(j, x, chosen):
-        v = x ** (d - j)
-        for i in range(j):
-            v *= x - chosen[i]
-        return v
+    q_at = dict(zip(gammas_all, rule.q(np.array(gammas_all)).tolist()))
 
     chosen: list[float] = []
-    ts: list[float] = []
+    ts: list[_DD] = []
     remaining = sorted(gammas_all, reverse=True)
     for k in range(-1, d):
-        partial = sum(ts)
-        # residual polynomial value at a candidate root
-        def r_k(x):
-            val = q_at(x)
-            for j, tj in enumerate(ts):
-                val -= tj * basis_val(j, x, chosen)
-            val += (partial - lead_q + 1.0) * x ** (d - k - 1) * math.prod(
-                (x - g for g in chosen), start=1.0
-            )
-            return val
+        ts_f = [float(t) for t in ts]
+        partial = sum(ts_f)
+
+        def r_k(g):
+            # residual polynomial value at a candidate root
+            basis = _basis_values(g, chosen, d)
+            val = q_at[g] - sum(t * b for t, b in zip(ts_f, basis))
+            return val + (partial - lead_q + 1.0) * basis[k + 1]
 
         rvals = [abs(r_k(g)) for g in remaining]
         scale = max(rvals) if rvals else 0.0
@@ -330,17 +415,20 @@ def synthesize_sd_params(rule: RationalRule) -> SDParams:
                 "the partial sums degenerate (numerical-precision failure)"
             )
         g = remaining.pop(pick)
-        num = q_at(g) - sum(tj * basis_val(j, g, chosen) for j, tj in enumerate(ts))
-        den = g ** (d - k - 1) * math.prod((g - gi for gi in chosen), start=1.0)
+        # Forward substitution in double-double arithmetic: with close
+        # roots the terms cancel, and in floats the stage weights lose most
+        # of their digits.
+        basis = _basis_values(_DD(g), chosen, d)
+        num = _DD(q_at[g]) - sum((t * b for t, b in zip(ts, basis)), _DD(0.0))
+        ts.append(num / basis[k + 1])
         chosen.append(g)
-        ts.append(num / den)
 
-    sums = np.cumsum(ts)
-    if abs(sums[-1] - 1.0) > 1e-8:
+    sums = list(itertools.accumulate(ts))
+    if abs(float(sums[-1]) - 1.0) > 1e-8:
         raise StructuralError(
-            f"synthesized stage weights must sum to 1, got {sums[-1]}"
+            f"synthesized stage weights must sum to 1, got {float(sums[-1])}"
         )
-    if np.any(np.abs(sums) < 1e-14):
+    if any(abs(float(v)) < 1e-14 for v in sums):
         raise StructuralError("degenerate partial sum in stage weights")
     lambdas = tuple(-g for g in chosen)
     xis = tuple(float(sums[i - 1] / sums[i]) for i in range(1, d + 1))

@@ -4,7 +4,8 @@ Supports, densities, atoms, Stieltjes transforms, and quadrature against
 the bulk. Everything here is deterministic and closed-form except the
 quadrature, which is Gauss-Chebyshev (second kind) after the affine map
 x = (a+b)/2 + ((b-a)/2) cos(theta); that map absorbs the square-root edge
-factor of the bulk density analytically.
+factor of the bulk density analytically. Piecewise-smooth integrands get
+composite Gauss-Legendre panels in the same theta.
 """
 
 from __future__ import annotations
@@ -49,6 +50,8 @@ class SpikedModel:
                 alpha_j != 0 is the limiting signal alignment beta0' v_j
     r         : limiting signal norm ||beta0||_2 (> 0)
     sigma_eps_sq : noise variance (>= 0)
+
+    Every field must be finite; a non-finite one raises ValueError.
     """
 
     sigma0_sq: float
@@ -65,6 +68,14 @@ class SpikedModel:
         object.__setattr__(
             self, "spikes", tuple((float(d), float(a)) for d, a in self.spikes)
         )
+        for name in ("sigma0_sq", "c", "r", "sigma_eps_sq"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        for j, (d, a) in enumerate(self.spikes):
+            if not (math.isfinite(d) and math.isfinite(a)):
+                raise ValueError(
+                    f"spike {j + 1} must have finite delta and alpha, got ({d}, {a})"
+                )
         if not (self.sigma0_sq > 0):
             raise ValueError("sigma0_sq must be positive")
         if not (self.c > 0):
@@ -345,24 +356,65 @@ def make_quadrature(model: SpikedModel, n_nodes: int | None = None) -> Quadratur
     return QuadratureRule(n, nodes, weights)
 
 
-def _composite_theta_panels(
-    a: float, b: float, breaks: Sequence[float], n_total: int
+PANEL_ORDER = 32
+PANEL_MAX_WIDTH = math.pi / 4
+
+
+@lru_cache(maxsize=None)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    # leggauss is O(n^3): build each table once per process
+    return np.polynomial.legendre.leggauss(n)
+
+
+def _graded_offsets(d: float) -> list[float]:
+    # Knots d, 2d, 4d, ... below PANEL_MAX_WIDTH, measured from an end of
+    # [0, pi]: each panel is about as wide as its distance from a complex
+    # singularity at distance d off that end, so a fixed order converges
+    # at the same geometric rate on every panel.
+    out = []
+    t = d
+    while 0.0 < t < PANEL_MAX_WIDTH:
+        out.append(t)
+        t *= 2.0
+    return out
+
+
+def _theta_panels(
+    a: float, b: float, breaks: Sequence[float], xstars: Sequence[float]
 ) -> tuple[np.ndarray, np.ndarray]:
-    # Gauss-Legendre panels in theta split at the given x-breakpoints;
-    # used when the integrand is only piecewise smooth on the bulk.
+    """Composite Gauss-Legendre rule in theta on [0, pi], split at breaks.
+
+    Used when the integrand is only piecewise smooth on the bulk. Panels
+    have PANEL_ORDER nodes and width at most PANEL_MAX_WIDTH. Two factors
+    of the bulk weights are singular just off the ends of [0, pi]: 1/x at
+    complex distance sqrt(2a/h) from theta = pi, and 1/(x*_j - x) at
+    sqrt(2 (x*_j - b)/h) from theta = 0 (h = (b - a)/2). When that
+    distance is below PANEL_MAX_WIDTH, panels are graded geometrically
+    toward that end. When a = 0 or x*_j = b the factor cancels exactly and
+    needs no grading.
+    """
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    ts = [0.0, math.pi]
+    knots = {0.0, math.pi}
     for xb in breaks:
         if a < xb < b:
-            ts.append(math.acos(min(1.0, max(-1.0, (xb - mid) / half))))
-    ts = sorted(set(ts))
-    thetas, ws = [], []
-    for lo, hi in zip(ts[:-1], ts[1:]):
-        n_panel = max(48, int(round(n_total * (hi - lo) / math.pi)))
-        u, wu = np.polynomial.legendre.leggauss(n_panel)
-        thetas.append(0.5 * (hi + lo) + 0.5 * (hi - lo) * u)
-        ws.append(0.5 * (hi - lo) * wu)
-    return np.concatenate(thetas), np.concatenate(ws)
+            knots.add(math.acos(min(1.0, max(-1.0, (xb - mid) / half))))
+    gap = min((xs - b for xs in xstars), default=0.0)
+    d_right = math.sqrt(2.0 * gap / half) if gap > 0.0 else 0.0
+    d_left = math.sqrt(2.0 * a / half) if a > 0.0 else 0.0
+    knots.update(_graded_offsets(d_right))
+    knots.update(math.pi - t for t in _graded_offsets(d_left))
+    knots = sorted(knots)
+    edges = [0.0]
+    for lo, hi in zip(knots[:-1], knots[1:]):
+        k = math.ceil((hi - lo) / PANEL_MAX_WIDTH)
+        edges.extend(lo + (hi - lo) * i / k for i in range(1, k))
+        edges.append(hi)
+    edges = np.array(edges)
+    centre, halfwidth = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+    u, wu = _gauss_legendre(PANEL_ORDER)
+    theta = centre[:, None] + halfwidth[:, None] * u
+    w = halfwidth[:, None] * wu
+    return theta.ravel(), w.ravel()
 
 
 def mp_quantile_inverse(model: SpikedModel, tau: float) -> float:
@@ -377,31 +429,42 @@ def mp_quantile_inverse(model: SpikedModel, tau: float) -> float:
     if tau == 0.0:
         return b
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    s0sq, c = model.sigma0_sq, model.c
-    u, wu = np.polynomial.legendre.leggauss(96)
+    norm = 2.0 * math.pi * model.sigma0_sq * model.c
+    root_ab, root_a_over_b = math.sqrt(a * b), math.sqrt(a / b)
 
-    def upper_mass(theta_hi: float) -> float:
-        # mass of [x(theta_hi), b]; integrand smooth in theta.
-        theta = 0.5 * theta_hi * (u + 1.0)
-        w = 0.5 * theta_hi * wu
-        x = mid + half * np.cos(theta)
-        integrand = half**2 * np.sin(theta) ** 2 / (2.0 * math.pi * s0sq * c * x)
-        return float(w @ integrand)
+    def upper_mass(theta: float) -> float:
+        # Closed form of the mass of [x(theta), b]: the integral of
+        # h^2 sin^2(t) / x(t) over [0, theta], divided by norm.
+        return (mid * theta - half * math.sin(theta) - 2.0 * root_ab
+                * math.atan(root_a_over_b * math.tan(0.5 * theta))) / norm
 
+    def density(theta: float) -> float:
+        # d(mass)/d(theta); x = b cos^2(theta/2) + a sin^2(theta/2) stays
+        # accurate at both edges
+        x = b * math.cos(0.5 * theta) ** 2 + a * math.sin(0.5 * theta) ** 2
+        return half**2 * math.sin(theta) ** 2 / (x * norm)
+
+    # Newton in theta, kept inside a bisection bracket; the mass is
+    # increasing in theta and its derivative is the integrand itself.
     lo, hi = 0.0, math.pi
-    # bisection to 1e-10 in mass; masses are monotone in theta.
-    for _ in range(200):
-        mid_theta = 0.5 * (lo + hi)
-        m = upper_mass(mid_theta)
-        if abs(m - tau) < 1e-10:
-            lo = hi = mid_theta
+    theta = 0.5 * math.pi
+    for _ in range(100):
+        m = upper_mass(theta)
+        if abs(m - tau) <= 1e-15:
             break
         if m < tau:
-            lo = mid_theta
+            lo = theta
         else:
-            hi = mid_theta
-    theta_star = 0.5 * (lo + hi)
-    return float(mid + half * math.cos(theta_star))
+            hi = theta
+        slope = density(theta)
+        new = theta - (m - tau) / slope if slope > 0.0 else lo
+        if not lo < new < hi:
+            new = 0.5 * (lo + hi)
+        done = abs(new - theta) <= 4.0 * np.finfo(float).eps * theta
+        theta = new
+        if done:
+            break
+    return float(mid + half * math.cos(theta))
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +491,8 @@ class SpectralGrid:
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
         self._mid, self._half = mid, half
         if breaks:
-            theta, w_theta = _composite_theta_panels(a, b, breaks, n)
+            xstars = [outlier_location(model, d) for d in model.deltas]
+            theta, w_theta = _theta_panels(a, b, breaks, xstars)
         else:
             # Chebyshev (second kind) angles plus the endpoints with their
             # trapezoid half weights. The endpoints carry measure only in

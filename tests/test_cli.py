@@ -1,3 +1,4 @@
+import copy
 import json
 
 import numpy as np
@@ -216,6 +217,30 @@ def test_exit_codes(tmp_path):
     assert main(["optimal", "--config", bad4]) == 3
     # 2: missing config file
     assert main(["optimal", "--config", str(tmp_path / "nope.json")]) == 2
+
+
+def _with_field(key, value):
+    model = copy.deepcopy(FIG1_MODEL)
+    if key in ("delta", "alpha"):
+        model["spikes"][0][key] = value
+    else:
+        model[key] = value
+    return model
+
+
+@pytest.mark.parametrize("key,value", [
+    ("sigma_eps_sq", float("nan")),
+    ("delta", float("nan")),
+    ("alpha", float("nan")),
+    ("r", float("inf")),
+])
+def test_non_finite_model_field_is_config_error(tmp_path, capsys, key, value):
+    # json writes these as NaN / Infinity, which json.load accepts
+    cfg = write_cfg(tmp_path, {"model": _with_field(key, value), "optimal": {}})
+    assert main(["optimal", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "finite" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_assumption_message_names_condition(tmp_path, capsys):

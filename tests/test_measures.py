@@ -63,6 +63,20 @@ def test_rn_polynomials_structure(fig1_model):
         assert rn.nu_j(j, xstar) == 0.0  # exact zero at its outlier
 
 
+def test_rn_combination_matches_products():
+    # running-product form against the direct nu / nu_minus products
+    model = SpikedModel(1.0, 2.0, ((2.0, 0.4), (3.0, 0.3), (5.0, 0.5),
+                                   (7.0, 0.2)), 3.0, 1.0)
+    rn = sd.rn_polynomials(model)
+    coeffs = [0.7, -1.3, 2.1, 0.4, -0.9]
+    xs = np.concatenate([np.linspace(0.0, 12.0, 97), rn.xstars])
+    direct = coeffs[0] * rn.nu(xs) + sum(
+        coeffs[j + 1] * rn.nu_minus(j, xs) for j in range(model.s))
+    scale = np.abs(coeffs[0] * rn.nu(xs)) + sum(
+        np.abs(coeffs[j + 1] * rn.nu_minus(j, xs)) for j in range(model.s))
+    assert np.all(np.abs(rn.combination(coeffs, xs) - direct) <= 1e-14 * scale)
+
+
 def test_mu_partition_of_unity(fig1_model):
     grid = sd.get_grid(fig1_model)
     w = sd.mixture_weights(fig1_model)

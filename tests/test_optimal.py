@@ -323,3 +323,42 @@ def test_high_noise_round_trip():
         params = sd.synthesize_sd_params(rule)
         assert sd.sd_round_trip_error(model, rule, params) < 1e-9
         assert sd.coprimality_check(rule)
+
+
+# Models with three outliers within about 0.5% of each other at s = 4; with
+# Q evaluated from its monomial coefficients their round trips missed the
+# 1e-9 acceptance tolerance. Each is listed with the federated K at which
+# it failed (None: the single-client rule failed).
+CLOSE_OUTLIER_MODELS = [
+    (10, {"sigma0_sq": 1.8312193722082466, "c": 3.708738031375723,
+          "r": 4.417829349239232, "sigma_eps_sq": 3.2759679756788356,
+          "spikes": [(4.158526932998553, -1.1071592837611455),
+                     (3.7809473405139618, 1.2380056296672928),
+                     (2.47016164005293, -2.0918601176153446),
+                     (4.36874334380371, 1.531763962478353)]}),
+    (None, {"sigma0_sq": 1.8579316354024016, "c": 2.8688068058170635,
+            "r": 2.7360192399804344, "sigma_eps_sq": 0.9510412938357481,
+            "spikes": [(3.5322512969520377, -0.9480280223409254),
+                       (3.798468265299089, -1.0195407321291488),
+                       (2.182887824384041, -1.0543288216722226),
+                       (3.3644215495172514, 0.8176441399999743)]}),
+    (2, {"sigma0_sq": 1.2542467725704811, "c": 2.082294357012625,
+         "r": 3.927518544306996, "sigma_eps_sq": 3.575145324674386,
+         "spikes": [(2.1700395634590004, 0.6774151425572433),
+                    (2.0147864058192284, 0.5158901422536486),
+                    (1.1179880724650126, -1.9146999674511134),
+                    (1.4242782457101721, 2.0338100629466536)]}),
+]
+
+
+@pytest.mark.parametrize("K,spec", CLOSE_OUTLIER_MODELS)
+def test_close_outlier_round_trip(K, spec):
+    model = SpikedModel(spec["sigma0_sq"], spec["c"], tuple(spec["spikes"]),
+                        spec["r"], spec["sigma_eps_sq"])
+    rules = [sd.optimal_pred_rule(model)[0], sd.optimal_est_rule(model)]
+    for rule in rules:
+        params = sd.synthesize_sd_params(rule)
+        assert sd.sd_round_trip_error(model, rule, params) <= 1e-11
+    if K is not None:
+        fed = sd.federated_optimum(model, K)
+        assert sd.sd_round_trip_error(model, fed.local_rule, fed.sd_params) <= 1e-11

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -189,6 +191,61 @@ def test_pcr_component_limit_matches_tau_to_zero(fig4_model):
     small_tau = sd.pcr_sharp_pred_risk(fig4_model, 1e-4).total
     assert abs(small_tau - lim) < 2e-3
     assert sd.pcr_component_limit_risk(fig4_model).variance == 0.0
+
+
+def _reference_panels(a, b, breaks, xstars=()):
+    # 64-node Gauss-Legendre panels of width at most pi/64, graded
+    # geometrically down to 1e-9 at both ends of [0, pi] whatever the model
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    knots = {0.0, math.pi}
+    knots.update(math.acos((xb - mid) / half) for xb in breaks if a < xb < b)
+    t = 1e-9
+    while t < math.pi / 64:
+        knots.update((t, math.pi - t))
+        t *= 2.0
+    knots = sorted(knots)
+    edges = [0.0]
+    for lo, hi in zip(knots[:-1], knots[1:]):
+        k = math.ceil((hi - lo) / (math.pi / 64))
+        edges.extend(lo + (hi - lo) * i / k for i in range(1, k))
+        edges.append(hi)
+    edges = np.array(edges)
+    centre, width = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+    u, w = np.polynomial.legendre.leggauss(64)
+    return ((centre[:, None] + width[:, None] * u).ravel(),
+            (width[:, None] * w).ravel())
+
+
+PANEL_MODELS = {
+    "fig4": SpikedModel(1.0, 2.0, ((7.0, 1.7),), 2.0, 4.0),
+    "c_below_one": SpikedModel(1.0, 0.5, ((1.5, 0.6),), 2.0, 1.0),
+    "c_1.01": SpikedModel(1.0, 1.01, ((3.0, 0.6),), 2.0, 1.0),
+    "c_1.05": SpikedModel(1.0, 1.05, ((3.0, 0.6),), 2.0, 1.0),
+    "near_detachment": SpikedModel(
+        1.0, 2.0, ((1.001 * math.sqrt(2.0), 0.6), (4.0, 0.5)), 2.0, 1.0),
+}
+
+
+def _panel_risks(model, tau):
+    sd.spectra._grid_cached.cache_clear()
+    sharp = sd.pcr_sharp_pred_risk(model, tau).total
+    ramped = sd.limiting_pred_risk(model, sd.pcr_surrogate(model, tau)).total
+    return np.array([sharp, ramped])
+
+
+@pytest.mark.parametrize("name", sorted(PANEL_MODELS))
+def test_panel_risks_match_converged_reference(name, monkeypatch):
+    model = PANEL_MODELS[name]
+    bulk = min(1.0, 1.0 / model.c)
+    for tau in (1e-3, 0.25 * bulk, 0.9 * bulk):
+        t = sd.mp_quantile_inverse(model, tau)
+        assert sd.get_grid(model, breaks=(t,)).x.size < 1024
+        got = _panel_risks(model, tau)
+        with monkeypatch.context() as patch:
+            patch.setattr(sd.spectra, "_theta_panels", _reference_panels)
+            ref = _panel_risks(model, tau)
+        sd.spectra._grid_cached.cache_clear()
+        assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))
 
 
 def test_min_norm_surrogate_requires_spectral_gap():
