@@ -7,7 +7,6 @@ from .errors import AssumptionError, NumericalError, StructuralError
 from .spectra import (
     SpikedModel,
     SpectralMeasure,
-    QuadratureRule,
     mp_support,
     mp_density,
     mp_stieltjes,
@@ -17,7 +16,6 @@ from .spectra import (
     spiked_measure,
     mp_measure,
     mp_quantile_inverse,
-    make_quadrature,
     get_grid,
 )
 from .measures import (
@@ -25,7 +23,6 @@ from .measures import (
     RnPolynomials,
     GramSystem,
     mixture_weights,
-    mixture_measure,
     rn_polynomials,
     mu_j,
     weight_w,
@@ -38,7 +35,7 @@ from .shrinkage import (
     SDParams,
     ShrinkageFn,
     Ridge,
-    Rational,
+    RationalRule,
     SDChain,
     GDPoly,
     PCRSurrogate,
@@ -59,7 +56,6 @@ from .shrinkage import (
 )
 from .optimal import (
     OptimalCoefficients,
-    RationalRule,
     optimal_pred_rule,
     optimal_est_rule,
     isotropic_optimal,

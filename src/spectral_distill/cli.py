@@ -195,10 +195,9 @@ def _csv(header_comment_lines, columns, rows) -> str:
 
 def build_rules(block, model, where):
     """Expand one rule spec into a list of (label, hyper1, hyper2, fn)."""
-    kind = _coerce(block.get("kind"), str, f"{where}.kind") if "kind" in block \
-        else None
-    if kind is None:
+    if "kind" not in _coerce(block, dict, where):
         raise ConfigError(f"{where} needs a 'kind'")
+    kind = _coerce(block["kind"], str, f"{where}.kind")
     try:
         return _build_rules_inner(block, model, where, kind)
     except AssumptionError as exc:
@@ -216,21 +215,25 @@ def _build_rules_inner(block, model, where, kind):
             out.append(("ridge", float(lam), "", shrinkage.Ridge(float(lam))))
     elif kind == "sd":
         spec = _require(block, where, {"kind": str, "lambdas": list, "xis": list})
-        params = shrinkage.SDParams(tuple(spec["lambdas"]), tuple(spec["xis"]))
+        params = shrinkage.SDParams(
+            tuple(_coerce(v, float, f"{where}.lambdas[]") for v in spec["lambdas"]),
+            tuple(_coerce(v, float, f"{where}.xis[]") for v in spec["xis"]),
+        )
         out.append(("sd", "", "", shrinkage.sd_chain_fn(params, model)))
     elif kind == "gd":
         spec = _require(block, where, {"kind": str, "etas": list, "steps": list})
         for eta in spec["etas"]:
+            eta = _coerce(eta, float, f"{where}.etas[]")
             for T in spec["steps"]:
-                out.append(("gd", float(eta), int(T),
-                            shrinkage.GDPoly(float(eta), int(T))))
+                T = _coerce(T, int, f"{where}.steps[]")
+                out.append(("gd", eta, T, shrinkage.GDPoly(eta, T)))
     elif kind == "pcr":
         spec = _require(block, where, {"kind": str, "taus": list},
                         {"ramp_width": float})
         for tau in spec["taus"]:
-            fn = shrinkage.pcr_surrogate(model, float(tau),
-                                         spec.get("ramp_width"))
-            out.append(("pcr", float(tau), "", fn))
+            tau = _coerce(tau, float, f"{where}.taus[]")
+            fn = shrinkage.pcr_surrogate(model, tau, spec.get("ramp_width"))
+            out.append(("pcr", tau, "", fn))
     elif kind == "min_norm":
         _require(block, where, {"kind": str}, {"ramp_width": float})
         out.append(("min_norm", "", "",
@@ -240,12 +243,11 @@ def _build_rules_inner(block, model, where, kind):
         if model.s == 0:
             fn = optimal.isotropic_optimal(model)
         else:
-            fn = optimal.optimal_pred_rule(model)[0].as_shrinkage(model)
+            fn = optimal.optimal_pred_rule(model)[0]
         out.append(("optimal_pred", "", "", fn))
     elif kind == "optimal_est":
         _require(block, where, {"kind": str})
-        out.append(("optimal_est", "", "",
-                    optimal.optimal_est_rule(model).as_shrinkage(model)))
+        out.append(("optimal_est", "", "", optimal.optimal_est_rule(model)))
     else:
         raise ConfigError(f"{where}.kind '{kind}' is not a known rule kind")
     return out
@@ -255,7 +257,7 @@ def _build_rules_inner(block, model, where, kind):
 # subcommands
 
 
-def cmd_measure(config, out_path, fmt):
+def cmd_measure(config, out_path):
     block = _require(
         config.get("measure", {}), "measure",
         {}, {"grid_size": int, "x_min": float, "x_max": float},
@@ -267,6 +269,8 @@ def cmd_measure(config, out_path, fmt):
     a, b = spectra.mp_support(model)
     x_lo = block.get("x_min", a)
     x_hi = block.get("x_max", b)
+    if not (np.isfinite(x_lo) and np.isfinite(x_hi)):
+        raise ConfigError("measure.x_min and measure.x_max must be finite")
     xs = np.linspace(x_lo, x_hi, grid_size)
     cols = ["x", "f_mp"] + [f"f_delta_{j + 1}" for j in range(model.s)]
     dens = [spectra.mp_density(model, xs)]
@@ -285,7 +289,7 @@ def cmd_measure(config, out_path, fmt):
     return 0
 
 
-def cmd_risk(config, out_path, fmt):
+def cmd_risk(config, out_path):
     block = _require(config.get("risk", {}), "risk", {"rules": list})
     model = parse_model(config["model"])
     cols = (
@@ -309,10 +313,7 @@ def cmd_risk(config, out_path, fmt):
 
 
 def _optimum_payload(model, rule, b, sd_params):
-    chain = shrinkage.sd_chain_fn(sd_params)
-    grid = spectra.get_grid(model)
-    pts = grid.support_points
-    round_trip = float(np.max(np.abs(chain(pts) - rule(pts))))
+    round_trip = optimal.sd_round_trip_error(model, rule, sd_params)
     payload = {
         "b": list(b),
         "P_roots": list(rule.roots_of_p),
@@ -321,10 +322,8 @@ def _optimum_payload(model, rule, b, sd_params):
         "sd_params": {"lambdas": list(sd_params.lambdas),
                       "xis": list(sd_params.xis)},
         "risks": {
-            "pred": shrinkage.limiting_pred_risk(
-                model, rule.as_shrinkage(model)).total,
-            "est": shrinkage.limiting_est_risk(
-                model, rule.as_shrinkage(model)).total,
+            "pred": shrinkage.limiting_pred_risk(model, rule).total,
+            "est": shrinkage.limiting_est_risk(model, rule).total,
         },
         "coprime": optimal.coprimality_check(rule),
         "self_check": {"round_trip_sup_error": round_trip},
@@ -332,7 +331,7 @@ def _optimum_payload(model, rule, b, sd_params):
     return payload
 
 
-def cmd_optimal(config, out_path, fmt):
+def cmd_optimal(config, out_path):
     _require(config.get("optimal", {}), "optimal", {})
     model = parse_model(config["model"])
     if model.s == 0:
@@ -364,7 +363,7 @@ def cmd_optimal(config, out_path, fmt):
     return 0
 
 
-def cmd_sd_params(config, out_path, fmt):
+def cmd_sd_params(config, out_path):
     _require(config.get("sd_params", {}), "sd_params", {})
     model = parse_model(config["model"])
     if model.s == 0:
@@ -385,7 +384,7 @@ def cmd_sd_params(config, out_path, fmt):
     return 0
 
 
-def cmd_federated(config, out_path, fmt):
+def cmd_federated(config, out_path):
     block = _require(config.get("federated", {}), "federated", {"K": int})
     model = parse_model(config["model"])
     opt = federated.federated_optimum(model, block["K"])
@@ -393,8 +392,7 @@ def cmd_federated(config, out_path, fmt):
     payload["K"] = opt.K
     payload["rho_star"] = opt.rho_star
     payload["risks"]["federated_pred"] = federated.federated_risk(
-        model, opt.K, [opt.local_rule.as_shrinkage(model)] * opt.K,
-        [opt.rho_star] * opt.K,
+        model, opt.K, [opt.local_rule] * opt.K, [opt.rho_star] * opt.K,
     )
     payload["config"] = _config_hash(config)
     _emit(_json_dump(payload) + "\n", out_path)
@@ -422,7 +420,7 @@ def _parse_estimator(label: str, model, p: int, n: int):
             return ridge, shrinkage.limiting_pred_risk(model, ridge).total
         rule, _ = optimal.optimal_pred_rule(model)
         params = optimal.synthesize_sd_params(rule)
-        total = shrinkage.limiting_pred_risk(model, rule.as_shrinkage(model)).total
+        total = shrinkage.limiting_pred_risk(model, rule).total
         return params, total
     if kind == "pcr" and len(parts) == 2:
         m = int(parts[1])
@@ -447,7 +445,7 @@ def _parse_estimator(label: str, model, p: int, n: int):
     raise ConfigError(f"unrecognized estimator spec '{label}'")
 
 
-def cmd_simulate(config, out_path, fmt, threads=1, seed_override=None):
+def cmd_simulate(config, out_path, threads=1, seed_override=None):
     block = _require(
         config.get("simulate", {}), "simulate",
         {"n": int, "p": int, "seed": int, "n_replicates": int,
@@ -482,7 +480,7 @@ def cmd_simulate(config, out_path, fmt, threads=1, seed_override=None):
     return 0
 
 
-def cmd_sweep(config, out_path, fmt, threads=1, seed_override=None):
+def cmd_sweep(config, out_path, threads=1, seed_override=None):
     block = _require(
         config.get("sweep", {}), "sweep",
         {"parameter": str, "values": ANY},
@@ -595,9 +593,6 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=True, help="path to a JSON config")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
-    parser.add_argument("--format", choices=["csv", "json"], default=None,
-                        help="output format (informational; each command has "
-                        "a fixed natural format)")
     parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--seed", type=int, default=None,
                         help="override the simulation seed")
@@ -623,23 +618,20 @@ def main(argv=None) -> int:
         return 2
 
     out_path = args.out
-    fmt = args.format
     if "output" in config:
         try:
-            out_block = _require(config["output"], "output", {},
-                                 {"path": str, "format": str})
+            out_block = _require(config["output"], "output", {}, {"path": str})
         except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
         out_path = out_path or out_block.get("path")
-        fmt = fmt or out_block.get("format")
 
     fn = _COMMANDS[args.command]
     try:
         if args.command in ("simulate", "sweep"):
-            return fn(config, out_path, fmt, threads=args.threads,
+            return fn(config, out_path, threads=args.threads,
                       seed_override=args.seed)
-        return fn(config, out_path, fmt)
+        return fn(config, out_path)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

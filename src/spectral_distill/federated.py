@@ -21,7 +21,7 @@ import numpy as np
 
 from . import measures, optimal
 from .errors import AssumptionError, NumericalError
-from .shrinkage import SDParams, ShrinkageFn, _grid_for_rule, validate_rule
+from .shrinkage import RationalRule, SDParams, ShrinkageFn, validate_rule
 from .spectra import SpikedModel, get_grid
 
 
@@ -30,8 +30,8 @@ class FederatedOptimum:
     K: int
     b: tuple[float, ...]
     rho_star: float
-    fK: optimal.RationalRule
-    local_rule: optimal.RationalRule
+    fK: RationalRule
+    local_rule: RationalRule
     sd_params: SDParams
 
 
@@ -69,7 +69,7 @@ def federated_optimum(model: SpikedModel, K: int) -> FederatedOptimum:
             "and K sit on the degenerate set where the weight/rule split fails"
         )
     rn = measures.rn_polynomials(model)
-    p0 = optimal._denominator_coeffs(model)
+    p0 = optimal._denominator_coeffs(model, rn, model.sigma0_sq)
     q0 = optimal._numerator_coeffs(rn, b)
     lead = p0[-1]
     p = p0 / lead
@@ -80,10 +80,9 @@ def federated_optimum(model: SpikedModel, K: int) -> FederatedOptimum:
         roots = (-lam,)
     else:
         roots = optimal.denominator_roots(model, p)
-    fK = optimal.RationalRule(tuple(p), tuple(q0 / lead), roots,
-                              tuple(b / lead), rn)
-    local = optimal.RationalRule(tuple(p), tuple(q0 / (lead * rho)), roots,
-                                 tuple(b / (lead * rho)), rn)
+    fK = RationalRule(tuple(p), tuple(q0 / lead), roots, tuple(b / lead), rn)
+    local = RationalRule(tuple(p), tuple(q0 / (lead * rho)), roots,
+                         tuple(b / (lead * rho)), rn)
     params = optimal.synthesize_sd_params(local)
     return FederatedOptimum(K, tuple(b), rho, fK, local, params)
 
@@ -127,21 +126,14 @@ def product_form_limit(model: SpikedModel, phi: ShrinkageFn, psi: ShrinkageFn,
 
 def _rule_integrals(model: SpikedModel, f: ShrinkageFn):
     """(||f||_w^2, <g,f>_w, [<h_0,f>_w, ..., <h_s,f>_w]) for one rule."""
-    validate_rule(model, f)
-    grid = _grid_for_rule(model, f)
-    x, fx = grid.x, f(grid.x)
-    fa = f(grid.atom_locs) if grid.atom_locs.size else np.zeros(0)
+    grid, fb, fa = validate_rule(model, f)
+    x, xa = grid.x, grid.atom_locs
     s0sq = model.sigma0_sq
     # ||f||_w^2 = sigma0^2 r^2 int x^2 f^2 dF_alpha + c sigma0^2 se^2 int x f^2 dF_MP
-    norm2 = s0sq * model.r**2 * (
-        grid.alpha_bulk @ (x**2 * fx**2) + grid.atom_alpha @ (grid.atom_locs**2 * fa**2)
-    ) + model.c * s0sq * model.sigma_eps_sq * (grid.mp_bulk @ (x * fx**2))
-    t = np.empty(model.s + 1)
-    t[0] = grid.mp_bulk @ (x * fx)  # MP outliers carry no mass; zero atom killed by x
-    for j in range(model.s):
-        t[j + 1] = grid.delta_bulk[j] @ (x * fx) + grid.atom_delta[j] @ (
-            grid.atom_locs * fa
-        )
+    norm2 = s0sq * model.r**2 * grid.integrate(x**2 * fb**2, xa**2 * fa**2).alpha \
+        + model.c * s0sq * model.sigma_eps_sq * grid.integrate(x * fb**2, xa * fa**2).mp
+    xf = grid.integrate(x * fb, xa * fa)
+    t = np.concatenate([[xf.mp], xf.delta])  # <h_0,f>_w = int x f dF_MP
     gdot = s0sq * model.r**2 * measures.mixture_weights(model).omega0 * t[0]
     for j, (d, a) in enumerate(model.spikes):
         gdot += (d + s0sq) * a * a * t[j + 1]

@@ -1,4 +1,4 @@
-"""Mixture measure, density-ratio polynomials, and the weighted Gram system.
+"""Mixture weights, density-ratio polynomials, and the weighted Gram system.
 
 The mixture F_alpha = omega0 F_MP + sum_j omega_j F_{delta_j} carries the
 signal's alignment with the spike directions. The affine ratios nu_j and
@@ -17,7 +17,7 @@ import numpy as np
 
 from . import spectra
 from .errors import NumericalError
-from .spectra import SpikedModel, SpectralMeasure, get_grid
+from .spectra import SpikedModel, get_grid
 
 
 @dataclass(frozen=True)
@@ -101,30 +101,6 @@ def rn_polynomials(model: SpikedModel) -> RnPolynomials:
                 m = np.polynomial.polynomial.polymul(m, [p, q])
         minus.append(tuple(m))
     return RnPolynomials(affine, xstars, scales, tuple(nu), tuple(minus))
-
-
-def mixture_measure(model: SpikedModel) -> SpectralMeasure:
-    """F_alpha = omega0 F_MP + sum_j omega_j F_{delta_j}; total mass one."""
-    w = mixture_weights(model)
-    parts = [spectra.mp_measure(model)] + [
-        spectra.spiked_measure(model, d) for d in model.deltas
-    ]
-    coefs = (w.omega0, *w.omegas)
-
-    def density(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        for cf, meas in zip(coefs, parts):
-            out = out + cf * meas.bulk_density(x)
-        return out
-
-    atom_mass: dict[float, float] = {}
-    for cf, meas in zip(coefs, parts):
-        for loc, mass in meas.atoms:
-            atom_mass[loc] = atom_mass.get(loc, 0.0) + cf * mass
-    atoms = tuple(sorted(atom_mass.items()))
-    a, b = spectra.mp_support(model)
-    return SpectralMeasure(a, b, density, atoms)
 
 
 def _mu_all(model: SpikedModel, x) -> np.ndarray:

@@ -117,16 +117,19 @@ def _signal(cfg: SimConfig, replicate: int):
     return beta0, V
 
 
-def gen_data(cfg: SimConfig, replicate: int = 0, client: int | None = None):
+def gen_data(cfg: SimConfig, replicate: int = 0, client: int | None = None,
+             signal: tuple[np.ndarray, np.ndarray] | None = None):
     """One dataset (X, y, beta0, V).
 
     X = Z Sigma^{1/2} applied through the spike identity
     Sigma^{1/2} = sigma0 I + sum_j (sqrt(delta_j + sigma0^2) - sigma0) v_j v_j';
     beta0 satisfies ||beta0|| = r and beta0'v_j = alpha_j exactly, with the
     remainder drawn uniformly in the orthocomplement of span(v_j).
+    The signal (beta0, V) comes from cfg's signal stream unless given:
+    clients that share a population pass the first client's signal.
     """
     model = cfg.model
-    beta0, V = _signal(cfg, replicate)
+    beta0, V = _signal(cfg, replicate) if signal is None else signal
     rng_x = _rng(cfg.seed, replicate, "design", client)
     Z = _draw_entries(rng_x, (cfg.n, cfg.p), cfg.entry_dist, cfg.student_df)
     sigma0 = math.sqrt(model.sigma0_sq)
@@ -291,27 +294,12 @@ def fit_aggregated(cfgs, rules, rhos) -> FittedEstimator:
     for cfg in cfgs[1:]:
         if cfg.model != base.model or cfg.p != base.p:
             raise ValueError("clients must share the model and dimension p")
+    signal = _signal(base, 0)
     beta = np.zeros(base.p)
     for l, (cfg, f, rho) in enumerate(zip(cfgs, rules, rhos)):
-        X, y, _, _ = _client_data(base, cfg, l)
+        X, y, _, _ = gen_data(cfg, 0, l, signal)
         beta += rho * fit_shrinkage(X, y, f).coefficients
     return FittedEstimator(beta, "aggregated", (tuple(rhos),))
-
-
-def _client_data(base: SimConfig, cfg: SimConfig, client: int, replicate: int = 0):
-    """Client dataset with the signal drawn from the base config's stream."""
-    beta0, V = _signal(base, replicate)
-    model = cfg.model
-    rng_x = _rng(cfg.seed, replicate, "design", client)
-    Z = _draw_entries(rng_x, (cfg.n, cfg.p), cfg.entry_dist, cfg.student_df)
-    sigma0 = math.sqrt(model.sigma0_sq)
-    X = sigma0 * Z
-    for j in range(model.s):
-        coef = math.sqrt(model.deltas[j] + model.sigma0_sq) - sigma0
-        X += coef * np.outer(Z @ V[:, j], V[:, j])
-    eps = _rng(cfg.seed, replicate, "noise", client).standard_normal(cfg.n)
-    y = X @ beta0 + eps * math.sqrt(model.sigma_eps_sq)
-    return X, y, beta0, V
 
 
 def make_fitter(est):

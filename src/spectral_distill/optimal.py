@@ -11,6 +11,12 @@ Its monic denominator P has s+1 distinct real roots, exactly one of
 them negative and the positive ones interlacing the outliers; ordering
 those roots and matching coefficients turns Q/P into an s-step
 self-distillation chain.
+
+Optimal rules are `shrinkage.RationalRule`s, the one rational rule type:
+they carry the roots of P and keep Q in the factored nu basis of their
+model, so every risk, inner product and the chain synthesis reads Q in
+that form. The monomial coefficients serve output and the coprimality
+check.
 """
 
 from __future__ import annotations
@@ -24,11 +30,10 @@ from scipy.optimize import brentq
 
 from . import measures
 from .errors import AssumptionError, NumericalError, StructuralError
-from .shrinkage import Rational, Ridge, SDParams, sd_chain_fn
+from .shrinkage import RationalRule, Ridge, SDParams, sd_chain_fn, validate_rule
 from .spectra import SpikedModel, get_grid, outlier_location
 
 _polyval = np.polynomial.polynomial.polyval
-_polymul = np.polynomial.polynomial.polymul
 _polyder = np.polynomial.polynomial.polyder
 
 
@@ -115,44 +120,6 @@ class OptimalCoefficients:
     A: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class RationalRule:
-    """Monic rational rule Q/P with deg P = deg Q + 1 and known P roots.
-
-    Rules built from a model also keep Q in the nu-product basis,
-    Q = q_nu[0] nu + sum_j q_nu[j] nu_{-j}, and evaluate it through the
-    factored nu products of `rn`. The monomial q_coeffs cancel badly when
-    outliers (and so roots of P) sit close together; they are kept for
-    output and for the coprimality check.
-    """
-
-    p_coeffs: tuple[float, ...]
-    q_coeffs: tuple[float, ...]
-    roots_of_p: tuple[float, ...]
-    q_nu: tuple[float, ...] = ()
-    rn: measures.RnPolynomials | None = None
-
-    def q(self, x):
-        """Numerator Q at x."""
-        x = np.asarray(x, dtype=float)
-        if self.rn is None:
-            return _polyval(x, np.array(self.q_coeffs))
-        return self.rn.combination(self.q_nu, x)
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        num = self.q(x)
-        den = np.ones_like(x)
-        for g in self.roots_of_p:
-            den = den * (x - g)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = num / den
-        return np.where(np.isfinite(out), out, 0.0)
-
-    def as_shrinkage(self, model: SpikedModel | None = None) -> Rational:
-        return Rational(self.q_coeffs, self.p_coeffs, model)
-
-
 def _require_noise(model: SpikedModel):
     if model.sigma_eps_sq == 0.0:
         raise AssumptionError(
@@ -178,15 +145,23 @@ def _shift_up(coeffs: np.ndarray) -> np.ndarray:
     return np.concatenate([[0.0], coeffs])
 
 
-def _denominator_coeffs(model: SpikedModel) -> np.ndarray:
-    """Unnormalized denominator P0 (ascending coefficients)."""
-    rn = measures.rn_polynomials(model)
+def _mixture_coeffs(model: SpikedModel, rn: measures.RnPolynomials) -> np.ndarray:
+    """omega0 nu + sum_j omega_j nu_{-j} (ascending coefficients)."""
     w = measures.mixture_weights(model)
     mix = w.omega0 * np.array(rn.nu_coeffs)
     for om, nm in zip(w.omegas, rn.nu_minus_coeffs):
         mix = np.polynomial.polynomial.polyadd(mix, om * np.array(nm))
-    s0sq = model.sigma0_sq
-    p0 = s0sq * model.r**2 * _shift_up(mix)
+    return mix
+
+
+def _denominator_coeffs(model: SpikedModel, rn: measures.RnPolynomials,
+                        s0sq: float) -> np.ndarray:
+    """Unnormalized denominator s0sq (r^2 x mix + c sigma_eps^2 nu), ascending.
+
+    s0sq = sigma0^2 gives P0 of the prediction optimum, 1 that of the
+    estimation optimum; both have the same roots.
+    """
+    p0 = s0sq * model.r**2 * _shift_up(_mixture_coeffs(model, rn))
     p0 = np.polynomial.polynomial.polyadd(
         p0, model.c * s0sq * model.sigma_eps_sq * np.array(rn.nu_coeffs)
     )
@@ -290,7 +265,7 @@ def _solve_system(model: SpikedModel, dmat_diag: np.ndarray) -> np.ndarray:
 
 def _assemble(model: SpikedModel, b: np.ndarray) -> RationalRule:
     rn = measures.rn_polynomials(model)
-    p0 = _denominator_coeffs(model)
+    p0 = _denominator_coeffs(model, rn, model.sigma0_sq)
     q0 = _numerator_coeffs(rn, b)
     lead = p0[-1]
     if lead == 0.0:
@@ -303,23 +278,19 @@ def _assemble(model: SpikedModel, b: np.ndarray) -> RationalRule:
 
 def fixed_point_residual(model: SpikedModel, rule: RationalRule) -> float:
     """max over the grid of |A f* - g| for A f = f + sum_j d_j a_j^2 <f,h_j> h_j."""
-    grid = get_grid(model)
+    grid, f_bulk, f_atoms = validate_rule(model, rule)
     pts = grid.support_points
-    fvals = rule(pts)
-    gvals = measures.target_g(model, pts)
-    resid = fvals.copy()
+    A = grid.integrate(grid.x * f_bulk, grid.atom_locs * f_atoms).delta
+    resid = np.concatenate([f_bulk, f_atoms])
     for j, (d, al) in enumerate(model.spikes):
-        aj = grid.int_delta(j, lambda t: t * rule(t))  # <f, h_j>_w
-        resid = resid + d * al * al * aj * measures.basis_h(model, j + 1, pts)
-    return float(np.max(np.abs(resid - gvals)))
+        resid = resid + d * al * al * A[j] * measures.basis_h(model, j + 1, pts)
+    return float(np.max(np.abs(resid - measures.target_g(model, pts))))
 
 
 def inner_products_with_basis(model: SpikedModel, rule) -> np.ndarray:
     """A_j = <rule, h_j>_w = int x rule dF_{delta_j}, j = 1..s."""
-    grid = get_grid(model)
-    return np.array(
-        [grid.int_delta(j, lambda t: t * rule(t)) for j in range(model.s)]
-    )
+    grid, f_bulk, f_atoms = validate_rule(model, rule)
+    return np.array(grid.integrate(grid.x * f_bulk, grid.atom_locs * f_atoms).delta)
 
 
 def optimal_pred_rule(model: SpikedModel) -> tuple[RationalRule, OptimalCoefficients]:
@@ -340,14 +311,8 @@ def optimal_est_rule(model: SpikedModel) -> RationalRule:
     _require_noise(model)
     rn = measures.rn_polynomials(model)
     w = measures.mixture_weights(model)
-    mix = w.omega0 * np.array(rn.nu_coeffs)
-    for om, nm in zip(w.omegas, rn.nu_minus_coeffs):
-        mix = np.polynomial.polynomial.polyadd(mix, om * np.array(nm))
-    p0 = model.r**2 * _shift_up(mix)
-    p0 = np.polynomial.polynomial.polyadd(
-        p0, model.c * model.sigma_eps_sq * np.array(rn.nu_coeffs)
-    )
-    q0 = model.r**2 * mix
+    p0 = _denominator_coeffs(model, rn, 1.0)
+    q0 = model.r**2 * _mixture_coeffs(model, rn)
     if q0.size < model.s + 1:
         q0 = np.concatenate([q0, np.zeros(model.s + 1 - q0.size)])
     lead = p0[-1]

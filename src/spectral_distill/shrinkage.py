@@ -2,8 +2,16 @@
 
 A rule f maps sample eigenvalues to shrinkage factors; the estimator is
 f(Sigma_hat) X'y/n with the pseudoinverse convention that eigendirections
-where |f| is infinite contribute nothing. Limiting risks are exact
-quadratures of
+where |f| is infinite contribute nothing. Every rule is a ShrinkageFn:
+ridge, self-distillation chains, gradient-descent polynomials, ramped
+PCR / min-norm surrogates, tabulated values, and RationalRule, the one
+rational type. A RationalRule is Q/P with the roots of P known; the
+optimal rules of `optimal` evaluate Q in the factored nu basis of their
+model, hand-built ones from its coefficients.
+
+A rule meets a model in `validate_rule`, which checks it and evaluates it
+once on the model's grid. Each limiting risk assembles three moments of
+those values, all from `SpectralGrid.integrate`:
 
     pred:  sigma0^2 r^2 int (1-xf)^2 dF_alpha
            + sum_j delta_j alpha_j^2 (int (1-xf) dF_{delta_j})^2
@@ -15,12 +23,17 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import AssumptionError, NumericalError
 from .spectra import SpikedModel, get_grid, mp_support, mp_quantile_inverse
+
+if TYPE_CHECKING:
+    from .measures import RnPolynomials
+    from .spectra import SpectralGrid
 
 
 @dataclass(frozen=True)
@@ -35,6 +48,11 @@ class SDParams:
         object.__setattr__(self, "xis", tuple(float(v) for v in self.xis))
         if len(self.lambdas) != len(self.xis) + 1:
             raise ValueError("need one more lambda than xi (lambda_0..k, xi_1..k)")
+        if not all(map(math.isfinite, self.lambdas + self.xis)):
+            raise ValueError(
+                f"self-distillation parameters must be finite, got lambdas "
+                f"{self.lambdas} and xis {self.xis}"
+            )
 
     @property
     def k(self) -> int:
@@ -74,6 +92,10 @@ def _finite_or_zero(vals, flag_context: str | None = None):
 class Ridge(ShrinkageFn):
     lam: float
 
+    def __post_init__(self):
+        if not math.isfinite(self.lam):
+            raise ValueError(f"ridge lambda must be finite, got {self.lam}")
+
     def poles(self):
         return (-self.lam,)
 
@@ -85,31 +107,43 @@ class Ridge(ShrinkageFn):
 
 
 @dataclass(frozen=True)
-class Rational(ShrinkageFn):
-    """Ratio of polynomials (ascending coefficients); poles must avoid the
-    limiting support, which is checked whenever a model is supplied."""
+class RationalRule(ShrinkageFn):
+    """Rational rule Q/P with monic P = prod_k (x - roots_of_p[k]).
 
-    num_coeffs: tuple[float, ...]
-    den_coeffs: tuple[float, ...]
-    model: SpikedModel | None = field(default=None, compare=False)
+    `p_coeffs` and `q_coeffs` are the ascending coefficients of P and Q.
+    Hand-built rules evaluate Q from q_coeffs. Rules built from a model
+    (see `optimal`) also keep Q in the nu-product basis,
+    Q = q_nu[0] nu + sum_j q_nu[j] nu_{-j}, and evaluate it through the
+    factored nu products of `rn`: the monomial q_coeffs cancel badly when
+    outliers (and so roots of P) sit close together, and serve only for
+    output and the coprimality check. The poles are the roots of P.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "num_coeffs", tuple(float(v) for v in self.num_coeffs))
-        object.__setattr__(self, "den_coeffs", tuple(float(v) for v in self.den_coeffs))
-        if self.model is not None:
-            validate_rule(self.model, self)
+    p_coeffs: tuple[float, ...]
+    q_coeffs: tuple[float, ...]
+    roots_of_p: tuple[float, ...]
+    q_nu: tuple[float, ...] = ()
+    rn: RnPolynomials | None = None
 
     def poles(self):
-        roots = np.polynomial.polynomial.polyroots(np.array(self.den_coeffs))
-        real = roots[np.abs(roots.imag) < 1e-9 * (1.0 + np.abs(roots.real))]
-        return tuple(float(v) for v in real.real)
+        return self.roots_of_p
+
+    def q(self, x):
+        """Numerator Q at x."""
+        x = np.asarray(x, dtype=float)
+        if self.rn is None:
+            return np.polynomial.polynomial.polyval(x, np.array(self.q_coeffs))
+        return self.rn.combination(self.q_nu, x)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        pv = np.polynomial.polynomial.polyval
+        num = self.q(x)
+        den = np.ones_like(x)
+        for g in self.roots_of_p:
+            den = den * (x - g)
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = pv(x, np.array(self.num_coeffs)) / pv(x, np.array(self.den_coeffs))
-        return _finite_or_zero(out, flag_context="Rational")
+            out = num / den
+        return _finite_or_zero(out, flag_context="RationalRule")
 
 
 @dataclass(frozen=True)
@@ -143,8 +177,8 @@ class GDPoly(ShrinkageFn):
     steps: int
 
     def __post_init__(self):
-        if self.eta <= 0:
-            raise ValueError("eta must be positive")
+        if not (math.isfinite(self.eta) and self.eta > 0):
+            raise ValueError(f"eta must be positive and finite, got {self.eta}")
         if self.steps < 1:
             raise ValueError("steps must be a positive integer")
 
@@ -180,8 +214,10 @@ class _RampedInverse(ShrinkageFn):
     ramp_width: float
 
     def __post_init__(self):
-        if self.ramp_width <= 0:
-            raise ValueError("ramp_width must be positive")
+        if not (math.isfinite(self.ramp_width) and self.ramp_width > 0):
+            raise ValueError(
+                f"ramp_width must be positive and finite, got {self.ramp_width}"
+            )
         if self.threshold - 0.5 * self.ramp_width <= 0:
             raise ValueError("ramp must stay strictly above zero")
         object.__setattr__(
@@ -277,91 +313,84 @@ def sd_chain_fn(params: SDParams, model: SpikedModel | None = None) -> SDChain:
     return fn
 
 
-def validate_rule(model: SpikedModel, f: ShrinkageFn):
-    """Reject rules with a pole on the limiting support."""
-    grid = get_grid(model)
+def validate_rule(model: SpikedModel, f: ShrinkageFn
+                  ) -> tuple[SpectralGrid, np.ndarray, np.ndarray]:
+    """Check a rule against a model and evaluate it once on the model's grid.
+
+    The grid is the plain one, or a panel grid split at the rule's
+    breakpoints inside the bulk. A declared pole on the limiting support
+    raises AssumptionError; a value that is not finite raises
+    NumericalError. Returns (grid, f at grid.x, f at grid.atom_locs).
+    """
+    a, b = mp_support(model)
+    breaks = tuple(v for v in f.breakpoints if a < v < b)
+    grid = get_grid(model, breaks=breaks)
     for p in f.poles():
         if grid.on_support(np.array([p]))[0]:
             raise AssumptionError(
                 f"rule has a pole at {p}, inside the limiting support; "
                 "shrinkage rules must be finite near the bulk and atoms"
             )
-    pts = grid.support_points
-    vals = f(pts)
-    if not np.all(np.isfinite(vals)):
+    f_bulk = f(grid.x)
+    f_atoms = f(grid.atom_locs) if grid.atom_locs.size else np.zeros(0)
+    if not (np.all(np.isfinite(f_bulk)) and np.all(np.isfinite(f_atoms))):
         raise NumericalError("rule is not finite on the limiting support")
+    return grid, f_bulk, f_atoms
 
 
-def _grid_for_rule(model: SpikedModel, f: ShrinkageFn):
-    a, b = mp_support(model)
-    breaks = tuple(v for v in getattr(f, "breakpoints", ()) if a < v < b)
-    return get_grid(model, breaks=breaks)
+def _risk_moments(grid, resid_bulk, resid_atoms, var_bulk, var_atoms):
+    """(int resid^2 dF_alpha, [int resid dF_{delta_j}]_j, int var dF_MP).
+
+    For a rule f, resid = 1 - x f and var = x f^2; leading axes batch.
+    """
+    return (grid.integrate(resid_bulk**2, resid_atoms**2).alpha,
+            grid.integrate(resid_bulk, resid_atoms).delta,
+            grid.integrate(var_bulk, var_atoms).mp)
+
+
+def _rule_moments(grid, f_bulk, f_atoms):
+    x, xa = grid.x, grid.atom_locs
+    return _risk_moments(grid, 1.0 - x * f_bulk, 1.0 - xa * f_atoms,
+                         x * f_bulk**2, xa * f_atoms**2)
+
+
+def _risk_terms(model: SpikedModel, moments, kind: str):
+    """(bias_bulk, [bias_spike_j], variance) of the pred or est risk."""
+    alpha, delta, var = moments
+    if kind == "pred":
+        s0sq = model.sigma0_sq
+        spikes = [d * al * al * delta[j] ** 2
+                  for j, (d, al) in enumerate(model.spikes)]
+        return (s0sq * model.r**2 * alpha, spikes,
+                model.c * s0sq * model.sigma_eps_sq * var)
+    if kind == "est":
+        return (model.r**2 * alpha, [0.0] * model.s,
+                model.c * model.sigma_eps_sq * var)
+    raise ValueError("kind must be 'pred' or 'est'")
 
 
 def limiting_pred_risk(model: SpikedModel, f: ShrinkageFn) -> RiskBreakdown:
     """Limiting out-of-sample prediction risk of the rule's estimator."""
-    validate_rule(model, f)
-    grid = _grid_for_rule(model, f)
-    x, fx = grid.x, f(grid.x)
-    fa = f(grid.atom_locs) if grid.atom_locs.size else np.zeros(0)
-    one_minus_b = 1.0 - x * fx
-    one_minus_a = 1.0 - grid.atom_locs * fa
-
-    s0sq, r2 = model.sigma0_sq, model.r**2
-    bias_bulk = s0sq * r2 * (
-        grid.alpha_bulk @ one_minus_b**2 + grid.atom_alpha @ one_minus_a**2
-    )
-    bias_spikes = []
-    for j, (d, al) in enumerate(model.spikes):
-        ib = grid.delta_bulk[j] @ one_minus_b + grid.atom_delta[j] @ one_minus_a
-        bias_spikes.append(d * al * al * ib**2)
-    variance = model.c * s0sq * model.sigma_eps_sq * (
-        grid.mp_bulk @ (x * fx**2)
-    )  # the MP zero atom contributes nothing through the x factor
-    return _breakdown(bias_bulk, bias_spikes, variance)
+    moments = _rule_moments(*validate_rule(model, f))
+    return _breakdown(*_risk_terms(model, moments, "pred"))
 
 
 def limiting_est_risk(model: SpikedModel, f: ShrinkageFn) -> RiskBreakdown:
     """Limiting estimation (l2) risk; no per-spike squared bias terms."""
-    validate_rule(model, f)
-    grid = _grid_for_rule(model, f)
-    x, fx = grid.x, f(grid.x)
-    fa = f(grid.atom_locs) if grid.atom_locs.size else np.zeros(0)
-    one_minus_b = 1.0 - x * fx
-    one_minus_a = 1.0 - grid.atom_locs * fa
-    bias_bulk = model.r**2 * (
-        grid.alpha_bulk @ one_minus_b**2 + grid.atom_alpha @ one_minus_a**2
-    )
-    variance = model.c * model.sigma_eps_sq * (grid.mp_bulk @ (x * fx**2))
-    return _breakdown(bias_bulk, (0.0,) * model.s, variance)
+    moments = _rule_moments(*validate_rule(model, f))
+    return _breakdown(*_risk_terms(model, moments, "est"))
 
 
 def ridge_risk_curve(model: SpikedModel, lambdas, kind: str = "pred") -> np.ndarray:
     """Vectorized limiting risk totals over a ridge grid."""
-    lam = np.asarray(lambdas, dtype=float)
+    lam = np.asarray(lambdas, dtype=float)[:, None]
     grid = get_grid(model)
-    x = grid.x
-    fx = 1.0 / (x[None, :] + lam[:, None])
-    fa = (
-        1.0 / (grid.atom_locs[None, :] + lam[:, None])
-        if grid.atom_locs.size
-        else np.zeros((lam.size, 0))
-    )
-    omb = 1.0 - x[None, :] * fx
-    oma = 1.0 - grid.atom_locs[None, :] * fa
-    bias_alpha = omb**2 @ grid.alpha_bulk + oma**2 @ grid.atom_alpha
-    var_int = (x[None, :] * fx**2) @ grid.mp_bulk
-    if kind == "pred":
-        total = model.sigma0_sq * model.r**2 * bias_alpha
-        for j, (d, al) in enumerate(model.spikes):
-            ib = omb @ grid.delta_bulk[j] + oma @ grid.atom_delta[j]
-            total = total + d * al * al * ib**2
-        total = total + model.c * model.sigma0_sq * model.sigma_eps_sq * var_int
-    elif kind == "est":
-        total = model.r**2 * bias_alpha + model.c * model.sigma_eps_sq * var_int
-    else:
-        raise ValueError("kind must be 'pred' or 'est'")
-    return total
+    moments = _rule_moments(grid, 1.0 / (grid.x + lam),
+                            1.0 / (grid.atom_locs + lam))
+    total, spikes, variance = _risk_terms(model, moments, kind)
+    for term in spikes:
+        total = total + term
+    return total + variance
 
 
 def best_ridge(model: SpikedModel, lambdas=None, kind: str = "pred"):
@@ -431,21 +460,12 @@ def pcr_sharp_pred_risk(model: SpikedModel, tau: float) -> RiskBreakdown:
         raise ValueError("tau out of range")
     t = mp_quantile_inverse(model, tau)
     grid = get_grid(model, breaks=(t,))
-    x = grid.x
+    x, locs = grid.x, grid.atom_locs
     keep = x >= t
-    fa = np.where(grid.atom_locs > 0, 1.0 / np.where(grid.atom_locs > 0, grid.atom_locs, 1.0), 0.0)
-    omb = np.where(keep, 0.0, 1.0)
-    oma = 1.0 - grid.atom_locs * fa
-    s0sq, r2 = model.sigma0_sq, model.r**2
-    bias_bulk = s0sq * r2 * (grid.alpha_bulk @ omb**2 + grid.atom_alpha @ oma**2)
-    spikes = []
-    for j, (d, al) in enumerate(model.spikes):
-        ib = grid.delta_bulk[j] @ omb + grid.atom_delta[j] @ oma
-        spikes.append(d * al * al * ib**2)
-    variance = model.c * s0sq * model.sigma_eps_sq * (
-        grid.mp_bulk @ np.where(keep, 1.0 / x, 0.0)
-    )
-    return _breakdown(bias_bulk, spikes, variance)
+    fa = np.where(locs > 0, 1.0 / np.where(locs > 0, locs, 1.0), 0.0)
+    moments = _risk_moments(grid, np.where(keep, 0.0, 1.0), 1.0 - locs * fa,
+                            np.where(keep, 1.0 / x, 0.0), locs * fa**2)
+    return _breakdown(*_risk_terms(model, moments, "pred"))
 
 
 def pcr_component_limit_risk(model: SpikedModel, m: int | None = None
@@ -466,10 +486,6 @@ def pcr_component_limit_risk(model: SpikedModel, m: int | None = None
         m = len(detached)
     kept = set(detached[: max(0, m)])
     oma = np.array([0.0 if loc in kept else 1.0 for loc in grid.atom_locs])
-    s0sq, r2 = model.sigma0_sq, model.r**2
-    bias_bulk = s0sq * r2 * (np.sum(grid.alpha_bulk) + grid.atom_alpha @ oma)
-    spikes = []
-    for j, (d, al) in enumerate(model.spikes):
-        ib = np.sum(grid.delta_bulk[j]) + grid.atom_delta[j] @ oma
-        spikes.append(d * al * al * ib**2)
-    return _breakdown(bias_bulk, spikes, 0.0)
+    moments = _risk_moments(grid, np.ones_like(grid.x), oma,
+                            np.zeros_like(grid.x), np.zeros_like(oma))
+    return _breakdown(*_risk_terms(model, moments, "pred"))

@@ -138,21 +138,6 @@ class SpectralMeasure:
     atoms: tuple[tuple[float, float], ...]
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Nodes and dx-weights on the open bulk (a, b).
-
-    The weights are plain Lebesgue weights chosen so that
-    sum_i weights_i * density(nodes_i) * g(nodes_i) integrates g against
-    the bulk part of the measure; the sqrt((b-x)(x-a)) edge factor of the
-    density is absorbed exactly by the sin(theta) factor in the weights.
-    """
-
-    n_nodes: int
-    nodes: np.ndarray
-    weights: np.ndarray
-
-
 def mp_support(model: SpikedModel) -> tuple[float, float]:
     """Bulk support [a, b] = sigma0^2 (1 -+ sqrt(c))^2."""
     root_c = math.sqrt(model.c)
@@ -328,34 +313,6 @@ def spiked_measure(model: SpikedModel, delta: float) -> SpectralMeasure:
 # Quadrature
 
 
-def _gauss_chebyshev_theta(n: int) -> tuple[np.ndarray, np.ndarray]:
-    # Second-kind nodes/weights expressed in the theta variable:
-    # integral_0^pi F(theta) sin^2(theta) dtheta ~= sum w_k F(theta_k).
-    k = np.arange(1, n + 1)
-    theta = np.pi * k / (n + 1)
-    w = np.pi / (n + 1) * np.sin(theta) ** 2
-    return theta, w
-
-
-def make_quadrature(model: SpikedModel, n_nodes: int | None = None) -> QuadratureRule:
-    """Bulk quadrature rule exact (to tolerance) for smooth integrands.
-
-    Nodes never touch the endpoints, so the c = 1 case where the density
-    has an integrable 1/sqrt(x) profile at zero needs no special casing.
-    """
-    n = default_node_count() if n_nodes is None else int(n_nodes)
-    if n < 16:
-        raise ValueError("n_nodes must be >= 16")
-    a, b = mp_support(model)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    theta, w_theta = _gauss_chebyshev_theta(n)
-    nodes = mid + half * np.cos(theta)
-    # dx = -h sin(theta) dtheta; the extra sin from the GC2 weight is the
-    # edge factor of the density: weights below are plain dx-weights.
-    weights = half * w_theta / np.sin(theta)
-    return QuadratureRule(n, nodes, weights)
-
-
 PANEL_ORDER = 32
 PANEL_MAX_WIDTH = math.pi / 4
 
@@ -471,6 +428,33 @@ def mp_quantile_inverse(model: SpikedModel, tau: float) -> float:
 # Shared integration workspace
 
 
+class MeasureIntegrals:
+    """One integrand integrated against F_alpha, each F_delta_j and F_MP.
+
+    `bulk` holds the integrand at a grid's nodes `x` and `atoms` at its
+    `atom_locs`, on their last axis; leading axes are a batch. Each family
+    is integrated when it is read, so a caller pays only for the measures
+    it uses.
+    """
+
+    def __init__(self, grid: SpectralGrid, bulk, atoms):
+        self._grid, self._bulk, self._atoms = grid, bulk, atoms
+
+    @property
+    def alpha(self) -> np.ndarray:
+        return self._bulk @ self._grid.alpha_bulk + self._atoms @ self._grid.atom_alpha
+
+    @property
+    def delta(self) -> tuple[np.ndarray, ...]:
+        """One integral per spike."""
+        return tuple(self._bulk @ wb + self._atoms @ wa
+                     for wb, wa in zip(self._grid.delta_bulk, self._grid.atom_delta))
+
+    @property
+    def mp(self) -> np.ndarray:
+        return self._bulk @ self._grid.mp_bulk + self._atoms @ self._grid.atom_mp
+
+
 class SpectralGrid:
     """Cached quadrature data for one model: nodes plus atom bookkeeping.
 
@@ -485,6 +469,8 @@ class SpectralGrid:
                  breaks: tuple[float, ...] = ()):
         self.model = model
         n = default_node_count() if n_nodes is None else int(n_nodes)
+        if n < 16:
+            raise ValueError(f"n_nodes must be >= 16, got {n}")
         self.n_nodes = n
         a, b = mp_support(model)
         self.bulk_lo, self.bulk_hi = a, b
@@ -608,27 +594,13 @@ class SpectralGrid:
             total = total + self.atom_delta[j] @ self._values(fn, self.atom_locs)
         return total.item()
 
-    def int_alpha(self, fn):
-        v = self._values(fn, self.x)
-        total = self.alpha_bulk @ v
-        if self.atom_locs.size:
-            total = total + self.atom_alpha @ self._values(fn, self.atom_locs)
-        return total.item()
+    def integrate(self, bulk, atoms) -> MeasureIntegrals:
+        """Integrals of one integrand against F_alpha, each F_delta_j and F_MP.
 
-    def int_for_delta(self, delta: float, fn):
-        """Integral against F_delta for an arbitrary delta >= 0."""
-        if delta == 0.0:
-            return self.int_mp(fn)
-        bulk_w = self._delta_bulk_weights(delta)
-        total = (bulk_w @ self._values(fn, self.x)).item()
-        m0 = spiked_atom_at_zero(self.model, delta)
-        if m0 > 0:
-            total += m0 * self._values(fn, np.array([0.0]))[0].item()
-        ms = outlier_atom_mass(self.model, delta)
-        if ms > 0:
-            xs = outlier_location(self.model, delta)
-            total += ms * self._values(fn, np.array([xs]))[0].item()
-        return total
+        Every limiting risk and inner product of a rule is assembled from
+        these; see MeasureIntegrals for the layout of `bulk` and `atoms`.
+        """
+        return MeasureIntegrals(self, bulk, atoms)
 
     def on_support(self, x) -> np.ndarray:
         """Mask of points lying on the bulk or on an atom of the support."""

@@ -52,6 +52,11 @@ def test_criterion_01_isotropic_optimum():
     )
 
 
+def _spiked(s0, c, delta):
+    # a model carrying the spike, so its grid integrates against F_delta
+    return SpikedModel(s0, c, ((delta, 0.5),), 1.0, 1.0)
+
+
 def _draw_delta(rng, model):
     # respect the detachment-point exclusion with a numerical margin
     while True:
@@ -67,19 +72,19 @@ def test_criterion_02_measure_normalization():
     for _ in range(50):
         s0 = float(rng.uniform(0.5, 2.0))
         c = float(rng.uniform(0.3, 4.0))
-        model = SpikedModel(s0, c, (), 1.0, 1.0)
-        delta = _draw_delta(rng, model)
+        model = _spiked(s0, c, _draw_delta(rng, SpikedModel(s0, c, (), 1.0, 1.0)))
+        delta = model.deltas[0]
         grid = sd.get_grid(model)
-        worst_mass = max(worst_mass, abs(grid.int_for_delta(delta, ONE) - 1.0))
+        worst_mass = max(worst_mass, abs(grid.int_delta(0, ONE) - 1.0))
         worst_mean = max(
             worst_mean,
-            abs(grid.int_for_delta(delta, lambda x: x) - (delta + s0)),
+            abs(grid.int_delta(0, lambda x: x) - (delta + s0)),
         )
         p, q = nu_affine(model, delta)
         for phi in (ONE, lambda x: x, lambda x: x * x,
                     lambda x: 1.0 / (x + 1.0)):
             lhs = grid.int_mp(phi)
-            rhs = grid.int_for_delta(delta, lambda x: phi(x) * (p + q * x))
+            rhs = grid.int_delta(0, lambda x: phi(x) * (p + q * x))
             worst_com = max(worst_com, abs(lhs - rhs))
     elapsed = time.time() - t0
     report(
@@ -97,8 +102,8 @@ def test_criterion_03_stieltjes_consistency():
     for _ in range(12):
         s0 = float(rng.uniform(0.5, 2.0))
         c = float(rng.uniform(0.3, 4.0))
-        model = SpikedModel(s0, c, (), 1.0, 1.0)
-        delta = _draw_delta(rng, model)
+        model = _spiked(s0, c, _draw_delta(rng, SpikedModel(s0, c, (), 1.0, 1.0)))
+        delta = model.deltas[0]
         grid = sd.get_grid(model)
         for _ in range(20):
             z = complex(
@@ -106,7 +111,7 @@ def test_criterion_03_stieltjes_consistency():
                 rng.uniform(0.2, 3.0) * rng.choice([-1.0, 1.0]),
             )
             closed = sd.spiked_stieltjes(model, delta, z)
-            quadr = grid.int_for_delta(delta, lambda x: 1.0 / (x - z))
+            quadr = grid.int_delta(0, lambda x: 1.0 / (x - z))
             worst_mdelta = max(worst_mdelta, abs(closed - quadr))
         a, b = grid.bulk_lo, grid.bulk_hi
         for x in np.linspace(a + 1e-3 * (b - a), b - 1e-3 * (b - a), 20):
@@ -202,7 +207,7 @@ def test_criterion_06_dominance(fig1_model, fig3_factory, fig4_model):
     worst_margin_pred = worst_margin_est = math.inf
     for model in models:
         rule, _ = sd.optimal_pred_rule(model)
-        best = sd.limiting_pred_risk(model, rule.as_shrinkage(model)).total
+        best = sd.limiting_pred_risk(model, rule).total
         comp = _competitor_risks(
             model, lambda f: sd.limiting_pred_risk(model, f)
         )
@@ -210,7 +215,7 @@ def test_criterion_06_dominance(fig1_model, fig3_factory, fig4_model):
         worst_margin_pred = min(worst_margin_pred, min(comp) - best)
 
         est_rule = sd.optimal_est_rule(model)
-        best_est = sd.limiting_est_risk(model, est_rule.as_shrinkage(model)).total
+        best_est = sd.limiting_est_risk(model, est_rule).total
         comp_est = _competitor_risks(
             model, lambda f: sd.limiting_est_risk(model, f)
         )
@@ -271,7 +276,7 @@ def test_criterion_08_monte_carlo_convergence(fig4_model):
     lam, ridge_lim = sd.best_ridge(model)
     rule, _ = sd.optimal_pred_rule(model)
     params = sd.synthesize_sd_params(rule)
-    sd_lim = sd.limiting_pred_risk(model, rule.as_shrinkage(model)).total
+    sd_lim = sd.limiting_pred_risk(model, rule).total
     targets = {
         "ridge": ridge_lim,
         "sd": sd_lim,
@@ -315,10 +320,8 @@ def test_criterion_09_product_form_monte_carlo():
             limit = sd.product_form_limit(model, phi, psi, c, c)
             vals = []
             for r in range(cfg.n_replicates):
-                from spectral_distill.montecarlo import _client_data
-
-                Xl, _, beta0, _ = _client_data(cfg, cfg, client=0, replicate=r)
-                Xk, _, _, _ = _client_data(cfg, cfg, client=1, replicate=r)
+                Xl, _, beta0, _ = sd.gen_data(cfg, r, client=0)
+                Xk, _, _, _ = sd.gen_data(cfg, r, client=1)
                 spl = sd.decompose(Xl)
                 spk = sd.decompose(Xk)
                 u = sd.apply_rule_to_vector(spl, phi, beta0)

@@ -324,3 +324,59 @@ def test_env_var_node_override(tmp_path, monkeypatch):
     assert main(["optimal", "--config", cfg, "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert payload["b"][0] == pytest.approx(9.75, abs=1e-9)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("command,block", [
+    ("risk", {"rules": [{"kind": "ridge", "lambdas": [NAN]}]}),
+    ("risk", {"rules": [{"kind": "ridge", "lambdas": [INF]}]}),
+    ("risk", {"rules": [{"kind": "sd", "lambdas": [NAN, 1.0], "xis": [0.5]}]}),
+    ("risk", {"rules": [{"kind": "sd", "lambdas": [2.0, 1.0], "xis": [NAN]}]}),
+    ("risk", {"rules": [{"kind": "gd", "etas": [NAN], "steps": [10]}]}),
+    ("risk", {"rules": [{"kind": "pcr", "taus": [0.2], "ramp_width": NAN}]}),
+    ("risk", {"rules": [{"kind": "min_norm", "ramp_width": NAN}]}),
+    ("simulate", {"n": 40, "p": 80, "seed": 1, "n_replicates": 1,
+                  "estimators": ["ridge:nan"]}),
+], ids=["ridge-nan", "ridge-inf", "sd-lambda-nan", "sd-xi-nan", "gd-eta-nan",
+        "pcr-ramp-nan", "min_norm-ramp-nan", "simulate-ridge-nan"])
+def test_non_finite_rule_hyperparameter_is_config_error(tmp_path, capsys,
+                                                         command, block):
+    # these once mapped the NaN rule values to 0 and printed the zero
+    # rule's risk with exit code 0
+    model = {**FIG1_MODEL, "c": 2.0}
+    cfg = write_cfg(tmp_path, {"model": model, command: block})
+    assert main([command, "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error:") and "finite" in captured.err
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command,block", [
+    ("risk", {"rules": [3]}),
+    ("risk", {"rules": [{"kind": "sd", "lambdas": [None], "xis": []}]}),
+    ("measure", {"x_min": NAN}),
+    ("measure", {"x_max": INF}),
+], ids=["rule-not-object", "sd-lambda-null", "measure-x_min-nan",
+        "measure-x_max-inf"])
+def test_malformed_input_is_config_error(tmp_path, capsys, command, block):
+    cfg = write_cfg(tmp_path, {"model": FIG1_MODEL, command: block})
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_output_block_takes_only_a_path(tmp_path):
+    out = tmp_path / "opt.json"
+    cfg = write_cfg(tmp_path, {"model": FIG1_MODEL, "optimal": {},
+                               "output": {"path": str(out)}})
+    assert main(["optimal", "--config", cfg]) == 0
+    assert json.loads(out.read_text())["coprime"] is True
+    bad = write_cfg(tmp_path, {"model": FIG1_MODEL, "optimal": {},
+                               "output": {"format": "xml"}}, "bad.json")
+    assert main(["optimal", "--config", bad]) == 2
+    with pytest.raises(SystemExit):
+        main(["optimal", "--config", cfg, "--format", "json"])

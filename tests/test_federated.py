@@ -134,7 +134,7 @@ def test_federated_risk_zero_rules(fig1_model):
 def test_federated_optimum_minimizes(fig1_model):
     K = 3
     fed = sd.federated_optimum(fig1_model, K)
-    local = fed.local_rule.as_shrinkage(fig1_model)
+    local = fed.local_rule
     base = sd.federated_risk(fig1_model, K, [local] * K, [fed.rho_star] * K)
     rng = np.random.default_rng(8)
     for _ in range(40):
@@ -150,7 +150,7 @@ def test_equal_rule_bump_strictly_worse(fig1_model):
     # strictly increases the limiting aggregated risk
     K = 3
     fed = sd.federated_optimum(fig1_model, K)
-    local = fed.local_rule.as_shrinkage(fig1_model)
+    local = fed.local_rule
     base = sd.federated_risk(fig1_model, K, [local] * K, [fed.rho_star] * K)
 
     class Bumped(sd.ShrinkageFn):
@@ -172,7 +172,6 @@ def test_noiseless_boundary_rejected(fig1_model):
 def test_product_form_heterogeneous_monte_carlo():
     # clients with different aspect ratios share Sigma and beta0; the
     # cross-matrix quadratic form converges to the per-ratio product limit
-    from spectral_distill.montecarlo import _client_data
     from spectral_distill import SimConfig
 
     p = 600
@@ -185,8 +184,8 @@ def test_product_form_heterogeneous_monte_carlo():
     limit = sd.product_form_limit(model_l, phi, psi, c_l, c_k)
     vals = []
     for r in range(12):
-        Xl, _, beta0, _ = _client_data(cfg_l, cfg_l, client=0, replicate=r)
-        Xk, _, _, _ = _client_data(cfg_l, cfg_k, client=1, replicate=r)
+        Xl, _, beta0, V = sd.gen_data(cfg_l, r, client=0)
+        Xk, _, _, _ = sd.gen_data(cfg_k, r, client=1, signal=(beta0, V))
         u = sd.apply_rule_to_vector(sd.decompose(Xl), phi, beta0)
         v = sd.apply_rule_to_vector(sd.decompose(Xk), psi, beta0)
         vals.append(float(u @ v) / float(beta0 @ beta0))

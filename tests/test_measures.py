@@ -25,18 +25,17 @@ def test_mixture_weights_examples(fig1_model):
 
 
 def test_mixture_measure_reduces_to_mp_when_no_spikes():
-    m = SpikedModel(1.0, 2.0, (), 1.0, 1.0)
-    mix = sd.mixture_measure(m)
-    mp = sd.mp_measure(m)
-    xs = np.linspace(0.1, 5.8, 50)
-    assert np.allclose(mix.bulk_density(xs), mp.bulk_density(xs))
-    assert mix.atoms == mp.atoms
+    grid = sd.get_grid(SpikedModel(1.0, 2.0, (), 1.0, 1.0))
+    assert np.array_equal(grid.alpha_bulk, grid.mp_bulk)
+    assert np.array_equal(grid.atom_alpha, grid.atom_mp)
+    got = grid.integrate(grid.x**2, grid.atom_locs**2)
+    assert got.alpha == got.mp and got.delta == ()
 
 
 def test_mixture_measure_atom_relation(fig1_model):
     w = sd.mixture_weights(fig1_model)
-    mix = sd.mixture_measure(fig1_model)
-    atom = dict(mix.atoms)
+    grid = sd.get_grid(fig1_model)
+    atom = dict(zip(grid.atom_locs, grid.atom_alpha))
     for j, d in enumerate(fig1_model.deltas):
         loc = sd.outlier_location(fig1_model, d)
         spiked_mass = dict(sd.spiked_measure(fig1_model, d).atoms)[loc]
@@ -45,7 +44,10 @@ def test_mixture_measure_atom_relation(fig1_model):
 
 def test_mixture_measure_total_mass(fig1_model):
     grid = sd.get_grid(fig1_model)
-    assert abs(grid.int_alpha(ONE) - 1.0) < 1e-8
+    got = grid.integrate(np.ones_like(grid.x), np.ones_like(grid.atom_locs))
+    assert abs(got.alpha - 1.0) < 1e-8
+    assert all(abs(v - 1.0) < 1e-8 for v in got.delta)
+    assert abs(got.mp - 1.0) < 1e-8
 
 
 def test_rn_polynomials_structure(fig1_model):
@@ -117,7 +119,10 @@ def test_mu_change_of_measure(fig1_model):
     grid = sd.get_grid(fig1_model)
     for j in range(fig1_model.s):
         for phi in (ONE, lambda x: x, lambda x: x * x):
-            lhs = grid.int_alpha(lambda x: phi(x) * _mu_all(fig1_model, x)[j + 1])
+            def times_mu(x):
+                return phi(x) * _mu_all(fig1_model, x)[j + 1]
+
+            lhs = grid.integrate(times_mu(grid.x), times_mu(grid.atom_locs)).alpha
             rhs = grid.int_delta(j, phi)
             assert abs(lhs - rhs) < 1e-8
 

@@ -188,12 +188,12 @@ def test_fit_aggregated_reductions(small_case):
 def test_aggregated_clients_share_signal(small_case):
     model, cfg, X, y, beta0, V, sp = small_case
     cfg2 = SimConfig(model, cfg.n, cfg.p, seed=555)
-    from spectral_distill.montecarlo import _client_data
-
-    Xa, ya, b_a, V_a = _client_data(cfg, cfg, 0)
-    Xb, yb, b_b, V_b = _client_data(cfg, cfg2, 1)
+    Xa, ya, b_a, V_a = sd.gen_data(cfg, client=0)
+    Xb, yb, b_b, V_b = sd.gen_data(cfg2, client=1, signal=(b_a, V_a))
+    assert np.array_equal(b_a, beta0) and np.array_equal(V_a, V)
     assert np.array_equal(b_a, b_b) and np.array_equal(V_a, V_b)
     assert not np.array_equal(Xa, Xb)
+    assert not np.array_equal(sd.gen_data(cfg2, client=1)[2], b_a)
 
 
 def test_harness_threads_deterministic():
@@ -261,7 +261,7 @@ def test_finite_sample_dominance_fig4():
     reports = sd.harness_suite(
         cfg, {"ridge": sd.Ridge(lam), "sd": params},
         {"ridge": ridge_lim,
-         "sd": sd.limiting_pred_risk(model, rule.as_shrinkage(model)).total},
+         "sd": sd.limiting_pred_risk(model, rule).total},
     )
     diff = reports["ridge"].empirical_mean - reports["sd"].empirical_mean
     joint = np.hypot(reports["ridge"].std_error, reports["sd"].std_error)
@@ -274,18 +274,16 @@ def test_aggregated_risk_convergence():
     model = SpikedModel(1.0, 2.0, ((4.0, 1.2),), 2.0, 1.0)
     K = 3
     fed = sd.federated_optimum(model, K)
-    local = fed.local_rule.as_shrinkage(model)
+    local = fed.local_rule
     limit = sd.federated_risk(model, K, [local] * K, [fed.rho_star] * K)
     n, p = 500, 1000
     risks = []
     for r in range(6):
         cfgs = [SimConfig(model, n, p, seed=1000 + l) for l in range(K)]
-        from spectral_distill.montecarlo import _client_data, _signal
-
-        beta0, V = _signal(cfgs[0], r)
+        beta0, V = sd.gen_data(cfgs[0], r, client=0)[2:]
         agg = np.zeros(p)
         for l, cfg in enumerate(cfgs):
-            X, y, _, _ = _client_data(cfgs[0], cfg, l, replicate=r)
+            X, y, _, _ = sd.gen_data(cfg, r, client=l, signal=(beta0, V))
             agg += fed.rho_star * sd.fit_shrinkage(X, y, local).coefficients
         risks.append(sd.sigma_risk(agg, beta0, model, V))
     assert abs(np.mean(risks) - limit) / limit < 0.05

@@ -92,7 +92,7 @@ def test_est_rule_examples(fig1_model):
     est = sd.optimal_est_rule(fig1_model)
     assert np.allclose(est.roots_of_p, pred.roots_of_p)
     # estimation risk at the optimum beats the ridge grid
-    best = sd.limiting_est_risk(fig1_model, est.as_shrinkage(fig1_model)).total
+    best = sd.limiting_est_risk(fig1_model, est).total
     assert best <= sd.best_ridge(fig1_model, kind="est")[1] + 1e-12
     # coprime: denominator roots exclude the outliers
     assert sd.coprimality_check(est)
@@ -108,7 +108,7 @@ def test_synthesis_round_trip(fig1_model, fig4_model):
         grid = sd.get_grid(model)
         assert not np.any(grid.on_support(-lams))
         # round-trip risk equality
-        r1 = sd.limiting_pred_risk(model, rule.as_shrinkage(model)).total
+        r1 = sd.limiting_pred_risk(model, rule).total
         r2 = sd.limiting_pred_risk(model, sd.sd_chain_fn(params, model)).total
         assert abs(r1 - r2) < 1e-9
 
@@ -154,7 +154,7 @@ def test_coprimality_high_noise_one_spike():
 def test_optimality_over_random_rules(fig1_model):
     model = fig1_model
     rule, _ = sd.optimal_pred_rule(model)
-    best = sd.limiting_pred_risk(model, rule.as_shrinkage(model)).total
+    best = sd.limiting_pred_risk(model, rule).total
     rng = np.random.default_rng(23)
     grid = sd.get_grid(model)
     b = grid.bulk_hi
@@ -174,7 +174,7 @@ def test_optimality_over_random_rules(fig1_model):
             den = np.polynomial.polynomial.polyfromroots(poles)
             num = np.polynomial.polynomial.polyfromroots(
                 rng.uniform(-2, b, size=1))
-            f = sd.Rational(tuple(num), tuple(den.real))
+            f = sd.RationalRule(tuple(den), tuple(num), tuple(poles))
         try:
             total = sd.limiting_pred_risk(model, f).total
         except (sd.AssumptionError, sd.NumericalError):

@@ -148,8 +148,9 @@ def test_rule_pole_rejection(fig1_model):
     a, b = sd.mp_support(fig1_model)
     with pytest.raises(AssumptionError):
         sd.limiting_pred_risk(fig1_model, sd.Ridge(-0.5 * (a + b)))
+    mid = 0.5 * (a + b)
     with pytest.raises(AssumptionError):
-        sd.Rational((1.0,), (-0.5 * (a + b), 1.0), fig1_model)
+        sd.limiting_est_risk(fig1_model, sd.RationalRule((-mid, 1.0), (1.0,), (mid,)))
     xstar = sd.outlier_location(fig1_model, fig1_model.deltas[0])
     with pytest.raises(AssumptionError):
         sd.limiting_pred_risk(fig1_model, sd.Ridge(-xstar))
@@ -158,7 +159,7 @@ def test_rule_pole_rejection(fig1_model):
 
 
 def test_rational_pole_evaluation_flagged():
-    f = sd.Rational((1.0,), (-2.0, 1.0))  # pole at 2
+    f = sd.RationalRule((-2.0, 1.0), (1.0,), (2.0,))  # pole at 2
     with pytest.warns(RuntimeWarning):
         vals = f(np.array([1.0, 2.0, 3.0]))
     assert vals[1] == 0.0 and np.isfinite(vals).all()
@@ -272,7 +273,7 @@ def test_dominance_battery(fig1_model, fig4_model):
         if model.s == 0:
             continue
         rule, _ = sd.optimal_pred_rule(model)
-        best = sd.limiting_pred_risk(model, rule.as_shrinkage(model)).total
+        best = sd.limiting_pred_risk(model, rule).total
         competitors = [sd.best_ridge(model)[1]]
         competitors.append(
             sd.limiting_pred_risk(model, sd.min_norm_surrogate(model)).total
@@ -328,3 +329,29 @@ def test_sd_params_validation():
         SDParams((1.0, 2.0), ())
     p = SDParams((1.0, -2.0), (0.5,))
     assert p.k == 1
+
+
+@pytest.mark.parametrize("which", ["optimal", "pcr"])
+def test_risk_evaluates_rule_once(fig1_model, which):
+    # one limiting risk evaluates the rule on no more points than its
+    # grid holds: validation and the moments share one evaluation
+    if which == "optimal":
+        rule = sd.optimal_pred_rule(fig1_model)[0]
+    else:
+        rule = sd.pcr_surrogate(fig1_model, 0.1)
+    sizes = []
+
+    class Counting(sd.ShrinkageFn):
+        breakpoints = rule.breakpoints
+
+        def poles(self):
+            return rule.poles()
+
+        def __call__(self, x):
+            sizes.append(np.size(x))
+            return rule(x)
+
+    got = sd.limiting_pred_risk(fig1_model, Counting())
+    assert got == sd.limiting_pred_risk(fig1_model, rule)
+    grid = sd.get_grid(fig1_model, breaks=rule.breakpoints)
+    assert sum(sizes) <= grid.support_points.size

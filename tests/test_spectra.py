@@ -16,6 +16,11 @@ def iso(sigma0_sq=1.0, c=1.0):
     return SpikedModel(sigma0_sq, c, (), 1.0, 1.0)
 
 
+def spiked(sigma0_sq, c, delta):
+    # one spike, so the model's grid integrates against F_delta
+    return SpikedModel(sigma0_sq, c, ((delta, 0.5),), 1.0, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # model validation
 
@@ -218,11 +223,10 @@ def away_from_threshold(delta, model):
     s0=st.floats(0.5, 2.0),
 )
 def test_spiked_measure_normalization_and_mean(delta, c, s0):
-    model = iso(s0, c)
-    assume(away_from_threshold(delta, model))
-    grid = sd.get_grid(model)
-    assert abs(grid.int_for_delta(delta, ONE) - 1.0) < 1e-8
-    mean = grid.int_for_delta(delta, lambda x: x)
+    assume(away_from_threshold(delta, iso(s0, c)))
+    grid = sd.get_grid(spiked(s0, c, delta))
+    assert abs(grid.int_delta(0, ONE) - 1.0) < 1e-8
+    mean = grid.int_delta(0, lambda x: x)
     assert abs(mean - (delta + s0)) < 1e-6
 
 
@@ -233,13 +237,13 @@ def test_spiked_measure_normalization_and_mean(delta, c, s0):
     s0=st.floats(0.5, 2.0),
 )
 def test_change_of_measure_identity(delta, c, s0):
-    model = iso(s0, c)
-    assume(away_from_threshold(delta, model))
+    assume(away_from_threshold(delta, iso(s0, c)))
+    model = spiked(s0, c, delta)
     grid = sd.get_grid(model)
     p, q = nu_affine(model, delta)
     for phi in (ONE, lambda x: x, lambda x: x * x, lambda x: 1.0 / (x + 1.0)):
         lhs = grid.int_mp(phi)
-        rhs = grid.int_for_delta(delta, lambda x: phi(x) * (p + q * x))
+        rhs = grid.int_delta(0, lambda x: phi(x) * (p + q * x))
         assert abs(lhs - rhs) < 1e-8
 
 
@@ -255,13 +259,13 @@ def test_atom_presence_exactly_at_thresholds():
 
 def test_stieltjes_closed_form_matches_grid_quadrature():
     rng = np.random.default_rng(3)
-    model = iso(1.2, 2.5)
-    grid = sd.get_grid(model)
     for delta in (0.5, 2.4, 6.0):
+        model = spiked(1.2, 2.5, delta)
+        grid = sd.get_grid(model)
         for _ in range(20):
             z = complex(rng.uniform(-4, 8), rng.uniform(0.2, 3.0) * rng.choice([-1, 1]))
             got = sd.spiked_stieltjes(model, delta, z)
-            ref = grid.int_for_delta(delta, lambda x: 1.0 / (x - z))
+            ref = grid.int_delta(0, lambda x: 1.0 / (x - z))
             assert abs(got - ref) < 1e-6
 
 
@@ -327,13 +331,12 @@ def test_quantile_monotone():
 # quadrature rule
 
 
-def test_make_quadrature_moments():
+def test_plain_grid_mp_moments():
     model = iso(1.4, 0.7)
-    rule = sd.make_quadrature(model, 1024)
-    dens = sd.mp_density(model, rule.nodes)
-    w = rule.weights * dens
+    grid = sd.get_grid(model, 1024)
+    w, x = grid.mp_bulk, grid.x
     assert abs(w.sum() - min(1.0, 1.0 / model.c)) < 1e-10
-    assert abs(w @ rule.nodes - model.sigma0_sq) < 1e-8
+    assert abs(w @ x - model.sigma0_sq) < 1e-8
     # second moment via the Narayana-number recursion oracle
     def mp_moment(k, c, s0sq):
         total = 0.0
@@ -343,18 +346,21 @@ def test_make_quadrature_moments():
             )
         return s0sq**k * total
 
-    assert abs(w @ rule.nodes**2 - mp_moment(2, model.c, model.sigma0_sq)) < 1e-8
-    assert abs(w @ rule.nodes**3 - mp_moment(3, model.c, model.sigma0_sq)) < 1e-8
+    assert abs(w @ x**2 - mp_moment(2, model.c, model.sigma0_sq)) < 1e-8
+    assert abs(w @ x**3 - mp_moment(3, model.c, model.sigma0_sq)) < 1e-8
 
 
-def test_make_quadrature_open_interval_and_size_check():
+def test_plain_grid_nodes_in_bulk_and_size_check():
+    # the edge nodes carry no MP weight; the rest lie inside the bulk
     model = iso(1.0, 4.0)
-    rule = sd.make_quadrature(model, 64)
+    grid = sd.get_grid(model, 64)
     a, b = sd.mp_support(model)
-    assert np.all(rule.nodes > a) and np.all(rule.nodes < b)
-    assert rule.n_nodes == 64
+    assert grid.n_nodes == 64 and grid.x.size == 66
+    assert grid.x[0] == a and grid.x[-1] == b
+    assert grid.mp_bulk[0] == 0.0 and grid.mp_bulk[-1] == 0.0
+    assert np.all(grid.x[1:-1] > a) and np.all(grid.x[1:-1] < b)
     with pytest.raises(ValueError):
-        sd.make_quadrature(model, 8)
+        sd.get_grid(model, 8)
 
 
 def test_env_var_overrides_node_count(monkeypatch):
