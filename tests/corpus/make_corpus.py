@@ -7,7 +7,8 @@ to `<command>__<label>.out` (what `spectral-distill <command>` printed for
 it). Closed-form and risk models are drawn with the seeded generator of
 `perfbench/workloads.py`, including the close-outlier models of seeds 4,
 9 and 2003 whose chain round trip once missed its tolerance; the rest are
-the README examples and a few measure/sweep configs. Rerunning the script
+the README examples, isotropic (s = 0) models under every command that
+builds an optimal rule, and a few measure/sweep configs. Rerunning the script
 rewrites every expected output with the current program's, so run it only
 when an output is meant to change, and review the diff.
 """
@@ -36,6 +37,12 @@ README_MODEL = {"sigma0_sq": 1.0, "c": 2.0, "r": 2.0, "sigma_eps_sq": 4.0,
                 "spikes": [{"delta": 7.0, "alpha": 1.7}]}
 FIG1_MODEL = {"sigma0_sq": 1.0, "c": 3.0, "r": 5.0, "sigma_eps_sq": 4.0,
               "spikes": [{"delta": 2.0, "alpha": 3.0}, {"delta": 3.0, "alpha": 2.5}]}
+ISO_MODELS = {
+    "iso": {"sigma0_sq": 1.5, "c": 2.0, "r": 2.0, "sigma_eps_sq": 3.0,
+            "spikes": []},
+    "iso-c05": {"sigma0_sq": 1.0, "c": 0.5, "r": 1.5, "sigma_eps_sq": 0.7,
+                "spikes": []},
+}
 FIG3_MODEL = {"sigma0_sq": 1.0, "c": 3.0, "r": 8.0, "sigma_eps_sq": 16.0,
               "spikes": [{"delta": 5.0, "alpha": 6.0}]}
 
@@ -74,6 +81,16 @@ def cases() -> dict:
         {"kind": "min_norm"}, SD_RULE,
         {"kind": "optimal_pred"}, {"kind": "optimal_est"},
     ]}})
+    for label, model in ISO_MODELS.items():
+        for command in workloads.CLOSED_FORM_COMMANDS:
+            out[f"{command}__{label}"] = closed_form(model, command)
+        out[f"risk__{label}"] = ("risk", {"model": model, "risk": {"rules": [
+            {"kind": "optimal_pred"}, {"kind": "optimal_est"},
+            {"kind": "ridge", "lambdas": [0.5, 1.5]}]}})
+    out["sweep__iso-sim"] = ("sweep", {"model": ISO_MODELS["iso"], "sweep": {
+        "parameter": "sigma_eps_sq", "values": [0.5, 3.0],
+        "estimators": ["ridge_tuned", "sd_optimal", "ridge:0.5"],
+        "sim": {"n": 60, "p": 120, "seed": 7, "n_replicates": 3}}})
     out["measure__fig1"] = ("measure", {"model": FIG1_MODEL,
                                         "measure": {"grid_size": 64}})
     out["measure__readme"] = ("measure", {"model": README_MODEL, "measure": {
