@@ -240,11 +240,7 @@ def _build_rules_inner(block, model, where, kind):
                     shrinkage.min_norm_surrogate(model, block.get("ramp_width"))))
     elif kind == "optimal_pred":
         _require(block, where, {"kind": str})
-        if model.s == 0:
-            fn = optimal.isotropic_optimal(model)
-        else:
-            fn = optimal.optimal_pred_rule(model)[0]
-        out.append(("optimal_pred", "", "", fn))
+        out.append(("optimal_pred", "", "", optimal.optimal_pred_rule(model)[0]))
     elif kind == "optimal_est":
         _require(block, where, {"kind": str})
         out.append(("optimal_est", "", "", optimal.optimal_est_rule(model)))
@@ -334,30 +330,13 @@ def _optimum_payload(model, rule, b, sd_params):
 def cmd_optimal(config, out_path):
     _require(config.get("optimal", {}), "optimal", {})
     model = parse_model(config["model"])
-    if model.s == 0:
-        ridge = optimal.isotropic_optimal(model)
-        payload = {
-            "b": [model.sigma0_sq * model.r**2],
-            "P_roots": [-ridge.lam],
-            "P_coeffs": [ridge.lam, 1.0],
-            "Q_coeffs": [1.0],
-            "sd_params": {"lambdas": [ridge.lam], "xis": []},
-            "risks": {
-                "pred": shrinkage.limiting_pred_risk(model, ridge).total,
-                "est": shrinkage.limiting_est_risk(model, ridge).total,
-            },
-            "coprime": True,
-            "self_check": {"round_trip_sup_error": 0.0,
-                           "fixed_point_residual": 0.0},
-        }
-    else:
-        rule, coef = optimal.optimal_pred_rule(model)
-        params = optimal.synthesize_sd_params(rule)
-        payload = _optimum_payload(model, rule, coef.b, params)
-        payload["A"] = list(coef.A)
-        payload["self_check"]["fixed_point_residual"] = (
-            optimal.fixed_point_residual(model, rule)
-        )
+    rule, coef = optimal.optimal_pred_rule(model)
+    params = optimal.synthesize_sd_params(rule)
+    payload = _optimum_payload(model, rule, coef.b, params)
+    payload["A"] = list(coef.A)
+    payload["self_check"]["fixed_point_residual"] = (
+        optimal.fixed_point_residual(model, rule)
+    )
     payload["config"] = _config_hash(config)
     _emit(_json_dump(payload) + "\n", out_path)
     return 0
@@ -366,19 +345,13 @@ def cmd_optimal(config, out_path):
 def cmd_sd_params(config, out_path):
     _require(config.get("sd_params", {}), "sd_params", {})
     model = parse_model(config["model"])
-    if model.s == 0:
-        ridge = optimal.isotropic_optimal(model)
-        payload = {"lambdas": [ridge.lam], "xis": [],
-                   "round_trip_sup_error": 0.0}
-    else:
-        rule, _ = optimal.optimal_pred_rule(model)
-        params = optimal.synthesize_sd_params(rule)
-        payload = {
-            "lambdas": list(params.lambdas),
-            "xis": list(params.xis),
-            "round_trip_sup_error": optimal.sd_round_trip_error(
-                model, rule, params),
-        }
+    rule, _ = optimal.optimal_pred_rule(model)
+    params = optimal.synthesize_sd_params(rule)
+    payload = {
+        "lambdas": list(params.lambdas),
+        "xis": list(params.xis),
+        "round_trip_sup_error": optimal.sd_round_trip_error(model, rule, params),
+    }
     payload["config"] = _config_hash(config)
     _emit(_json_dump(payload) + "\n", out_path)
     return 0
@@ -415,9 +388,6 @@ def _parse_estimator(label: str, model, p: int, n: int):
         lam, total = shrinkage.best_ridge(model)
         return shrinkage.Ridge(lam), total
     if kind == "sd_optimal" and len(parts) == 1:
-        if model.s == 0:
-            ridge = optimal.isotropic_optimal(model)
-            return ridge, shrinkage.limiting_pred_risk(model, ridge).total
         rule, _ = optimal.optimal_pred_rule(model)
         params = optimal.synthesize_sd_params(rule)
         total = shrinkage.limiting_pred_risk(model, rule).total
@@ -558,8 +528,6 @@ def cmd_sweep(config, out_path, threads=1, seed_override=None):
             for label in est_labels:
                 row.append(targets[label])
         if include_params:
-            if model.s == 0:
-                raise ConfigError("include_sd_params requires spikes")
             rule, _ = optimal.optimal_pred_rule(model)
             params = optimal.synthesize_sd_params(rule)
             row += list(params.lambdas) + list(params.xis)

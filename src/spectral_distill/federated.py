@@ -75,11 +75,7 @@ def federated_optimum(model: SpikedModel, K: int) -> FederatedOptimum:
     p = p0 / lead
     s0sq_r2_om0 = model.sigma0_sq * model.r**2 * measures.mixture_weights(model).omega0
     rho = float(b[0] / s0sq_r2_om0)
-    if model.s == 0:
-        lam = model.c * model.sigma_eps_sq / model.r**2
-        roots = (-lam,)
-    else:
-        roots = optimal.denominator_roots(model, p)
+    roots = optimal.denominator_roots(model, p)
     fK = RationalRule(tuple(p), tuple(q0 / lead), roots, tuple(b / lead), rn)
     local = RationalRule(tuple(p), tuple(q0 / (lead * rho)), roots,
                          tuple(b / (lead * rho)), rn)
@@ -156,8 +152,11 @@ def federated_risk(model: SpikedModel, K: int, rules, rhos) -> float:
     norm2 = np.empty(K)
     gdot = np.empty(K)
     t = np.empty((K, model.s + 1))
+    integrals = {}  # by rule identity: clients often share one rule object
     for l, (f, rho) in enumerate(zip(rules, rhos)):
-        n2, gd, tv = _rule_integrals(model, f)
+        if id(f) not in integrals:
+            integrals[id(f)] = _rule_integrals(model, f)
+        n2, gd, tv = integrals[id(f)]
         scale = K * rho
         norm2[l] = scale**2 * n2
         gdot[l] = scale * gd

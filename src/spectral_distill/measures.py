@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -66,10 +67,12 @@ class RnPolynomials:
 
         nu_{-j} is the product of the factors before j times those after
         it, so running products give every term in O(s) array products.
+        A Python float x is evaluated in floats, without numpy overhead.
         """
-        x = np.asarray(x, dtype=float)
+        if not isinstance(x, float):
+            x = np.asarray(x, dtype=float)
         factors = [sc * (xs - x) for sc, xs in zip(self.scales, self.xstars)]
-        before = [np.ones_like(x)]
+        before = [1.0 if isinstance(x, float) else np.ones_like(x)]
         for f in factors:
             before.append(before[-1] * f)
         out = coeffs[0] * before[-1]
@@ -86,9 +89,11 @@ def mixture_weights(model: SpikedModel) -> MixtureWeights:
     return MixtureWeights(1.0 - sum(omegas), omegas)
 
 
+@lru_cache(maxsize=128)
 def rn_polynomials(model: SpikedModel) -> RnPolynomials:
-    affine = tuple(spectra.nu_affine(model, d) for d in model.deltas)
-    xstars = tuple(spectra.outlier_location(model, d) for d in model.deltas)
+    deltas = [d for d, _ in model.spikes]
+    affine = tuple(spectra.nu_affine(model, d) for d in deltas)
+    xstars = tuple(spectra.outlier_location(model, d) for d in deltas)
     scales = tuple(-q for _, q in affine)
     nu = np.array([1.0])
     for p, q in affine:

@@ -26,14 +26,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import measures
 from .errors import AssumptionError, NumericalError, StructuralError
 from .shrinkage import RationalRule, Ridge, SDParams, sd_chain_fn, validate_rule
-from .spectra import SpikedModel, get_grid, outlier_location
+from .spectra import SpikedModel, bracketed_newton, get_grid
 
-_polyval = np.polynomial.polynomial.polyval
 _polyder = np.polynomial.polynomial.polyder
 
 
@@ -130,16 +128,6 @@ def _require_noise(model: SpikedModel):
         )
 
 
-def _check_spacing(model: SpikedModel):
-    xs = sorted(outlier_location(model, d) for d in model.deltas)
-    for lo, hi in zip(xs[:-1], xs[1:]):
-        if hi - lo < 1e-9 * hi:
-            raise StructuralError(
-                "two outlier locations nearly coincide; the model sits on an "
-                "excluded degeneracy and root interlacing would be corrupted"
-            )
-
-
 def _shift_up(coeffs: np.ndarray) -> np.ndarray:
     # multiply polynomial by x
     return np.concatenate([[0.0], coeffs])
@@ -182,75 +170,70 @@ def _numerator_coeffs(rn: measures.RnPolynomials, b: np.ndarray) -> np.ndarray:
 
 
 def denominator_roots(model: SpikedModel, p_coeffs) -> tuple[float, ...]:
-    """All s+1 real roots of the monic denominator.
+    """All s+1 real roots of the monic denominator P, ascending.
 
-    Brackets are the analytically guaranteed sign-change intervals
-    between consecutive outliers, one interval to the right of the last
-    outlier, and one on the negative axis; a Newton polish follows the
-    bisection-style solve.
+    P is evaluated in the factored nu basis of the model,
+    P ~ r^2 x (omega0 nu + sum_j omega_j nu_{-j}) + c sigma_eps^2 nu, whose
+    factors vanish exactly at their outliers: the monomial p_coeffs lose
+    digits to cancellation when outliers sit close together, so they only
+    set the Newton slope. The brackets are the analytic sign changes, one
+    between each pair of consecutive outliers, one beyond the last outlier
+    and one on the negative axis; at s = 0 only the last is there and the
+    root is -lambda* of the isotropic ridge.
     """
     p = np.asarray(p_coeffs, dtype=float)
-    s = model.s
-    if p.size != s + 2:
+    if p.size != model.s + 2:
         raise ValueError("denominator must have degree s+1")
-    _check_spacing(model)
-    xs = np.sort([outlier_location(model, d) for d in model.deltas])
+    rn = measures.rn_polynomials(model)
+    xs = sorted(rn.xstars)
+    if any(hi - lo < 1e-9 * hi for lo, hi in zip(xs, xs[1:])):
+        raise StructuralError(
+            "two outlier locations nearly coincide; the model sits on an "
+            "excluded degeneracy and root interlacing would be corrupted"
+        )
+    # monic P = (a0 x + noise) nu + sum_j a_j x nu_{-j}
+    w = measures.mixture_weights(model)
+    lead = model.r**2 * w.omega0 * math.prod(-sc for sc in rn.scales)
+    a0, noise = model.r**2 * w.omega0 / lead, model.c * model.sigma_eps_sq / lead
+    a = [model.r**2 * om / lead for om in w.omegas]
 
-    def pv(t):
-        return _polyval(t, p)
+    def pv(x: float) -> float:
+        return rn.combination((a0 * x + noise, *(aj * x for aj in a)), x)
 
+    dp = _polyder(p)[::-1].tolist()
+
+    def dpv(x: float) -> float:
+        acc = 0.0
+        for coef in dp:
+            acc = acc * x + coef
+        return acc
+
+    def root(lo, hi, flo):
+        return bracketed_newton(pv, dpv, lo, hi, 0.5 * (lo + hi), rising=flo < 0.0)
+
+    f_xs = [pv(x) for x in xs]
     roots = []
-    # interlaced roots between consecutive outliers
-    for lo, hi in zip(xs[:-1], xs[1:]):
-        flo, fhi = pv(lo), pv(hi)
-        if flo == 0.0 or fhi == 0.0 or flo * fhi > 0:
+    for lo, hi, flo, fhi in zip(xs, xs[1:], f_xs, f_xs[1:]):
+        if not flo * fhi < 0.0:
             raise StructuralError(
                 "no sign change between consecutive outliers; expected root "
                 "interlacing fails (model near an excluded degeneracy)"
             )
-        roots.append(brentq(pv, lo, hi, xtol=1e-300, rtol=8.9e-16))
-    # root beyond the largest outlier
-    lo = xs[-1]
-    hi = max(2.0 * lo, lo + 1.0)
-    for _ in range(200):
-        if pv(lo) * pv(hi) < 0:
-            break
-        hi *= 2.0
-    else:
-        raise StructuralError("could not bracket the root beyond the last outlier")
-    roots.append(brentq(pv, lo, hi, xtol=1e-300, rtol=8.9e-16))
-    # the single negative root
-    hi = 0.0
-    lo = -max(1.0, xs[-1])
-    for _ in range(200):
-        if pv(lo) * pv(hi) < 0:
-            break
-        lo *= 2.0
-    else:
-        raise StructuralError("could not bracket the negative root")
-    roots.append(brentq(pv, lo, hi, xtol=1e-300, rtol=8.9e-16))
-
-    dp = _polyder(p)
-    polished = []
-    for g in roots:
-        for _ in range(3):
-            d = _polyval(g, dp)
-            if d == 0.0:
+        roots.append(root(lo, hi, flo))
+    # push the far end out until P changes sign: beyond the last outlier,
+    # then below zero
+    outer = [(xs[-1], f_xs[-1], max(2.0 * xs[-1], xs[-1] + 1.0))] if xs else []
+    outer.append((0.0, pv(0.0), -max([1.0, *xs])))
+    for near, f_near, far in outer:
+        for _ in range(200):
+            f_far = pv(far)
+            if f_near * f_far < 0.0:
                 break
-            g = g - _polyval(g, p) / d
-        polished.append(float(g))
-    for g in polished:
-        # backward-error scale: the evaluation magnitude at the root
-        scale = float(np.sum(np.abs(p) * np.abs(g) ** np.arange(p.size)))
-        if abs(_polyval(g, p)) > 1e-12 * max(1.0, scale):
-            raise StructuralError(f"root polish failed at {g}")
-    polished.sort()
-    if len(set(polished)) != s + 1 or sum(1 for g in polished if g < 0) != 1:
-        raise StructuralError(
-            "denominator roots do not show s+1 distinct values with exactly "
-            "one negative"
-        )
-    return tuple(polished)
+            far *= 2.0
+        else:
+            raise StructuralError(f"could not bracket a root of P beyond {near}")
+        roots.append(root(near, far, f_near) if near < far else root(far, near, f_far))
+    return tuple(sorted(roots))
 
 
 def _solve_system(model: SpikedModel, dmat_diag: np.ndarray) -> np.ndarray:
@@ -294,9 +277,7 @@ def inner_products_with_basis(model: SpikedModel, rule) -> np.ndarray:
 
 
 def optimal_pred_rule(model: SpikedModel) -> tuple[RationalRule, OptimalCoefficients]:
-    """Prediction-risk-optimal rule for a model with s >= 1 spikes."""
-    if model.s == 0:
-        raise ValueError("s = 0 is the isotropic case; use isotropic_optimal")
+    """Prediction-risk-optimal rule; at s = 0 it is the isotropic ridge."""
     _require_noise(model)
     dmat = np.concatenate([[0.0], model.deltas * model.alphas**2])
     b = _solve_system(model, dmat)
@@ -319,12 +300,7 @@ def optimal_est_rule(model: SpikedModel) -> RationalRule:
     p = tuple(p0 / lead)
     q = tuple(q0 / lead)
     q_nu = tuple(model.r**2 * np.array([w.omega0, *w.omegas]) / lead)
-    if model.s == 0:
-        lam = model.c * model.sigma_eps_sq / model.r**2
-        roots = (-lam,)
-    else:
-        roots = denominator_roots(model, p)
-    return RationalRule(p, q, roots, q_nu, rn)
+    return RationalRule(p, q, denominator_roots(model, p), q_nu, rn)
 
 
 def isotropic_optimal(model: SpikedModel) -> Ridge:

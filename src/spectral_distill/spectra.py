@@ -26,6 +26,7 @@ NODES_ENV_VAR = "SPECTRAL_DISTILL_NODES"
 # Relative tolerance used when deciding whether a point sits on the bulk
 # or on an atom of the limiting support.
 _SUPPORT_RTOL = 1e-9
+_EPS = float(np.finfo(float).eps)
 
 
 def default_node_count() -> int:
@@ -374,6 +375,39 @@ def _theta_panels(
     return theta.ravel(), w.ravel()
 
 
+def bracketed_newton(f, fprime, lo: float, hi: float, x: float, rising: bool,
+                     ftol: float = 0.0) -> float:
+    """Zero of f in (lo, hi) by Newton steps kept inside a bisection bracket.
+
+    f changes sign on [lo, hi]: rising means f < 0 left of the zero. Each
+    evaluation shrinks the bracket to the side holding the zero; a Newton
+    step that leaves it, or a zero slope, is replaced by bisection, except
+    a step of round-off size, which ends the search. Stops when
+    |f(x)| <= ftol or a step moves x by at most 4 ulp. fprime only sets
+    the step, so an approximate derivative costs speed, not accuracy.
+    Works on Python floats.
+    """
+    for _ in range(100):
+        fx = f(x)
+        if abs(fx) <= ftol:
+            break
+        if (fx < 0.0) == rising:
+            lo = x
+        else:
+            hi = x
+        slope = fprime(x)
+        step = fx / slope if slope != 0.0 else math.inf
+        tol = 4.0 * _EPS * abs(x)
+        new = x - step
+        if abs(step) > tol and not lo < new < hi:
+            new = 0.5 * (lo + hi)
+        done = abs(new - x) <= tol
+        x = new
+        if done:
+            break
+    return x
+
+
 def mp_quantile_inverse(model: SpikedModel, tau: float) -> float:
     """Bulk point whose upper-tail MP mass equals tau.
 
@@ -401,26 +435,9 @@ def mp_quantile_inverse(model: SpikedModel, tau: float) -> float:
         x = b * math.cos(0.5 * theta) ** 2 + a * math.sin(0.5 * theta) ** 2
         return half**2 * math.sin(theta) ** 2 / (x * norm)
 
-    # Newton in theta, kept inside a bisection bracket; the mass is
-    # increasing in theta and its derivative is the integrand itself.
-    lo, hi = 0.0, math.pi
-    theta = 0.5 * math.pi
-    for _ in range(100):
-        m = upper_mass(theta)
-        if abs(m - tau) <= 1e-15:
-            break
-        if m < tau:
-            lo = theta
-        else:
-            hi = theta
-        slope = density(theta)
-        new = theta - (m - tau) / slope if slope > 0.0 else lo
-        if not lo < new < hi:
-            new = 0.5 * (lo + hi)
-        done = abs(new - theta) <= 4.0 * np.finfo(float).eps * theta
-        theta = new
-        if done:
-            break
+    # the mass is increasing in theta and its derivative is the integrand
+    theta = bracketed_newton(lambda t: upper_mass(t) - tau, density,
+                             0.0, math.pi, 0.5 * math.pi, rising=True, ftol=1e-15)
     return float(mid + half * math.cos(theta))
 
 
@@ -558,23 +575,26 @@ class SpectralGrid:
         """Bulk weights for F_delta: mp weights divided by nu_delta(x).
 
         nu(x) = (x_star - x)/g with g = c sigma0^2 (delta + sigma0^2)/delta.
-        When the outlier sits exactly on the bulk edge (delta at the
-        detachment threshold) the 1/(x_star - x) factor cancels against
-        the edge factor in u = cos(theta), so the reduced form is used.
+        x_star - x is formed as (x_star - b) + (b - x) from the closed
+        forms (delta - sigma0^2 sqrt(c))^2 / delta and half (1 - u), so it
+        keeps its digits at the nodes next to the edge when the spike sits
+        near the detachment point. When the outlier sits on the edge the
+        1/(x_star - x) factor cancels against the edge factor, so the
+        reduced form is used.
         """
         model = self.model
         g = model.c * model.sigma0_sq * (delta + model.sigma0_sq) / delta
-        xstar = outlier_location(model, delta)
+        gap = (delta - model.bbp_threshold) ** 2 / delta
         pref = (
             self._w_theta * self._half**2 * g
             / (2.0 * math.pi * model.sigma0_sq * model.c)
         )
-        if abs(xstar - self.bulk_hi) <= 1e-12 * self.bulk_hi:
+        if gap <= 1e-12 * self.bulk_hi:
             # x_star - x reduces to half (1 - u)
             if self.bulk_lo == 0.0:
                 return pref / self._half**2
             return pref * (1.0 + self._u) / (self.x * self._half)
-        return pref * self._edge_ratio / (xstar - self.x)
+        return pref * self._edge_ratio / (gap + self._half * (1.0 - self._u))
 
     def _values(self, fn, pts):
         # dtype preserved so complex integrands (resolvent tests) work

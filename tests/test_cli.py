@@ -1,5 +1,8 @@
 import copy
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -380,3 +383,31 @@ def test_output_block_takes_only_a_path(tmp_path):
     assert main(["optimal", "--config", bad]) == 2
     with pytest.raises(SystemExit):
         main(["optimal", "--config", cfg, "--format", "json"])
+
+
+def test_sweep_sd_params_isotropic(tmp_path):
+    # at s = 0 the chain is the single ridge stage at lambda* = c se^2 / r^2
+    cfg = write_cfg(
+        tmp_path,
+        {"model": ISO_MODEL,
+         "sweep": {"parameter": "sigma_eps_sq", "values": [0.5, 3.0],
+                   "include_sd_params": True}},
+    )
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    _, header, rows = read_csv(out)
+    assert header == ["sigma_eps_sq", "lambda0_star"]
+    for row in rows:
+        lam_star = 2.0 * float(row[0]) / 4.0
+        assert float(row[1]) == pytest.approx(lam_star, rel=1e-15)
+
+
+def test_cli_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(
+        sys.modules["spectral_distill.cli"].__file__))
+    code = ("import sys, spectral_distill.cli; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"

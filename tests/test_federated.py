@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -205,3 +207,24 @@ def test_b0_zero_assumption_error(fig1_model):
             fed_mod.federated_optimum(fig1_model, 2)
     finally:
         fed_mod.federated_b = orig
+
+
+def test_federated_risk_integrates_a_shared_rule_once(fig1_model, monkeypatch):
+    from spectral_distill import federated
+
+    calls = []
+    validate = federated.validate_rule
+
+    def counting(model, f):
+        calls.append(f)
+        return validate(model, f)
+
+    monkeypatch.setattr(federated, "validate_rule", counting)
+    K = 5
+    opt = sd.federated_optimum(fig1_model, K)
+    rhos = [opt.rho_star] * K
+    shared = sd.federated_risk(fig1_model, K, [opt.local_rule] * K, rhos)
+    assert len(calls) == 1
+    copies = [dataclasses.replace(opt.local_rule) for _ in range(K)]
+    assert sd.federated_risk(fig1_model, K, copies, rhos) == shared
+    assert len(calls) == 1 + K

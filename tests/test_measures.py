@@ -76,7 +76,14 @@ def test_rn_combination_matches_products():
         coeffs[j + 1] * rn.nu_minus(j, xs) for j in range(model.s))
     scale = np.abs(coeffs[0] * rn.nu(xs)) + sum(
         np.abs(coeffs[j + 1] * rn.nu_minus(j, xs)) for j in range(model.s))
-    assert np.all(np.abs(rn.combination(coeffs, xs) - direct) <= 1e-14 * scale)
+    values = rn.combination(coeffs, xs)
+    assert np.all(np.abs(values - direct) <= 1e-14 * scale)
+    # a Python float is evaluated in floats, to the same bits
+    as_floats = [rn.combination(coeffs, float(x)) for x in xs]
+    assert all(type(v) is float for v in as_floats)
+    assert np.array_equal(as_floats, values)
+    # one table per model
+    assert sd.rn_polynomials(model) is rn
 
 
 def test_mu_partition_of_unity(fig1_model):

@@ -1,8 +1,12 @@
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
 import spectral_distill as sd
 from spectral_distill import SpikedModel, StructuralError
+from spectral_distill.cli import parse_model
 from conftest import random_model
 
 
@@ -61,8 +65,12 @@ def test_isotropic_optimal():
     assert sd.isotropic_optimal(big).lam < 1e-10
     with pytest.raises(ValueError):
         sd.isotropic_optimal(SpikedModel(1.0, 2.0, ((1.5, 0.5),), 2.0, 1.0))
-    with pytest.raises(ValueError):
-        sd.optimal_pred_rule(m)
+    # at s = 0 the optimal rule is that ridge: P = x + lambda*, Q = 1
+    rule, coef = sd.optimal_pred_rule(m)
+    assert rule.roots_of_p == (pytest.approx(-ridge.lam, rel=1e-15),)
+    assert coef.A == ()
+    pts = sd.get_grid(m).support_points
+    assert np.max(np.abs(rule(pts) / ridge(pts) - 1.0)) <= 1e-15
 
 
 def test_isotropic_grid_convexity():
@@ -362,3 +370,46 @@ def test_close_outlier_round_trip(K, spec):
     if K is not None:
         fed = sd.federated_optimum(model, K)
         assert sd.sd_round_trip_error(model, fed.local_rule, fed.sd_params) <= 1e-11
+
+
+# Roots of P for the close-outlier models of tests/corpus (outliers within
+# about 0.5% of each other) and the fig-1 model, computed once with mpmath
+# at 60 digits from the models' float inputs, rounded here to 25.
+CORPUS = pathlib.Path(__file__).parent / "corpus"
+REFERENCE_ROOTS = {
+    "optimal__close-s4-1595": (
+        "-0.7532234849453557191506798", "15.72045089645547022375067",
+        "15.79450201842155997983691", "15.95693224645410216725491",
+        "25.64515775603653339746714"),
+    "optimal__close-s9-553": (
+        "-0.4518429212639879262168916", "13.50607875172494056853587",
+        "13.56043910799159491705929", "13.78201657525981426951422",
+        "21.9093139085763140048054"),
+    "optimal__close-s9-1033": (
+        "-1.94467172279046579908225", "15.19499014619822166771725",
+        "15.29691720294455933350878", "15.6033864100369625212714",
+        "30.57083521361413139389794"),
+    "optimal__close-s2003-1219": (
+        "-0.8768574944464115141775757", "13.82415491060807749309976",
+        "13.86596134384673710240766", "14.16932190203858253842751",
+        "27.01705839210718822831078"),
+    "optimal__close-s2003-1418": (
+        "-0.6138615154093374683555063", "7.509692370949528111679832",
+        "7.549080398873651423364487", "7.75571721667975144152672",
+        "13.60463675730371119725656"),
+    "measure__fig1": (
+        "-0.6826400090675952081426417", "7.798799063718920461585582",
+        "13.87102043252816192604424"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_ROOTS))
+def test_roots_match_high_precision_reference(name):
+    # P is evaluated in the factored nu basis, so the roots stay exact to
+    # round-off even where the outliers, and so the roots, crowd together;
+    # the fixed-point residual then drops to round-off too
+    model = parse_model(json.loads((CORPUS / f"{name}.json").read_text())["model"])
+    rule, _ = sd.optimal_pred_rule(model)
+    ref = np.array([float(v) for v in REFERENCE_ROOTS[name]])
+    assert np.max(np.abs(np.array(rule.roots_of_p) / ref - 1.0)) <= 2e-15
+    assert sd.fixed_point_residual(model, rule) <= 1e-13
