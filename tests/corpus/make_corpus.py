@@ -8,7 +8,9 @@ it). Closed-form and risk models are drawn with the seeded generator of
 `perfbench/workloads.py`, including the close-outlier models of seeds 4,
 9 and 2003 whose chain round trip once missed its tolerance; the rest are
 the README examples, isotropic (s = 0) models under every command that
-builds an optimal rule, and a few measure/sweep configs. Rerunning the script
+builds an optimal rule, edge-regime models (c next to or at 1, a spike
+just above the detachment point) under `optimal` and `risk`, and a few
+measure/sweep configs. Rerunning the script
 rewrites every expected output with the current program's, so run it only
 when an output is meant to change, and review the diff.
 """
@@ -16,6 +18,7 @@ when an output is meant to change, and review the diff.
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 
@@ -43,6 +46,27 @@ ISO_MODELS = {
     "iso-c05": {"sigma0_sq": 1.0, "c": 0.5, "r": 1.5, "sigma_eps_sq": 0.7,
                 "spikes": []},
 }
+def _edge_model(c: float, spikes) -> dict:
+    return {"sigma0_sq": 1.0, "c": c, "r": 2.0, "sigma_eps_sq": 1.0,
+            "spikes": [{"delta": d, "alpha": a} for d, a in spikes]}
+
+
+# c next to 1 puts the lower bulk edge next to zero; a spike just above
+# sigma0^2 sqrt(c) puts its outlier just above the upper edge.
+EDGE_MODELS = {
+    "edge-c0999": _edge_model(1.0 - 1e-3, [(3.0, 0.6)]),
+    "edge-c1001": _edge_model(1.0 + 1e-3, [(3.0, 0.6)]),
+    "edge-c1p1e-6": _edge_model(1.0 + 1e-6, [(3.0, 0.6)]),
+    "edge-c1": _edge_model(1.0, [(3.0, 0.6)]),
+    "edge-det1001": _edge_model(2.0, [(1.001 * math.sqrt(2.0), 0.6), (4.0, 0.5)]),
+    "edge-det100001": _edge_model(
+        2.0, [(1.00001 * math.sqrt(2.0), 0.6), (4.0, 0.5)]),
+}
+EDGE_RULES = [
+    {"kind": "ridge", "lambdas": [0.01, 0.5]},
+    {"kind": "gd", "etas": [0.1, 0.01], "steps": [10, 1000]},
+    {"kind": "optimal_pred"}, {"kind": "optimal_est"},
+]
 FIG3_MODEL = {"sigma0_sq": 1.0, "c": 3.0, "r": 8.0, "sigma_eps_sq": 16.0,
               "spikes": [{"delta": 5.0, "alpha": 6.0}]}
 
@@ -87,6 +111,11 @@ def cases() -> dict:
         out[f"risk__{label}"] = ("risk", {"model": model, "risk": {"rules": [
             {"kind": "optimal_pred"}, {"kind": "optimal_est"},
             {"kind": "ridge", "lambdas": [0.5, 1.5]}]}})
+    for label, model in EDGE_MODELS.items():
+        out[f"optimal__{label}"] = closed_form(model, "optimal")
+        # min-norm is refused at c = 1, where the spectral gap closes
+        rules = EDGE_RULES + ([] if model["c"] == 1.0 else [{"kind": "min_norm"}])
+        out[f"risk__{label}"] = ("risk", {"model": model, "risk": {"rules": rules}})
     out["sweep__iso-sim"] = ("sweep", {"model": ISO_MODELS["iso"], "sweep": {
         "parameter": "sigma_eps_sq", "values": [0.5, 3.0],
         "estimators": ["ridge_tuned", "sd_optimal", "ridge:0.5"],
