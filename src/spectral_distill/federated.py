@@ -61,9 +61,8 @@ def federated_optimum(model: SpikedModel, K: int) -> FederatedOptimum:
     """Solve the K-client system and synthesize the local rule's chain."""
     K = int(K)
     optimal._require_noise(model)
-    gs = measures.gram_system(model)
     b = federated_b(model, K)
-    if abs(b[0]) < 1e-10 * float(np.linalg.norm(gs.gamma)):
+    if abs(b[0]) < 1e-10 * float(np.linalg.norm(measures._gram_rhs(model))):
         raise AssumptionError(
             "aggregate leading coefficient b0^(K) must be nonzero; this model "
             "and K sit on the degenerate set where the weight/rule split fails"

@@ -154,19 +154,29 @@ def weight_w(model: SpikedModel, x):
 
 def _weight_w_unchecked(model: SpikedModel, x):
     x = np.asarray(x, dtype=float)
-    mu0 = _mu_all(model, x)[0]
+    return _weight(model, x, _mu_all(model, x)[0])
+
+
+def _weight(model: SpikedModel, x, mu0):
     return model.sigma0_sq * (model.r**2 * x + model.c * model.sigma_eps_sq * mu0)
+
+
+def _target_and_basis(model: SpikedModel, x) -> tuple[np.ndarray, np.ndarray]:
+    """(g(x), [h_0(x), ..., h_s(x)]) from one mu evaluation, without
+    domain checks; for points known to lie on the support."""
+    x = np.asarray(x, dtype=float)
+    mu = _mu_all(model, x)
+    w = _weight(model, x, mu[0])
+    num = np.full_like(mu[0], model.sigma0_sq * model.r**2)
+    for j, (d, a) in enumerate(model.spikes):
+        num = num + d * a * a * mu[j + 1]
+    return num / w, mu / w
 
 
 def target_g(model: SpikedModel, x):
     """g(x) = (sigma0^2 r^2 + sum_j delta_j alpha_j^2 mu_j(x)) / w(x)."""
     _check_support(model, x)
-    x = np.asarray(x, dtype=float)
-    mu = _mu_all(model, x)
-    num = np.full_like(mu[0], model.sigma0_sq * model.r**2)
-    for j, (d, a) in enumerate(model.spikes):
-        num = num + d * a * a * mu[j + 1]
-    return num / _weight_w_unchecked(model, x)
+    return _target_and_basis(model, x)[0]
 
 
 def basis_h(model: SpikedModel, j: int, x):
@@ -174,8 +184,7 @@ def basis_h(model: SpikedModel, j: int, x):
     if not 0 <= j <= model.s:
         raise ValueError(f"j must be in 0..{model.s}")
     _check_support(model, x)
-    x = np.asarray(x, dtype=float)
-    return _mu_all(model, x)[j] / _weight_w_unchecked(model, x)
+    return _target_and_basis(model, x)[1][j]
 
 
 def inner_w(model: SpikedModel, phi, psi) -> float:
@@ -236,7 +245,7 @@ def gram_system(model: SpikedModel) -> GramSystem:
     s = model.s
     x = grid.x
     mu = _mu_all(model, x)
-    wv = _weight_w_unchecked(model, x)
+    wv = _weight(model, x, mu[0])
     integrand = mu * (x / wv)  # row j: x mu_j / w on the bulk
 
     H = np.empty((s + 1, s + 1))
@@ -257,9 +266,10 @@ def gram_system(model: SpikedModel) -> GramSystem:
     H = 0.5 * (H + H.T)  # symmetrize away quadrature roundoff
     if not np.all(np.isfinite(H)):
         raise NumericalError("Gram matrix assembly produced non-finite entries")
+    return GramSystem(H, _gram_rhs(model))
 
-    gamma = np.empty(s + 1)
-    gamma[0] = model.sigma0_sq * model.r**2 * wmix.omega0
-    for j, (d, a) in enumerate(model.spikes):
-        gamma[j + 1] = (d + model.sigma0_sq) * a * a
-    return GramSystem(H, gamma)
+
+def _gram_rhs(model: SpikedModel) -> np.ndarray:
+    """gamma = (sigma0^2 r^2 omega0, (delta_1 + sigma0^2) alpha_1^2, ...)."""
+    head = model.sigma0_sq * model.r**2 * mixture_weights(model).omega0
+    return np.array([head, *((d + model.sigma0_sq) * a * a for d, a in model.spikes)])

@@ -262,12 +262,12 @@ def _assemble(model: SpikedModel, b: np.ndarray) -> RationalRule:
 def fixed_point_residual(model: SpikedModel, rule: RationalRule) -> float:
     """max over the grid of |A f* - g| for A f = f + sum_j d_j a_j^2 <f,h_j> h_j."""
     grid, f_bulk, f_atoms = validate_rule(model, rule)
-    pts = grid.support_points
+    g, h = measures._target_and_basis(model, grid.support_points)
     A = grid.integrate(grid.x * f_bulk, grid.atom_locs * f_atoms).delta
     resid = np.concatenate([f_bulk, f_atoms])
     for j, (d, al) in enumerate(model.spikes):
-        resid = resid + d * al * al * A[j] * measures.basis_h(model, j + 1, pts)
-    return float(np.max(np.abs(resid - measures.target_g(model, pts))))
+        resid = resid + d * al * al * A[j] * h[j + 1]
+    return float(np.max(np.abs(resid - g)))
 
 
 def inner_products_with_basis(model: SpikedModel, rule) -> np.ndarray:

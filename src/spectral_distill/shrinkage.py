@@ -317,8 +317,8 @@ def validate_rule(model: SpikedModel, f: ShrinkageFn
                   ) -> tuple[SpectralGrid, np.ndarray, np.ndarray]:
     """Check a rule against a model and evaluate it once on the model's grid.
 
-    The grid is the plain one, or a panel grid split at the rule's
-    breakpoints inside the bulk. A declared pole on the limiting support
+    The grid's panels are split at the rule's breakpoints inside the
+    bulk. A declared pole on the limiting support
     raises AssumptionError; a value that is not finite raises
     NumericalError. Returns (grid, f at grid.x, f at grid.atom_locs).
     """

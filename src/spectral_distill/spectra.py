@@ -2,16 +2,16 @@
 
 Supports, densities, atoms, Stieltjes transforms, and quadrature against
 the bulk. Everything here is deterministic and closed-form except the
-quadrature, which is Gauss-Chebyshev (second kind) after the affine map
-x = (a+b)/2 + ((b-a)/2) cos(theta); that map absorbs the square-root edge
-factor of the bulk density analytically. Piecewise-smooth integrands get
-composite Gauss-Legendre panels in the same theta.
+quadrature, which is one rule: composite Gauss-Legendre panels in theta
+after the map x = (a+b)/2 + ((b-a)/2) cos(theta). That map absorbs the
+square-root edge factor of the bulk density analytically; the panels are
+split at a rule's break points and graded toward an edge with a near
+singularity.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -20,23 +20,10 @@ import numpy as np
 
 from .errors import AssumptionError
 
-DEFAULT_NODES = 2048
-NODES_ENV_VAR = "SPECTRAL_DISTILL_NODES"
-
 # Relative tolerance used when deciding whether a point sits on the bulk
 # or on an atom of the limiting support.
 _SUPPORT_RTOL = 1e-9
 _EPS = float(np.finfo(float).eps)
-
-
-def default_node_count() -> int:
-    raw = os.environ.get(NODES_ENV_VAR)
-    if raw is None:
-        return DEFAULT_NODES
-    n = int(raw)
-    if n < 16:
-        raise ValueError(f"{NODES_ENV_VAR} must be >= 16, got {n}")
-    return n
 
 
 @dataclass(frozen=True)
@@ -142,7 +129,8 @@ class SpectralMeasure:
 def mp_support(model: SpikedModel) -> tuple[float, float]:
     """Bulk support [a, b] = sigma0^2 (1 -+ sqrt(c))^2."""
     root_c = math.sqrt(model.c)
-    a = model.sigma0_sq * (1.0 - root_c) ** 2
+    # 1 - sqrt(c) = (1 - c)/(1 + sqrt(c)) keeps its digits for c near 1
+    a = model.sigma0_sq * ((1.0 - model.c) / (1.0 + root_c)) ** 2
     b = model.sigma0_sq * (1.0 + root_c) ** 2
     return a, b
 
@@ -315,7 +303,7 @@ def spiked_measure(model: SpikedModel, delta: float) -> SpectralMeasure:
 
 
 PANEL_ORDER = 32
-PANEL_MAX_WIDTH = math.pi / 4
+PANEL_MAX_WIDTH = math.pi / 8
 
 
 @lru_cache(maxsize=None)
@@ -337,32 +325,10 @@ def _graded_offsets(d: float) -> list[float]:
     return out
 
 
-def _theta_panels(
-    a: float, b: float, breaks: Sequence[float], xstars: Sequence[float]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre rule in theta on [0, pi], split at breaks.
-
-    Used when the integrand is only piecewise smooth on the bulk. Panels
-    have PANEL_ORDER nodes and width at most PANEL_MAX_WIDTH. Two factors
-    of the bulk weights are singular just off the ends of [0, pi]: 1/x at
-    complex distance sqrt(2a/h) from theta = pi, and 1/(x*_j - x) at
-    sqrt(2 (x*_j - b)/h) from theta = 0 (h = (b - a)/2). When that
-    distance is below PANEL_MAX_WIDTH, panels are graded geometrically
-    toward that end. When a = 0 or x*_j = b the factor cancels exactly and
-    needs no grading.
-    """
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    knots = {0.0, math.pi}
-    for xb in breaks:
-        if a < xb < b:
-            knots.add(math.acos(min(1.0, max(-1.0, (xb - mid) / half))))
-    gap = min((xs - b for xs in xstars), default=0.0)
-    d_right = math.sqrt(2.0 * gap / half) if gap > 0.0 else 0.0
-    d_left = math.sqrt(2.0 * a / half) if a > 0.0 else 0.0
-    knots.update(_graded_offsets(d_right))
-    knots.update(math.pi - t for t in _graded_offsets(d_left))
+def _panels(knots: set) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre panels between sorted knots, at most PANEL_MAX_WIDTH wide."""
     knots = sorted(knots)
-    edges = [0.0]
+    edges = [knots[0]]
     for lo, hi in zip(knots[:-1], knots[1:]):
         k = math.ceil((hi - lo) / PANEL_MAX_WIDTH)
         edges.extend(lo + (hi - lo) * i / k for i in range(1, k))
@@ -370,9 +336,43 @@ def _theta_panels(
     edges = np.array(edges)
     centre, halfwidth = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
     u, wu = _gauss_legendre(PANEL_ORDER)
-    theta = centre[:, None] + halfwidth[:, None] * u
-    w = halfwidth[:, None] * wu
-    return theta.ravel(), w.ravel()
+    return ((centre[:, None] + halfwidth[:, None] * u).ravel(),
+            (halfwidth[:, None] * wu).ravel())
+
+
+def _theta_panels(
+    a: float, b: float, breaks: Sequence[float], xstars: Sequence[float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre rule in theta on [0, pi], split at breaks.
+
+    The quadrature rule of every grid; breaks inside the bulk are where
+    the integrand is only piecewise smooth. Panels have PANEL_ORDER nodes
+    and width at most PANEL_MAX_WIDTH. Two factors of the bulk weights are
+    singular just off the ends of [0, pi]: 1/x at complex distance
+    sqrt(2a/h) from theta = pi, and 1/(x*_j - x) at sqrt(2 (x*_j - b)/h)
+    from theta = 0 (h = (b - a)/2). When that distance is below
+    PANEL_MAX_WIDTH, panels are graded geometrically toward that end.
+    At a = 0 the 1/x factor cancels, but a rule's own poles next to zero,
+    such as ridge's at -lambda, sit sqrt(2 (a + lambda)/h) from theta = pi;
+    there the panels are graded down to lambda = eps*b.
+
+    Each half of [0, pi] is built as offsets from its own end, so that a
+    node next to theta = pi keeps its digits: the rule returns t = theta
+    on [0, pi/2] and t = theta - pi < 0 on (pi/2, pi], in ascending x.
+    """
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    upper = {0.0, 0.5 * math.pi}  # offsets from theta = 0, where x = b
+    lower = {0.0, 0.5 * math.pi}  # offsets from theta = pi, where x = a
+    for xb in breaks:
+        if a < xb < b:
+            side = upper if xb >= mid else lower
+            side.add(math.acos(min(1.0, abs(xb - mid) / half)))
+    gap = min((xs - b for xs in xstars), default=0.0)
+    upper.update(_graded_offsets(math.sqrt(2.0 * gap / half) if gap > 0.0 else 0.0))
+    lower.update(_graded_offsets(math.sqrt(2.0 * (a if a > 0.0 else _EPS * b) / half)))
+    t_up, w_up = _panels(upper)
+    t_lo, w_lo = _panels(lower)
+    return np.concatenate([-t_lo, t_up[::-1]]), np.concatenate([w_lo, w_up[::-1]])
 
 
 def bracketed_newton(f, fprime, lo: float, hi: float, x: float, rising: bool,
@@ -475,99 +475,65 @@ class MeasureIntegrals:
 class SpectralGrid:
     """Cached quadrature data for one model: nodes plus atom bookkeeping.
 
-    All measure integrals reduce to weighted dots over the same bulk
-    nodes (the spiked bulk densities are f_MP / nu_j) together with
-    explicit atom terms. `atom_locs` lists the zero atom (when c > 1)
+    The bulk nodes are those of `_theta_panels`, split at `breaks` (points
+    inside the bulk where the integrand is only piecewise smooth). All
+    measure integrals reduce to weighted dots over the same bulk nodes
+    (the spiked bulk densities are f_MP / nu_j) together with explicit
+    atom terms. `atom_locs` lists the zero atom (when c > 1)
     followed by the outlier atoms of above-threshold spikes in spike
     order; per-measure atom masses are aligned with that list.
     """
 
-    def __init__(self, model: SpikedModel, n_nodes: int | None = None,
-                 breaks: tuple[float, ...] = ()):
+    def __init__(self, model: SpikedModel, breaks: tuple[float, ...] = ()):
         self.model = model
-        n = default_node_count() if n_nodes is None else int(n_nodes)
-        if n < 16:
-            raise ValueError(f"n_nodes must be >= 16, got {n}")
-        self.n_nodes = n
         a, b = mp_support(model)
         self.bulk_lo, self.bulk_hi = a, b
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        self._mid, self._half = mid, half
-        if breaks:
-            xstars = [outlier_location(model, d) for d in model.deltas]
-            theta, w_theta = _theta_panels(a, b, breaks, xstars)
-        else:
-            # Chebyshev (second kind) angles plus the endpoints with their
-            # trapezoid half weights. The endpoints carry measure only in
-            # boundary cases (bulk touching zero at c = 1; an outlier
-            # sitting exactly on the edge), where the weight*density
-            # product stays finite through the edge-factor reductions
-            # below. Elsewhere they drop out with weight zero.
-            k = np.arange(0, n + 2)
-            theta = np.pi * k / (n + 1)
-            w_theta = np.full(n + 2, np.pi / (n + 1))
-            w_theta[0] *= 0.5
-            w_theta[-1] *= 0.5
-        order = np.argsort(-theta)  # ascending x
-        theta, w_theta = theta[order], w_theta[order]
-        self._u = np.cos(theta)
-        self._w_theta = w_theta
-        # Exact edge-factor forms in u = cos(theta):
-        #   b - x = half (1 - u),  x - a = half (1 + u),
-        #   sin^2(theta) = (1 - u)(1 + u).
-        self.x = mid + half * self._u
-        if a == 0.0:
-            self.x = half * (1.0 + self._u)  # keeps x = 0 exact at the edge
-        # sin^2(theta) / x, reduced when the bulk touches zero
-        if a == 0.0:
-            self._edge_ratio = (1.0 - self._u) / half
-        else:
-            self._edge_ratio = (1.0 - self._u) * (1.0 + self._u) / self.x
-        self.mp_bulk = (
-            w_theta * half**2 * self._edge_ratio
-            / (2.0 * math.pi * model.sigma0_sq * model.c)
-        )
+        xstars = [outlier_location(model, d) for d in model.deltas]
+        t, w_theta = _theta_panels(a, b, breaks, xstars)
+        # Edge offsets from the half angle, with h = (b - a)/2:
+        #   x - a = 2h cos^2(theta/2),  b - x = 2h sin^2(theta/2).
+        # A node t < 0 sits at theta = pi + t, where cos^2(theta/2) =
+        # sin^2(t/2), so each offset comes from the node's small angle and
+        # keeps its digits next to its edge, also when a is zero or within
+        # round-off of it. h^2 sin^2(theta) is their product, so the MP
+        # bulk weight is w (x - a)(b - x) / x.
+        two_h = b - a
+        cos2, sin2 = two_h * np.cos(0.5 * t) ** 2, two_h * np.sin(0.5 * t) ** 2
+        above_lo = np.where(t > 0.0, cos2, sin2)
+        self._below_hi = np.where(t > 0.0, sin2, cos2)
+        self.x = a + above_lo
+        self.mp_bulk = w_theta * above_lo * self._below_hi / (
+            2.0 * math.pi * model.sigma0_sq * model.c * self.x)
 
         s = model.s
-        self.nu_coeffs = [nu_affine(model, d) for d in model.deltas]
-        if s:
-            self.nu_vals = np.array([p + q * self.x for (p, q) in self.nu_coeffs])
-        else:
-            self.nu_vals = np.zeros((0, self.x.size))
-        self.delta_bulk = [
-            self._delta_bulk_weights(d) for d in model.deltas
-        ]
-
+        self.delta_bulk = [self._delta_bulk_weights(d) for d in model.deltas]
         alphas = model.alphas
-        self.omega0 = 1.0 - float(np.sum(alphas**2)) / model.r**2
-        self.omegas = alphas**2 / model.r**2
-        self.alpha_bulk = self.omega0 * self.mp_bulk
+        omega0 = 1.0 - float(np.sum(alphas**2)) / model.r**2
+        omegas = alphas**2 / model.r**2
+        self.alpha_bulk = omega0 * self.mp_bulk
         for j in range(s):
-            self.alpha_bulk = self.alpha_bulk + self.omegas[j] * self.delta_bulk[j]
+            self.alpha_bulk = self.alpha_bulk + omegas[j] * self.delta_bulk[j]
 
         # Atom layout.
         locs, mp_m, d_m = [], [], []
-        self.zero_atom = model.c > 1
-        if self.zero_atom:
+        if model.c > 1:
             locs.append(0.0)
             mp_m.append(mp_atom_at_zero(model))
             d_m.append([spiked_atom_at_zero(model, d) for d in model.deltas])
-        self.xstars = np.array([outlier_location(model, d) for d in model.deltas])
-        self.above = model.deltas > model.bbp_threshold
         self.outlier_slot = {}
         for j in range(s):
-            if self.above[j]:
+            if model.deltas[j] > model.bbp_threshold:
                 self.outlier_slot[j] = len(locs)
-                locs.append(self.xstars[j])
+                locs.append(xstars[j])
                 mp_m.append(0.0)
                 d_m.append([outlier_atom_mass(model, model.deltas[j]) if i == j else 0.0
                             for i in range(s)])
         self.atom_locs = np.array(locs)
         self.atom_mp = np.array(mp_m)
         self.atom_delta = np.array(d_m).reshape(len(locs), s).T if locs else np.zeros((s, 0))
-        self.atom_alpha = self.omega0 * self.atom_mp
+        self.atom_alpha = omega0 * self.atom_mp
         for j in range(s):
-            self.atom_alpha = self.atom_alpha + self.omegas[j] * self.atom_delta[j]
+            self.atom_alpha = self.atom_alpha + omegas[j] * self.atom_delta[j]
 
     # -- integral helpers ---------------------------------------------------
 
@@ -576,25 +542,14 @@ class SpectralGrid:
 
         nu(x) = (x_star - x)/g with g = c sigma0^2 (delta + sigma0^2)/delta.
         x_star - x is formed as (x_star - b) + (b - x) from the closed
-        forms (delta - sigma0^2 sqrt(c))^2 / delta and half (1 - u), so it
-        keeps its digits at the nodes next to the edge when the spike sits
-        near the detachment point. When the outlier sits on the edge the
-        1/(x_star - x) factor cancels against the edge factor, so the
-        reduced form is used.
+        forms (delta - sigma0^2 sqrt(c))^2 / delta and 2h sin^2(theta/2),
+        so it keeps its digits at the nodes next to the edge when the spike
+        sits near the detachment point.
         """
         model = self.model
         g = model.c * model.sigma0_sq * (delta + model.sigma0_sq) / delta
         gap = (delta - model.bbp_threshold) ** 2 / delta
-        pref = (
-            self._w_theta * self._half**2 * g
-            / (2.0 * math.pi * model.sigma0_sq * model.c)
-        )
-        if gap <= 1e-12 * self.bulk_hi:
-            # x_star - x reduces to half (1 - u)
-            if self.bulk_lo == 0.0:
-                return pref / self._half**2
-            return pref * (1.0 + self._u) / (self.x * self._half)
-        return pref * self._edge_ratio / (gap + self._half * (1.0 - self._u))
+        return self.mp_bulk * g / (gap + self._below_hi)
 
     def _values(self, fn, pts):
         # dtype preserved so complex integrands (resolvent tests) work
@@ -638,11 +593,9 @@ class SpectralGrid:
 
 
 @lru_cache(maxsize=128)
-def _grid_cached(model: SpikedModel, n_nodes: int, breaks: tuple) -> SpectralGrid:
-    return SpectralGrid(model, n_nodes, breaks)
+def _grid_cached(model: SpikedModel, breaks: tuple) -> SpectralGrid:
+    return SpectralGrid(model, breaks=breaks)
 
 
-def get_grid(model: SpikedModel, n_nodes: int | None = None,
-             breaks: tuple[float, ...] = ()) -> SpectralGrid:
-    n = default_node_count() if n_nodes is None else int(n_nodes)
-    return _grid_cached(model, n, tuple(breaks))
+def get_grid(model: SpikedModel, breaks: tuple[float, ...] = ()) -> SpectralGrid:
+    return _grid_cached(model, tuple(breaks))

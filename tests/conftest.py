@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -62,3 +64,39 @@ def random_model(rng, s=None, c_range=(0.3, 4.0), force_above_bbp=False):
             return SpikedModel(sigma0_sq, c, spikes, r, sigma_eps_sq)
         except Exception:
             continue
+
+
+def _reference_panels(a, b, breaks, xstars=()):
+    """Converged stand-in for spectra._theta_panels, in the same form.
+
+    64-node Gauss-Legendre panels of width at most pi/64, graded
+    geometrically down to 1e-9 at both ends of [0, pi] whatever the model.
+    Each half is built as offsets from its own end and a node of the half
+    next to theta = pi is returned as theta - pi < 0.
+    """
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+
+    def panels(knots):
+        t = 1e-9
+        while t < math.pi / 64:
+            knots.add(t)
+            t *= 2.0
+        knots = sorted(knots)
+        edges = [0.0]
+        for lo, hi in zip(knots[:-1], knots[1:]):
+            k = math.ceil((hi - lo) / (math.pi / 64))
+            edges.extend(lo + (hi - lo) * i / k for i in range(1, k))
+            edges.append(hi)
+        edges = np.array(edges)
+        centre, width = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+        u, w = np.polynomial.legendre.leggauss(64)
+        return ((centre[:, None] + width[:, None] * u).ravel(),
+                (width[:, None] * w).ravel())
+
+    upper, lower = {0.0, 0.5 * math.pi}, {0.0, 0.5 * math.pi}
+    for xb in breaks:
+        if a < xb < b:
+            (upper if xb >= mid else lower).add(math.acos(abs(xb - mid) / half))
+    t_up, w_up = panels(upper)
+    t_lo, w_lo = panels(lower)
+    return np.concatenate([-t_lo, t_up]), np.concatenate([w_lo, w_up])

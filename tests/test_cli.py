@@ -320,13 +320,49 @@ def test_federated_isotropic_json(tmp_path):
     assert payload["sd_params"]["xis"] == []
 
 
-def test_env_var_node_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("SPECTRAL_DISTILL_NODES", "256")
-    cfg = write_cfg(tmp_path, {"model": FIG1_MODEL, "optimal": {}})
-    out = tmp_path / "opt.json"
-    assert main(["optimal", "--config", cfg, "--out", str(out)]) == 0
-    payload = json.loads(out.read_text())
-    assert payload["b"][0] == pytest.approx(9.75, abs=1e-9)
+def _flat_floats(text):
+    """Every float of a JSON or CSV output, in order, bar the self-check."""
+    if text.startswith("{"):
+        payload = json.loads(text)
+        payload.pop("self_check")
+        out = []
+
+        def walk(v):
+            if isinstance(v, dict):
+                v = list(v.values())
+            if isinstance(v, list):
+                for item in v:
+                    walk(item)
+            elif isinstance(v, float):
+                out.append(v)
+
+        walk(payload)
+        return out
+    rows = [line.split(",")[1:] for line in text.splitlines()[2:]]
+    return [float(v) for row in rows for v in row if v]
+
+
+@pytest.mark.parametrize("command,block", [
+    ("optimal", {}),
+    ("risk", {"rules": [{"kind": "ridge", "lambdas": [0.01, 0.5]},
+                        {"kind": "gd", "etas": [0.1, 0.01], "steps": [10, 1000]},
+                        {"kind": "optimal_pred"}, {"kind": "optimal_est"}]}),
+])
+def test_c_next_to_one_matches_c_one(tmp_path, command, block):
+    # at c = 1 +- 1e-8 the lower bulk edge sits 2.5e-17 from zero; every
+    # number printed there agrees with c = 1
+    values = []
+    for c in (1.0 - 1e-8, 1.0, 1.0 + 1e-8):
+        model = {"sigma0_sq": 1.0, "c": c, "r": 2.0, "sigma_eps_sq": 1.0,
+                 "spikes": [{"delta": 3.0, "alpha": 0.6}]}
+        cfg = write_cfg(tmp_path, {"model": model, command: block})
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        values.append(_flat_floats(out.read_text()))
+    for near in (values[0], values[2]):
+        assert len(near) == len(values[1])
+        for got, want in zip(near, values[1]):
+            assert abs(got - want) <= 1e-6 * abs(want)
 
 
 NAN, INF = float("nan"), float("inf")

@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 import spectral_distill as sd
 from spectral_distill import AssumptionError, SDParams, SpikedModel
 
+from conftest import _reference_panels
+
 
 def sd_recursion_oracle(params, x):
     """Stage-by-stage scalar recursion, independent of the closed form.
@@ -194,29 +196,6 @@ def test_pcr_component_limit_matches_tau_to_zero(fig4_model):
     assert sd.pcr_component_limit_risk(fig4_model).variance == 0.0
 
 
-def _reference_panels(a, b, breaks, xstars=()):
-    # 64-node Gauss-Legendre panels of width at most pi/64, graded
-    # geometrically down to 1e-9 at both ends of [0, pi] whatever the model
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    knots = {0.0, math.pi}
-    knots.update(math.acos((xb - mid) / half) for xb in breaks if a < xb < b)
-    t = 1e-9
-    while t < math.pi / 64:
-        knots.update((t, math.pi - t))
-        t *= 2.0
-    knots = sorted(knots)
-    edges = [0.0]
-    for lo, hi in zip(knots[:-1], knots[1:]):
-        k = math.ceil((hi - lo) / (math.pi / 64))
-        edges.extend(lo + (hi - lo) * i / k for i in range(1, k))
-        edges.append(hi)
-    edges = np.array(edges)
-    centre, width = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
-    u, w = np.polynomial.legendre.leggauss(64)
-    return ((centre[:, None] + width[:, None] * u).ravel(),
-            (width[:, None] * w).ravel())
-
-
 PANEL_MODELS = {
     "fig4": SpikedModel(1.0, 2.0, ((7.0, 1.7),), 2.0, 4.0),
     "c_below_one": SpikedModel(1.0, 0.5, ((1.5, 0.6),), 2.0, 1.0),
@@ -247,6 +226,53 @@ def test_panel_risks_match_converged_reference(name, monkeypatch):
             ref = _panel_risks(model, tau)
         sd.spectra._grid_cached.cache_clear()
         assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))
+
+
+EDGE_MODELS = {
+    "c_0.999": SpikedModel(1.0, 1.0 - 1e-3, ((3.0, 0.6),), 2.0, 1.0),
+    "c_1.001": SpikedModel(1.0, 1.0 + 1e-3, ((3.0, 0.6),), 2.0, 1.0),
+    "c_1+1e-6": SpikedModel(1.0, 1.0 + 1e-6, ((3.0, 0.6),), 2.0, 1.0),
+    "above_detachment": SpikedModel(
+        1.0, 2.0, (((1.0 + 1e-5) * math.sqrt(2.0), 0.6), (4.0, 0.5)), 2.0, 1.0),
+    "below_detachment": SpikedModel(
+        1.0, 2.0, (((1.0 - 1e-5) * math.sqrt(2.0), 0.6), (4.0, 0.5)), 2.0, 1.0),
+}
+
+
+def _edge_values(model):
+    sd.spectra._grid_cached.cache_clear()
+    rules = {
+        "ridge": sd.Ridge(0.3),
+        "gd_0.1x1000": sd.GDPoly(0.1, 1000),
+        "gd_0.01x10": sd.GDPoly(0.01, 10),
+        "optimal_pred": sd.optimal_pred_rule(model)[0],
+        "optimal_est": sd.optimal_est_rule(model),
+        "min_norm": sd.min_norm_surrogate(model),
+    }
+    out = {name: np.array([sd.limiting_pred_risk(model, f).total,
+                           sd.limiting_est_risk(model, f).total])
+           for name, f in rules.items()}
+    out["H"] = sd.gram_system(model).H
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_MODELS))
+def test_edge_regime_risks_match_converged_reference(name, monkeypatch):
+    # c next to 1 puts the lower bulk edge next to zero and a spike next
+    # to sigma0^2 sqrt(c) puts its outlier next to the upper edge; the
+    # grid of rules without breaks still agrees with the converged
+    # reference, min-norm's 1/x next to zero included
+    model = EDGE_MODELS[name]
+    got = _edge_values(model)
+    with monkeypatch.context() as patch:
+        patch.setattr(sd.spectra, "_theta_panels", _reference_panels)
+        ref = _edge_values(model)
+        # the reference reached the grid of rules without breaks
+        a, b = sd.mp_support(model)
+        assert sd.get_grid(model).x.size == _reference_panels(a, b, ())[0].size
+    sd.spectra._grid_cached.cache_clear()
+    for key in got:
+        assert np.all(np.abs(got[key] - ref[key]) <= 1e-13 * np.abs(ref[key])), key
 
 
 def test_min_norm_surrogate_requires_spectral_gap():

@@ -333,7 +333,7 @@ def test_quantile_monotone():
 
 def test_plain_grid_mp_moments():
     model = iso(1.4, 0.7)
-    grid = sd.get_grid(model, 1024)
+    grid = sd.get_grid(model)
     w, x = grid.mp_bulk, grid.x
     assert abs(w.sum() - min(1.0, 1.0 / model.c)) < 1e-10
     assert abs(w @ x - model.sigma0_sq) < 1e-8
@@ -350,22 +350,23 @@ def test_plain_grid_mp_moments():
     assert abs(w @ x**3 - mp_moment(3, model.c, model.sigma0_sq)) < 1e-8
 
 
-def test_plain_grid_nodes_in_bulk_and_size_check():
-    # the edge nodes carry no MP weight; the rest lie inside the bulk
-    model = iso(1.0, 4.0)
-    grid = sd.get_grid(model, 64)
-    a, b = sd.mp_support(model)
-    assert grid.n_nodes == 64 and grid.x.size == 66
-    assert grid.x[0] == a and grid.x[-1] == b
-    assert grid.mp_bulk[0] == 0.0 and grid.mp_bulk[-1] == 0.0
-    assert np.all(grid.x[1:-1] > a) and np.all(grid.x[1:-1] < b)
-    with pytest.raises(ValueError):
-        sd.get_grid(model, 8)
+def test_plain_grid_nodes_in_bulk():
+    # every node lies strictly inside the bulk and carries MP weight, also
+    # when the lower edge is zero (c = 1) or within round-off of it
+    for c in (4.0, 1.0, 1.0 + 1e-8):
+        model = iso(1.0, c)
+        grid = sd.get_grid(model)
+        a, b = sd.mp_support(model)
+        assert np.all(grid.x > a) and np.all(grid.x < b)
+        assert np.all(grid.mp_bulk > 0.0)
 
 
-def test_env_var_overrides_node_count(monkeypatch):
-    monkeypatch.setenv("SPECTRAL_DISTILL_NODES", "512")
-    assert sd.spectra.default_node_count() == 512
-    monkeypatch.setenv("SPECTRAL_DISTILL_NODES", "4")
-    with pytest.raises(ValueError):
-        sd.spectra.default_node_count()
+@pytest.mark.parametrize("c", [1 - 1e-3, 1 + 1e-3, 1 - 1e-6, 1 + 1e-6, 1 + 1e-9])
+def test_plain_grid_inverse_moment_next_to_c_one(c):
+    # int 1/x dF_MP over the bulk is 1/(s0 (1 - c)) for c < 1 and
+    # 1/(s0 c (c - 1)) for c > 1; next to c = 1 it is carried by the nodes
+    # next to the lower edge, (1 - sqrt(c))^2 s0 from zero
+    model = iso(1.3, c)
+    grid = sd.get_grid(model)
+    want = 1.0 / (1.3 * (1.0 - c)) if c < 1 else 1.0 / (1.3 * c * (c - 1.0))
+    assert abs(grid.mp_bulk @ (1.0 / grid.x) - want) <= 1e-13 * want
