@@ -9,8 +9,10 @@ it). Closed-form and risk models are drawn with the seeded generator of
 9 and 2003 whose chain round trip once missed its tolerance; the rest are
 the README examples, isotropic (s = 0) models under every command that
 builds an optimal rule, edge-regime models (c next to or at 1, a spike
-just above the detachment point) under `optimal` and `risk`, and a few
-measure/sweep configs. Rerunning the script
+just above the detachment point) under `optimal` and `risk`, Monte Carlo
+`simulate` runs (spiked p > n with every estimator kind, p <= n, and
+rademacher and student-t entries), a spiked `sweep` with a `sim` block,
+and a few measure/sweep configs. Rerunning the script
 rewrites every expected output with the current program's, so run it only
 when an output is meant to change, and review the diff.
 """
@@ -67,6 +69,19 @@ EDGE_RULES = [
     {"kind": "gd", "etas": [0.1, 0.01], "steps": [10, 1000]},
     {"kind": "optimal_pred"}, {"kind": "optimal_est"},
 ]
+MC_ESTIMATORS = ["ridge_tuned", "sd_optimal", "pcr:1", "pcr:30", "minnorm",
+                 "gd:0.05:100"]
+SIMULATE_CASES = {
+    "readme-sim": (README_MODEL, {"n": 80, "p": 160}, MC_ESTIMATORS),
+    "c05-sim": (_edge_model(0.5, [(3.0, 0.6)]), {"n": 120, "p": 60},
+                ["ridge_tuned", "sd_optimal", "pcr:1", "minnorm", "gd:0.05:100"]),
+    "rademacher-sim": (README_MODEL, {"n": 80, "p": 160,
+                                      "entry_dist": "rademacher"},
+                       ["ridge_tuned", "ridge:0.5", "minnorm"]),
+    "student-sim": (README_MODEL, {"n": 80, "p": 160, "entry_dist": "student_t",
+                                   "student_df": 12.0},
+                    ["ridge_tuned", "ridge:0.5", "gd:0.05:100"]),
+}
 FIG3_MODEL = {"sigma0_sq": 1.0, "c": 3.0, "r": 8.0, "sigma_eps_sq": 16.0,
               "spikes": [{"delta": 5.0, "alpha": 6.0}]}
 
@@ -120,6 +135,13 @@ def cases() -> dict:
         "parameter": "sigma_eps_sq", "values": [0.5, 3.0],
         "estimators": ["ridge_tuned", "sd_optimal", "ridge:0.5"],
         "sim": {"n": 60, "p": 120, "seed": 7, "n_replicates": 3}}})
+    for label, (model, sizes, ests) in SIMULATE_CASES.items():
+        out[f"simulate__{label}"] = ("simulate", {"model": model, "simulate": {
+            **sizes, "seed": 3, "n_replicates": 4, "estimators": ests}})
+    out["sweep__readme-sim"] = ("sweep", {"model": README_MODEL, "sweep": {
+        "parameter": "delta", "values": [4.0, 7.0],
+        "estimators": ["ridge_tuned", "sd_optimal", "pcr:2", "minnorm"],
+        "sim": {"n": 60, "p": 120, "seed": 11, "n_replicates": 3}}})
     out["measure__fig1"] = ("measure", {"model": FIG1_MODEL,
                                         "measure": {"grid_size": 64}})
     out["measure__readme"] = ("measure", {"model": README_MODEL, "measure": {
