@@ -87,6 +87,7 @@ from .montecarlo import (
     fit_gd,
     fit_aggregated,
     sigma_risk,
+    coordinate_risk,
     converge_harness,
     harness_suite,
 )

@@ -1,9 +1,10 @@
 """Finite-sample simulator and convergence harness.
 
 Generates spiked-model data, fits every estimator with a limiting-risk
-formula, computes exact Sigma-norm risks through the spike decomposition
-(no p x p covariance is ever materialized), and compares replicate
-averages against asymptotic targets.
+formula as coordinates in the sample eigenbasis (no p x n eigenvector
+matrix and no p x p covariance is ever materialized), computes exact
+Sigma-norm risks from those coordinates through the spike decomposition,
+and compares replicate averages against asymptotic targets.
 
 Randomness uses counter-based Philox streams keyed by
 (seed, replicate, role[, client]) so replicates and clients are
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .shrinkage import SDParams, ShrinkageFn
+from .shrinkage import GDPoly, SDParams, ShrinkageFn
 from .spectra import SpikedModel
 
 _ROLE_IDS = {"signal": 0, "design": 1, "noise": 2}
@@ -49,6 +50,8 @@ class SimConfig:
             raise ValueError("n_replicates must be positive")
         if self.entry_dist not in _ENTRY_DISTS:
             raise ValueError(f"entry_dist must be one of {_ENTRY_DISTS}")
+        if not math.isfinite(self.student_df):
+            raise ValueError("student_df must be finite")
         if self.entry_dist == "student_t" and not self.student_df > 8:
             raise ValueError(
                 "student_t entries need df > 8 to satisfy the 8+eta moment condition"
@@ -122,7 +125,8 @@ def gen_data(cfg: SimConfig, replicate: int = 0, client: int | None = None,
     """One dataset (X, y, beta0, V).
 
     X = Z Sigma^{1/2} applied through the spike identity
-    Sigma^{1/2} = sigma0 I + sum_j (sqrt(delta_j + sigma0^2) - sigma0) v_j v_j';
+    Sigma^{1/2} = sigma0 I + sum_j (sqrt(delta_j + sigma0^2) - sigma0) v_j v_j',
+    as one in-place rank-s update of sigma0 Z;
     beta0 satisfies ||beta0|| = r and beta0'v_j = alpha_j exactly, with the
     remainder drawn uniformly in the orthocomplement of span(v_j).
     The signal (beta0, V) comes from cfg's signal stream unless given:
@@ -131,12 +135,12 @@ def gen_data(cfg: SimConfig, replicate: int = 0, client: int | None = None,
     model = cfg.model
     beta0, V = _signal(cfg, replicate) if signal is None else signal
     rng_x = _rng(cfg.seed, replicate, "design", client)
-    Z = _draw_entries(rng_x, (cfg.n, cfg.p), cfg.entry_dist, cfg.student_df)
+    X = _draw_entries(rng_x, (cfg.n, cfg.p), cfg.entry_dist, cfg.student_df)
     sigma0 = math.sqrt(model.sigma0_sq)
-    X = sigma0 * Z
-    for j in range(model.s):
-        coef = math.sqrt(model.deltas[j] + model.sigma0_sq) - sigma0
-        X += coef * np.outer(Z @ V[:, j], V[:, j])
+    ZV = X @ V
+    X *= sigma0
+    if model.s:
+        X += (ZV * (np.sqrt(model.deltas + model.sigma0_sq) - sigma0)) @ V.T
     rng_e = _rng(cfg.seed, replicate, "noise", client)
     eps = rng_e.standard_normal(cfg.n) * math.sqrt(model.sigma_eps_sq)
     y = X @ beta0 + eps
@@ -147,45 +151,61 @@ def gen_data(cfg: SimConfig, replicate: int = 0, client: int | None = None,
 class SampleSpectrum:
     """Thin eigendecomposition of Sigma_hat = X'X/n.
 
-    Only the min(n, p) possibly-nonzero eigenpairs are kept; for p > n the
-    remaining p - n eigenvalues are exactly zero and their directions are
-    annihilated by X'y, so they never enter a fit.
+    Only the k = min(n, p) possibly-nonzero eigenpairs are kept; for p > n
+    the remaining p - n eigenvalues are exactly zero and their directions
+    are annihilated by X'y, so they never enter a fit. Fits live in the
+    coordinates of the kept eigenvectors W (p x k), which is never formed
+    when p > n: there W = X'U / sqrt(n d) for the eigenvectors U of
+    X X'/n, so `project` and `lift` go through X and the n x k matrix U.
     """
 
     d: np.ndarray
-    W: np.ndarray
     z: np.ndarray  # W' X'y / n
     n: int
     p: int
+    U: np.ndarray  # eigenvectors of X X'/n (p > n) or of X'X/n (p <= n)
+    X: np.ndarray | None = None  # the design when p > n, else None
+    scale: np.ndarray | None = None  # 1/sqrt(n d) when p > n, else None
+
+    def project(self, v: np.ndarray) -> np.ndarray:
+        """W'v for a p-vector or a p x m matrix v."""
+        if self.X is None:
+            return self.U.T @ v
+        scale = self.scale if np.ndim(v) == 1 else self.scale[:, None]
+        return (self.U.T @ (self.X @ v)) * scale
+
+    def lift(self, c: np.ndarray) -> np.ndarray:
+        """W c: the p-vector with sample-eigenbasis coordinates c."""
+        if self.X is None:
+            return self.U @ c
+        return self.X.T @ (self.U @ (c * self.scale))
 
 
 def decompose(X: np.ndarray, y: np.ndarray | None = None) -> SampleSpectrum:
     n, p = X.shape
     if p <= n:
-        d, W = np.linalg.eigh(X.T @ X / n)
-    else:
-        # Gram trick: eigendecompose the n x n matrix and lift.
-        dg, U = np.linalg.eigh(X @ X.T / n)
-        keep = dg > max(dg[-1], 0.0) * 1e-14
-        dg, U = dg[keep], U[:, keep]
-        W = (X.T @ U) / np.sqrt(n * dg)
-        d = dg
-    d = np.clip(d, 0.0, None)
-    z = W.T @ (X.T @ y) / n if y is not None else np.zeros_like(d)
-    return SampleSpectrum(d, W, z, n, p)
+        d, U = np.linalg.eigh(X.T @ X / n)
+        d = np.clip(d, 0.0, None)
+        z = U.T @ (X.T @ y) / n if y is not None else np.zeros_like(d)
+        return SampleSpectrum(d, z, n, p, U)
+    # Gram trick: eigendecompose the n x n matrix; W stays implicit.
+    d, U = np.linalg.eigh(X @ X.T / n)
+    keep = d > max(d[-1], 0.0) * 1e-14
+    d, U = d[keep], U[:, keep]
+    z = np.sqrt(d / n) * (U.T @ y) if y is not None else np.zeros_like(d)
+    return SampleSpectrum(d, z, n, p, U, X, 1.0 / np.sqrt(n * d))
 
 
 def apply_rule_to_vector(spectrum: SampleSpectrum, f: ShrinkageFn,
                          v: np.ndarray) -> np.ndarray:
     """f(Sigma_hat) v, including the implicit zero-eigenvalue directions."""
     vals = _apply_rule_values(f, spectrum.d)
-    coords = spectrum.W.T @ v
-    out = spectrum.W @ (vals * coords)
-    if spectrum.W.shape[1] < spectrum.p:
+    coords = spectrum.project(v)
+    if spectrum.d.size < spectrum.p:
         f0 = float(np.asarray(f(np.zeros(1)))[0])
         if f0 != 0.0:
-            out = out + f0 * (v - spectrum.W @ coords)
-    return out
+            return spectrum.lift((vals - f0) * coords) + f0 * v
+    return spectrum.lift(vals * coords)
 
 
 def _apply_rule_values(f: ShrinkageFn, d: np.ndarray) -> np.ndarray:
@@ -199,17 +219,30 @@ def _apply_rule_values(f: ShrinkageFn, d: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FittedEstimator:
-    coefficients: np.ndarray
+    """A fit as coordinates in its spectrum's eigenbasis.
+
+    With `spectrum` None the coordinates are the p coefficients themselves
+    (an aggregate of fits on different designs).
+    """
+
+    coords: np.ndarray
+    spectrum: SampleSpectrum | None
     tag: str
     hyperparams: tuple = ()
+
+    @property
+    def coefficients(self) -> np.ndarray:
+        if self.spectrum is None:
+            return self.coords
+        return self.spectrum.lift(self.coords)
 
 
 def fit_shrinkage(X, y, f: ShrinkageFn, spectrum: SampleSpectrum | None = None
                   ) -> FittedEstimator:
     """beta_f = f(Sigma_hat) X'y/n via the sample eigenbasis."""
     sp = decompose(X, y) if spectrum is None else spectrum
-    beta = sp.W @ (_apply_rule_values(f, sp.d) * sp.z)
-    return FittedEstimator(beta, "shrinkage", (f,))
+    return FittedEstimator(_apply_rule_values(f, sp.d) * sp.z, sp, "shrinkage",
+                           (f,))
 
 
 def fit_sd(X, y, params: SDParams, spectrum: SampleSpectrum | None = None
@@ -235,7 +268,7 @@ def fit_sd(X, y, params: SDParams, spectrum: SampleSpectrum | None = None
     for t in range(1, len(lam)):
         xi = params.xis[t - 1]
         coords = pinv_scale(t) * ((1.0 - xi) * z + xi * d * coords)
-    return FittedEstimator(sp.W @ coords, "sd", (params,))
+    return FittedEstimator(coords, sp, "sd", (params,))
 
 
 def fit_pcr(X, y, m: int, spectrum: SampleSpectrum | None = None) -> FittedEstimator:
@@ -244,9 +277,10 @@ def fit_pcr(X, y, m: int, spectrum: SampleSpectrum | None = None) -> FittedEstim
     if not 1 <= m <= min(sp.n, sp.p):
         raise ValueError(f"m must be in 1..min(n, p) = {min(sp.n, sp.p)}")
     order = np.argsort(sp.d)[::-1][:m]
+    coords = np.zeros_like(sp.d)
     with np.errstate(divide="ignore"):
-        coords = np.where(sp.d[order] > 0, sp.z[order] / sp.d[order], 0.0)
-    return FittedEstimator(sp.W[:, order] @ coords, "pcr", (m,))
+        coords[order] = np.where(sp.d[order] > 0, sp.z[order] / sp.d[order], 0.0)
+    return FittedEstimator(coords, sp, "pcr", (m,))
 
 
 def fit_minnorm(X, y, spectrum: SampleSpectrum | None = None) -> FittedEstimator:
@@ -255,17 +289,14 @@ def fit_minnorm(X, y, spectrum: SampleSpectrum | None = None) -> FittedEstimator
     keep = sp.d > (sp.d.max() if sp.d.size else 1.0) * 1e-12
     coords = np.zeros_like(sp.d)
     coords[keep] = sp.z[keep] / sp.d[keep]
-    return FittedEstimator(sp.W @ coords, "minnorm")
+    return FittedEstimator(coords, sp, "minnorm")
 
 
 def fit_gd(X, y, eta: float, steps: int, spectrum: SampleSpectrum | None = None
            ) -> FittedEstimator:
     """Gradient descent from zero for `steps` iterations with step size eta."""
-    from .shrinkage import GDPoly
-
     sp = decompose(X, y) if spectrum is None else spectrum
-    vals = GDPoly(eta, steps)(sp.d)
-    return FittedEstimator(sp.W @ (vals * sp.z), "gd", (eta, steps))
+    return FittedEstimator(GDPoly(eta, steps)(sp.d) * sp.z, sp, "gd", (eta, steps))
 
 
 def sigma_risk(beta_hat, beta0, model: SpikedModel, V) -> float:
@@ -277,6 +308,26 @@ def sigma_risk(beta_hat, beta0, model: SpikedModel, V) -> float:
     for j in range(model.s):
         total += model.deltas[j] * float(V[:, j] @ d) ** 2
     return total
+
+
+def coordinate_risk(spectrum: SampleSpectrum, beta0, model: SpikedModel, V):
+    """sigma_risk of fits on `spectrum`, as a function of their coordinates.
+
+    Projects beta0 and V once: with b = W'beta0 and the spike projections
+    W'v_j, a fit W c has risk sigma0^2 (||c - b||^2 + ||beta0||^2 - ||b||^2)
+    + sum_j delta_j (c'W'v_j - v_j'beta0)^2, so no p-vector is formed.
+    """
+    proj = spectrum.project(np.column_stack([beta0, V]))
+    b, WV = proj[:, 0], proj[:, 1:]
+    outside = float(beta0 @ beta0) - float(b @ b)
+    alphas = V.T @ beta0
+
+    def risk(coords: np.ndarray) -> float:
+        e = coords - b
+        spikes = float(model.deltas @ (coords @ WV - alphas) ** 2)
+        return model.sigma0_sq * (float(e @ e) + outside) + spikes
+
+    return risk
 
 
 def fit_aggregated(cfgs, rules, rhos) -> FittedEstimator:
@@ -299,7 +350,7 @@ def fit_aggregated(cfgs, rules, rhos) -> FittedEstimator:
     for l, (cfg, f, rho) in enumerate(zip(cfgs, rules, rhos)):
         X, y, _, _ = gen_data(cfg, 0, l, signal)
         beta += rho * fit_shrinkage(X, y, f).coefficients
-    return FittedEstimator(beta, "aggregated", (tuple(rhos),))
+    return FittedEstimator(beta, None, "aggregated", (tuple(rhos),))
 
 
 def make_fitter(est):
@@ -336,10 +387,8 @@ class HarnessReport:
 def _replicate_risks(cfg: SimConfig, fitters: dict, replicate: int) -> dict:
     X, y, beta0, V = gen_data(cfg, replicate)
     sp = decompose(X, y)
-    return {
-        name: sigma_risk(fit(X, y, sp).coefficients, beta0, cfg.model, V)
-        for name, fit in fitters.items()
-    }
+    risk = coordinate_risk(sp, beta0, cfg.model, V)
+    return {name: risk(fit(X, y, sp).coords) for name, fit in fitters.items()}
 
 
 def harness_suite(cfg: SimConfig, estimators: dict, targets: dict,

@@ -393,6 +393,21 @@ def test_non_finite_rule_hyperparameter_is_config_error(tmp_path, capsys,
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("df", [INF, NAN], ids=["inf", "nan"])
+def test_non_finite_student_df_is_config_error(tmp_path, capsys, df):
+    # an infinite df once passed the df > 8 check, made every design entry
+    # NaN and printed the zero estimator's risk with exit code 0
+    cfg = write_cfg(tmp_path, {"model": ISO_MODEL, "simulate": {
+        "n": 40, "p": 80, "seed": 1, "n_replicates": 2,
+        "entry_dist": "student_t", "student_df": df,
+        "estimators": ["ridge:1.0"]}})
+    assert main(["simulate", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error:") and "finite" in captured.err
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("command,block", [
     ("risk", {"rules": [3]}),
     ("risk", {"rules": [{"kind": "sd", "lambdas": [None], "xis": []}]}),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,11 @@ def test_config_validation():
         SimConfig(model, n=10, p=20, seed=1, entry_dist="cauchy")
     with pytest.raises(ValueError):
         SimConfig(model, n=10, p=20, seed=1, entry_dist="student_t", student_df=6.0)
+    for df in (float("inf"), float("nan")):
+        # an infinite df once passed `df > 8` and made every entry NaN
+        with pytest.raises(ValueError, match="finite"):
+            SimConfig(model, n=10, p=20, seed=1, entry_dist="student_t",
+                      student_df=df)
     with pytest.warns(UserWarning):
         SimConfig(model, n=100, p=150, seed=1)  # p/n far from c
 
@@ -168,6 +175,88 @@ def test_sigma_risk_matches_fresh_sample_oracle():
     yt = Xt @ beta0 + rng.standard_normal(n_test) * np.sqrt(model.sigma_eps_sq)
     emp = np.mean((yt - Xt @ beta_hat) ** 2) - model.sigma_eps_sq
     assert abs(emp - exact) < 4 * np.std((yt - Xt @ beta_hat) ** 2) / np.sqrt(n_test)
+
+
+def _explicit_basis(X, y):
+    """d, W (p x k) and z = W'X'y/n with W formed explicitly."""
+    n, p = X.shape
+    if p <= n:
+        d, W = np.linalg.eigh(X.T @ X / n)
+    else:
+        d, U = np.linalg.eigh(X @ X.T / n)
+        W = X.T @ U / np.sqrt(n * d)
+    return d, W, W.T @ (X.T @ y) / n
+
+
+@pytest.fixture(scope="module", params=[(2.5, 80, 200), (0.4, 200, 80)],
+                ids=["p>n", "p<=n"])
+def basis_case(request):
+    c, n, p = request.param
+    model = SpikedModel(1.0, c, ((6.0, 1.2), (3.5, 0.8)), 2.0, 1.5)
+    X, y, beta0, V = sd.gen_data(SimConfig(model, n=n, p=p, seed=8))
+    return model, X, y, beta0, V, sd.decompose(X, y)
+
+
+def _estimator_cases(m_top):
+    """(estimator spec, rule values g(d)) for every estimator kind."""
+    params = SDParams((0.8, 2.0, 0.5), (0.4, -0.3))
+    chain = sd.sd_chain_fn(params)
+    return {
+        "ridge": (sd.Ridge(0.7), lambda d: 1.0 / (d + 0.7)),
+        "sd": (params, chain),
+        "pcr:1": (("pcr", 1), lambda d: np.where(d == d.max(), 1.0 / d, 0.0)),
+        f"pcr:{m_top}": (("pcr", m_top),
+                         lambda d: np.where(d >= np.sort(d)[-m_top], 1.0 / d, 0.0)),
+        "minnorm": (("minnorm",), lambda d: 1.0 / d),
+        "gd": (("gd", 0.05, 40), lambda d: (1.0 - (1.0 - 0.05 * d) ** 40) / d),
+    }
+
+
+def test_w_free_fits_match_explicit_w(basis_case):
+    model, X, y, beta0, V, sp = basis_case
+    d, W, z = _explicit_basis(X, y)
+    risk = sd.coordinate_risk(sp, beta0, model, V)
+    for name, (est, g) in _estimator_cases(10).items():
+        fit = sd.montecarlo.make_fitter(est)(X, y, sp)
+        want = W @ (g(d) * z)
+        got = fit.coefficients
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), name
+        lifted = sd.sigma_risk(got, beta0, model, V)
+        assert risk(fit.coords) == pytest.approx(lifted, rel=1e-12, abs=0), name
+
+
+def test_project_inverts_lift(basis_case):
+    model, X, y, beta0, V, sp = basis_case
+    c = np.random.default_rng(3).standard_normal(sp.d.size)
+    assert np.linalg.norm(sp.project(sp.lift(c)) - c) <= 1e-12 * np.linalg.norm(c)
+    block = np.column_stack([beta0, V])
+    assert np.allclose(sp.project(block)[:, 0], sp.project(beta0), rtol=0,
+                       atol=1e-14)
+
+
+def test_apply_rule_to_vector_with_nonzero_rule_at_zero(small_case):
+    # ridge has f(0) = 1/lam, so the p - n null directions of Sigma_hat count
+    model, cfg, X, y, beta0, V, sp = small_case
+    n, p = X.shape
+    lam = 0.6
+    got = sd.apply_rule_to_vector(sp, sd.Ridge(lam), beta0)
+    direct = np.linalg.solve(X.T @ X / n + lam * np.eye(p), beta0)
+    assert np.linalg.norm(got - direct) <= 1e-12 * np.linalg.norm(direct)
+
+
+def test_decompose_fit_and_risk_allocate_no_n_by_p_array():
+    model = SpikedModel(1.0, 3.0, ((7.0, 1.7),), 2.0, 4.0)
+    cfg = SimConfig(model, n=200, p=600, seed=2)
+    X, y, beta0, V = sd.gen_data(cfg)
+    tracemalloc.start()
+    try:
+        sp = sd.decompose(X, y)
+        fit = sd.fit_shrinkage(X, y, sd.Ridge(1.0), sp)
+        sd.coordinate_risk(sp, beta0, model, V)(fit.coords)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < X.nbytes, f"traced peak {peak} B >= {X.nbytes} B"
 
 
 def test_fit_aggregated_reductions(small_case):
