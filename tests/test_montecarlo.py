@@ -248,6 +248,8 @@ def test_decompose_fit_and_risk_allocate_no_n_by_p_array():
     model = SpikedModel(1.0, 3.0, ((7.0, 1.7),), 2.0, 4.0)
     cfg = SimConfig(model, n=200, p=600, seed=2)
     X, y, beta0, V = sd.gen_data(cfg)
+    # numpy reports its array buffers to tracemalloc; the spectrum, a fit
+    # and its risk need n x n and n-sized arrays, never another n x p one
     tracemalloc.start()
     try:
         sp = sd.decompose(X, y)
