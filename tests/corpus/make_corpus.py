@@ -12,17 +12,26 @@ builds an optimal rule, edge-regime models (c next to or at 1, a spike
 just above the detachment point) under `optimal` and `risk`, Monte Carlo
 `simulate` runs (spiked p > n with every estimator kind, p <= n, and
 rademacher and student-t entries), a spiked `sweep` with a `sim` block,
-and a few measure/sweep configs. Rerunning the script
-rewrites every expected output with the current program's, so run it only
-when an output is meant to change, and review the diff.
+many-spike models (s = 14, 16 and 20) under every closed-form command,
+and a few measure/sweep configs.
+
+    python tests/corpus/make_corpus.py 'optimal__many-*' ...
+
+rewrites only the cases whose names match one of the shell patterns.
+Rerunning the script rewrites every expected output with the current
+program's, so run it only when an output is meant to change, and review
+the diff.
 """
 
 from __future__ import annotations
 
+import fnmatch
 import json
 import math
 import os
 import sys
+
+import numpy as np
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(os.path.dirname(HERE))
@@ -35,6 +44,11 @@ from spectral_distill.cli import main  # noqa: E402
 # (seed, op index) of closed_form pool models whose outliers sit within
 # about 0.5% of each other.
 CLOSE_OUTLIERS = ((4, 1595), (9, 553), (9, 1033), (2003, 1219), (2003, 1418))
+# (s, draw index) of many-spike models: draw i of many_spike_models(s).
+# At s = 16 and 20 these are the first draws whose fixed-point residual
+# exceeded 1e-10 when the Newton slope of P came from monomial
+# coefficients.
+MANY_SPIKES = ((14, 0), (16, 2), (20, 1))
 PCR_TAUS = [0.05, 0.2]
 SD_RULE = {"kind": "sd", "lambdas": [1.0, 2.0], "xis": [0.5]}
 
@@ -82,6 +96,23 @@ SIMULATE_CASES = {
                                    "student_df": 12.0},
                     ["ridge_tuned", "ridge:0.5", "gd:0.05:100"]),
 }
+def many_spike_models(s: int, count: int) -> list[dict]:
+    """Seeded s-spike models: sigma0^2 = 1, c in (0.5, 3), delta in
+    (1.2, 12) sqrt(c), r = 2, sum alpha^2 = 0.81 r^2, random signs."""
+    rng = np.random.default_rng(0)
+    out = []
+    for _ in range(count):
+        c = float(rng.uniform(0.5, 3.0))
+        deltas = rng.uniform(1.2, 12.0, size=s) * math.sqrt(c)
+        alphas = rng.uniform(0.2, 1.0, size=s)
+        alphas *= 0.9 * 2.0 / np.linalg.norm(alphas)
+        alphas *= rng.choice([-1.0, 1.0], size=s)
+        out.append({"sigma0_sq": 1.0, "c": c, "r": 2.0, "sigma_eps_sq": 1.0,
+                    "spikes": [{"delta": float(d), "alpha": float(a)}
+                               for d, a in zip(deltas, alphas)]})
+    return out
+
+
 FIG3_MODEL = {"sigma0_sq": 1.0, "c": 3.0, "r": 8.0, "sigma_eps_sq": 16.0,
               "spikes": [{"delta": 5.0, "alpha": 6.0}]}
 
@@ -110,6 +141,10 @@ def cases() -> dict:
             {"kind": "pcr", "taus": PCR_TAUS}, SD_RULE]
         out[f"risk__s1-{i:03d}"] = ("risk", {"model": op.config["model"],
                                              "risk": {"rules": rules}})
+    for s, i in MANY_SPIKES:
+        model = many_spike_models(s, i + 1)[i]
+        for command in workloads.CLOSED_FORM_COMMANDS:
+            out[f"{command}__many-s{s}-{i}"] = closed_form(model, command)
     for command in workloads.CLOSED_FORM_COMMANDS:
         out[f"{command}__readme"] = closed_form(README_MODEL, command)
     out["risk__readme"] = ("risk", {"model": README_MODEL, "risk": {"rules": [
@@ -154,8 +189,10 @@ def cases() -> dict:
     return out
 
 
-def write():
+def write(patterns=()):
     for name, (command, config) in cases().items():
+        if patterns and not any(fnmatch.fnmatch(name, p) for p in patterns):
+            continue
         cfg = os.path.join(HERE, name + ".json")
         with open(cfg, "w") as fh:
             json.dump(config, fh, indent=1, sort_keys=True)
@@ -167,4 +204,4 @@ def write():
 
 
 if __name__ == "__main__":
-    write()
+    write(sys.argv[1:])
