@@ -310,11 +310,12 @@ def cmd_risk(config, out_path):
 
 def _optimum_payload(model, rule, b, sd_params):
     round_trip = optimal.sd_round_trip_error(model, rule, sd_params)
+    p_coeffs, q_coeffs = rule.monomial_coeffs()
     payload = {
         "b": list(b),
         "P_roots": list(rule.roots_of_p),
-        "P_coeffs": list(rule.p_coeffs),
-        "Q_coeffs": list(rule.q_coeffs),
+        "P_coeffs": list(p_coeffs),
+        "Q_coeffs": list(q_coeffs),
         "sd_params": {"lambdas": list(sd_params.lambdas),
                       "xis": list(sd_params.xis)},
         "risks": {
@@ -465,7 +466,8 @@ def cmd_sweep(config, out_path, threads=1, seed_override=None):
     spike_index = block.get("spike_index", 1)
     if param == "delta" and not 1 <= spike_index <= max(base.s, 1):
         raise ConfigError("sweep.spike_index out of range")
-    est_labels = block.get("estimators", [])
+    est_labels = [_coerce(label, str, "sweep.estimators[]")
+                  for label in block.get("estimators", [])]
     include_params = block.get("include_sd_params", False)
     sim_block = None
     if "sim" in block:

@@ -15,7 +15,7 @@ in the same weighted inner products, with cross-client product terms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -67,17 +67,10 @@ def federated_optimum(model: SpikedModel, K: int) -> FederatedOptimum:
             "aggregate leading coefficient b0^(K) must be nonzero; this model "
             "and K sit on the degenerate set where the weight/rule split fails"
         )
-    rn = measures.rn_polynomials(model)
-    p0 = optimal._denominator_coeffs(model, rn, model.sigma0_sq)
-    q0 = optimal._numerator_coeffs(rn, b)
-    lead = p0[-1]
-    p = p0 / lead
-    s0sq_r2_om0 = model.sigma0_sq * model.r**2 * measures.mixture_weights(model).omega0
-    rho = float(b[0] / s0sq_r2_om0)
-    roots = optimal.denominator_roots(model, p)
-    fK = RationalRule(tuple(p), tuple(q0 / lead), roots, tuple(b / lead), rn)
-    local = RationalRule(tuple(p), tuple(q0 / (lead * rho)), roots,
-                         tuple(b / (lead * rho)), rn)
+    rho = float(b[0] / (model.sigma0_sq * model.r**2
+                        * measures.mixture_weights(model).omega0))
+    local = optimal._factored_rule(model, b, model.sigma0_sq, rho)
+    fK = replace(local, q_nu=tuple(rho * np.asarray(local.q_nu)))
     params = optimal.synthesize_sd_params(local)
     return FederatedOptimum(K, tuple(b), rho, fK, local, params)
 

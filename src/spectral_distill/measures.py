@@ -29,20 +29,23 @@ class MixtureWeights:
 
 @dataclass(frozen=True)
 class RnPolynomials:
-    """Affine ratios nu_j and their products as coefficient sequences.
+    """Affine ratios nu_j and their products, kept in factored form.
 
     nu_j(x) = delta_j (x_star_j - x) / (c sigma0^2 (delta_j + sigma0^2)),
     nu = prod_j nu_j (degree s), nu_minus[i] = prod_{j != i} nu_j (degree
-    s-1). Coefficients are ascending; evaluation goes through the
-    factored form scale_j * (x_star_j - x) so nu_j vanishes exactly at
-    its outlier.
+    s-1). `affine` holds each nu_j as ascending coefficients (p_j, q_j);
+    evaluation goes through the factored form scale_j * (x_star_j - x),
+    so nu_j vanishes exactly at its outlier.
     """
 
     affine: tuple[tuple[float, float], ...]
     xstars: tuple[float, ...]
     scales: tuple[float, ...]
-    nu_coeffs: tuple[float, ...]
-    nu_minus_coeffs: tuple[tuple[float, ...], ...]
+
+    @property
+    def nu_lead(self) -> float:
+        """Leading coefficient of nu, prod_j (-scale_j)."""
+        return math.prod(-sc for sc in self.scales)
 
     def nu_j(self, j: int, x):
         return self.scales[j] * (self.xstars[j] - np.asarray(x, dtype=float))
@@ -63,24 +66,31 @@ class RnPolynomials:
         return out
 
     def combination(self, coeffs, x):
-        """coeffs[0] nu(x) + sum_j coeffs[j] nu_{-j}(x) (j = 1..s).
+        """Value and slope of coeffs[0] nu(x) + sum_j coeffs[j] nu_{-j}(x)
+        (j = 1..s), for constant coeffs.
 
         nu_{-j} is the product of the factors before j times those after
-        it, so running products give every term in O(s) array products.
-        A Python float x is evaluated in floats, without numpy overhead.
+        it, so running products give every term in O(s) array products,
+        and the product rule on the same running products gives the
+        slope. A Python float x is evaluated in floats, without numpy
+        overhead.
         """
         if not isinstance(x, float):
             x = np.asarray(x, dtype=float)
         factors = [sc * (xs - x) for sc, xs in zip(self.scales, self.xstars)]
         before = [1.0 if isinstance(x, float) else np.ones_like(x)]
-        for f in factors:
+        dbefore = [0.0 * before[0]]
+        for f, sc in zip(factors, self.scales):
+            dbefore.append(dbefore[-1] * f - before[-1] * sc)
             before.append(before[-1] * f)
-        out = coeffs[0] * before[-1]
-        after = 1.0
+        out, slope = coeffs[0] * before[-1], coeffs[0] * dbefore[-1]
+        after, dafter = 1.0, 0.0
         for j in range(len(factors) - 1, -1, -1):
             out = out + coeffs[j + 1] * (before[j] * after)
+            slope = slope + coeffs[j + 1] * (dbefore[j] * after + before[j] * dafter)
+            dafter = dafter * factors[j] - after * self.scales[j]
             after = after * factors[j]
-        return out
+        return out, slope
 
 
 def mixture_weights(model: SpikedModel) -> MixtureWeights:
@@ -95,17 +105,7 @@ def rn_polynomials(model: SpikedModel) -> RnPolynomials:
     affine = tuple(spectra.nu_affine(model, d) for d in deltas)
     xstars = tuple(spectra.outlier_location(model, d) for d in deltas)
     scales = tuple(-q for _, q in affine)
-    nu = np.array([1.0])
-    for p, q in affine:
-        nu = np.polynomial.polynomial.polymul(nu, [p, q])
-    minus = []
-    for i in range(model.s):
-        m = np.array([1.0])
-        for j, (p, q) in enumerate(affine):
-            if j != i:
-                m = np.polynomial.polynomial.polymul(m, [p, q])
-        minus.append(tuple(m))
-    return RnPolynomials(affine, xstars, scales, tuple(nu), tuple(minus))
+    return RnPolynomials(affine, xstars, scales)
 
 
 def _mu_all(model: SpikedModel, x) -> np.ndarray:

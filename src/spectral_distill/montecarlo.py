@@ -56,8 +56,11 @@ class SimConfig:
             raise ValueError(
                 "student_t entries need df > 8 to satisfy the 8+eta moment condition"
             )
-        if self.p < self.model.s:
-            raise ValueError("p must be at least the number of spikes")
+        if self.p <= self.model.s:
+            raise ValueError(
+                "p must exceed the number of spikes: the signal needs a "
+                "direction outside their span"
+            )
         if isinstance(self.spike_directions, str):
             if self.spike_directions != "random_orthonormal":
                 raise ValueError(

@@ -12,17 +12,18 @@ them negative and the positive ones interlacing the outliers; ordering
 those roots and matching coefficients turns Q/P into an s-step
 self-distillation chain.
 
-Optimal rules are `shrinkage.RationalRule`s, the one rational rule type:
-they carry the roots of P and keep Q in the factored nu basis of their
-model, so every risk, inner product and the chain synthesis reads Q in
-that form. The monomial coefficients serve output and the coprimality
-check.
+Optimal rules are `shrinkage.RationalRule`s, the one rational rule type,
+and stay in one basis, the factored nu products of their model: P is
+evaluated there, with its exact slope, to find its roots, which then
+define it; Q is kept as its nu-basis coefficients, which every risk,
+inner product, the coprimality check and the chain synthesis read.
+Monomial coefficients are formed only for output
+(`RationalRule.monomial_coeffs`).
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +32,6 @@ from . import measures
 from .errors import AssumptionError, NumericalError, StructuralError
 from .shrinkage import RationalRule, Ridge, SDParams, sd_chain_fn, validate_rule
 from .spectra import SpikedModel, bracketed_newton, get_grid
-
-_polyder = np.polynomial.polynomial.polyder
 
 
 class _DD:
@@ -128,62 +127,18 @@ def _require_noise(model: SpikedModel):
         )
 
 
-def _shift_up(coeffs: np.ndarray) -> np.ndarray:
-    # multiply polynomial by x
-    return np.concatenate([[0.0], coeffs])
-
-
-def _mixture_coeffs(model: SpikedModel, rn: measures.RnPolynomials) -> np.ndarray:
-    """omega0 nu + sum_j omega_j nu_{-j} (ascending coefficients)."""
-    w = measures.mixture_weights(model)
-    mix = w.omega0 * np.array(rn.nu_coeffs)
-    for om, nm in zip(w.omegas, rn.nu_minus_coeffs):
-        mix = np.polynomial.polynomial.polyadd(mix, om * np.array(nm))
-    return mix
-
-
-def _denominator_coeffs(model: SpikedModel, rn: measures.RnPolynomials,
-                        s0sq: float) -> np.ndarray:
-    """Unnormalized denominator s0sq (r^2 x mix + c sigma_eps^2 nu), ascending.
-
-    s0sq = sigma0^2 gives P0 of the prediction optimum, 1 that of the
-    estimation optimum; both have the same roots.
-    """
-    p0 = s0sq * model.r**2 * _shift_up(_mixture_coeffs(model, rn))
-    p0 = np.polynomial.polynomial.polyadd(
-        p0, model.c * s0sq * model.sigma_eps_sq * np.array(rn.nu_coeffs)
-    )
-    return p0
-
-
-def _numerator_coeffs(rn: measures.RnPolynomials, b: np.ndarray) -> np.ndarray:
-    s = len(rn.scales)
-    q0 = b[0] * np.array(rn.nu_coeffs)
-    for j in range(s):
-        q0 = np.polynomial.polynomial.polyadd(
-            q0, b[j + 1] * np.array(rn.nu_minus_coeffs[j])
-        )
-    # pad so deg Q0 slots align with deg P0 - 1 = s
-    if q0.size < s + 1:
-        q0 = np.concatenate([q0, np.zeros(s + 1 - q0.size)])
-    return q0
-
-
-def denominator_roots(model: SpikedModel, p_coeffs) -> tuple[float, ...]:
+def denominator_roots(model: SpikedModel) -> tuple[float, ...]:
     """All s+1 real roots of the monic denominator P, ascending.
 
-    P is evaluated in the factored nu basis of the model,
+    P is evaluated, with its slope, in the factored nu basis of the model,
     P ~ r^2 x (omega0 nu + sum_j omega_j nu_{-j}) + c sigma_eps^2 nu, whose
-    factors vanish exactly at their outliers: the monomial p_coeffs lose
-    digits to cancellation when outliers sit close together, so they only
-    set the Newton slope. The brackets are the analytic sign changes, one
-    between each pair of consecutive outliers, one beyond the last outlier
-    and one on the negative axis; at s = 0 only the last is there and the
-    root is -lambda* of the isotropic ridge.
+    factors vanish exactly at their outliers; monomial coefficients would
+    lose digits to cancellation when outliers sit close together or are
+    many. The brackets are the analytic sign changes, one between each
+    pair of consecutive outliers, one beyond the last outlier and one on
+    the negative axis; at s = 0 only the last is there and the root is
+    -lambda* of the isotropic ridge.
     """
-    p = np.asarray(p_coeffs, dtype=float)
-    if p.size != model.s + 2:
-        raise ValueError("denominator must have degree s+1")
     rn = measures.rn_polynomials(model)
     xs = sorted(rn.xstars)
     if any(hi - lo < 1e-9 * hi for lo, hi in zip(xs, xs[1:])):
@@ -193,25 +148,19 @@ def denominator_roots(model: SpikedModel, p_coeffs) -> tuple[float, ...]:
         )
     # monic P = (a0 x + noise) nu + sum_j a_j x nu_{-j}
     w = measures.mixture_weights(model)
-    lead = model.r**2 * w.omega0 * math.prod(-sc for sc in rn.scales)
+    lead = model.r**2 * w.omega0 * rn.nu_lead
     a0, noise = model.r**2 * w.omega0 / lead, model.c * model.sigma_eps_sq / lead
     a = [model.r**2 * om / lead for om in w.omegas]
 
-    def pv(x: float) -> float:
-        return rn.combination((a0 * x + noise, *(aj * x for aj in a)), x)
-
-    dp = _polyder(p)[::-1].tolist()
-
-    def dpv(x: float) -> float:
-        acc = 0.0
-        for coef in dp:
-            acc = acc * x + coef
-        return acc
+    def pv(x: float) -> tuple[float, float]:
+        val, slope = rn.combination((a0 * x + noise, *(aj * x for aj in a)), x)
+        # the coefficients vary with x too: add a0 nu + sum_j a_j nu_{-j}
+        return val, slope + rn.combination((a0, *a), x)[0]
 
     def root(lo, hi, flo):
-        return bracketed_newton(pv, dpv, lo, hi, 0.5 * (lo + hi), rising=flo < 0.0)
+        return bracketed_newton(pv, lo, hi, 0.5 * (lo + hi), rising=flo < 0.0)
 
-    f_xs = [pv(x) for x in xs]
+    f_xs = [pv(x)[0] for x in xs]
     roots = []
     for lo, hi, flo, fhi in zip(xs, xs[1:], f_xs, f_xs[1:]):
         if not flo * fhi < 0.0:
@@ -223,10 +172,10 @@ def denominator_roots(model: SpikedModel, p_coeffs) -> tuple[float, ...]:
     # push the far end out until P changes sign: beyond the last outlier,
     # then below zero
     outer = [(xs[-1], f_xs[-1], max(2.0 * xs[-1], xs[-1] + 1.0))] if xs else []
-    outer.append((0.0, pv(0.0), -max([1.0, *xs])))
+    outer.append((0.0, pv(0.0)[0], -max([1.0, *xs])))
     for near, f_near, far in outer:
         for _ in range(200):
-            f_far = pv(far)
+            f_far = pv(far)[0]
             if f_near * f_far < 0.0:
                 break
             far *= 2.0
@@ -246,17 +195,23 @@ def _solve_system(model: SpikedModel, dmat_diag: np.ndarray) -> np.ndarray:
     return b
 
 
-def _assemble(model: SpikedModel, b: np.ndarray) -> RationalRule:
+def _factored_rule(model: SpikedModel, q_nu, s0sq: float,
+                   rho: float = 1.0) -> RationalRule:
+    """Q0/(rho P0) as a rule with monic P, for
+    Q0 = q_nu[0] nu + sum_j q_nu[j] nu_{-j} and
+    P0 = s0sq (r^2 x (omega0 nu + sum_j omega_j nu_{-j}) + c sigma_eps^2 nu).
+
+    s0sq = sigma0^2 gives the denominator of the prediction optimum, 1
+    that of the estimation optimum; both have the same roots. P0's
+    leading coefficient is s0sq r^2 omega0 prod_j (-scale_j). rho scales
+    a federated optimum down to its local rule.
+    """
     rn = measures.rn_polynomials(model)
-    p0 = _denominator_coeffs(model, rn, model.sigma0_sq)
-    q0 = _numerator_coeffs(rn, b)
-    lead = p0[-1]
+    lead = s0sq * model.r**2 * (measures.mixture_weights(model).omega0 * rn.nu_lead)
     if lead == 0.0:
         raise NumericalError("denominator lost its leading coefficient")
-    p = p0 / lead
-    q = q0 / lead
-    roots = denominator_roots(model, p)
-    return RationalRule(tuple(p), tuple(q), roots, tuple(b / lead), rn)
+    return RationalRule(denominator_roots(model),
+                        q_nu=tuple(np.asarray(q_nu) / (lead * rho)), rn=rn)
 
 
 def fixed_point_residual(model: SpikedModel, rule: RationalRule) -> float:
@@ -281,7 +236,7 @@ def optimal_pred_rule(model: SpikedModel) -> tuple[RationalRule, OptimalCoeffici
     _require_noise(model)
     dmat = np.concatenate([[0.0], model.deltas * model.alphas**2])
     b = _solve_system(model, dmat)
-    rule = _assemble(model, b)
+    rule = _factored_rule(model, b, model.sigma0_sq)
     A = inner_products_with_basis(model, rule)
     return rule, OptimalCoefficients(tuple(b), tuple(A))
 
@@ -290,17 +245,8 @@ def optimal_est_rule(model: SpikedModel) -> RationalRule:
     """Estimation-risk-optimal rule; same denominator roots as the
     prediction optimum up to the sigma0^2 factor."""
     _require_noise(model)
-    rn = measures.rn_polynomials(model)
     w = measures.mixture_weights(model)
-    p0 = _denominator_coeffs(model, rn, 1.0)
-    q0 = model.r**2 * _mixture_coeffs(model, rn)
-    if q0.size < model.s + 1:
-        q0 = np.concatenate([q0, np.zeros(model.s + 1 - q0.size)])
-    lead = p0[-1]
-    p = tuple(p0 / lead)
-    q = tuple(q0 / lead)
-    q_nu = tuple(model.r**2 * np.array([w.omega0, *w.omegas]) / lead)
-    return RationalRule(p, q, denominator_roots(model, p), q_nu, rn)
+    return _factored_rule(model, model.r**2 * np.array([w.omega0, *w.omegas]), 1.0)
 
 
 def isotropic_optimal(model: SpikedModel) -> Ridge:
@@ -326,8 +272,10 @@ def synthesize_sd_params(rule: RationalRule) -> SDParams:
     """
     gammas_all = list(rule.roots_of_p)
     d = len(gammas_all) - 1
-    q = np.asarray(rule.q_coeffs, dtype=float)
-    lead_q = float(q[d]) if q.size > d else 0.0
+    if rule.rn is None:
+        lead_q = float(rule.q_coeffs[d]) if len(rule.q_coeffs) > d else 0.0
+    else:
+        lead_q = rule.q_nu[0] * rule.rn.nu_lead
     q_at = dict(zip(gammas_all, rule.q(np.array(gammas_all)).tolist()))
 
     chosen: list[float] = []
@@ -379,24 +327,18 @@ def synthesize_sd_params(rule: RationalRule) -> SDParams:
 def coprimality_check(rule: RationalRule) -> bool:
     """True iff P and Q share no root (tolerance relative to root spacing).
 
+    Q is read through `rule.q` at each root gamma_k of P and at
+    gamma_k -+ h, h = 1e-8 times the root spacing. The roots are exact to
+    a few ulp and Q is evaluated in its own basis, so its rounding error
+    is far below its change over h: a sign change (or a zero) among the
+    three values puts a root of Q within h of gamma_k.
     True implies no shorter self-distillation chain can realize the rule.
     """
-    q = np.asarray(rule.q_coeffs, dtype=float)
-    nz = np.nonzero(np.abs(q) > 0)[0]
-    if nz.size == 0:
-        return True  # zero numerator shares nothing
-    q = q[: nz[-1] + 1]
-    if q.size == 1:
-        return True
-    q_roots = np.polynomial.polynomial.polyroots(q)
     p_roots = np.asarray(rule.roots_of_p)
     spacing = np.min(np.diff(np.sort(p_roots))) if p_roots.size > 1 else 1.0
-    for qr in q_roots:
-        if abs(qr.imag) > 1e-8 * max(1.0, abs(qr.real)):
-            continue
-        if np.min(np.abs(p_roots - qr.real)) < 1e-8 * max(spacing, 1e-30):
-            return False
-    return True
+    h = 1e-8 * max(spacing, 1e-30)
+    lo, mid, hi = rule.q(p_roots[:, None] + np.array([-h, 0.0, h])).T
+    return not np.any((lo * mid <= 0.0) | (mid * hi <= 0.0))
 
 
 def sd_round_trip_error(model: SpikedModel, rule: RationalRule,

@@ -5,7 +5,7 @@ f(Sigma_hat) X'y/n with the pseudoinverse convention that eigendirections
 where |f| is infinite contribute nothing. Every rule is a ShrinkageFn:
 ridge, self-distillation chains, gradient-descent polynomials, ramped
 PCR / min-norm surrogates, tabulated values, and RationalRule, the one
-rational type. A RationalRule is Q/P with the roots of P known; the
+rational type. A RationalRule is Q/P with P given by its roots; the
 optimal rules of `optimal` evaluate Q in the factored nu basis of their
 model, hand-built ones from its coefficients.
 
@@ -110,18 +110,17 @@ class Ridge(ShrinkageFn):
 class RationalRule(ShrinkageFn):
     """Rational rule Q/P with monic P = prod_k (x - roots_of_p[k]).
 
-    `p_coeffs` and `q_coeffs` are the ascending coefficients of P and Q.
-    Hand-built rules evaluate Q from q_coeffs. Rules built from a model
-    (see `optimal`) also keep Q in the nu-product basis,
+    P is kept as its roots. Rules built from a model (see `optimal`) keep
+    Q in the nu-product basis of that model,
     Q = q_nu[0] nu + sum_j q_nu[j] nu_{-j}, and evaluate it through the
-    factored nu products of `rn`: the monomial q_coeffs cancel badly when
-    outliers (and so roots of P) sit close together, and serve only for
-    output and the coprimality check. The poles are the roots of P.
+    factored nu products of `rn`: monomial coefficients cancel badly when
+    outliers (and so roots of P) sit close together or are many.
+    Hand-built rules (rn None) give Q by its ascending monomial
+    coefficients `q_coeffs`. The poles are the roots of P.
     """
 
-    p_coeffs: tuple[float, ...]
-    q_coeffs: tuple[float, ...]
     roots_of_p: tuple[float, ...]
+    q_coeffs: tuple[float, ...] = ()
     q_nu: tuple[float, ...] = ()
     rn: RnPolynomials | None = None
 
@@ -133,7 +132,28 @@ class RationalRule(ShrinkageFn):
         x = np.asarray(x, dtype=float)
         if self.rn is None:
             return np.polynomial.polynomial.polyval(x, np.array(self.q_coeffs))
-        return self.rn.combination(self.q_nu, x)
+        return self.rn.combination(self.q_nu, x)[0]
+
+    def monomial_coeffs(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """Ascending coefficients of P and of Q (padded to deg P terms).
+
+        For output only: they lose digits to cancellation where the
+        factored forms do not.
+        """
+        p = np.ones(1)
+        for g in self.roots_of_p:
+            p = np.convolve(p, [-g, 1.0])
+        if self.rn is None:
+            q = np.array(self.q_coeffs, dtype=float)
+        else:
+            # expand q_nu[0] nu + sum_j q_nu[j] nu_{-j} one factor at a time:
+            # q <- q nu_j + q_nu[j] (product of the factors so far)
+            q, prod = np.array(self.q_nu[:1]), np.ones(1)
+            for c, affine in zip(self.q_nu[1:], self.rn.affine):
+                q = np.convolve(q, affine) + np.append(c * prod, 0.0)
+                prod = np.convolve(prod, affine)
+        q = np.concatenate([q, np.zeros(max(0, p.size - 1 - q.size))])
+        return tuple(p), tuple(q)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)

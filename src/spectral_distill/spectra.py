@@ -375,27 +375,27 @@ def _theta_panels(
     return np.concatenate([-t_lo, t_up[::-1]]), np.concatenate([w_lo, w_up[::-1]])
 
 
-def bracketed_newton(f, fprime, lo: float, hi: float, x: float, rising: bool,
+def bracketed_newton(f, lo: float, hi: float, x: float, rising: bool,
                      ftol: float = 0.0) -> float:
     """Zero of f in (lo, hi) by Newton steps kept inside a bisection bracket.
 
-    f changes sign on [lo, hi]: rising means f < 0 left of the zero. Each
+    f(x) returns the value and the slope at x, and changes sign on
+    [lo, hi]: rising means the value is negative left of the zero. Each
     evaluation shrinks the bracket to the side holding the zero; a Newton
     step that leaves it, or a zero slope, is replaced by bisection, except
     a step of round-off size, which ends the search. Stops when
-    |f(x)| <= ftol or a step moves x by at most 4 ulp. fprime only sets
-    the step, so an approximate derivative costs speed, not accuracy.
-    Works on Python floats.
+    |f(x)| <= ftol or a step moves x by at most 4 ulp. That stop needs an
+    accurate slope: a wrong one makes a tiny step while x is still far
+    from the zero. Works on Python floats.
     """
     for _ in range(100):
-        fx = f(x)
+        fx, slope = f(x)
         if abs(fx) <= ftol:
             break
         if (fx < 0.0) == rising:
             lo = x
         else:
             hi = x
-        slope = fprime(x)
         step = fx / slope if slope != 0.0 else math.inf
         tol = 4.0 * _EPS * abs(x)
         new = x - step
@@ -436,7 +436,7 @@ def mp_quantile_inverse(model: SpikedModel, tau: float) -> float:
         return half**2 * math.sin(theta) ** 2 / (x * norm)
 
     # the mass is increasing in theta and its derivative is the integrand
-    theta = bracketed_newton(lambda t: upper_mass(t) - tau, density,
+    theta = bracketed_newton(lambda t: (upper_mass(t) - tau, density(t)),
                              0.0, math.pi, 0.5 * math.pi, rising=True, ftol=1e-15)
     return float(mid + half * math.cos(theta))
 

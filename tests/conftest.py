@@ -26,6 +26,18 @@ def fig4_model():
     return SpikedModel(1.0, 2.0, ((7.0, 1.7),), 2.0, 4.0)
 
 
+def many_spike_model(rng, s):
+    """Model with s spikes above detachment: sigma0^2 = 1, c in (0.5, 3),
+    delta in (1.2, 12) sqrt(c), r = 2, sum alpha^2 = 0.81 r^2, random
+    signs. Outliers may sit arbitrarily close together."""
+    c = float(rng.uniform(0.5, 3.0))
+    deltas = rng.uniform(1.2, 12.0, size=s) * math.sqrt(c)
+    alphas = rng.uniform(0.2, 1.0, size=s)
+    alphas *= 0.9 * 2.0 / np.linalg.norm(alphas)
+    alphas *= rng.choice([-1.0, 1.0], size=s)
+    return SpikedModel(1.0, c, tuple(zip(deltas.tolist(), alphas.tolist())), 2.0, 1.0)
+
+
 def random_model(rng, s=None, c_range=(0.3, 4.0), force_above_bbp=False):
     """Valid random model away from the excluded degeneracies."""
     if s is None:

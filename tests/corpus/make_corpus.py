@@ -37,7 +37,9 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(os.path.dirname(HERE))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path.insert(0, os.path.dirname(HERE))
 
+import conftest  # noqa: E402
 import workloads  # noqa: E402
 from spectral_distill.cli import main  # noqa: E402
 
@@ -97,20 +99,13 @@ SIMULATE_CASES = {
                     ["ridge_tuned", "ridge:0.5", "gd:0.05:100"]),
 }
 def many_spike_models(s: int, count: int) -> list[dict]:
-    """Seeded s-spike models: sigma0^2 = 1, c in (0.5, 3), delta in
-    (1.2, 12) sqrt(c), r = 2, sum alpha^2 = 0.81 r^2, random signs."""
+    """The first `count` draws of conftest.many_spike_model at seed 0."""
     rng = np.random.default_rng(0)
-    out = []
-    for _ in range(count):
-        c = float(rng.uniform(0.5, 3.0))
-        deltas = rng.uniform(1.2, 12.0, size=s) * math.sqrt(c)
-        alphas = rng.uniform(0.2, 1.0, size=s)
-        alphas *= 0.9 * 2.0 / np.linalg.norm(alphas)
-        alphas *= rng.choice([-1.0, 1.0], size=s)
-        out.append({"sigma0_sq": 1.0, "c": c, "r": 2.0, "sigma_eps_sq": 1.0,
-                    "spikes": [{"delta": float(d), "alpha": float(a)}
-                               for d, a in zip(deltas, alphas)]})
-    return out
+    models = [conftest.many_spike_model(rng, s) for _ in range(count)]
+    return [{"sigma0_sq": m.sigma0_sq, "c": m.c, "r": m.r,
+             "sigma_eps_sq": m.sigma_eps_sq,
+             "spikes": [{"delta": d, "alpha": a} for d, a in m.spikes]}
+            for m in models]
 
 
 FIG3_MODEL = {"sigma0_sq": 1.0, "c": 3.0, "r": 8.0, "sigma_eps_sq": 16.0,

@@ -321,7 +321,10 @@ def test_federated_isotropic_json(tmp_path):
 
 
 def _flat_floats(text):
-    """Every float of a JSON or CSV output, in order, bar the self-check."""
+    """Every number of a JSON or CSV output, in order, bar the self-check.
+
+    A float that rounds to an integer is printed without a decimal point,
+    so integers count too."""
     if text.startswith("{"):
         payload = json.loads(text)
         payload.pop("self_check")
@@ -333,8 +336,8 @@ def _flat_floats(text):
             if isinstance(v, list):
                 for item in v:
                     walk(item)
-            elif isinstance(v, float):
-                out.append(v)
+            elif isinstance(v, (int, float)) and not isinstance(v, bool):
+                out.append(float(v))
 
         walk(payload)
         return out
@@ -462,3 +465,37 @@ def test_cli_import_loads_no_scipy():
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_non_string_sweep_estimator_is_config_error(tmp_path, capsys):
+    # a number in sweep.estimators once escaped as an AttributeError
+    cfg = write_cfg(tmp_path, {"model": FIG1_MODEL, "sweep": {
+        "parameter": "sigma_eps_sq", "values": [1.0], "estimators": [1]}})
+    assert main(["sweep", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error:") and "string" in captured.err
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+ONE_SPIKE_MODEL = {"sigma0_sq": 1.0, "c": 1.0, "r": 2.0, "sigma_eps_sq": 1.0,
+                   "spikes": [{"delta": 7.0, "alpha": 1.7}]}
+
+
+@pytest.mark.parametrize("command,block", [
+    ("simulate", {"n": 1, "p": 1, "seed": 1, "n_replicates": 1,
+                  "estimators": ["ridge:1.0"]}),
+    ("sweep", {"parameter": "sigma_eps_sq", "values": [1.0],
+               "estimators": ["ridge:1.0"],
+               "sim": {"n": 1, "p": 1, "seed": 1, "n_replicates": 1}}),
+], ids=["simulate", "sweep-sim"])
+def test_simulation_with_p_equal_to_s_is_config_error(tmp_path, capsys,
+                                                       command, block):
+    # with p = s the spike directions span R^p and leave no direction for
+    # the rest of the signal; this once escaped as a RuntimeError
+    cfg = write_cfg(tmp_path, {"model": ONE_SPIKE_MODEL, command: block})
+    assert main([command, "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error:") and "spikes" in captured.err
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err

@@ -1,3 +1,6 @@
+import functools
+import math
+
 import numpy as np
 import pytest
 
@@ -53,9 +56,8 @@ def test_mixture_measure_total_mass(fig1_model):
 def test_rn_polynomials_structure(fig1_model):
     rn = sd.rn_polynomials(fig1_model)
     s = fig1_model.s
-    assert len(rn.nu_coeffs) == s + 1
-    for coeffs in rn.nu_minus_coeffs:
-        assert len(coeffs) == s
+    assert len(rn.affine) == len(rn.xstars) == len(rn.scales) == s
+    assert rn.nu_lead == math.prod(q for _, q in rn.affine)  # top of nu
     a, b = sd.mp_support(fig1_model)
     xs = np.concatenate([np.linspace(a, b, 64), [0.0]])
     for j, (p, q) in enumerate(rn.affine):
@@ -76,12 +78,21 @@ def test_rn_combination_matches_products():
         coeffs[j + 1] * rn.nu_minus(j, xs) for j in range(model.s))
     scale = np.abs(coeffs[0] * rn.nu(xs)) + sum(
         np.abs(coeffs[j + 1] * rn.nu_minus(j, xs)) for j in range(model.s))
-    values = rn.combination(coeffs, xs)
+    values, slopes = rn.combination(coeffs, xs)
     assert np.all(np.abs(values - direct) <= 1e-14 * scale)
+    # the product-rule slope against the derivative of the expanded form
+    poly = np.polynomial.polynomial
+    terms = [np.array(a) for a in rn.affine]
+    expanded = coeffs[0] * functools.reduce(poly.polymul, terms)
+    for j in range(model.s):
+        rest = terms[:j] + terms[j + 1:]
+        expanded = poly.polyadd(expanded, coeffs[j + 1] * functools.reduce(poly.polymul, rest))
+    want = poly.polyval(xs, poly.polyder(expanded))
+    assert np.allclose(slopes, want, rtol=1e-12, atol=1e-13 * np.max(np.abs(want)))
     # a Python float is evaluated in floats, to the same bits
     as_floats = [rn.combination(coeffs, float(x)) for x in xs]
-    assert all(type(v) is float for v in as_floats)
-    assert np.array_equal(as_floats, values)
+    assert all(type(v) is float and type(d) is float for v, d in as_floats)
+    assert np.array_equal(as_floats, np.stack([values, slopes], axis=1))
     # one table per model
     assert sd.rn_polynomials(model) is rn
 

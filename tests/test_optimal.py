@@ -7,7 +7,7 @@ import pytest
 import spectral_distill as sd
 from spectral_distill import SpikedModel, StructuralError
 from spectral_distill.cli import parse_model
-from conftest import random_model
+from conftest import many_spike_model, random_model
 
 
 def test_b0_closed_form(fig1_model):
@@ -18,8 +18,9 @@ def test_b0_closed_form(fig1_model):
 def test_degrees(fig1_model):
     rule, _ = sd.optimal_pred_rule(fig1_model)
     s = fig1_model.s
-    assert len(rule.q_coeffs) == s + 1 and rule.q_coeffs[-1] == pytest.approx(1.0)
-    assert len(rule.p_coeffs) == s + 2 and rule.p_coeffs[-1] == pytest.approx(1.0)
+    p, q = rule.monomial_coeffs()
+    assert len(q) == s + 1 and q[-1] == pytest.approx(1.0)
+    assert len(p) == s + 2 and p[-1] == pytest.approx(1.0)
 
 
 def test_fixed_point_residual(fig1_model):
@@ -42,17 +43,25 @@ def test_root_structure_two_spikes(fig1_model):
     xs = np.sort([sd.outlier_location(fig1_model, d) for d in fig1_model.deltas])
     assert roots[0] < 0
     assert xs[0] < roots[1] < xs[1] < roots[2]
-    # Vieta: product of roots consistent with P(0) > 0
-    p0 = np.polynomial.polynomial.polyval(0.0, np.array(rule.p_coeffs))
+    # Vieta: product of roots consistent with P(0) > 0, P from the factored form
+    p0 = factored_p(fig1_model, 0.0)
     assert p0 * (-1) ** len(roots) == pytest.approx(np.prod(roots), rel=1e-10)
+
+
+def factored_p(model, x):
+    """Monic P at x from the model's factored nu form."""
+    rn = sd.rn_polynomials(model)
+    w = sd.mixture_weights(model)
+    x = np.asarray(x, dtype=float)
+    mix = rn.combination((w.omega0, *w.omegas), x)[0]
+    p0 = model.r**2 * x * mix + model.c * model.sigma_eps_sq * rn.nu(x)
+    return p0 / (model.r**2 * w.omega0 * rn.nu_lead)
 
 
 def test_roots_polish_residual(fig1_model):
     rule, _ = sd.optimal_pred_rule(fig1_model)
-    p = np.array(rule.p_coeffs)
-    vals = np.polynomial.polynomial.polyval(np.array(rule.roots_of_p), p)
-    scale = np.max(np.abs(np.polynomial.polynomial.polyval(
-        np.array([0.0, *rule.roots_of_p]) + 0.5, p)))
+    vals = factored_p(fig1_model, rule.roots_of_p)
+    scale = np.max(np.abs(factored_p(fig1_model, np.array([0.0, *rule.roots_of_p]) + 0.5)))
     assert np.max(np.abs(vals)) < 1e-12 * max(1.0, scale)
 
 
@@ -127,8 +136,7 @@ def test_synthesis_one_spike_closed_system(fig4_model):
     rule, _ = sd.optimal_pred_rule(fig4_model)
     params = sd.synthesize_sd_params(rule)
     g0 = -params.lambdas[0]
-    q = np.array(rule.q_coeffs)
-    t1 = -np.polynomial.polynomial.polyval(0.0, q) / g0
+    t1 = -rule.q(0.0) / g0
     t0 = 1.0 - t1
     assert params.xis[0] == pytest.approx(t0 / (t0 + t1))
 
@@ -144,11 +152,7 @@ def test_coprimality_examples(fig1_model):
     assert sd.coprimality_check(rule)
     # a reducible representation: (x + lam) / (x + lam)^2
     lam = 0.7
-    shared = sd.RationalRule(
-        p_coeffs=(lam * lam, 2 * lam, 1.0),
-        q_coeffs=(lam, 1.0),
-        roots_of_p=(-lam, -lam),
-    )
+    shared = sd.RationalRule(roots_of_p=(-lam, -lam), q_coeffs=(lam, 1.0))
     assert not sd.coprimality_check(shared)
 
 
@@ -179,10 +183,9 @@ def test_optimality_over_random_rules(fig1_model):
             poles = np.concatenate([
                 rng.uniform(b * 1.5, b * 3, size=1), -rng.uniform(0.2, 3, size=1)
             ])
-            den = np.polynomial.polynomial.polyfromroots(poles)
             num = np.polynomial.polynomial.polyfromroots(
                 rng.uniform(-2, b, size=1))
-            f = sd.RationalRule(tuple(den), tuple(num), tuple(poles))
+            f = sd.RationalRule(tuple(poles), tuple(num))
         try:
             total = sd.limiting_pred_risk(model, f).total
         except (sd.AssumptionError, sd.NumericalError):
@@ -413,3 +416,59 @@ def test_roots_match_high_precision_reference(name):
     ref = np.array([float(v) for v in REFERENCE_ROOTS[name]])
     assert np.max(np.abs(np.array(rule.roots_of_p) / ref - 1.0)) <= 2e-15
     assert sd.fixed_point_residual(model, rule) <= 1e-13
+
+
+# Roots of P for the many-spike corpus models, computed once with mpmath at
+# 60 digits from the models' float inputs (bisection on the factored P),
+# rounded here to 25.
+MANY_SPIKE_ROOTS = {
+    "optimal__many-s16-2": (
+        "-1.551651012022097691449512", "5.682797838680056628651704",
+        "6.729045336006401255744273", "7.543139090138719078848729",
+        "10.92990852682440125443305", "15.07919540734555506618542",
+        "15.27896868295836626272815", "15.48821722923971643724415",
+        "16.35433701102944281512759", "17.29800542513653408817585",
+        "17.74206585901108908772809", "18.10565663027147922783668",
+        "18.42440390106448023306649", "18.53243610183772321077278",
+        "18.73947924947239198493097", "18.81668460484431075150086",
+        "24.39747478437885125896348"),
+    "optimal__many-s20-1": (
+        "-0.8557455273663167882003201", "4.550706545896781786831888",
+        "4.717377639085665937858235", "4.911299823489961157742229",
+        "5.191095682935143430488659", "5.507830900519693347074833",
+        "5.920276103112715744440647", "6.065845691184247710763886",
+        "6.646338267675180675769199", "7.090844898077918103712919",
+        "7.520201617813738998971634", "7.731582163145162781651518",
+        "8.332337479487332159132344", "8.911701525492969441462495",
+        "10.2195426963640408573823", "10.84444056864630780701499",
+        "11.50941725956483669071258", "12.86775420685980736806732",
+        "13.47436655612334114221411", "14.03148988162213205164092",
+        "16.05948590542676522132648"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MANY_SPIKE_ROOTS))
+def test_many_spike_roots_within_4_ulp(name):
+    # the Newton slope comes from the factored P too: a slope taken from
+    # monomial coefficients (8% off at s = 16) once stopped the search
+    # early, leaving roots up to 5e-3 relative away
+    model = parse_model(json.loads((CORPUS / f"{name}.json").read_text())["model"])
+    rule, _ = sd.optimal_pred_rule(model)
+    got = np.array(rule.roots_of_p)
+    ref = np.array([float(v) for v in MANY_SPIKE_ROOTS[name]])
+    assert np.all(np.abs(got - ref) <= 4 * np.spacing(np.abs(ref)))
+
+
+def test_fixed_point_residual_many_spikes():
+    # seeded models with s <= 20 whose outliers are at least 0.1% apart
+    rng = np.random.default_rng(11)
+    for s in (4, 8, 12, 16, 20):
+        found = 0
+        while found < 5:
+            model = many_spike_model(rng, s)
+            xs = np.sort([sd.outlier_location(model, d) for d in model.deltas])
+            if np.min(np.diff(xs) / xs[1:]) < 1e-3:
+                continue
+            found += 1
+            rule, _ = sd.optimal_pred_rule(model)
+            assert sd.fixed_point_residual(model, rule) <= 1e-11, (s, model)
