@@ -554,19 +554,22 @@ _COMMANDS = {
 }
 
 
+# built once per process: parse_args leaves the parser unchanged
+_PARSER = argparse.ArgumentParser(
+    prog="spectral-distill",
+    description="Limiting risks, optimal shrinkage synthesis, and "
+    "finite-sample validation for spiked-covariance regression",
+)
+_PARSER.add_argument("command", choices=sorted(_COMMANDS))
+_PARSER.add_argument("--config", required=True, help="path to a JSON config")
+_PARSER.add_argument("--out", default=None, help="output path (default stdout)")
+_PARSER.add_argument("--threads", type=int, default=1)
+_PARSER.add_argument("--seed", type=int, default=None,
+                     help="override the simulation seed")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="spectral-distill",
-        description="Limiting risks, optimal shrinkage synthesis, and "
-        "finite-sample validation for spiked-covariance regression",
-    )
-    parser.add_argument("command", choices=sorted(_COMMANDS))
-    parser.add_argument("--config", required=True, help="path to a JSON config")
-    parser.add_argument("--out", default=None, help="output path (default stdout)")
-    parser.add_argument("--threads", type=int, default=1)
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override the simulation seed")
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
 
     try:
         with open(args.config) as fh:

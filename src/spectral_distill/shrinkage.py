@@ -17,6 +17,10 @@ those values, all from `SpectralGrid.integrate`:
            + sum_j delta_j alpha_j^2 (int (1-xf) dF_{delta_j})^2
            + c sigma0^2 sigma_eps^2 int x f^2 dF_MP
     est:   r^2 int (1-xf)^2 dF_alpha + c sigma_eps^2 int x f^2 dF_MP
+
+Values and moments are cached per (grid object, rule), so the risks,
+inner products and self-checks of one rule share one evaluation and one
+moment pass; see `validate_rule`.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -276,7 +281,11 @@ class MinNormSurrogate(_RampedInverse):
 
 @dataclass(frozen=True)
 class Tabulated(ShrinkageFn):
-    """Rule given by values on sorted sample points (e.g. the grid support)."""
+    """Rule given by values on sorted sample points (e.g. the grid support).
+
+    Linear between the points and constant beyond them, so every table
+    point is a kink and is declared as a breakpoint.
+    """
 
     xs: tuple[float, ...]
     ys: tuple[float, ...]
@@ -290,6 +299,7 @@ class Tabulated(ShrinkageFn):
             raise ValueError("xs must be sorted ascending")
         object.__setattr__(self, "xs", tuple(float(v) for v in xs))
         object.__setattr__(self, "ys", tuple(float(v) for v in ys))
+        object.__setattr__(self, "breakpoints", self.xs)
 
     def __call__(self, x):
         return np.interp(np.asarray(x, dtype=float), self.xs, self.ys)
@@ -340,7 +350,12 @@ def validate_rule(model: SpikedModel, f: ShrinkageFn
     The grid's panels are split at the rule's breakpoints inside the
     bulk. A declared pole on the limiting support
     raises AssumptionError; a value that is not finite raises
-    NumericalError. Returns (grid, f at grid.x, f at grid.atom_locs).
+    NumericalError, on every call. Returns (grid, f at grid.x, f at
+    grid.atom_locs), read-only arrays from a small cache keyed on the
+    grid object and f, never on the model: a grid rebuilt after
+    `_grid_cached` is cleared, or from other panels, is evaluated afresh.
+    Equal package rules (frozen dataclasses) share an entry; other
+    ShrinkageFn classes hash by identity and must not change once called.
     """
     a, b = mp_support(model)
     breaks = tuple(v for v in f.breakpoints if a < v < b)
@@ -351,11 +366,18 @@ def validate_rule(model: SpikedModel, f: ShrinkageFn
                 f"rule has a pole at {p}, inside the limiting support; "
                 "shrinkage rules must be finite near the bulk and atoms"
             )
-    f_bulk = f(grid.x)
-    f_atoms = f(grid.atom_locs) if grid.atom_locs.size else np.zeros(0)
+    return (grid, *_evaluate(grid, f))
+
+
+@lru_cache(maxsize=16)
+def _evaluate(grid: SpectralGrid, f: ShrinkageFn) -> tuple[np.ndarray, np.ndarray]:
+    f_bulk = np.asarray(f(grid.x))
+    f_atoms = np.asarray(f(grid.atom_locs)) if grid.atom_locs.size else np.zeros(0)
     if not (np.all(np.isfinite(f_bulk)) and np.all(np.isfinite(f_atoms))):
         raise NumericalError("rule is not finite on the limiting support")
-    return grid, f_bulk, f_atoms
+    f_bulk.setflags(write=False)
+    f_atoms.setflags(write=False)
+    return f_bulk, f_atoms
 
 
 def _risk_moments(grid, resid_bulk, resid_atoms, var_bulk, var_atoms):
@@ -372,6 +394,12 @@ def _rule_moments(grid, f_bulk, f_atoms):
     x, xa = grid.x, grid.atom_locs
     return _risk_moments(grid, 1.0 - x * f_bulk, 1.0 - xa * f_atoms,
                          x * f_bulk**2, xa * f_atoms**2)
+
+
+@lru_cache(maxsize=16)
+def _moments(grid: SpectralGrid, f: ShrinkageFn):
+    """Risk moments of a rule validated on grid, shared by both risks."""
+    return _rule_moments(grid, *_evaluate(grid, f))
 
 
 def _risk_terms(model: SpikedModel, moments, kind: str):
@@ -391,13 +419,13 @@ def _risk_terms(model: SpikedModel, moments, kind: str):
 
 def limiting_pred_risk(model: SpikedModel, f: ShrinkageFn) -> RiskBreakdown:
     """Limiting out-of-sample prediction risk of the rule's estimator."""
-    moments = _rule_moments(*validate_rule(model, f))
+    moments = _moments(validate_rule(model, f)[0], f)
     return _breakdown(*_risk_terms(model, moments, "pred"))
 
 
 def limiting_est_risk(model: SpikedModel, f: ShrinkageFn) -> RiskBreakdown:
     """Limiting estimation (l2) risk; no per-spike squared bias terms."""
-    moments = _rule_moments(*validate_rule(model, f))
+    moments = _moments(validate_rule(model, f)[0], f)
     return _breakdown(*_risk_terms(model, moments, "est"))
 
 

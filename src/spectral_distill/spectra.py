@@ -39,7 +39,11 @@ class SpikedModel:
     r         : limiting signal norm ||beta0||_2 (> 0)
     sigma_eps_sq : noise variance (>= 0)
 
-    Every field must be finite; a non-finite one raises ValueError.
+    Every field must be finite and in range, or ValueError is raised:
+    sigma0_sq and r in [1e-150, 1e150] (squares stay normal doubles), c in
+    [1e-30, 1e30] (outside, the bulk [a, b] is under 18 ulp of b wide and
+    collapses in rounding) and |alpha_j| >= 1e-150 r (alpha_j^2/r^2 stays
+    nonzero).
     """
 
     sigma0_sq: float
@@ -72,6 +76,11 @@ class SpikedModel:
             raise ValueError("r must be positive")
         if self.sigma_eps_sq < 0:
             raise ValueError("sigma_eps_sq must be nonnegative")
+        for name, lo, hi in (("sigma0_sq", 1e-150, 1e150), ("c", 1e-30, 1e30),
+                             ("r", 1e-150, 1e150)):
+            if not lo <= getattr(self, name) <= hi:
+                raise ValueError(f"{name} = {getattr(self, name)} is out of "
+                                 f"range: it must lie in [{lo:g}, {hi:g}]")
         deltas = [d for d, _ in self.spikes]
         alphas = [a for _, a in self.spikes]
         if any(d <= 0 for d in deltas):
@@ -80,6 +89,10 @@ class SpikedModel:
             raise AssumptionError("spike strengths delta_j must be distinct")
         if any(a == 0 for a in alphas):
             raise AssumptionError("signal alignments alpha_j must be nonzero")
+        for j, a in enumerate(alphas):
+            if abs(a) < 1e-150 * self.r:
+                raise ValueError(f"alpha_{j + 1} = {a} is out of range: "
+                                 "|alpha_j| must be at least 1e-150 r")
         thr = self.c * self.sigma0_sq**2
         for i, di in enumerate(deltas):
             for dj in deltas[i:]:

@@ -21,10 +21,20 @@ rewrites only the cases whose names match one of the shell patterns.
 Rerunning the script rewrites every expected output with the current
 program's, so run it only when an output is meant to change, and review
 the diff.
+
+    python tests/corpus/make_corpus.py --out-dir DIR [pattern ...]
+
+writes each case's config and CLI output into DIR instead and leaves the
+recorded files alone. The recorded outputs match to 1e-13, not to the
+byte, across machines, so to check that a change keeps outputs
+byte-identical, run this script from both checkouts (the parent's copy of
+the script may be replaced by this one) on the same machine and compare
+the two directories with `diff -r`.
 """
 
 from __future__ import annotations
 
+import argparse
 import fnmatch
 import json
 import math
@@ -184,19 +194,27 @@ def cases() -> dict:
     return out
 
 
-def write(patterns=()):
+def write(patterns=(), out_dir=HERE):
+    os.makedirs(out_dir, exist_ok=True)
     for name, (command, config) in cases().items():
         if patterns and not any(fnmatch.fnmatch(name, p) for p in patterns):
             continue
-        cfg = os.path.join(HERE, name + ".json")
+        cfg = os.path.join(out_dir, name + ".json")
         with open(cfg, "w") as fh:
             json.dump(config, fh, indent=1, sort_keys=True)
             fh.write("\n")
         code = main([command, "--config", cfg,
-                     "--out", os.path.join(HERE, name + ".out")])
+                     "--out", os.path.join(out_dir, name + ".out")])
         if code != 0:
             raise SystemExit(f"{name}: exit code {code}")
 
 
 if __name__ == "__main__":
-    write(sys.argv[1:])
+    parser = argparse.ArgumentParser(description="Write the CLI regression corpus.")
+    parser.add_argument("patterns", nargs="*",
+                        help="shell patterns of the case names to write")
+    parser.add_argument("--out-dir", default=HERE,
+                        help="directory for configs and outputs "
+                        "(default: the recorded corpus)")
+    args = parser.parse_args()
+    write(args.patterns, args.out_dir)

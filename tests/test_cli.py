@@ -246,6 +246,50 @@ def test_non_finite_model_field_is_config_error(tmp_path, capsys, key, value):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("key,value,bound", [
+    ("c", 1e-300, "[1e-30, 1e+30]"),
+    ("c", 1e-50, "[1e-30, 1e+30]"),
+    ("c", 1e50, "[1e-30, 1e+30]"),
+    ("c", 1e300, "[1e-30, 1e+30]"),
+    ("r", 1e300, "[1e-150, 1e+150]"),
+    ("sigma0_sq", 1e300, "[1e-150, 1e+150]"),
+    ("alpha", 1e-300, "at least 1e-150 r"),
+])
+@pytest.mark.parametrize("command,block", [("optimal", {}), ("risk", {
+    "rules": [{"kind": "ridge", "lambdas": [0.5]}, {"kind": "optimal_pred"}]})])
+def test_out_of_range_model_field_is_config_error(tmp_path, capsys, key, value,
+                                                  bound, command, block):
+    # these used to escape as ZeroDivisionError or OverflowError tracebacks
+    cfg = write_cfg(tmp_path, {"model": _with_field(key, value), command: block})
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert key in err and "out of range" in err and bound in err
+
+
+@pytest.mark.parametrize("command,block", [
+    ("optimal", "optimal"), ("sd-params", "sd_params"), ("federated", "federated")])
+def test_closed_form_op_evaluates_optimal_rule_once(tmp_path, monkeypatch,
+                                                    command, block):
+    # risks, inner products and self-checks share one grid evaluation
+    from spectral_distill import shrinkage, spectra
+
+    calls = []
+    evaluate = shrinkage.RationalRule.__call__
+
+    def counting(self, x):
+        if np.size(x) > 50:
+            calls.append(np.size(x))
+        return evaluate(self, x)
+
+    monkeypatch.setattr(shrinkage.RationalRule, "__call__", counting)
+    cfg = write_cfg(tmp_path, {"model": FIG1_MODEL,
+                               block: {"K": 3} if command == "federated" else {}})
+    spectra._grid_cached.cache_clear()
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert len(calls) == 1
+
+
 def test_assumption_message_names_condition(tmp_path, capsys):
     bad = write_cfg(
         tmp_path,

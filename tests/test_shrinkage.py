@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -273,6 +274,69 @@ def test_edge_regime_risks_match_converged_reference(name, monkeypatch):
     sd.spectra._grid_cached.cache_clear()
     for key in got:
         assert np.all(np.abs(got[key] - ref[key]) <= 1e-13 * np.abs(ref[key])), key
+
+
+def _tabulated_risks(model, rule):
+    sd.spectra._grid_cached.cache_clear()
+    return np.array([sd.limiting_pred_risk(model, rule).total,
+                     sd.limiting_est_risk(model, rule).total])
+
+
+@pytest.mark.parametrize("c", [0.5, 2.0])
+def test_tabulated_risks_match_converged_reference(c, monkeypatch):
+    # a table's kinks are declared as breaks, so no panel straddles one
+    model = SpikedModel(1.0, c, ((3.0, 0.6),), 2.0, 1.0)
+    a, b = sd.mp_support(model)
+    xs = np.linspace(a + 0.1 * (b - a), b - 0.05 * (b - a), 7)
+    rule = sd.Tabulated(tuple(xs), tuple((1.0 + 0.3 * np.sin(np.arange(7)))
+                                         / (xs + 0.5)))
+    assert rule.breakpoints == rule.xs
+    got = _tabulated_risks(model, rule)
+    with monkeypatch.context() as patch:
+        patch.setattr(sd.spectra, "_theta_panels", _reference_panels)
+        ref = _tabulated_risks(model, rule)
+    sd.spectra._grid_cached.cache_clear()
+    assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))
+
+
+def test_validate_rule_evaluates_a_rebuilt_grid(fig4_model, monkeypatch):
+    # values are cached per grid object, so a grid rebuilt from other
+    # panels is evaluated afresh and never served the older grid's values
+    rule = sd.optimal_pred_rule(fig4_model)[0]
+    grid, f_bulk, _ = sd.shrinkage.validate_rule(fig4_model, rule)
+    assert not f_bulk.flags.writeable
+    a, b = sd.mp_support(fig4_model)
+    with monkeypatch.context() as patch:
+        patch.setattr(sd.spectra, "_theta_panels", _reference_panels)
+        sd.spectra._grid_cached.cache_clear()
+        ref_grid, ref_bulk, _ = sd.shrinkage.validate_rule(fig4_model, rule)
+    n_ref = _reference_panels(a, b, ())[0].size
+    assert ref_grid is not grid and n_ref != grid.x.size
+    assert ref_grid.x.size == ref_bulk.size == n_ref
+    assert np.array_equal(ref_bulk, rule(ref_grid.x))
+    sd.spectra._grid_cached.cache_clear()
+    assert sd.shrinkage.validate_rule(fig4_model, rule)[1].size == grid.x.size
+
+
+def test_pred_and_est_risk_share_one_moment_pass(fig1_model, monkeypatch):
+    rule = sd.optimal_pred_rule(fig1_model)[0]
+    moments = sd.shrinkage._rule_moments
+    passes = []
+
+    def counting(*args):
+        passes.append(args[0])
+        return moments(*args)
+
+    monkeypatch.setattr(sd.shrinkage, "_rule_moments", counting)
+    sd.spectra._grid_cached.cache_clear()
+    pred = sd.limiting_pred_risk(fig1_model, rule)
+    est = sd.limiting_est_risk(fig1_model, rule)
+    assert len(passes) == 1
+    assert passes[0] is sd.get_grid(fig1_model)
+    # a copy of the rule is an equal key and shares the pass
+    assert sd.limiting_est_risk(fig1_model, dataclasses.replace(rule)) == est
+    assert len(passes) == 1
+    assert pred.total > 0 and est.total > 0
 
 
 def test_min_norm_surrogate_requires_spectral_gap():
