@@ -27,96 +27,173 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# config parsing
+# config schema
+#
+# SCHEMA holds every config block. A spec is an object spec (a dict of
+# field -> spec; a trailing '?' marks an optional field, and unknown keys
+# are refused), a list spec [spec] that checks every item, or a leaf
+# function (value, where) -> typed value that raises ConfigError. Checks
+# that hold outside the CLI (finiteness, ranges, student_df > 8, p > s)
+# are made by the objects the fields build: SpikedModel, SimConfig, Ridge,
+# GDPoly and the rule constructors.
+
+# Caps on the counts that size an allocation or a loop. A larger count is
+# refused before anything of its size is allocated.
+MAX_GRID = 100_000        # measure.grid_size and the num of a grid
+MAX_DIM = 20_000          # simulate n and p: each replicate draws n x p
+MAX_REPLICATES = 100_000
+MAX_CLIENTS = 100_000     # federated K
 
 
-def _require(d: dict, where: str, required: dict, optional: dict | None = None):
-    """Schema check: required/optional key -> type; unknown keys rejected."""
-    optional = optional or {}
-    if not isinstance(d, dict):
+def _walk(spec, value, where):
+    """Check `value` against `spec` and return it typed."""
+    if callable(spec):
+        return spec(value, where)
+    if isinstance(spec, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"{where} must be a list")
+        return [_walk(spec[0], item, f"{where}[{i}]")
+                for i, item in enumerate(value)]
+    if not isinstance(value, dict):
         raise ConfigError(f"{where} must be an object")
-    unknown = set(d) - set(required) - set(optional)
+    fields = {key.rstrip("?"): (key.endswith("?"), sub) for key, sub in spec.items()}
+    unknown = set(value) - set(fields)
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
     out = {}
-    for key, typ in required.items():
-        if key not in d:
+    for key, (optional, sub) in fields.items():
+        if key in value:
+            out[key] = _walk(sub, value[key], f"{where}.{key}")
+        elif not optional:
             raise ConfigError(f"missing required key '{key}' in {where}")
-        out[key] = _coerce(d[key], typ, f"{where}.{key}")
-    for key, typ in optional.items():
-        if key in d:
-            out[key] = _coerce(d[key], typ, f"{where}.{key}")
     return out
 
 
-ANY = object()
-
-
-def _coerce(value, typ, where):
-    if typ is ANY:
-        return value
-    if typ is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{where} must be a number")
+def _number(value, where) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where} must be a number")
+    try:
         return float(value)
-    if typ is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{where} must be an integer")
+    except OverflowError:
+        raise ConfigError(f"{where} = {value} is too large for a double") from None
+
+
+def _finite(value, where) -> float:
+    value = _number(value, where)
+    if not np.isfinite(value):
+        raise ConfigError(f"{where} must be finite")
+    return value
+
+
+def _integer(value, where) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where} must be an integer")
+    return value
+
+
+def _count(cap, least=None):
+    """An integer that sizes an allocation or a loop: at most `cap`."""
+    def count(value, where) -> int:
+        value = _integer(value, where)
+        if value > cap:
+            raise ConfigError(f"{where} = {value} exceeds its cap of {cap}")
+        if least is not None and value < least:
+            raise ConfigError(f"{where} must be at least {least}")
         return value
-    if typ is str:
-        if not isinstance(value, str):
-            raise ConfigError(f"{where} must be a string")
+    return count
+
+
+def _string(value, where) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{where} must be a string")
+    return value
+
+
+def _boolean(value, where) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where} must be a boolean")
+    return value
+
+
+def _choice(*options):
+    def choice(value, where) -> str:
+        if _string(value, where) not in options:
+            raise ConfigError(f"{where} must be one of {list(options)}")
         return value
-    if typ is bool:
-        if not isinstance(value, bool):
-            raise ConfigError(f"{where} must be a boolean")
-        return value
-    if typ is list:
-        if not isinstance(value, list):
-            raise ConfigError(f"{where} must be a list")
-        return value
-    if typ is dict:
-        if not isinstance(value, dict):
-            raise ConfigError(f"{where} must be an object")
-        return value
-    raise AssertionError(typ)
+    return choice
+
+
+_GRID = {"min": _number, "max": _number, "num": _count(MAX_GRID),
+         "spacing?": _choice("linear", "log")}
+
+
+def _grid(value, where) -> np.ndarray:
+    """A list of numbers, or {min, max, num, spacing} spaced linearly or
+    logarithmically."""
+    if isinstance(value, list):
+        return np.array(_walk([_number], value, where))
+    spec = _walk(_GRID, value, where)
+    if spec.get("spacing") == "log":
+        if spec["min"] <= 0:
+            raise ConfigError(f"{where}: log spacing needs min > 0")
+        return np.geomspace(spec["min"], spec["max"], spec["num"])
+    return np.linspace(spec["min"], spec["max"], spec["num"])
+
+
+# the fields of each rule kind besides `kind` itself
+RULES = {
+    "ridge": {"lambdas": _grid},
+    "sd": {"lambdas": [_number], "xis": [_number]},
+    "gd": {"etas": [_number], "steps": [_integer]},
+    "pcr": {"taus": [_number], "ramp_width?": _number},
+    "min_norm": {"ramp_width?": _number},
+    "optimal_pred": {},
+    "optimal_est": {},
+}
+
+
+def _rule(value, where) -> dict:
+    if not isinstance(value, dict) or "kind" not in value:
+        raise ConfigError(f"{where} must be an object with a 'kind'")
+    kind = _choice(*RULES)(value["kind"], f"{where}.kind")
+    rest = {key: v for key, v in value.items() if key != "kind"}
+    return {"kind": kind, **_walk(RULES[kind], rest, where)}
+
+
+_SIM = {"n": _count(MAX_DIM), "p": _count(MAX_DIM), "seed": _integer,
+        "n_replicates": _count(MAX_REPLICATES), "entry_dist?": _string,
+        "student_df?": _number}
+
+# every top-level block; `model` is required, an absent block counts as {}
+SCHEMA = {
+    "model": {"sigma0_sq": _number, "c": _number, "r": _number,
+              "sigma_eps_sq": _number,
+              "spikes?": [{"delta": _number, "alpha": _number}]},
+    "output": {"path?": _string},
+    "measure": {"grid_size?": _count(MAX_GRID, least=2), "x_min?": _finite,
+                "x_max?": _finite},
+    "risk": {"rules": [_rule]},
+    "optimal": {},
+    "sd_params": {},
+    "federated": {"K": _count(MAX_CLIENTS)},
+    "simulate": {**_SIM, "estimators": [_string]},
+    "sweep": {"parameter": _choice("delta", "sigma_eps_sq"), "values": _grid,
+              "spike_index?": _integer, "estimators?": [_string],
+              "include_sd_params?": _boolean, "sim?": _SIM},
+}
 
 
 def parse_model(block) -> spectra.SpikedModel:
-    spec = _require(
-        block,
-        "model",
-        {"sigma0_sq": float, "c": float, "r": float, "sigma_eps_sq": float},
-        {"spikes": list},
-    )
-    spikes = []
-    for i, item in enumerate(block.get("spikes", [])):
-        sp = _require(item, f"model.spikes[{i}]", {"delta": float, "alpha": float})
-        spikes.append((sp["delta"], sp["alpha"]))
+    """Check a model block against SCHEMA and build its SpikedModel."""
+    spec = _walk(SCHEMA["model"], block, "model")
+    spikes = tuple((sp["delta"], sp["alpha"]) for sp in spec.get("spikes", []))
     try:
-        return spectra.SpikedModel(
-            spec["sigma0_sq"], spec["c"], tuple(spikes), spec["r"],
-            spec["sigma_eps_sq"],
-        )
+        return spectra.SpikedModel(spec["sigma0_sq"], spec["c"], spikes,
+                                   spec["r"], spec["sigma_eps_sq"])
     except AssumptionError:
         raise
     except ValueError as exc:
         raise ConfigError(f"invalid model: {exc}") from exc
-
-
-def _grid_values(block, where) -> np.ndarray:
-    if isinstance(block, list):
-        return np.array([_coerce(v, float, where) for v in block])
-    spec = _require(block, where, {"min": float, "max": float, "num": int},
-                    {"spacing": str})
-    spacing = spec.get("spacing", "linear")
-    if spacing == "log":
-        if spec["min"] <= 0:
-            raise ConfigError(f"{where}: log spacing needs min > 0")
-        return np.geomspace(spec["min"], spec["max"], spec["num"])
-    if spacing != "linear":
-        raise ConfigError(f"{where}: spacing must be 'linear' or 'log'")
-    return np.linspace(spec["min"], spec["max"], spec["num"])
 
 
 # ---------------------------------------------------------------------------
@@ -193,81 +270,47 @@ def _csv(header_comment_lines, columns, rows) -> str:
 # rule/estimator specs
 
 
-def build_rules(block, model, where):
-    """Expand one rule spec into a list of (label, hyper1, hyper2, fn)."""
-    if "kind" not in _coerce(block, dict, where):
-        raise ConfigError(f"{where} needs a 'kind'")
-    kind = _coerce(block["kind"], str, f"{where}.kind")
+def build_rules(spec, model, where):
+    """Expand one checked rule spec into a list of (label, hyper1, hyper2, fn)."""
     try:
-        return _build_rules_inner(block, model, where, kind)
+        return _build_rules_inner(spec, model)
     except AssumptionError as exc:
         # a rule that cannot exist for this model is a config problem
         raise ConfigError(f"invalid rule in {where}: {exc}") from exc
 
 
-def _build_rules_inner(block, model, where, kind):
-    out = []
+def _build_rules_inner(spec, model):
+    kind = spec["kind"]
     if kind == "ridge":
-        _require(block, where, {"kind": str, "lambdas": ANY})
-        # lambdas may be a list or a grid spec
-        lams = _grid_values(block["lambdas"], f"{where}.lambdas")
-        for lam in lams:
-            out.append(("ridge", float(lam), "", shrinkage.Ridge(float(lam))))
-    elif kind == "sd":
-        spec = _require(block, where, {"kind": str, "lambdas": list, "xis": list})
-        params = shrinkage.SDParams(
-            tuple(_coerce(v, float, f"{where}.lambdas[]") for v in spec["lambdas"]),
-            tuple(_coerce(v, float, f"{where}.xis[]") for v in spec["xis"]),
-        )
-        out.append(("sd", "", "", shrinkage.sd_chain_fn(params, model)))
-    elif kind == "gd":
-        spec = _require(block, where, {"kind": str, "etas": list, "steps": list})
-        for eta in spec["etas"]:
-            eta = _coerce(eta, float, f"{where}.etas[]")
-            for T in spec["steps"]:
-                T = _coerce(T, int, f"{where}.steps[]")
-                out.append(("gd", eta, T, shrinkage.GDPoly(eta, T)))
-    elif kind == "pcr":
-        spec = _require(block, where, {"kind": str, "taus": list},
-                        {"ramp_width": float})
-        for tau in spec["taus"]:
-            tau = _coerce(tau, float, f"{where}.taus[]")
-            fn = shrinkage.pcr_surrogate(model, tau, spec.get("ramp_width"))
-            out.append(("pcr", tau, "", fn))
-    elif kind == "min_norm":
-        _require(block, where, {"kind": str}, {"ramp_width": float})
-        out.append(("min_norm", "", "",
-                    shrinkage.min_norm_surrogate(model, block.get("ramp_width"))))
-    elif kind == "optimal_pred":
-        _require(block, where, {"kind": str})
-        out.append(("optimal_pred", "", "", optimal.optimal_pred_rule(model)[0]))
-    elif kind == "optimal_est":
-        _require(block, where, {"kind": str})
-        out.append(("optimal_est", "", "", optimal.optimal_est_rule(model)))
-    else:
-        raise ConfigError(f"{where}.kind '{kind}' is not a known rule kind")
-    return out
+        return [("ridge", lam, "", shrinkage.Ridge(lam))
+                for lam in spec["lambdas"].tolist()]
+    if kind == "sd":
+        params = shrinkage.SDParams(tuple(spec["lambdas"]), tuple(spec["xis"]))
+        return [("sd", "", "", shrinkage.sd_chain_fn(params, model))]
+    if kind == "gd":
+        return [("gd", eta, T, shrinkage.GDPoly(eta, T))
+                for eta in spec["etas"] for T in spec["steps"]]
+    if kind == "pcr":
+        return [("pcr", tau, "",
+                 shrinkage.pcr_surrogate(model, tau, spec.get("ramp_width")))
+                for tau in spec["taus"]]
+    if kind == "min_norm":
+        return [("min_norm", "", "",
+                 shrinkage.min_norm_surrogate(model, spec.get("ramp_width")))]
+    if kind == "optimal_pred":
+        return [("optimal_pred", "", "", optimal.optimal_pred_rule(model)[0])]
+    return [("optimal_est", "", "", optimal.optimal_est_rule(model))]
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each takes the model, its checked block and the config hash,
+# and returns the text to emit
 
 
-def cmd_measure(config, out_path):
-    block = _require(
-        config.get("measure", {}), "measure",
-        {}, {"grid_size": int, "x_min": float, "x_max": float},
-    )
-    model = parse_model(config["model"])
+def cmd_measure(model, block, tag):
     grid_size = block.get("grid_size", 200)
-    if grid_size < 2:
-        raise ConfigError("measure.grid_size must be at least 2")
     a, b = spectra.mp_support(model)
-    x_lo = block.get("x_min", a)
-    x_hi = block.get("x_max", b)
-    if not (np.isfinite(x_lo) and np.isfinite(x_hi)):
-        raise ConfigError("measure.x_min and measure.x_max must be finite")
-    xs = np.linspace(x_lo, x_hi, grid_size)
+    xs = np.linspace(block.get("x_min", a), block.get("x_max", b), grid_size)
     cols = ["x", "f_mp"] + [f"f_delta_{j + 1}" for j in range(model.s)]
     dens = [spectra.mp_density(model, xs)]
     spiked = [spectra.spiked_measure(model, d) for d in model.deltas]
@@ -275,19 +318,16 @@ def cmd_measure(config, out_path):
     rows = [
         [xs[i]] + [col[i] for col in dens] for i in range(grid_size)
     ]
-    comments = [f"config={_config_hash(config)}"]
+    comments = [f"config={tag}"]
     for loc, mass in spectra.mp_measure(model).atoms:
         comments.append(f"atom,mp,{_fmt(loc)},{_fmt(mass)}")
     for j, m in enumerate(spiked):
         for loc, mass in m.atoms:
             comments.append(f"atom,delta_{j + 1},{_fmt(loc)},{_fmt(mass)}")
-    _emit(_csv(comments, cols, rows), out_path)
-    return 0
+    return _csv(comments, cols, rows)
 
 
-def cmd_risk(config, out_path):
-    block = _require(config.get("risk", {}), "risk", {"rules": list})
-    model = parse_model(config["model"])
+def cmd_risk(model, block, tag):
     cols = (
         ["rule", "hyper1", "hyper2", "pred_bias_bulk"]
         + [f"pred_bias_spike_{j + 1}" for j in range(model.s)]
@@ -304,8 +344,7 @@ def cmd_risk(config, out_path):
                  pred.variance, pred.total, est.bias_bulk, est.variance,
                  est.total]
             )
-    _emit(_csv([f"config={_config_hash(config)}"], cols, rows), out_path)
-    return 0
+    return _csv([f"config={tag}"], cols, rows)
 
 
 def _optimum_payload(model, rule, b, sd_params):
@@ -328,9 +367,7 @@ def _optimum_payload(model, rule, b, sd_params):
     return payload
 
 
-def cmd_optimal(config, out_path):
-    _require(config.get("optimal", {}), "optimal", {})
-    model = parse_model(config["model"])
+def cmd_optimal(model, block, tag):
     rule, coef = optimal.optimal_pred_rule(model)
     params = optimal.synthesize_sd_params(rule)
     payload = _optimum_payload(model, rule, coef.b, params)
@@ -338,14 +375,11 @@ def cmd_optimal(config, out_path):
     payload["self_check"]["fixed_point_residual"] = (
         optimal.fixed_point_residual(model, rule)
     )
-    payload["config"] = _config_hash(config)
-    _emit(_json_dump(payload) + "\n", out_path)
-    return 0
+    payload["config"] = tag
+    return _json_dump(payload) + "\n"
 
 
-def cmd_sd_params(config, out_path):
-    _require(config.get("sd_params", {}), "sd_params", {})
-    model = parse_model(config["model"])
+def cmd_sd_params(model, block, tag):
     rule, _ = optimal.optimal_pred_rule(model)
     params = optimal.synthesize_sd_params(rule)
     payload = {
@@ -353,14 +387,11 @@ def cmd_sd_params(config, out_path):
         "xis": list(params.xis),
         "round_trip_sup_error": optimal.sd_round_trip_error(model, rule, params),
     }
-    payload["config"] = _config_hash(config)
-    _emit(_json_dump(payload) + "\n", out_path)
-    return 0
+    payload["config"] = tag
+    return _json_dump(payload) + "\n"
 
 
-def cmd_federated(config, out_path):
-    block = _require(config.get("federated", {}), "federated", {"K": int})
-    model = parse_model(config["model"])
+def cmd_federated(model, block, tag):
     opt = federated.federated_optimum(model, block["K"])
     payload = _optimum_payload(model, opt.local_rule, opt.b, opt.sd_params)
     payload["K"] = opt.K
@@ -368,9 +399,8 @@ def cmd_federated(config, out_path):
     payload["risks"]["federated_pred"] = federated.federated_risk(
         model, opt.K, [opt.local_rule] * opt.K, [opt.rho_star] * opt.K,
     )
-    payload["config"] = _config_hash(config)
-    _emit(_json_dump(payload) + "\n", out_path)
-    return 0
+    payload["config"] = tag
+    return _json_dump(payload) + "\n"
 
 
 def _parse_estimator(label: str, model, p: int, n: int):
@@ -416,27 +446,22 @@ def _parse_estimator(label: str, model, p: int, n: int):
     raise ConfigError(f"unrecognized estimator spec '{label}'")
 
 
-def cmd_simulate(config, out_path, threads=1, seed_override=None):
-    block = _require(
-        config.get("simulate", {}), "simulate",
-        {"n": int, "p": int, "seed": int, "n_replicates": int,
-         "estimators": list},
-        {"entry_dist": str, "student_df": float},
-    )
-    model = parse_model(config["model"])
-    seed = seed_override if seed_override is not None else block["seed"]
-    if block["n"] < 1 or block["p"] < 1 or block["n_replicates"] < 1:
-        raise ConfigError("simulate sizes must be positive")
-    cfg = montecarlo.SimConfig(
-        model, block["n"], block["p"], seed,
+def _sim_config(model, block, seed_override) -> montecarlo.SimConfig:
+    """The SimConfig of a simulate block or of a sweep's sim block."""
+    return montecarlo.SimConfig(
+        model, block["n"], block["p"],
+        block["seed"] if seed_override is None else seed_override,
         entry_dist=block.get("entry_dist", "gaussian"),
         n_replicates=block["n_replicates"],
         student_df=block.get("student_df", 10.0),
     )
+
+
+def cmd_simulate(model, block, tag, threads=1, seed_override=None):
+    cfg = _sim_config(model, block, seed_override)
     ests, targets = {}, {}
     for label in block["estimators"]:
-        est, target = _parse_estimator(_coerce(label, str, "estimators[]"),
-                                       model, block["p"], block["n"])
+        est, target = _parse_estimator(label, model, block["p"], block["n"])
         ests[label] = est
         targets[label] = target
     reports = montecarlo.harness_suite(cfg, ests, targets, threads=threads)
@@ -447,35 +472,17 @@ def cmd_simulate(config, out_path, threads=1, seed_override=None):
          r.n_replicates]
         for label, r in reports.items()
     ]
-    _emit(_csv([f"config={_config_hash(config)}"], cols, rows), out_path)
-    return 0
+    return _csv([f"config={tag}"], cols, rows)
 
 
-def cmd_sweep(config, out_path, threads=1, seed_override=None):
-    block = _require(
-        config.get("sweep", {}), "sweep",
-        {"parameter": str, "values": ANY},
-        {"spike_index": int, "estimators": list, "include_sd_params": bool,
-         "sim": dict},
-    )
-    base = parse_model(config["model"])
+def cmd_sweep(base, block, tag, threads=1, seed_override=None):
     param = block["parameter"]
-    if param not in ("delta", "sigma_eps_sq"):
-        raise ConfigError("sweep.parameter must be 'delta' or 'sigma_eps_sq'")
-    values = _grid_values(block["values"], "sweep.values")
     spike_index = block.get("spike_index", 1)
     if param == "delta" and not 1 <= spike_index <= max(base.s, 1):
         raise ConfigError("sweep.spike_index out of range")
-    est_labels = [_coerce(label, str, "sweep.estimators[]")
-                  for label in block.get("estimators", [])]
+    est_labels = block.get("estimators", [])
     include_params = block.get("include_sd_params", False)
-    sim_block = None
-    if "sim" in block:
-        sim_block = _require(
-            block["sim"], "sweep.sim",
-            {"n": int, "p": int, "seed": int, "n_replicates": int},
-            {"entry_dist": str, "student_df": float},
-        )
+    sim_block = block.get("sim")
 
     def model_at(v):
         if param == "sigma_eps_sq":
@@ -498,7 +505,7 @@ def cmd_sweep(config, out_path, threads=1, seed_override=None):
         cols += [f"xi{i}_star" for i in range(1, s + 1)]
         cols += [f"x_star_{j + 1}" for j in range(s)]
     rows = []
-    for v in values:
+    for v in block["values"]:
         model = model_at(v)
         row = [float(v)]
         ests, targets = {}, {}
@@ -515,13 +522,7 @@ def cmd_sweep(config, out_path, threads=1, seed_override=None):
             ests[label] = est
             targets[label] = target
         if sim_block:
-            cfg = montecarlo.SimConfig(
-                model, sim_block["n"], sim_block["p"],
-                seed_override if seed_override is not None else sim_block["seed"],
-                entry_dist=sim_block.get("entry_dist", "gaussian"),
-                n_replicates=sim_block["n_replicates"],
-                student_df=sim_block.get("student_df", 10.0),
-            )
+            cfg = _sim_config(model, sim_block, seed_override)
             reports = montecarlo.harness_suite(cfg, ests, targets, threads=threads)
             for label in est_labels:
                 r = reports[label]
@@ -535,8 +536,7 @@ def cmd_sweep(config, out_path, threads=1, seed_override=None):
             row += list(params.lambdas) + list(params.xis)
             row += [spectra.outlier_location(model, d) for d in model.deltas]
         rows.append(row)
-    _emit(_csv([f"config={_config_hash(config)}"], cols, rows), out_path)
-    return 0
+    return _csv([f"config={tag}"], cols, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -577,37 +577,24 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if not isinstance(config, dict) or "model" not in config:
-        print("config error: top-level object with a 'model' block required",
-              file=sys.stderr)
-        return 2
 
-    known_blocks = {"model", "measure", "risk", "optimal", "sd_params",
-                    "federated", "simulate", "sweep", "output"}
-    unknown = set(config) - known_blocks
-    if unknown:
-        print(f"config error: unknown top-level key(s) {sorted(unknown)}",
-              file=sys.stderr)
-        return 2
-
-    out_path = args.out
-    if "output" in config:
-        try:
-            out_block = _require(config["output"], "output", {}, {"path": str})
-        except ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
-        out_path = out_path or out_block.get("path")
-
+    name = args.command.replace("-", "_")
     fn = _COMMANDS[args.command]
     try:
+        if not isinstance(config, dict) or "model" not in config:
+            raise ConfigError("top-level object with a 'model' block required")
+        unknown = set(config) - set(SCHEMA)
+        if unknown:
+            raise ConfigError(f"unknown top-level key(s) {sorted(unknown)}")
+        output = _walk(SCHEMA["output"], config.get("output", {}), "output")
+        block = _walk(SCHEMA[name], config.get(name, {}), name)
+        model = parse_model(config["model"])
+        tag = _config_hash(config)
         if args.command in ("simulate", "sweep"):
-            return fn(config, out_path, threads=args.threads,
+            text = fn(model, block, tag, threads=args.threads,
                       seed_override=args.seed)
-        return fn(config, out_path)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        else:
+            text = fn(model, block, tag)
     except AssumptionError as exc:
         print(f"assumption violation: {exc}", file=sys.stderr)
         return 3
@@ -615,9 +602,11 @@ def main(argv=None) -> int:
             FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError, or a check of the objects built
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    _emit(text, args.out or output.get("path"))
+    return 0
 
 
 def entrypoint():  # console script

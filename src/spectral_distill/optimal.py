@@ -219,7 +219,7 @@ def fixed_point_residual(model: SpikedModel, rule: RationalRule) -> float:
     """max over the grid of |A f* - g| for A f = f + sum_j d_j a_j^2 <f,h_j> h_j."""
     grid, f_bulk, f_atoms = validate_rule(model, rule)
     g, h = measures._target_and_basis(model, grid.support_points)
-    A = grid.integrate(grid.x * f_bulk, grid.atom_locs * f_atoms).delta
+    A = inner_products_with_basis(model, rule)
     resid = np.concatenate([f_bulk, f_atoms])
     for j, (d, al) in enumerate(model.spikes):
         resid = resid + d * al * al * A[j] * h[j + 1]
@@ -309,6 +309,11 @@ def synthesize_sd_params(rule: RationalRule) -> SDParams:
         # roots the terms cancel, and in floats the stage weights lose most
         # of their digits.
         basis = _basis_values(_DD(g), chosen, d)
+        if float(basis[k + 1]) == 0.0:
+            raise NumericalError(
+                "self-distillation synthesis failed: the stage basis at root "
+                f"{g!r} underflows to zero in double precision"
+            )
         num = _DD(q_at[g]) - sum((t * b for t, b in zip(ts, basis)), _DD(0.0))
         ts.append(num / basis[k + 1])
         chosen.append(g)

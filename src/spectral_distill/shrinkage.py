@@ -204,8 +204,9 @@ class GDPoly(ShrinkageFn):
     def __post_init__(self):
         if not (math.isfinite(self.eta) and self.eta > 0):
             raise ValueError(f"eta must be positive and finite, got {self.eta}")
-        if self.steps < 1:
-            raise ValueError("steps must be a positive integer")
+        if not 1 <= self.steps < 2**1024:
+            raise ValueError("steps must be a positive integer below 2^1024, "
+                             "the range of a double")
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)

@@ -1,13 +1,18 @@
 import copy
 import json
 import os
+import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from spectral_distill import cli
 from spectral_distill.cli import main
+
+CORPUS = pathlib.Path(__file__).parent / "corpus"
 
 FIG1_MODEL = {
     "sigma0_sq": 1.0, "c": 3.0, "r": 5.0, "sigma_eps_sq": 4.0,
@@ -460,8 +465,11 @@ def test_non_finite_student_df_is_config_error(tmp_path, capsys, df):
     ("risk", {"rules": [{"kind": "sd", "lambdas": [None], "xis": []}]}),
     ("measure", {"x_min": NAN}),
     ("measure", {"x_max": INF}),
+    ("risk", {"rules": [{"kind": "ridge", "lambdas": [10**400]}]}),
+    ("risk", {"rules": [{"kind": "gd", "etas": [0.1], "steps": [10**400]}]}),
 ], ids=["rule-not-object", "sd-lambda-null", "measure-x_min-nan",
-        "measure-x_max-inf"])
+        "measure-x_max-inf", "ridge-lambda-beyond-double",
+        "gd-steps-beyond-double"])
 def test_malformed_input_is_config_error(tmp_path, capsys, command, block):
     cfg = write_cfg(tmp_path, {"model": FIG1_MODEL, command: block})
     assert main([command, "--config", cfg]) == 2
@@ -543,3 +551,122 @@ def test_simulation_with_p_equal_to_s_is_config_error(tmp_path, capsys,
     assert captured.out == ""
     assert captured.err.startswith("config error:") and "spikes" in captured.err
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+SIM_SIZES = {"n": 40, "p": 80, "seed": 1, "n_replicates": 1}
+
+
+def _sized(command, field, value):
+    """(config block, where) with the count `field` set to `value`."""
+    if command == "measure":
+        return {"grid_size": value}, "measure.grid_size"
+    if command == "risk":
+        grid = {"min": 0.1, "max": 1.0, "num": value}
+        return ({"rules": [{"kind": "ridge", "lambdas": grid}]},
+                "risk.rules[0].lambdas.num")
+    if command == "federated":
+        return {"K": value}, "federated.K"
+    if command == "simulate":
+        return ({**SIM_SIZES, field: value, "estimators": ["ridge:1.0"]},
+                f"simulate.{field}")
+    if field == "num":
+        return ({"parameter": "sigma_eps_sq",
+                 "values": {"min": 1.0, "max": 2.0, "num": value}},
+                "sweep.values.num")
+    return ({"parameter": "sigma_eps_sq", "values": [1.0],
+             "estimators": ["ridge:1.0"], "sim": {**SIM_SIZES, field: value}},
+            f"sweep.sim.{field}")
+
+
+@pytest.mark.parametrize("command,field,cap", [
+    ("measure", "grid_size", cli.MAX_GRID),
+    ("risk", "num", cli.MAX_GRID),
+    ("sweep", "num", cli.MAX_GRID),
+    ("federated", "K", cli.MAX_CLIENTS),
+    ("simulate", "n", cli.MAX_DIM),
+    ("simulate", "p", cli.MAX_DIM),
+    ("simulate", "n_replicates", cli.MAX_REPLICATES),
+    ("sweep", "n", cli.MAX_DIM),
+    ("sweep", "p", cli.MAX_DIM),
+    ("sweep", "n_replicates", cli.MAX_REPLICATES),
+])
+@pytest.mark.parametrize("over", [1, 4_000_000_000])
+def test_count_above_its_cap_is_config_error(tmp_path, capsys, command, field,
+                                             cap, over):
+    # measure.grid_size = 4e9 once asked numpy for 32 GB and ended in a
+    # MemoryError traceback
+    block, where = _sized(command, field, cap + over)
+    cfg = write_cfg(tmp_path, {"model": FIG1_MODEL, command: block})
+    tracemalloc.start()
+    try:
+        code = main([command, "--config", cfg])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert peak < 2**20  # refused before anything of that size exists
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"config error: {where} = {cap + over} exceeds "
+                            f"its cap of {cap}\n")
+
+
+def test_underflowing_chain_basis_is_numerical_failure(tmp_path, capsys):
+    # at r = 2^70 the roots of P sit near -1e-42, and the synthesis basis
+    # x^14 prod (x - gamma_i) underflows to 0; this once escaped as a
+    # ZeroDivisionError
+    config = json.loads((CORPUS / "federated__many-s14-0.json").read_text())
+    config["model"]["r"] = 2**70
+    assert main(["federated", "--config", write_cfg(tmp_path, config)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure:")
+    assert "underflows to zero" in captured.err
+    assert captured.err.count("\n") == 1
+
+
+FUZZ_CASES = ["measure__readme", "risk__readme", "optimal__readme",
+              "sd-params__readme", "federated__readme", "simulate__readme-sim",
+              "sweep__readme-sim"]
+EDGE_VALUES = [0, -1, 1e300, -1e300, 1e-300, -1e-300, NAN, INF, -INF, 2**70,
+               "x", None, [], {}, True]
+# counts that size an allocation get no large integer: their caps are
+# tested above, and a run may not allocate much here
+COUNTS = {"grid_size", "num", "n", "p", "n_replicates", "K"}
+
+
+def _leaves(obj, path=()):
+    if isinstance(obj, (dict, list)):
+        items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+        for key, value in items:
+            yield from _leaves(value, path + (key,))
+    else:
+        yield path
+
+
+@pytest.mark.parametrize("name", FUZZ_CASES)
+def test_every_edge_value_of_every_leaf_exits_with_one_line(tmp_path, capsys,
+                                                            name):
+    config = json.loads((CORPUS / f"{name}.json").read_text())
+    command = name.split("__")[0]
+    bad = []
+    for path in _leaves(config):
+        field = [key for key in path if isinstance(key, str)][-1]
+        for value in EDGE_VALUES:
+            if field in COUNTS and value == 2**70:
+                continue
+            fuzzed = copy.deepcopy(config)
+            parent = fuzzed
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = value
+            cfg = write_cfg(tmp_path, fuzzed)
+            try:
+                code = main([command, "--config", cfg,
+                             "--out", str(tmp_path / "out")])
+            except Exception as exc:  # an escape is the failure under test
+                code = repr(exc)
+            err = capsys.readouterr().err
+            if code not in (0, 2, 3, 4) or err.count("\n") > 1:
+                bad.append(f"{path} = {value!r}: {code} {err!r}")
+    assert not bad, "\n".join(bad[:10])
