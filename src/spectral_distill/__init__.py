@@ -84,7 +84,6 @@ from .montecarlo import (
     fit_sd,
     fit_pcr,
     fit_minnorm,
-    fit_gd,
     fit_aggregated,
     sigma_risk,
     coordinate_risk,

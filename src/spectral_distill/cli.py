@@ -123,7 +123,7 @@ def _choice(*options):
     return choice
 
 
-_GRID = {"min": _number, "max": _number, "num": _count(MAX_GRID),
+_GRID = {"min": _finite, "max": _finite, "num": _count(MAX_GRID),
          "spacing?": _choice("linear", "log")}
 
 
@@ -134,8 +134,8 @@ def _grid(value, where) -> np.ndarray:
         return np.array(_walk([_number], value, where))
     spec = _walk(_GRID, value, where)
     if spec.get("spacing") == "log":
-        if spec["min"] <= 0:
-            raise ConfigError(f"{where}: log spacing needs min > 0")
+        if spec["min"] <= 0 or spec["max"] <= 0:
+            raise ConfigError(f"{where}: log spacing needs min > 0 and max > 0")
         return np.geomspace(spec["min"], spec["max"], spec["num"])
     return np.linspace(spec["min"], spec["max"], spec["num"])
 
@@ -442,7 +442,7 @@ def _parse_estimator(label: str, model, p: int, n: int):
     if kind == "gd" and len(parts) == 3:
         eta, steps = float(parts[1]), int(parts[2])
         est = shrinkage.GDPoly(eta, steps)
-        return ("gd", eta, steps), shrinkage.limiting_pred_risk(model, est).total
+        return est, shrinkage.limiting_pred_risk(model, est).total
     raise ConfigError(f"unrecognized estimator spec '{label}'")
 
 
@@ -458,12 +458,14 @@ def _sim_config(model, block, seed_override) -> montecarlo.SimConfig:
 
 
 def cmd_simulate(model, block, tag, threads=1, seed_override=None):
-    cfg = _sim_config(model, block, seed_override)
     ests, targets = {}, {}
     for label in block["estimators"]:
         est, target = _parse_estimator(label, model, block["p"], block["n"])
         ests[label] = est
         targets[label] = target
+    # after the estimators, so that a refused one is reported without the
+    # p/n warning of a setting that is never run
+    cfg = _sim_config(model, block, seed_override)
     reports = montecarlo.harness_suite(cfg, ests, targets, threads=threads)
     cols = ["estimator", "limit", "empirical_mean", "std_error",
             "relative_gap", "n_replicates"]
@@ -605,7 +607,15 @@ def main(argv=None) -> int:
     except ValueError as exc:  # ConfigError, or a check of the objects built
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    _emit(text, args.out or output.get("path"))
+    out_path = args.out or output.get("path")
+    try:
+        _emit(text, out_path)
+    except OSError as exc:
+        if not out_path:  # stdout itself failed: not a config problem
+            raise
+        print(f"config error: cannot write {out_path}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return 2
     return 0
 
 

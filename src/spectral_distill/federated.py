@@ -21,7 +21,8 @@ import numpy as np
 
 from . import measures, optimal
 from .errors import AssumptionError, NumericalError
-from .shrinkage import RationalRule, SDParams, ShrinkageFn, validate_rule
+from .shrinkage import (RationalRule, SDParams, ShrinkageFn, _moments, _xf_moments,
+                        validate_rule)
 from .spectra import SpikedModel, get_grid
 
 
@@ -117,11 +118,11 @@ def _rule_integrals(model: SpikedModel, f: ShrinkageFn):
     grid, fb, fa = validate_rule(model, f)
     x, xa = grid.x, grid.atom_locs
     s0sq = model.sigma0_sq
-    # ||f||_w^2 = sigma0^2 r^2 int x^2 f^2 dF_alpha + c sigma0^2 se^2 int x f^2 dF_MP
+    # ||f||_w^2 = sigma0^2 r^2 int x^2 f^2 dF_alpha + c sigma0^2 se^2 int x f^2 dF_MP,
+    # the latter being the variance moment of the risks
     norm2 = s0sq * model.r**2 * grid.integrate(x**2 * fb**2, xa**2 * fa**2).alpha \
-        + model.c * s0sq * model.sigma_eps_sq * grid.integrate(x * fb**2, xa * fa**2).mp
-    xf = grid.integrate(x * fb, xa * fa)
-    t = np.concatenate([[xf.mp], xf.delta])  # <h_0,f>_w = int x f dF_MP
+        + model.c * s0sq * model.sigma_eps_sq * _moments(grid, f)[2]
+    t = _xf_moments(grid, f)  # <h_0,f>_w = int x f dF_MP, <h_j,f>_w = A_j
     gdot = s0sq * model.r**2 * measures.mixture_weights(model).omega0 * t[0]
     for j, (d, a) in enumerate(model.spikes):
         gdot += (d + s0sq) * a * a * t[j + 1]

@@ -190,36 +190,16 @@ def basis_h(model: SpikedModel, j: int, x):
 def inner_w(model: SpikedModel, phi, psi) -> float:
     """<phi, psi>_w = int phi psi x w dF_alpha.
 
-    phi/psi are callables or arrays tabulated on the shared grid's
-    support points (bulk nodes then atoms). The explicit x factor kills
-    any zero-atom contribution, so that atom is skipped outright.
+    phi and psi are callables. The explicit x factor kills any zero-atom
+    contribution, so that atom's integrand is set to 0 even where phi or
+    psi is singular there.
     """
     grid = get_grid(model)
-    pts_bulk, pts_atom = grid.x, grid.atom_locs
-
-    def vals(f):
-        if callable(f):
-            vb = np.asarray(f(pts_bulk), dtype=float)
-            va = np.asarray(f(pts_atom), dtype=float) if pts_atom.size else np.zeros(0)
-        else:
-            arr = np.asarray(f, dtype=float)
-            if arr.shape != grid.support_points.shape:
-                raise ValueError(
-                    "tabulated values must match the grid support points "
-                    f"(expected {grid.support_points.shape}, got {arr.shape})"
-                )
-            vb, va = arr[: pts_bulk.size], arr[pts_bulk.size:]
-        return vb, va
-
-    pb, pa = vals(phi)
-    qb, qa = vals(psi)
-    wb = _weight_w_unchecked(model, pts_bulk)
-    total = float(grid.alpha_bulk @ ((pb * qb) * (pts_bulk * wb)))
-    for k, loc in enumerate(pts_atom):
-        if loc == 0.0:
-            continue  # x factor annihilates the zero atom
-        wa = float(_weight_w_unchecked(model, np.array([loc]))[0])
-        total += (pa[k] * qa[k]) * (grid.atom_alpha[k] * loc * wa)
+    x, xa = grid.x, grid.atom_locs
+    bulk = (phi(x) * psi(x)) * (x * _weight_w_unchecked(model, x))
+    with np.errstate(invalid="ignore"):
+        atoms = (phi(xa) * psi(xa)) * (xa * _weight_w_unchecked(model, xa))
+    total = float(grid.integrate(bulk, np.where(xa > 0.0, atoms, 0.0)).alpha)
     if not math.isfinite(total):
         raise NumericalError("inner product did not evaluate to a finite value")
     return total

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .shrinkage import GDPoly, SDParams, ShrinkageFn
+from .shrinkage import SDParams, ShrinkageFn
 from .spectra import SpikedModel
 
 _ROLE_IDS = {"signal": 0, "design": 1, "noise": 2}
@@ -34,13 +34,27 @@ _ENTRY_DISTS = ("gaussian", "rademacher", "student_t")
 
 @dataclass(frozen=True)
 class SimConfig:
+    """One Monte Carlo setting.
+
+    Fields
+    ------
+    model        : the spiked model whose data are drawn
+    n, p         : sample size and dimension (p > s; p/n should be near c)
+    seed         : entropy of every Philox stream (see `_rng`)
+    entry_dist   : law of the design entries, one of _ENTRY_DISTS
+    n_replicates : independent datasets per harness run
+    student_df   : degrees of freedom of student_t entries (> 8)
+
+    The spike directions are drawn afresh per replicate, uniformly
+    orthonormal, from the replicate's signal stream.
+    """
+
     model: SpikedModel
     n: int
     p: int
     seed: int
     entry_dist: str = "gaussian"
     n_replicates: int = 1
-    spike_directions: object = "random_orthonormal"  # or a p x s matrix
     student_df: float = 10.0
 
     def __post_init__(self):
@@ -61,18 +75,6 @@ class SimConfig:
                 "p must exceed the number of spikes: the signal needs a "
                 "direction outside their span"
             )
-        if isinstance(self.spike_directions, str):
-            if self.spike_directions != "random_orthonormal":
-                raise ValueError(
-                    "spike_directions must be 'random_orthonormal' or a matrix"
-                )
-        else:
-            V = np.asarray(self.spike_directions, dtype=float)
-            if V.shape != (self.p, self.model.s):
-                raise ValueError("provided spike directions must be p x s")
-            if not np.allclose(V.T @ V, np.eye(self.model.s), atol=1e-10):
-                raise ValueError("provided spike directions must be orthonormal")
-            object.__setattr__(self, "spike_directions", V)
         if abs(self.p / self.n - self.model.c) > 0.01:
             warnings.warn(
                 f"p/n = {self.p / self.n} is more than 0.01 away from c = {self.model.c}",
@@ -101,15 +103,12 @@ def _signal(cfg: SimConfig, replicate: int):
     """Spike directions V (p x s) and beta0 with exact norm and alignments."""
     model, p, s = cfg.model, cfg.p, cfg.model.s
     rng = _rng(cfg.seed, replicate, "signal")
-    if isinstance(cfg.spike_directions, str):
-        if s > 0:
-            G = rng.standard_normal((p, s))
-            Q, R = np.linalg.qr(G)
-            V = Q * np.sign(np.diag(R))  # deterministic sign convention
-        else:
-            V = np.zeros((p, 0))
+    if s > 0:
+        G = rng.standard_normal((p, s))
+        Q, R = np.linalg.qr(G)
+        V = Q * np.sign(np.diag(R))  # deterministic sign convention
     else:
-        V = np.asarray(cfg.spike_directions, dtype=float)
+        V = np.zeros((p, 0))
     g = rng.standard_normal(p)
     if s > 0:
         g = g - V @ (V.T @ g)
@@ -230,8 +229,6 @@ class FittedEstimator:
 
     coords: np.ndarray
     spectrum: SampleSpectrum | None
-    tag: str
-    hyperparams: tuple = ()
 
     @property
     def coefficients(self) -> np.ndarray:
@@ -244,8 +241,7 @@ def fit_shrinkage(X, y, f: ShrinkageFn, spectrum: SampleSpectrum | None = None
                   ) -> FittedEstimator:
     """beta_f = f(Sigma_hat) X'y/n via the sample eigenbasis."""
     sp = decompose(X, y) if spectrum is None else spectrum
-    return FittedEstimator(_apply_rule_values(f, sp.d) * sp.z, sp, "shrinkage",
-                           (f,))
+    return FittedEstimator(_apply_rule_values(f, sp.d) * sp.z, sp)
 
 
 def fit_sd(X, y, params: SDParams, spectrum: SampleSpectrum | None = None
@@ -271,7 +267,7 @@ def fit_sd(X, y, params: SDParams, spectrum: SampleSpectrum | None = None
     for t in range(1, len(lam)):
         xi = params.xis[t - 1]
         coords = pinv_scale(t) * ((1.0 - xi) * z + xi * d * coords)
-    return FittedEstimator(coords, sp, "sd", (params,))
+    return FittedEstimator(coords, sp)
 
 
 def fit_pcr(X, y, m: int, spectrum: SampleSpectrum | None = None) -> FittedEstimator:
@@ -283,7 +279,7 @@ def fit_pcr(X, y, m: int, spectrum: SampleSpectrum | None = None) -> FittedEstim
     coords = np.zeros_like(sp.d)
     with np.errstate(divide="ignore"):
         coords[order] = np.where(sp.d[order] > 0, sp.z[order] / sp.d[order], 0.0)
-    return FittedEstimator(coords, sp, "pcr", (m,))
+    return FittedEstimator(coords, sp)
 
 
 def fit_minnorm(X, y, spectrum: SampleSpectrum | None = None) -> FittedEstimator:
@@ -292,14 +288,7 @@ def fit_minnorm(X, y, spectrum: SampleSpectrum | None = None) -> FittedEstimator
     keep = sp.d > (sp.d.max() if sp.d.size else 1.0) * 1e-12
     coords = np.zeros_like(sp.d)
     coords[keep] = sp.z[keep] / sp.d[keep]
-    return FittedEstimator(coords, sp, "minnorm")
-
-
-def fit_gd(X, y, eta: float, steps: int, spectrum: SampleSpectrum | None = None
-           ) -> FittedEstimator:
-    """Gradient descent from zero for `steps` iterations with step size eta."""
-    sp = decompose(X, y) if spectrum is None else spectrum
-    return FittedEstimator(GDPoly(eta, steps)(sp.d) * sp.z, sp, "gd", (eta, steps))
+    return FittedEstimator(coords, sp)
 
 
 def sigma_risk(beta_hat, beta0, model: SpikedModel, V) -> float:
@@ -353,14 +342,15 @@ def fit_aggregated(cfgs, rules, rhos) -> FittedEstimator:
     for l, (cfg, f, rho) in enumerate(zip(cfgs, rules, rhos)):
         X, y, _, _ = gen_data(cfg, 0, l, signal)
         beta += rho * fit_shrinkage(X, y, f).coefficients
-    return FittedEstimator(beta, None, "aggregated", (tuple(rhos),))
+    return FittedEstimator(beta, None)
 
 
 def make_fitter(est):
     """Normalize an estimator spec to a fit(X, y, spectrum) callable.
 
-    Accepts a ShrinkageFn, SDParams, or tuples ("pcr", m), ("minnorm",),
-    ("gd", eta, steps).
+    Accepts a ShrinkageFn (gradient descent is the rule GDPoly(eta, steps)),
+    SDParams, or the tuples ("pcr", m) and ("minnorm",), whose fits depend
+    on the sample size and so are not rules of the limiting spectrum.
     """
     if isinstance(est, ShrinkageFn):
         return lambda X, y, sp: fit_shrinkage(X, y, est, sp)
@@ -372,8 +362,6 @@ def make_fitter(est):
             return lambda X, y, sp: fit_pcr(X, y, est[1], sp)
         if kind == "minnorm":
             return lambda X, y, sp: fit_minnorm(X, y, sp)
-        if kind == "gd":
-            return lambda X, y, sp: fit_gd(X, y, est[1], est[2], sp)
     raise ValueError(f"unrecognized estimator spec: {est!r}")
 
 

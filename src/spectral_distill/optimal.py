@@ -30,7 +30,8 @@ import numpy as np
 
 from . import measures
 from .errors import AssumptionError, NumericalError, StructuralError
-from .shrinkage import RationalRule, Ridge, SDParams, sd_chain_fn, validate_rule
+from .shrinkage import (RationalRule, Ridge, SDParams, _xf_moments, sd_chain_fn,
+                        validate_rule)
 # get_grid stays bound here for perfbench's tracer, which wraps each binding
 from .spectra import SpikedModel, bracketed_newton, get_grid  # noqa: F401
 
@@ -219,7 +220,7 @@ def fixed_point_residual(model: SpikedModel, rule: RationalRule) -> float:
     """max over the grid of |A f* - g| for A f = f + sum_j d_j a_j^2 <f,h_j> h_j."""
     grid, f_bulk, f_atoms = validate_rule(model, rule)
     g, h = measures._target_and_basis(model, grid.support_points)
-    A = inner_products_with_basis(model, rule)
+    A = _xf_moments(grid, rule)[1:]
     resid = np.concatenate([f_bulk, f_atoms])
     for j, (d, al) in enumerate(model.spikes):
         resid = resid + d * al * al * A[j] * h[j + 1]
@@ -227,9 +228,8 @@ def fixed_point_residual(model: SpikedModel, rule: RationalRule) -> float:
 
 
 def inner_products_with_basis(model: SpikedModel, rule) -> np.ndarray:
-    """A_j = <rule, h_j>_w = int x rule dF_{delta_j}, j = 1..s."""
-    grid, f_bulk, f_atoms = validate_rule(model, rule)
-    return np.array(grid.integrate(grid.x * f_bulk, grid.atom_locs * f_atoms).delta)
+    """A_j = <rule, h_j>_w = int x rule dF_{delta_j}, j = 1..s; read-only."""
+    return _xf_moments(validate_rule(model, rule)[0], rule)[1:]
 
 
 def optimal_pred_rule(model: SpikedModel) -> tuple[RationalRule, OptimalCoefficients]:

@@ -18,9 +18,11 @@ those values, all from `SpectralGrid.integrate`:
            + c sigma0^2 sigma_eps^2 int x f^2 dF_MP
     est:   r^2 int (1-xf)^2 dF_alpha + c sigma_eps^2 int x f^2 dF_MP
 
-Values and moments are cached per (grid object, rule), so the risks,
-inner products and self-checks of one rule share one evaluation and one
-moment pass; see `validate_rule`.
+The inner products of `optimal` and `federated` need one more pass,
+int x f against F_MP and each F_{delta_j} (`_xf_moments`). Values, risk
+moments and that pass are each cached per (grid object, rule), so the
+risks, inner products and self-checks of one rule share one evaluation
+and integrate each integrand once; see `validate_rule`.
 """
 
 from __future__ import annotations
@@ -399,8 +401,25 @@ def _rule_moments(grid, f_bulk, f_atoms):
 
 @lru_cache(maxsize=16)
 def _moments(grid: SpectralGrid, f: ShrinkageFn):
-    """Risk moments of a rule validated on grid, shared by both risks."""
+    """Risk moments of a rule validated on grid, shared by both risks and
+    by the federated norm, which reads int x f^2 dF_MP from them."""
     return _rule_moments(grid, *_evaluate(grid, f))
+
+
+@lru_cache(maxsize=16)
+def _xf_moments(grid: SpectralGrid, f: ShrinkageFn) -> np.ndarray:
+    """[int x f dF_MP, int x f dF_{delta_1}, ..., int x f dF_{delta_s}] of a
+    rule validated on grid, read-only.
+
+    The optimality inner products A_j, the fixed-point residual and the
+    federated expansion read this one pass. It stays apart from `_moments`
+    so that an op printing no risk does not pay for them.
+    """
+    f_bulk, f_atoms = _evaluate(grid, f)
+    xf = grid.integrate(grid.x * f_bulk, grid.atom_locs * f_atoms)
+    out = np.concatenate([[xf.mp], xf.delta])
+    out.setflags(write=False)
+    return out
 
 
 def _risk_terms(model: SpikedModel, moments, kind: str):

@@ -564,23 +564,13 @@ class SpectralGrid:
         gap = (delta - model.bbp_threshold) ** 2 / delta
         return self.mp_bulk * g / (gap + self._below_hi)
 
-    def _values(self, fn, pts):
-        # dtype preserved so complex integrands (resolvent tests) work
-        return np.asarray(fn(pts)) if callable(fn) else np.asarray(fn)
-
     def int_mp(self, fn):
-        v = self._values(fn, self.x)
-        total = self.mp_bulk @ v
-        if self.atom_locs.size:
-            total = total + self.atom_mp @ self._values(fn, self.atom_locs)
-        return total.item()
+        """int fn dF_MP for a callable fn (complex values allowed)."""
+        return self.integrate(fn(self.x), fn(self.atom_locs)).mp.item()
 
     def int_delta(self, j: int, fn):
-        v = self._values(fn, self.x)
-        total = self.delta_bulk[j] @ v
-        if self.atom_locs.size:
-            total = total + self.atom_delta[j] @ self._values(fn, self.atom_locs)
-        return total.item()
+        """int fn dF_{delta_j} for a callable fn (complex values allowed)."""
+        return self.integrate(fn(self.x), fn(self.atom_locs)).delta[j].item()
 
     def integrate(self, bulk, atoms) -> MeasureIntegrals:
         """Integrals of one integrand against F_alpha, each F_delta_j and F_MP.

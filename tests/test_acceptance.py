@@ -289,7 +289,7 @@ def test_criterion_08_monte_carlo_convergence(fig4_model):
         "sd": params,
         "pcr_1": ("pcr", 1),
         "pcr_600": ("pcr", 600),
-        "gd": ("gd", 0.05, 100),
+        "gd": sd.GDPoly(0.05, 100),
     }
     cfg = SimConfig(model, n=n, p=p, seed=0, n_replicates=24)
     reports = sd.harness_suite(cfg, ests, targets)

@@ -295,6 +295,31 @@ def test_closed_form_op_evaluates_optimal_rule_once(tmp_path, monkeypatch,
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("command,block,integrals", [
+    ("optimal", "optimal", 4), ("sd-params", "sd_params", 1),
+    ("federated", "federated", 5)])
+def test_closed_form_op_integrates_each_integrand_once(tmp_path, monkeypatch,
+                                                       command, block, integrals):
+    # the two risks share three moments; A_j, the fixed-point residual and
+    # the federated inner products share one x f pass; the federated norm
+    # adds x^2 f^2 and reads x f^2 from the risk moments
+    from spectral_distill import spectra
+
+    calls = []
+    integrate = spectra.SpectralGrid.integrate
+
+    def counting(self, bulk, atoms):
+        calls.append(bulk.shape)
+        return integrate(self, bulk, atoms)
+
+    monkeypatch.setattr(spectra.SpectralGrid, "integrate", counting)
+    cfg = write_cfg(tmp_path, {"model": FIG1_MODEL,
+                               block: {"K": 3} if command == "federated" else {}})
+    spectra._grid_cached.cache_clear()
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert len(calls) == integrals
+
+
 def test_assumption_message_names_condition(tmp_path, capsys):
     bad = write_cfg(
         tmp_path,
@@ -489,6 +514,58 @@ def test_output_block_takes_only_a_path(tmp_path):
     assert main(["optimal", "--config", bad]) == 2
     with pytest.raises(SystemExit):
         main(["optimal", "--config", cfg, "--format", "json"])
+
+
+@pytest.mark.parametrize("via", ["--out", "output.path"])
+def test_unwritable_output_is_one_line_config_error(tmp_path, capsys, via):
+    missing = tmp_path / "missing" / "x.json"
+    taken = tmp_path / "taken"  # a directory: the rename onto it fails
+    taken.mkdir()
+    for out in (missing, taken):
+        payload = {"model": FIG1_MODEL, "sd_params": {}}
+        extra = ["--out", str(out)]
+        if via == "output.path":
+            payload["output"], extra = {"path": str(out)}, []
+        assert main(["sd-params", "--config", write_cfg(tmp_path, payload),
+                     *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"config error: cannot write {out}: ")
+        assert captured.err.count("\n") == 1
+    assert not list(tmp_path.rglob(".spectral-distill-*"))
+    assert not missing.parent.exists() and not any(taken.iterdir())
+
+
+def _refusal(tmp_path, kind):
+    if kind == "infinite-grid-bound":
+        config = {"model": FIG1_MODEL, "risk": {"rules": [{"kind": "ridge",
+                  "lambdas": {"min": INF, "max": 1.0, "num": 3}}]}}
+        return "risk", config, []
+    if kind == "simulate-huge-c":
+        config = json.loads((CORPUS / "simulate__readme-sim.json").read_text())
+        config["model"]["c"] = 2**70
+        return "simulate", config, []
+    config = {"model": FIG1_MODEL, "optimal": {}}
+    return "optimal", config, ["--out", str(tmp_path / "missing" / "x.json")]
+
+
+@pytest.mark.parametrize("kind", ["infinite-grid-bound", "simulate-huge-c",
+                                  "missing-directory"])
+def test_refused_input_prints_one_line_in_a_fresh_process(tmp_path, kind):
+    # warnings are shown in a fresh process, unlike under pytest
+    command, config, extra = _refusal(tmp_path, kind)
+    src = os.path.dirname(os.path.dirname(
+        sys.modules["spectral_distill.cli"].__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONWARNINGS", None)
+    done = subprocess.run(
+        [sys.executable, "-m", "spectral_distill.cli", command,
+         "--config", write_cfg(tmp_path, config), *extra],
+        env=env, capture_output=True, text=True)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("config error:")
+    assert done.stderr.count("\n") == 1, done.stderr
 
 
 def test_sweep_sd_params_isotropic(tmp_path):

@@ -145,7 +145,7 @@ def test_minnorm_surrogate_matches_interpolator(small_case):
 def test_gd_first_step(small_case):
     model, cfg, X, y, beta0, V, sp = small_case
     n = X.shape[0]
-    got = sd.fit_gd(X, y, 0.05, 1, sp).coefficients
+    got = sd.fit_shrinkage(X, y, sd.GDPoly(0.05, 1), sp).coefficients
     assert np.allclose(got, 0.05 * X.T @ y / n)
 
 
@@ -208,7 +208,7 @@ def _estimator_cases(m_top):
         f"pcr:{m_top}": (("pcr", m_top),
                          lambda d: np.where(d >= np.sort(d)[-m_top], 1.0 / d, 0.0)),
         "minnorm": (("minnorm",), lambda d: 1.0 / d),
-        "gd": (("gd", 0.05, 40), lambda d: (1.0 - (1.0 - 0.05 * d) ** 40) / d),
+        "gd": (sd.GDPoly(0.05, 40), lambda d: (1.0 - (1.0 - 0.05 * d) ** 40) / d),
     }
 
 
@@ -336,7 +336,7 @@ def test_harness_fig4_size_ridge_and_gd():
         "gd": sd.limiting_pred_risk(model, sd.GDPoly(0.05, 100)).total,
     }
     reports = sd.harness_suite(
-        cfg, {"ridge": sd.Ridge(1.0), "gd": ("gd", 0.05, 100)}, targets
+        cfg, {"ridge": sd.Ridge(1.0), "gd": sd.GDPoly(0.05, 100)}, targets
     )
     assert reports["ridge"].relative_gap < 0.05
     assert reports["gd"].relative_gap < 0.05

@@ -15,6 +15,16 @@ def test_b0_closed_form(fig1_model):
     assert coef.b[0] == pytest.approx(25.0 * 0.39, abs=1e-12)
 
 
+def test_inner_products_are_shared_read_only(fig1_model):
+    # A_j comes from the rule's cached x f pass, which callers must not alter
+    rule, coef = sd.optimal_pred_rule(fig1_model)
+    A = sd.optimal.inner_products_with_basis(fig1_model, rule)
+    assert tuple(A) == coef.A and A.shape == (fig1_model.s,)
+    assert not A.flags.writeable
+    with pytest.raises(ValueError):
+        A[0] = 0.0
+
+
 def test_degrees(fig1_model):
     rule, _ = sd.optimal_pred_rule(fig1_model)
     s = fig1_model.s
