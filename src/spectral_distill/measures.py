@@ -18,13 +18,8 @@ import numpy as np
 
 from . import spectra
 from .errors import NumericalError
-from .spectra import SpikedModel, get_grid
-
-
-@dataclass(frozen=True)
-class MixtureWeights:
-    omega0: float
-    omegas: tuple[float, ...]
+# the mixture weights live with the grid, which builds F_alpha from them
+from .spectra import MixtureWeights, SpikedModel, get_grid, mixture_weights  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -91,12 +86,6 @@ class RnPolynomials:
             dafter = dafter * factors[j] - after * self.scales[j]
             after = after * factors[j]
         return out, slope
-
-
-def mixture_weights(model: SpikedModel) -> MixtureWeights:
-    """omega0 = 1 - sum_j alpha_j^2 / r^2, omega_j = alpha_j^2 / r^2."""
-    omegas = tuple(float(a * a) / model.r**2 for a in model.alphas)
-    return MixtureWeights(1.0 - sum(omegas), omegas)
 
 
 @lru_cache(maxsize=128)

@@ -130,6 +130,22 @@ class SpikedModel:
 
 
 @dataclass(frozen=True)
+class MixtureWeights:
+    omega0: float
+    omegas: tuple[float, ...]
+
+
+def mixture_weights(model: SpikedModel) -> MixtureWeights:
+    """omega0 = 1 - sum_j alpha_j^2 / r^2, omega_j = alpha_j^2 / r^2.
+
+    F_alpha = omega0 F_MP + sum_j omega_j F_{delta_j}; the grid's F_alpha
+    weights and every formula in omega take them from here.
+    """
+    omegas = tuple(float(a * a) / model.r**2 for a in model.alphas)
+    return MixtureWeights(1.0 - sum(omegas), omegas)
+
+
+@dataclass(frozen=True)
 class SpectralMeasure:
     """A limiting measure: bulk density on [bulk_lo, bulk_hi] plus atoms."""
 
@@ -520,9 +536,8 @@ class SpectralGrid:
 
         s = model.s
         self.delta_bulk = [self._delta_bulk_weights(d) for d in model.deltas]
-        alphas = model.alphas
-        omega0 = 1.0 - float(np.sum(alphas**2)) / model.r**2
-        omegas = alphas**2 / model.r**2
+        weights = mixture_weights(model)
+        omega0, omegas = weights.omega0, weights.omegas
         self.alpha_bulk = omega0 * self.mp_bulk
         for j in range(s):
             self.alpha_bulk = self.alpha_bulk + omegas[j] * self.delta_bulk[j]
