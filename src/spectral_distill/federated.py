@@ -50,12 +50,7 @@ def federated_b(model: SpikedModel, K: int) -> np.ndarray:
     """Coefficient vector b^(K) of the K-client optimality system."""
     if K < 1 or int(K) != K:
         raise ValueError("K must be a positive integer")
-    gs = measures.gram_system(model)
-    lhs = np.eye(model.s + 1) + _dk_diag(model, int(K))[:, None] * gs.H
-    try:
-        return np.linalg.solve(lhs, gs.gamma)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise NumericalError(f"federated system became singular: {exc}") from exc
+    return optimal._solve_system(model, _dk_diag(model, int(K)))
 
 
 def federated_optimum(model: SpikedModel, K: int) -> FederatedOptimum:
@@ -105,9 +100,11 @@ def product_form_limit(model: SpikedModel, phi: ShrinkageFn, psi: ShrinkageFn,
     w = measures.mixture_weights(model)
     grid_l = get_grid(model.replace(c=float(c_l)))
     grid_k = get_grid(model.replace(c=float(c_k)))
-    total = w.omega0 * grid_l.int_mp(phi) * grid_k.int_mp(psi)
-    for j, _ in enumerate(model.spikes):
-        total += w.omegas[j] * grid_l.int_delta(j, phi) * grid_k.int_delta(j, psi)
+    ints_l = grid_l.integrate(phi(grid_l.support_points))
+    ints_k = grid_k.integrate(psi(grid_k.support_points))
+    total = w.omega0 * ints_l.mp * ints_k.mp
+    for om, dl, dk in zip(w.omegas, ints_l.delta, ints_k.delta):
+        total += om * dl * dk
     if not math.isfinite(total):
         raise NumericalError("product form limit did not evaluate finitely")
     return float(total)
@@ -115,12 +112,12 @@ def product_form_limit(model: SpikedModel, phi: ShrinkageFn, psi: ShrinkageFn,
 
 def _rule_integrals(model: SpikedModel, f: ShrinkageFn):
     """(||f||_w^2, <g,f>_w, [<h_0,f>_w, ..., <h_s,f>_w]) for one rule."""
-    grid, fb, fa = validate_rule(model, f)
-    x, xa = grid.x, grid.atom_locs
+    grid, values = validate_rule(model, f)
+    x = grid.support_points
     s0sq = model.sigma0_sq
     # ||f||_w^2 = sigma0^2 r^2 int x^2 f^2 dF_alpha + c sigma0^2 se^2 int x f^2 dF_MP,
     # the latter being the variance moment of the risks
-    norm2 = s0sq * model.r**2 * grid.integrate(x**2 * fb**2, xa**2 * fa**2).alpha \
+    norm2 = s0sq * model.r**2 * grid.integrate(x**2 * values**2).alpha \
         + model.c * s0sq * model.sigma_eps_sq * _moments(grid, f)[2]
     t = _xf_moments(grid, f)  # <h_0,f>_w = int x f dF_MP, <h_j,f>_w = A_j
     gdot = s0sq * model.r**2 * measures.mixture_weights(model).omega0 * t[0]

@@ -184,11 +184,10 @@ def inner_w(model: SpikedModel, phi, psi) -> float:
     psi is singular there.
     """
     grid = get_grid(model)
-    x, xa = grid.x, grid.atom_locs
-    bulk = (phi(x) * psi(x)) * (x * _weight_w_unchecked(model, x))
+    x = grid.support_points  # every bulk node is positive
     with np.errstate(invalid="ignore"):
-        atoms = (phi(xa) * psi(xa)) * (xa * _weight_w_unchecked(model, xa))
-    total = float(grid.integrate(bulk, np.where(xa > 0.0, atoms, 0.0)).alpha)
+        vals = (phi(x) * psi(x)) * (x * _weight_w_unchecked(model, x))
+    total = float(grid.integrate(np.where(x > 0.0, vals, 0.0)).alpha)
     if not math.isfinite(total):
         raise NumericalError("inner product did not evaluate to a finite value")
     return total
@@ -218,18 +217,17 @@ def gram_system(model: SpikedModel) -> GramSystem:
     integrand = mu * (x / wv)  # row j: x mu_j / w on the bulk
 
     H = np.empty((s + 1, s + 1))
-    for i in range(s + 1):
-        bulk_w = grid.mp_bulk if i == 0 else grid.delta_bulk[i - 1]
-        H[i, :] = integrand @ bulk_w
+    for i, w in enumerate((grid.w_mp, *grid.w_delta)):
+        H[i, :] = integrand @ w[:x.size]
     # Atom terms: only the outlier atoms contribute (x factor kills the
     # zero atom; F_MP has no outliers), and mu_j(x_i*) = 1[i=j]/omega_i.
     wmix = mixture_weights(model)
     for j in range(1, s + 1):
-        slot = grid.outlier_slot.get(j - 1)
-        if slot is None:
+        k = grid.outlier_index.get(j - 1)
+        if k is None:
             continue
-        xs = grid.atom_locs[slot]
-        mass = grid.atom_delta[j - 1, slot]
+        xs = grid.support_points[k]
+        mass = grid.w_delta[j - 1][k]
         w_at = float(_weight_w_unchecked(model, np.array([xs]))[0])
         H[j, j] += mass * xs * (1.0 / wmix.omegas[j - 1]) / w_at
     H = 0.5 * (H + H.T)  # symmetrize away quadrature roundoff

@@ -218,10 +218,9 @@ def _factored_rule(model: SpikedModel, q_nu, s0sq: float,
 
 def fixed_point_residual(model: SpikedModel, rule: RationalRule) -> float:
     """max over the grid of |A f* - g| for A f = f + sum_j d_j a_j^2 <f,h_j> h_j."""
-    grid, f_bulk, f_atoms = validate_rule(model, rule)
+    grid, resid = validate_rule(model, rule)
     g, h = measures._target_and_basis(model, grid.support_points)
     A = _xf_moments(grid, rule)[1:]
-    resid = np.concatenate([f_bulk, f_atoms])
     for j, (d, al) in enumerate(model.spikes):
         resid = resid + d * al * al * A[j] * h[j + 1]
     return float(np.max(np.abs(resid - g)))
@@ -351,6 +350,5 @@ def sd_round_trip_error(model: SpikedModel, rule: RationalRule,
                         params: SDParams) -> float:
     """sup over grid and atoms of |sd_chain(params) - rule|, the rule's
     values being those `validate_rule` holds."""
-    grid, f_bulk, f_atoms = validate_rule(model, rule)
-    chain = sd_chain_fn(params)(grid.support_points)
-    return float(np.max(np.abs(chain - np.concatenate([f_bulk, f_atoms]))))
+    grid, values = validate_rule(model, rule)
+    return float(np.max(np.abs(sd_chain_fn(params)(grid.support_points) - values)))

@@ -10,8 +10,9 @@ optimal rules of `optimal` evaluate Q in the factored nu basis of their
 model, hand-built ones from its coefficients.
 
 A rule meets a model in `validate_rule`, which checks it and evaluates it
-once on the model's grid. Each limiting risk assembles three moments of
-those values, all from `SpectralGrid.integrate`:
+once on all the points of the model's grid, bulk nodes and atoms alike.
+Each limiting risk assembles three moments of those values, all from
+`SpectralGrid.integrate`:
 
     pred:  sigma0^2 r^2 int (1-xf)^2 dF_alpha
            + sum_j delta_j alpha_j^2 (int (1-xf) dF_{delta_j})^2
@@ -22,7 +23,9 @@ The inner products of `optimal` and `federated` need one more pass,
 int x f against F_MP and each F_{delta_j} (`_xf_moments`). Values, risk
 moments and that pass are each cached per (grid object, rule), so the
 risks, inner products and self-checks of one rule share one evaluation
-and integrate each integrand once; see `validate_rule`.
+and integrate each integrand once; see `validate_rule`. The sharp PCR
+risks are those of a private rule, 1/x at and above a cut and 0 below
+it, so every risk goes through the same moments.
 """
 
 from __future__ import annotations
@@ -347,17 +350,17 @@ def sd_chain_fn(params: SDParams, model: SpikedModel | None = None) -> SDChain:
 
 
 def validate_rule(model: SpikedModel, f: ShrinkageFn
-                  ) -> tuple[SpectralGrid, np.ndarray, np.ndarray]:
+                  ) -> tuple[SpectralGrid, np.ndarray]:
     """Check a rule against a model and evaluate it once on the model's grid.
 
     The grid's panels are split at the rule's breakpoints inside the
     bulk. A declared pole on the limiting support
     raises AssumptionError; a value that is not finite raises
-    NumericalError, on every call. Returns (grid, f at grid.x, f at
-    grid.atom_locs), read-only arrays from a small cache keyed on the
-    grid object and f, never on the model: a grid rebuilt after
-    `_grid_cached` is cleared, or from other panels, is evaluated afresh.
-    Equal package rules (frozen dataclasses) share an entry; other
+    NumericalError, on every call. Returns (grid, f at
+    grid.support_points), the values a read-only array from a small cache
+    keyed on the grid object and f, never on the model: a grid rebuilt
+    after `_grid_cached` is cleared, or from other panels, is evaluated
+    afresh. Equal package rules (frozen dataclasses) share an entry; other
     ShrinkageFn classes hash by identity and must not change once called.
     """
     a, b = mp_support(model)
@@ -369,41 +372,37 @@ def validate_rule(model: SpikedModel, f: ShrinkageFn
                 f"rule has a pole at {p}, inside the limiting support; "
                 "shrinkage rules must be finite near the bulk and atoms"
             )
-    return (grid, *_evaluate(grid, f))
+    return grid, _evaluate(grid, f)
 
 
 @lru_cache(maxsize=16)
-def _evaluate(grid: SpectralGrid, f: ShrinkageFn) -> tuple[np.ndarray, np.ndarray]:
-    f_bulk = np.asarray(f(grid.x))
-    f_atoms = np.asarray(f(grid.atom_locs)) if grid.atom_locs.size else np.zeros(0)
-    if not (np.all(np.isfinite(f_bulk)) and np.all(np.isfinite(f_atoms))):
+def _evaluate(grid: SpectralGrid, f: ShrinkageFn) -> np.ndarray:
+    values = np.asarray(f(grid.support_points))
+    if not np.all(np.isfinite(values)):
         raise NumericalError("rule is not finite on the limiting support")
-    f_bulk.setflags(write=False)
-    f_atoms.setflags(write=False)
-    return f_bulk, f_atoms
+    values.setflags(write=False)
+    return values
 
 
-def _risk_moments(grid, resid_bulk, resid_atoms, var_bulk, var_atoms):
-    """(int resid^2 dF_alpha, [int resid dF_{delta_j}]_j, int var dF_MP).
+def _rule_moments(grid: SpectralGrid, f):
+    """(int (1-xf)^2 dF_alpha, [int (1-xf) dF_{delta_j}]_j, int x f^2 dF_MP)
+    of the values f at grid.support_points; leading axes batch.
 
-    For a rule f, resid = 1 - x f and var = x f^2; leading axes batch.
+    Overflow of huge but finite values is left to `_breakdown`, which
+    refuses a total that is not finite.
     """
-    return (grid.integrate(resid_bulk**2, resid_atoms**2).alpha,
-            grid.integrate(resid_bulk, resid_atoms).delta,
-            grid.integrate(var_bulk, var_atoms).mp)
-
-
-def _rule_moments(grid, f_bulk, f_atoms):
-    x, xa = grid.x, grid.atom_locs
-    return _risk_moments(grid, 1.0 - x * f_bulk, 1.0 - xa * f_atoms,
-                         x * f_bulk**2, xa * f_atoms**2)
+    x = grid.support_points
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = 1.0 - x * f
+        return (grid.integrate(resid**2).alpha, grid.integrate(resid).delta,
+                grid.integrate(x * f**2).mp)
 
 
 @lru_cache(maxsize=16)
 def _moments(grid: SpectralGrid, f: ShrinkageFn):
     """Risk moments of a rule validated on grid, shared by both risks and
     by the federated norm, which reads int x f^2 dF_MP from them."""
-    return _rule_moments(grid, *_evaluate(grid, f))
+    return _rule_moments(grid, _evaluate(grid, f))
 
 
 @lru_cache(maxsize=16)
@@ -415,25 +414,26 @@ def _xf_moments(grid: SpectralGrid, f: ShrinkageFn) -> np.ndarray:
     federated expansion read this one pass. It stays apart from `_moments`
     so that an op printing no risk does not pay for them.
     """
-    f_bulk, f_atoms = _evaluate(grid, f)
-    xf = grid.integrate(grid.x * f_bulk, grid.atom_locs * f_atoms)
+    xf = grid.integrate(grid.support_points * _evaluate(grid, f))
     out = np.concatenate([[xf.mp], xf.delta])
     out.setflags(write=False)
     return out
 
 
 def _risk_terms(model: SpikedModel, moments, kind: str):
-    """(bias_bulk, [bias_spike_j], variance) of the pred or est risk."""
+    """(bias_bulk, [bias_spike_j], variance) of the pred or est risk; like
+    `_rule_moments`, leaves overflow to `_breakdown`."""
     alpha, delta, var = moments
-    if kind == "pred":
-        s0sq = model.sigma0_sq
-        spikes = [d * al * al * delta[j] ** 2
-                  for j, (d, al) in enumerate(model.spikes)]
-        return (s0sq * model.r**2 * alpha, spikes,
-                model.c * s0sq * model.sigma_eps_sq * var)
-    if kind == "est":
-        return (model.r**2 * alpha, [0.0] * model.s,
-                model.c * model.sigma_eps_sq * var)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if kind == "pred":
+            s0sq = model.sigma0_sq
+            spikes = [d * al * al * delta[j] ** 2
+                      for j, (d, al) in enumerate(model.spikes)]
+            return (s0sq * model.r**2 * alpha, spikes,
+                    model.c * s0sq * model.sigma_eps_sq * var)
+        if kind == "est":
+            return (model.r**2 * alpha, [0.0] * model.s,
+                    model.c * model.sigma_eps_sq * var)
     raise ValueError("kind must be 'pred' or 'est'")
 
 
@@ -453,8 +453,7 @@ def ridge_risk_curve(model: SpikedModel, lambdas, kind: str = "pred") -> np.ndar
     """Vectorized limiting risk totals over a ridge grid."""
     lam = np.asarray(lambdas, dtype=float)[:, None]
     grid = get_grid(model)
-    moments = _rule_moments(grid, 1.0 / (grid.x + lam),
-                            1.0 / (grid.atom_locs + lam))
+    moments = _rule_moments(grid, 1.0 / (grid.support_points + lam))
     total, spikes, variance = _risk_terms(model, moments, kind)
     for term in spikes:
         total = total + term
@@ -517,23 +516,30 @@ def named_surrogates(model: SpikedModel) -> dict:
     return out
 
 
+@dataclass(frozen=True)
+class _SharpCut(ShrinkageFn):
+    """1/x at and above the cut, 0 below; the cut is its break point."""
+
+    cut: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "breakpoints", (self.cut,))
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        return np.divide(1.0, x, out=np.zeros_like(x), where=x >= self.cut)
+
+
 def pcr_sharp_pred_risk(model: SpikedModel, tau: float) -> RiskBreakdown:
     """Zero-ramp-width limit of the PCR surrogate's prediction risk.
 
-    Computed with the exact indicator rule by splitting the quadrature at
-    the threshold; equals the risk of retaining the top tau fraction of
-    components.
+    The risk of the exact indicator rule that retains the top tau fraction
+    of components: 1/x at and above the bulk quantile, where the
+    quadrature is split, and 0 below it.
     """
     if not 0.0 < tau < min(1.0, 1.0 / model.c):
         raise ValueError("tau out of range")
-    t = mp_quantile_inverse(model, tau)
-    grid = get_grid(model, breaks=(t,))
-    x, locs = grid.x, grid.atom_locs
-    keep = x >= t
-    fa = np.where(locs > 0, 1.0 / np.where(locs > 0, locs, 1.0), 0.0)
-    moments = _risk_moments(grid, np.where(keep, 0.0, 1.0), 1.0 - locs * fa,
-                            np.where(keep, 1.0 / x, 0.0), locs * fa**2)
-    return _breakdown(*_risk_terms(model, moments, "pred"))
+    return limiting_pred_risk(model, _SharpCut(mp_quantile_inverse(model, tau)))
 
 
 def pcr_component_limit_risk(model: SpikedModel, m: int | None = None
@@ -546,14 +552,7 @@ def pcr_component_limit_risk(model: SpikedModel, m: int | None = None
     and the variance vanishes (the MP law carries no outlier mass).
     m defaults to s+ (keep every detached component).
     """
-    grid = get_grid(model)
-    detached = sorted(
-        (loc for loc in grid.atom_locs if loc > 0), reverse=True
-    )
-    if m is None:
-        m = len(detached)
-    kept = set(detached[: max(0, m)])
-    oma = np.array([0.0 if loc in kept else 1.0 for loc in grid.atom_locs])
-    moments = _risk_moments(grid, np.ones_like(grid.x), oma,
-                            np.zeros_like(grid.x), np.zeros_like(oma))
-    return _breakdown(*_risk_terms(model, moments, "pred"))
+    detached = sorted((float(x) for x in get_grid(model).atom_locs if x > 0),
+                      reverse=True)
+    kept = len(detached) if m is None else min(max(0, m), len(detached))
+    return limiting_pred_risk(model, _SharpCut(detached[kept - 1] if kept else math.inf))

@@ -1,12 +1,14 @@
 """Marchenko-Pastur and one-spike limiting spectral measures.
 
-Supports, densities, atoms, Stieltjes transforms, and quadrature against
-the bulk. Everything here is deterministic and closed-form except the
-quadrature, which is one rule: composite Gauss-Legendre panels in theta
-after the map x = (a+b)/2 + ((b-a)/2) cos(theta). That map absorbs the
-square-root edge factor of the bulk density analytically; the panels are
-split at a rule's break points and graded toward an edge with a near
-singularity.
+Supports, densities, atoms, Stieltjes transforms, and the quadrature
+workspace. Everything here is deterministic and closed-form except the
+bulk quadrature, which is one rule: composite Gauss-Legendre panels in
+theta after the map x = (a+b)/2 + ((b-a)/2) cos(theta). That map absorbs
+the square-root edge factor of the bulk density analytically; the panels
+are split at a rule's break points and graded toward an edge with a near
+singularity. A `SpectralGrid` is those bulk nodes followed by the atoms,
+one point array with one weight vector per measure, and the split of a
+measure into bulk and atoms is known only here.
 """
 
 from __future__ import annotations
@@ -477,40 +479,46 @@ def mp_quantile_inverse(model: SpikedModel, tau: float) -> float:
 class MeasureIntegrals:
     """One integrand integrated against F_alpha, each F_delta_j and F_MP.
 
-    `bulk` holds the integrand at a grid's nodes `x` and `atoms` at its
-    `atom_locs`, on their last axis; leading axes are a batch. Each family
-    is integrated when it is read, so a caller pays only for the measures
-    it uses.
+    `values` holds the integrand at the grid's `support_points` on its last
+    axis; leading axes are a batch. Each family is integrated when it is
+    read, so a caller pays only for the measures it uses.
     """
 
-    def __init__(self, grid: SpectralGrid, bulk, atoms):
-        self._grid, self._bulk, self._atoms = grid, bulk, atoms
+    def __init__(self, grid: SpectralGrid, values):
+        self._grid, self._values = grid, values
+
+    def _dot(self, w: np.ndarray) -> np.ndarray:
+        # The bulk and atom sums stay two dots, so the summation order,
+        # and with it every recorded output, does not depend on the atoms.
+        n, v = self._grid.x.size, self._values
+        return v[..., :n] @ w[:n] + v[..., n:] @ w[n:]
 
     @property
     def alpha(self) -> np.ndarray:
-        return self._bulk @ self._grid.alpha_bulk + self._atoms @ self._grid.atom_alpha
+        return self._dot(self._grid.w_alpha)
 
     @property
     def delta(self) -> tuple[np.ndarray, ...]:
         """One integral per spike."""
-        return tuple(self._bulk @ wb + self._atoms @ wa
-                     for wb, wa in zip(self._grid.delta_bulk, self._grid.atom_delta))
+        return tuple(self._dot(w) for w in self._grid.w_delta)
 
     @property
     def mp(self) -> np.ndarray:
-        return self._bulk @ self._grid.mp_bulk + self._atoms @ self._grid.atom_mp
+        return self._dot(self._grid.w_mp)
 
 
 class SpectralGrid:
-    """Cached quadrature data for one model: nodes plus atom bookkeeping.
+    """Quadrature workspace for one model: one weighted point set.
 
-    The bulk nodes are those of `_theta_panels`, split at `breaks` (points
-    inside the bulk where the integrand is only piecewise smooth). All
-    measure integrals reduce to weighted dots over the same bulk nodes
-    (the spiked bulk densities are f_MP / nu_j) together with explicit
-    atom terms. `atom_locs` lists the zero atom (when c > 1)
-    followed by the outlier atoms of above-threshold spikes in spike
-    order; per-measure atom masses are aligned with that list.
+    `support_points` holds the bulk nodes of `_theta_panels`, split at
+    `breaks` (points inside the bulk where the integrand is only piecewise
+    smooth), followed by the atoms: the zero atom (when c > 1), then the
+    outliers of above-threshold spikes in spike order. `x` (the bulk
+    nodes) and `atom_locs` are views of it. Each measure has one weight
+    vector over those points: `w_mp` for F_MP, `w_delta[j]` for F_delta_j
+    (bulk weights f_MP / nu_j plus its atom masses) and `w_alpha` for the
+    mixture F_alpha. `outlier_index[j]` is the position of spike j's
+    outlier in `support_points`.
     """
 
     def __init__(self, model: SpikedModel, breaks: tuple[float, ...] = ()):
@@ -519,6 +527,7 @@ class SpectralGrid:
         self.bulk_lo, self.bulk_hi = a, b
         xstars = [outlier_location(model, d) for d in model.deltas]
         t, w_theta = _theta_panels(a, b, breaks, xstars)
+        n = t.size
         # Edge offsets from the half angle, with h = (b - a)/2:
         #   x - a = 2h cos^2(theta/2),  b - x = 2h sin^2(theta/2).
         # A node t < 0 sits at theta = pi + t, where cos^2(theta/2) =
@@ -529,43 +538,41 @@ class SpectralGrid:
         two_h = b - a
         cos2, sin2 = two_h * np.cos(0.5 * t) ** 2, two_h * np.sin(0.5 * t) ** 2
         above_lo = np.where(t > 0.0, cos2, sin2)
-        self._below_hi = np.where(t > 0.0, sin2, cos2)
-        self.x = a + above_lo
-        self.mp_bulk = w_theta * above_lo * self._below_hi / (
-            2.0 * math.pi * model.sigma0_sq * model.c * self.x)
+        below_hi = np.where(t > 0.0, sin2, cos2)
 
+        # Atom layout and per-measure atom masses.
         s = model.s
-        self.delta_bulk = [self._delta_bulk_weights(d) for d in model.deltas]
-        weights = mixture_weights(model)
-        omega0, omegas = weights.omega0, weights.omegas
-        self.alpha_bulk = omega0 * self.mp_bulk
-        for j in range(s):
-            self.alpha_bulk = self.alpha_bulk + omegas[j] * self.delta_bulk[j]
-
-        # Atom layout.
-        locs, mp_m, d_m = [], [], []
+        locs, mp_atoms, delta_atoms = [], [], [[] for _ in range(s)]
         if model.c > 1:
             locs.append(0.0)
-            mp_m.append(mp_atom_at_zero(model))
-            d_m.append([spiked_atom_at_zero(model, d) for d in model.deltas])
-        self.outlier_slot = {}
-        for j in range(s):
-            if model.deltas[j] > model.bbp_threshold:
-                self.outlier_slot[j] = len(locs)
+            mp_atoms.append(mp_atom_at_zero(model))
+            for j, d in enumerate(model.deltas):
+                delta_atoms[j].append(spiked_atom_at_zero(model, d))
+        self.outlier_index = {}
+        for j, d in enumerate(model.deltas):
+            if d > model.bbp_threshold:
+                self.outlier_index[j] = n + len(locs)
                 locs.append(xstars[j])
-                mp_m.append(0.0)
-                d_m.append([outlier_atom_mass(model, model.deltas[j]) if i == j else 0.0
-                            for i in range(s)])
-        self.atom_locs = np.array(locs)
-        self.atom_mp = np.array(mp_m)
-        self.atom_delta = np.array(d_m).reshape(len(locs), s).T if locs else np.zeros((s, 0))
-        self.atom_alpha = omega0 * self.atom_mp
-        for j in range(s):
-            self.atom_alpha = self.atom_alpha + omegas[j] * self.atom_delta[j]
+                mp_atoms.append(0.0)
+                for i in range(s):
+                    delta_atoms[i].append(outlier_atom_mass(model, d) if i == j else 0.0)
 
-    # -- integral helpers ---------------------------------------------------
+        self.support_points = np.concatenate([a + above_lo, locs])
+        self.support_points.setflags(write=False)  # shared by every cache hit
+        self.x, self.atom_locs = self.support_points[:n], self.support_points[n:]
+        mp_bulk = w_theta * above_lo * below_hi / (
+            2.0 * math.pi * model.sigma0_sq * model.c * self.x)
+        self.w_mp = np.concatenate([mp_bulk, mp_atoms])
+        self.w_delta = tuple(
+            np.concatenate([self._delta_bulk_weights(d, mp_bulk, below_hi), atoms])
+            for d, atoms in zip(model.deltas, delta_atoms))
+        weights = mixture_weights(model)
+        self.w_alpha = weights.omega0 * self.w_mp
+        for om, w in zip(weights.omegas, self.w_delta):
+            self.w_alpha = self.w_alpha + om * w
 
-    def _delta_bulk_weights(self, delta: float) -> np.ndarray:
+    def _delta_bulk_weights(self, delta: float, mp_bulk: np.ndarray,
+                            below_hi: np.ndarray) -> np.ndarray:
         """Bulk weights for F_delta: mp weights divided by nu_delta(x).
 
         nu(x) = (x_star - x)/g with g = c sigma0^2 (delta + sigma0^2)/delta.
@@ -577,23 +584,15 @@ class SpectralGrid:
         model = self.model
         g = model.c * model.sigma0_sq * (delta + model.sigma0_sq) / delta
         gap = (delta - model.bbp_threshold) ** 2 / delta
-        return self.mp_bulk * g / (gap + self._below_hi)
+        return mp_bulk * g / (gap + below_hi)
 
-    def int_mp(self, fn):
-        """int fn dF_MP for a callable fn (complex values allowed)."""
-        return self.integrate(fn(self.x), fn(self.atom_locs)).mp.item()
-
-    def int_delta(self, j: int, fn):
-        """int fn dF_{delta_j} for a callable fn (complex values allowed)."""
-        return self.integrate(fn(self.x), fn(self.atom_locs)).delta[j].item()
-
-    def integrate(self, bulk, atoms) -> MeasureIntegrals:
+    def integrate(self, values) -> MeasureIntegrals:
         """Integrals of one integrand against F_alpha, each F_delta_j and F_MP.
 
-        Every limiting risk and inner product of a rule is assembled from
-        these; see MeasureIntegrals for the layout of `bulk` and `atoms`.
+        `values` is the integrand at `support_points` (last axis). Every
+        limiting risk and inner product of a rule is assembled from these.
         """
-        return MeasureIntegrals(self, bulk, atoms)
+        return MeasureIntegrals(self, values)
 
     def on_support(self, x) -> np.ndarray:
         """Mask of points lying on the bulk or on an atom of the support."""
@@ -603,11 +602,6 @@ class SpectralGrid:
         for loc in self.atom_locs:
             ok = ok | (np.abs(x - loc) <= tol * max(1.0, abs(loc)))
         return ok
-
-    @property
-    def support_points(self) -> np.ndarray:
-        """Bulk nodes followed by the atom locations."""
-        return np.concatenate([self.x, self.atom_locs]) if self.atom_locs.size else self.x
 
 
 @lru_cache(maxsize=128)

@@ -75,16 +75,14 @@ def test_criterion_02_measure_normalization():
         model = _spiked(s0, c, _draw_delta(rng, SpikedModel(s0, c, (), 1.0, 1.0)))
         delta = model.deltas[0]
         grid = sd.get_grid(model)
-        worst_mass = max(worst_mass, abs(grid.int_delta(0, ONE) - 1.0))
-        worst_mean = max(
-            worst_mean,
-            abs(grid.int_delta(0, lambda x: x) - (delta + s0)),
-        )
+        x = grid.support_points
+        worst_mass = max(worst_mass, abs(grid.integrate(ONE(x)).delta[0] - 1.0))
+        worst_mean = max(worst_mean, abs(grid.integrate(x).delta[0] - (delta + s0)))
         p, q = nu_affine(model, delta)
         for phi in (ONE, lambda x: x, lambda x: x * x,
                     lambda x: 1.0 / (x + 1.0)):
-            lhs = grid.int_mp(phi)
-            rhs = grid.int_delta(0, lambda x: phi(x) * (p + q * x))
+            lhs = grid.integrate(phi(x)).mp
+            rhs = grid.integrate(phi(x) * (p + q * x)).delta[0]
             worst_com = max(worst_com, abs(lhs - rhs))
     elapsed = time.time() - t0
     report(
@@ -111,7 +109,7 @@ def test_criterion_03_stieltjes_consistency():
                 rng.uniform(0.2, 3.0) * rng.choice([-1.0, 1.0]),
             )
             closed = sd.spiked_stieltjes(model, delta, z)
-            quadr = grid.int_delta(0, lambda x: 1.0 / (x - z))
+            quadr = grid.integrate(1.0 / (grid.support_points - z)).delta[0]
             worst_mdelta = max(worst_mdelta, abs(closed - quadr))
         a, b = grid.bulk_lo, grid.bulk_hi
         for x in np.linspace(a + 1e-3 * (b - a), b - 1e-3 * (b - a), 20):

@@ -308,9 +308,9 @@ def test_closed_form_op_integrates_each_integrand_once(tmp_path, monkeypatch,
     calls = []
     integrate = spectra.SpectralGrid.integrate
 
-    def counting(self, bulk, atoms):
-        calls.append(bulk.shape)
-        return integrate(self, bulk, atoms)
+    def counting(self, values):
+        calls.append(values.shape)
+        return integrate(self, values)
 
     monkeypatch.setattr(spectra.SpectralGrid, "integrate", counting)
     cfg = write_cfg(tmp_path, {"model": FIG1_MODEL,
@@ -537,23 +537,31 @@ def test_unwritable_output_is_one_line_config_error(tmp_path, capsys, via):
 
 
 def _refusal(tmp_path, kind):
+    """(command, config, extra arguments, exit code) of one refused input."""
     if kind == "infinite-grid-bound":
         config = {"model": FIG1_MODEL, "risk": {"rules": [{"kind": "ridge",
                   "lambdas": {"min": INF, "max": 1.0, "num": 3}}]}}
-        return "risk", config, []
+        return "risk", config, [], 2
     if kind == "simulate-huge-c":
         config = json.loads((CORPUS / "simulate__readme-sim.json").read_text())
         config["model"]["c"] = 2**70
-        return "simulate", config, []
+        return "simulate", config, [], 2
+    if kind == "gd-huge-eta":
+        rule = {"kind": "gd", "etas": [1e300], "steps": [10]}
+        return "risk", {"model": FIG1_MODEL, "risk": {"rules": [rule]}}, [], 4
+    if kind == "sd-huge-xi":
+        rule = {"kind": "sd", "lambdas": [1.0, 2.0], "xis": [-1e300]}
+        return "risk", {"model": FIG1_MODEL, "risk": {"rules": [rule]}}, [], 4
     config = {"model": FIG1_MODEL, "optimal": {}}
-    return "optimal", config, ["--out", str(tmp_path / "missing" / "x.json")]
+    return "optimal", config, ["--out", str(tmp_path / "missing" / "x.json")], 2
 
 
 @pytest.mark.parametrize("kind", ["infinite-grid-bound", "simulate-huge-c",
-                                  "missing-directory"])
+                                  "missing-directory", "gd-huge-eta",
+                                  "sd-huge-xi"])
 def test_refused_input_prints_one_line_in_a_fresh_process(tmp_path, kind):
     # warnings are shown in a fresh process, unlike under pytest
-    command, config, extra = _refusal(tmp_path, kind)
+    command, config, extra, code = _refusal(tmp_path, kind)
     src = os.path.dirname(os.path.dirname(
         sys.modules["spectral_distill.cli"].__file__))
     env = dict(os.environ, PYTHONPATH=src)
@@ -562,9 +570,9 @@ def test_refused_input_prints_one_line_in_a_fresh_process(tmp_path, kind):
         [sys.executable, "-m", "spectral_distill.cli", command,
          "--config", write_cfg(tmp_path, config), *extra],
         env=env, capture_output=True, text=True)
-    assert done.returncode == 2
+    assert done.returncode == code
     assert done.stdout == ""
-    assert done.stderr.startswith("config error:")
+    assert done.stderr.startswith({2: "config error:", 4: "numerical failure:"}[code])
     assert done.stderr.count("\n") == 1, done.stderr
 
 

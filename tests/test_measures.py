@@ -29,16 +29,15 @@ def test_mixture_weights_examples(fig1_model):
 
 def test_mixture_measure_reduces_to_mp_when_no_spikes():
     grid = sd.get_grid(SpikedModel(1.0, 2.0, (), 1.0, 1.0))
-    assert np.array_equal(grid.alpha_bulk, grid.mp_bulk)
-    assert np.array_equal(grid.atom_alpha, grid.atom_mp)
-    got = grid.integrate(grid.x**2, grid.atom_locs**2)
+    assert np.array_equal(grid.w_alpha, grid.w_mp)
+    got = grid.integrate(grid.support_points**2)
     assert got.alpha == got.mp and got.delta == ()
 
 
 def test_mixture_measure_atom_relation(fig1_model):
     w = sd.mixture_weights(fig1_model)
     grid = sd.get_grid(fig1_model)
-    atom = dict(zip(grid.atom_locs, grid.atom_alpha))
+    atom = dict(zip(grid.atom_locs, grid.w_alpha[grid.x.size:]))
     for j, d in enumerate(fig1_model.deltas):
         loc = sd.outlier_location(fig1_model, d)
         spiked_mass = dict(sd.spiked_measure(fig1_model, d).atoms)[loc]
@@ -47,7 +46,7 @@ def test_mixture_measure_atom_relation(fig1_model):
 
 def test_mixture_measure_total_mass(fig1_model):
     grid = sd.get_grid(fig1_model)
-    got = grid.integrate(np.ones_like(grid.x), np.ones_like(grid.atom_locs))
+    got = grid.integrate(np.ones_like(grid.support_points))
     assert abs(got.alpha - 1.0) < 1e-8
     assert all(abs(v - 1.0) < 1e-8 for v in got.delta)
     assert abs(got.mp - 1.0) < 1e-8
@@ -140,8 +139,8 @@ def test_mu_change_of_measure(fig1_model):
             def times_mu(x):
                 return phi(x) * _mu_all(fig1_model, x)[j + 1]
 
-            lhs = grid.integrate(times_mu(grid.x), times_mu(grid.atom_locs)).alpha
-            rhs = grid.int_delta(j, phi)
+            lhs = grid.integrate(times_mu(grid.support_points)).alpha
+            rhs = grid.integrate(phi(grid.support_points)).delta[j]
             assert abs(lhs - rhs) < 1e-8
 
 
@@ -196,7 +195,8 @@ def test_inner_product_against_spiked_integral(fig1_model):
     phi = lambda x: 1.0 / (x + 2.0)
     for j in range(model.s):
         lhs = sd.inner_w(model, lambda x: sd.basis_h(model, j + 1, x), phi)
-        rhs = grid.int_delta(j, lambda x: x * phi(x))
+        x = grid.support_points
+        rhs = grid.integrate(x * phi(x)).delta[j]
         assert abs(lhs - rhs) < 1e-10
 
 
@@ -233,7 +233,7 @@ def test_gram_diagonal_outlier_term(fig1_model):
         assert abs(via_alpha - gs.H[j + 1, j + 1]) < 1e-10
         mass = sd.spectra.outlier_atom_mass(model, d)
         atom_term = mass / (model.sigma0_sq * a * a)
-        bulk_term = grid.delta_bulk[j] @ (
+        bulk_term = grid.w_delta[j][:grid.x.size] @ (
             grid.x * _mu_all(model, grid.x)[j + 1]
             / sd.weight_w(model, grid.x)
         )

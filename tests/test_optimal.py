@@ -264,8 +264,7 @@ def variational_normal_equations(model, kind="pred"):
     grid = sd.get_grid(model)
     pts = grid.support_points
     x = pts
-    a = np.concatenate([grid.alpha_bulk, grid.atom_alpha])
-    m = np.concatenate([grid.mp_bulk, grid.atom_mp])
+    a, m = grid.w_alpha, grid.w_mp
     live = (x > 0) & (a * x**2 + m * x > 0)
     xl, al, ml = x[live], a[live], m[live]
     s0sq, r2, c, se2 = model.sigma0_sq, model.r**2, model.c, model.sigma_eps_sq
@@ -273,7 +272,7 @@ def variational_normal_equations(model, kind="pred"):
         M = np.diag(s0sq * r2 * al * xl**2 + c * s0sq * se2 * ml * xl)
         b = s0sq * r2 * al * xl
         for j, (d, alj) in enumerate(model.spikes):
-            dj = np.concatenate([grid.delta_bulk[j], grid.atom_delta[j]])[live]
+            dj = grid.w_delta[j][live]
             v = dj * xl
             M += d * alj * alj * np.outer(v, v)
             b += d * alj * alj * v
@@ -314,8 +313,7 @@ def test_federated_rule_solves_variational_oracle(fig1_model):
     grid = sd.get_grid(model)
     pts = grid.support_points
     x = pts
-    a = np.concatenate([grid.alpha_bulk, grid.atom_alpha])
-    m = np.concatenate([grid.mp_bulk, grid.atom_mp])
+    a, m = grid.w_alpha, grid.w_mp
     live = (x > 0) & (a * x**2 + m * x > 0)
     xl, al, ml = x[live], a[live], m[live]
     s0sq, r2, c, se2 = model.sigma0_sq, model.r**2, model.c, model.sigma_eps_sq
@@ -325,7 +323,7 @@ def test_federated_rule_solves_variational_oracle(fig1_model):
     M += s0sq * r2 * w.omega0 * (K - 1) * np.outer(v0, v0)
     b = K * s0sq * r2 * w.omega0 * v0
     for j, (d, alj) in enumerate(model.spikes):
-        dj = np.concatenate([grid.delta_bulk[j], grid.atom_delta[j]])[live]
+        dj = grid.w_delta[j][live]
         v = dj * xl
         M += (s0sq * (K - 1) + d * K) * alj * alj * np.outer(v, v)
         b += K * (d + s0sq) * alj * alj * v

@@ -120,7 +120,7 @@ def test_isotropic_ridge_grid_minimum():
     s0sq, r2, c, se2 = (model.sigma0_sq, model.r**2, model.c,
                         model.sigma_eps_sq)
     integrand = lambda x: x * ((r2 * x + c * se2) * f(x) ** 2 - 2 * r2 * f(x))
-    scalar_form = s0sq * r2 + s0sq * grid.int_mp(integrand)
+    scalar_form = s0sq * r2 + s0sq * grid.integrate(integrand(grid.support_points)).mp
     assert direct == pytest.approx(scalar_form, rel=1e-12)
 
 
@@ -211,7 +211,8 @@ def _panel_risks(model, tau):
     sd.spectra._grid_cached.cache_clear()
     sharp = sd.pcr_sharp_pred_risk(model, tau).total
     ramped = sd.limiting_pred_risk(model, sd.pcr_surrogate(model, tau)).total
-    return np.array([sharp, ramped])
+    kept = [sd.pcr_component_limit_risk(model, m).total for m in (0, 1, None)]
+    return np.array([sharp, ramped, *kept])
 
 
 @pytest.mark.parametrize("name", sorted(PANEL_MODELS))
@@ -303,19 +304,20 @@ def test_validate_rule_evaluates_a_rebuilt_grid(fig4_model, monkeypatch):
     # values are cached per grid object, so a grid rebuilt from other
     # panels is evaluated afresh and never served the older grid's values
     rule = sd.optimal_pred_rule(fig4_model)[0]
-    grid, f_bulk, _ = sd.shrinkage.validate_rule(fig4_model, rule)
-    assert not f_bulk.flags.writeable
+    grid, values = sd.shrinkage.validate_rule(fig4_model, rule)
+    assert not values.flags.writeable
     a, b = sd.mp_support(fig4_model)
     with monkeypatch.context() as patch:
         patch.setattr(sd.spectra, "_theta_panels", _reference_panels)
         sd.spectra._grid_cached.cache_clear()
-        ref_grid, ref_bulk, _ = sd.shrinkage.validate_rule(fig4_model, rule)
+        ref_grid, ref_values = sd.shrinkage.validate_rule(fig4_model, rule)
     n_ref = _reference_panels(a, b, ())[0].size
     assert ref_grid is not grid and n_ref != grid.x.size
-    assert ref_grid.x.size == ref_bulk.size == n_ref
-    assert np.array_equal(ref_bulk, rule(ref_grid.x))
+    assert ref_grid.x.size == n_ref
+    assert np.array_equal(ref_values, rule(ref_grid.support_points))
     sd.spectra._grid_cached.cache_clear()
-    assert sd.shrinkage.validate_rule(fig4_model, rule)[1].size == grid.x.size
+    assert (sd.shrinkage.validate_rule(fig4_model, rule)[1].size
+            == grid.support_points.size)
 
 
 def test_pred_and_est_risk_share_one_moment_pass(fig1_model, monkeypatch):
@@ -419,6 +421,27 @@ def test_sd_params_validation():
         SDParams((1.0, 2.0), ())
     p = SDParams((1.0, -2.0), (0.5,))
     assert p.k == 1
+
+
+def test_rule_is_called_once_on_bulk_and_atoms(fig4_model):
+    # c > 1 and a detached spike: the grid holds a zero atom and an
+    # outlier, and one call on all its points serves both risks and A_j
+    calls = []
+
+    class Counting(sd.ShrinkageFn):
+        def __call__(self, x):
+            calls.append(np.array(x, copy=True))
+            return 1.0 / (np.asarray(x) + 0.5)
+
+    rule = Counting()
+    sd.spectra._grid_cached.cache_clear()
+    sd.limiting_pred_risk(fig4_model, rule)
+    sd.limiting_est_risk(fig4_model, rule)
+    sd.optimal.inner_products_with_basis(fig4_model, rule)
+    grid = sd.get_grid(fig4_model)
+    assert grid.atom_locs.size == 2
+    assert len(calls) == 1
+    assert np.array_equal(calls[0], grid.support_points)
 
 
 @pytest.mark.parametrize("which", ["optimal", "pcr"])

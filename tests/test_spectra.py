@@ -225,8 +225,9 @@ def away_from_threshold(delta, model):
 def test_spiked_measure_normalization_and_mean(delta, c, s0):
     assume(away_from_threshold(delta, iso(s0, c)))
     grid = sd.get_grid(spiked(s0, c, delta))
-    assert abs(grid.int_delta(0, ONE) - 1.0) < 1e-8
-    mean = grid.int_delta(0, lambda x: x)
+    x = grid.support_points
+    assert abs(grid.integrate(ONE(x)).delta[0] - 1.0) < 1e-8
+    mean = grid.integrate(x).delta[0]
     assert abs(mean - (delta + s0)) < 1e-6
 
 
@@ -241,9 +242,10 @@ def test_change_of_measure_identity(delta, c, s0):
     model = spiked(s0, c, delta)
     grid = sd.get_grid(model)
     p, q = nu_affine(model, delta)
+    x = grid.support_points
     for phi in (ONE, lambda x: x, lambda x: x * x, lambda x: 1.0 / (x + 1.0)):
-        lhs = grid.int_mp(phi)
-        rhs = grid.int_delta(0, lambda x: phi(x) * (p + q * x))
+        lhs = grid.integrate(phi(x)).mp
+        rhs = grid.integrate(phi(x) * (p + q * x)).delta[0]
         assert abs(lhs - rhs) < 1e-8
 
 
@@ -265,7 +267,7 @@ def test_stieltjes_closed_form_matches_grid_quadrature():
         for _ in range(20):
             z = complex(rng.uniform(-4, 8), rng.uniform(0.2, 3.0) * rng.choice([-1, 1]))
             got = sd.spiked_stieltjes(model, delta, z)
-            ref = grid.int_delta(0, lambda x: 1.0 / (x - z))
+            ref = grid.integrate(1.0 / (grid.support_points - z)).delta[0]
             assert abs(got - ref) < 1e-6
 
 
@@ -303,7 +305,7 @@ def test_quantile_mass_matches_panel_grid(c):
     for tau in (1e-6, 1e-3, 0.3 * bulk, bulk * (1 - 1e-3), bulk * (1 - 1e-6)):
         t = sd.mp_quantile_inverse(model, tau)
         grid = sd.get_grid(model, breaks=(t,))
-        assert abs(grid.mp_bulk[grid.x >= t].sum() - tau) < 1e-13
+        assert abs(grid.w_mp[:grid.x.size][grid.x >= t].sum() - tau) < 1e-13
 
 
 @pytest.mark.parametrize("factor", [1.001, 1.0001, 0.999])
@@ -316,8 +318,8 @@ def test_panel_grid_masses_near_detachment(factor):
     model = SpikedModel(1.0, 2.0, ((factor * math.sqrt(2.0), 0.6),), 2.0, 1.0)
     a, b = sd.mp_support(model)
     grid = sd.get_grid(model, breaks=(0.5 * (a + b),))
-    assert abs(grid.mp_bulk.sum() + grid.atom_mp.sum() - 1.0) < 1e-14
-    assert abs(grid.delta_bulk[0].sum() + grid.atom_delta[0].sum() - 1.0) < 1e-13
+    assert abs(grid.w_mp.sum() - 1.0) < 1e-14
+    assert abs(grid.w_delta[0].sum() - 1.0) < 1e-13
 
 
 def test_quantile_monotone():
@@ -334,7 +336,7 @@ def test_quantile_monotone():
 def test_plain_grid_mp_moments():
     model = iso(1.4, 0.7)
     grid = sd.get_grid(model)
-    w, x = grid.mp_bulk, grid.x
+    w, x = grid.w_mp[:grid.x.size], grid.x
     assert abs(w.sum() - min(1.0, 1.0 / model.c)) < 1e-10
     assert abs(w @ x - model.sigma0_sq) < 1e-8
     # second moment via the Narayana-number recursion oracle
@@ -358,7 +360,7 @@ def test_plain_grid_nodes_in_bulk():
         grid = sd.get_grid(model)
         a, b = sd.mp_support(model)
         assert np.all(grid.x > a) and np.all(grid.x < b)
-        assert np.all(grid.mp_bulk > 0.0)
+        assert np.all(grid.w_mp[:grid.x.size] > 0.0)
 
 
 @pytest.mark.parametrize("c", [1 - 1e-3, 1 + 1e-3, 1 - 1e-6, 1 + 1e-6, 1 + 1e-9])
@@ -369,4 +371,4 @@ def test_plain_grid_inverse_moment_next_to_c_one(c):
     model = iso(1.3, c)
     grid = sd.get_grid(model)
     want = 1.0 / (1.3 * (1.0 - c)) if c < 1 else 1.0 / (1.3 * c * (c - 1.0))
-    assert abs(grid.mp_bulk @ (1.0 / grid.x) - want) <= 1e-13 * want
+    assert abs(grid.w_mp[:grid.x.size] @ (1.0 / grid.x) - want) <= 1e-13 * want
