@@ -43,6 +43,7 @@ MAX_GRID = 100_000        # measure.grid_size and the num of a grid
 MAX_DIM = 20_000          # simulate n and p: each replicate draws n x p
 MAX_REPLICATES = 100_000
 MAX_CLIENTS = 100_000     # federated K
+MAX_THREADS = 8           # --threads: each thread holds its own n x p design
 
 
 def _walk(spec, value, where):
@@ -583,6 +584,9 @@ def main(argv=None) -> int:
     name = args.command.replace("-", "_")
     fn = _COMMANDS[args.command]
     try:
+        if not 1 <= args.threads <= MAX_THREADS:
+            raise ConfigError(f"--threads = {args.threads} is outside "
+                              f"1..{MAX_THREADS}")
         if not isinstance(config, dict) or "model" not in config:
             raise ConfigError("top-level object with a 'model' block required")
         unknown = set(config) - set(SCHEMA)

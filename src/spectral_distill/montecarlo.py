@@ -20,13 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .shrinkage import SDParams, ShrinkageFn
+from .shrinkage import SDParams, ShrinkageFn, eval_shrinkage
 from .spectra import SpikedModel
 
 _ROLE_IDS = {"signal": 0, "design": 1, "noise": 2}
 
-#: eigendirections with |d_i + lambda_t| below this times the largest
-#: eigenvalue contribute nothing, matching the pseudoinverse convention.
+#: eigendirections within this times the largest eigenvalue of a rule's
+#: pole contribute nothing, like those where the rule is not finite.
 PINV_RTOL = 1e-10
 
 _ENTRY_DISTS = ("gaussian", "rademacher", "student_t")
@@ -204,18 +204,22 @@ def apply_rule_to_vector(spectrum: SampleSpectrum, f: ShrinkageFn,
     vals = _apply_rule_values(f, spectrum.d)
     coords = spectrum.project(v)
     if spectrum.d.size < spectrum.p:
-        f0 = float(np.asarray(f(np.zeros(1)))[0])
+        f0 = float(eval_shrinkage(f, np.zeros(1))[0])
         if f0 != 0.0:
             return spectrum.lift((vals - f0) * coords) + f0 * v
     return spectrum.lift(vals * coords)
 
 
+def _pinv_band(d: np.ndarray) -> float:
+    """Half-width of the pseudoinverse band around each pole of a rule."""
+    return PINV_RTOL * float(d.max()) if d.size else 0.0
+
+
 def _apply_rule_values(f: ShrinkageFn, d: np.ndarray) -> np.ndarray:
-    vals = np.asarray(f(d), dtype=float)
-    vals = np.where(np.isfinite(vals), vals, 0.0)
-    dmax = float(d.max()) if d.size else 1.0
+    vals = eval_shrinkage(f, d)
+    band = _pinv_band(d)
     for pole in f.poles():
-        vals = np.where(np.abs(d - pole) < PINV_RTOL * max(dmax, 1.0), 0.0, vals)
+        vals = np.where(np.abs(d - pole) < band, 0.0, vals)
     return vals
 
 
@@ -254,14 +258,13 @@ def fit_sd(X, y, params: SDParams, spectrum: SampleSpectrum | None = None
     """
     sp = decompose(X, y) if spectrum is None else spectrum
     d, z = sp.d, sp.z
-    band = PINV_RTOL * max(float(d.max()) if d.size else 1.0, 1.0)
+    band = _pinv_band(d)
     lam = params.lambdas
 
     def pinv_scale(t):
         denom = d + lam[t]
         with np.errstate(divide="ignore"):
-            inv = np.where(np.abs(denom) < band, 0.0, 1.0 / denom)
-        return inv
+            return np.where(np.abs(denom) < band, 0.0, 1.0 / denom)
 
     coords = pinv_scale(0) * z
     for t in range(1, len(lam)):

@@ -173,8 +173,8 @@ def denominator_roots(model: SpikedModel) -> tuple[float, ...]:
         roots.append(root(lo, hi, flo))
     # push the far end out until P changes sign: beyond the last outlier,
     # then below zero
-    outer = [(xs[-1], f_xs[-1], max(2.0 * xs[-1], xs[-1] + 1.0))] if xs else []
-    outer.append((0.0, pv(0.0)[0], -max([1.0, *xs])))
+    outer = [(xs[-1], f_xs[-1], 2.0 * xs[-1])] if xs else []
+    outer.append((0.0, pv(0.0)[0], -max([model.sigma0_sq, *xs])))
     for near, f_near, far in outer:
         for _ in range(200):
             f_far = pv(far)[0]
@@ -295,7 +295,7 @@ def synthesize_sd_params(rule: RationalRule) -> SDParams:
         scale = max(rvals) if rvals else 0.0
         pick = None
         for idx, g in enumerate(remaining):
-            if g != 0.0 and rvals[idx] > 1e-10 * max(1.0, scale):
+            if g != 0.0 and rvals[idx] > 1e-10 * scale:
                 pick = idx
                 break
         if pick is None:

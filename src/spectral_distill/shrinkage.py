@@ -1,10 +1,12 @@
 """Spectral shrinkage rules and their limiting prediction/estimation risks.
 
-A rule f maps sample eigenvalues to shrinkage factors; the estimator is
-f(Sigma_hat) X'y/n with the pseudoinverse convention that eigendirections
-where |f| is infinite contribute nothing. Every rule is a ShrinkageFn:
-ridge, self-distillation chains, gradient-descent polynomials, ramped
-PCR / min-norm surrogates, tabulated values, and RationalRule, the one
+A rule f maps eigenvalues to shrinkage factors; calling it gives its
+formula, not finite where that has a pole or overflows. The estimator is
+f(Sigma_hat) X'y/n with the pseudoinverse convention, applied only where
+a rule meets sample eigenvalues (`eval_shrinkage`): a direction where f
+is not finite contributes nothing. Every rule is a ShrinkageFn: ridge,
+self-distillation chains, gradient-descent polynomials, ramped PCR /
+min-norm surrogates, tabulated values, and RationalRule, the one
 rational type. A RationalRule is Q/P with P given by its roots; the
 optimal rules of `optimal` evaluate Q in the factored nu basis of their
 model, hand-built ones from its coefficients.
@@ -31,7 +33,6 @@ it, so every risk goes through the same moments.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
@@ -70,7 +71,8 @@ class SDParams:
 
 
 class ShrinkageFn:
-    """Base class: a callable rule with optional pole/breakpoint metadata."""
+    """Base class: a callable rule with optional pole/breakpoint metadata;
+    its call is the formula as is, inf or nan at a pole or on overflow."""
 
     #: bulk points where the rule is only piecewise smooth (ramp edges);
     #: risk quadrature splits panels there.
@@ -81,21 +83,6 @@ class ShrinkageFn:
 
     def __call__(self, x):  # pragma: no cover - abstract
         raise NotImplementedError
-
-
-def _finite_or_zero(vals, flag_context: str | None = None):
-    vals = np.asarray(vals, dtype=float)
-    bad = ~np.isfinite(vals)
-    if np.any(bad):
-        if flag_context:
-            warnings.warn(
-                f"{flag_context}: rule evaluated at a pole; "
-                "mapped to 0 by the pseudoinverse convention",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-        vals = np.where(bad, 0.0, vals)
-    return vals
 
 
 @dataclass(frozen=True)
@@ -112,8 +99,7 @@ class Ridge(ShrinkageFn):
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = 1.0 / (x + self.lam)
-        return _finite_or_zero(out)
+            return 1.0 / (x + self.lam)
 
 
 @dataclass(frozen=True)
@@ -172,8 +158,7 @@ class RationalRule(ShrinkageFn):
         for g in self.roots_of_p:
             den = den * (x - g)
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = num / den
-        return _finite_or_zero(out, flag_context="RationalRule")
+            return num / den
 
 
 @dataclass(frozen=True)
@@ -196,7 +181,7 @@ class SDChain(ShrinkageFn):
                 acc = acc + (1.0 - xis[j]) * coef * suffix / (x + lams[j])
                 coef *= xis[j]
                 suffix = suffix * x / (x + lams[j])
-        return _finite_or_zero(acc)
+        return acc
 
 
 @dataclass(frozen=True)
@@ -228,7 +213,6 @@ class GDPoly(ShrinkageFn):
         rest = ~(small | mid)
         with np.errstate(over="ignore", invalid="ignore"):
             out[rest] = (1.0 - (1.0 - u[rest]) ** T) / x[rest]
-        out = _finite_or_zero(out)
         return out[0] if scalar else out
 
 
@@ -330,11 +314,14 @@ def _breakdown(bias_bulk: float, bias_spikes, variance: float) -> RiskBreakdown:
 
 
 def eval_shrinkage(f: ShrinkageFn, x):
-    """Evaluate a rule; nonnegative x expected, poles map to 0."""
+    """f at sample eigenvalues x >= 0 under the pseudoinverse convention:
+    poles and overflows, where f is not finite, map to 0, so that direction
+    contributes nothing. The only place a rule's value is mapped."""
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise ValueError("shrinkage rules are defined on x >= 0")
-    return f(x)
+    values = np.asarray(f(x), dtype=float)
+    return np.where(np.isfinite(values), values, 0.0)
 
 
 def sd_chain_fn(params: SDParams, model: SpikedModel | None = None) -> SDChain:
@@ -354,9 +341,9 @@ def validate_rule(model: SpikedModel, f: ShrinkageFn
     """Check a rule against a model and evaluate it once on the model's grid.
 
     The grid's panels are split at the rule's breakpoints inside the
-    bulk. A declared pole on the limiting support
-    raises AssumptionError; a value that is not finite raises
-    NumericalError, on every call. Returns (grid, f at
+    bulk. A declared pole on the limiting support raises AssumptionError;
+    a value that is not finite (an undeclared pole, or an overflow) raises
+    NumericalError, on every call: no convention maps it. Returns (grid, f at
     grid.support_points), the values a read-only array from a small cache
     keyed on the grid object and f, never on the model: a grid rebuilt
     after `_grid_cached` is cleared, or from other panels, is evaluated

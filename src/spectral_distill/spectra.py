@@ -595,12 +595,12 @@ class SpectralGrid:
         return MeasureIntegrals(self, values)
 
     def on_support(self, x) -> np.ndarray:
-        """Mask of points lying on the bulk or on an atom of the support."""
+        """Mask of points on the bulk or on an atom, to a relative tolerance."""
         x = np.asarray(x, dtype=float)
-        tol = _SUPPORT_RTOL * max(1.0, self.bulk_hi)
+        tol = _SUPPORT_RTOL * self.bulk_hi
         ok = (x >= self.bulk_lo - tol) & (x <= self.bulk_hi + tol)
         for loc in self.atom_locs:
-            ok = ok | (np.abs(x - loc) <= tol * max(1.0, abs(loc)))
+            ok = ok | (np.abs(x - loc) <= _SUPPORT_RTOL * max(self.bulk_hi, abs(loc)))
         return ok
 
 

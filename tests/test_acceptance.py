@@ -4,17 +4,20 @@ Each test prints one PASS/FAIL line. Monte Carlo criteria are seeded and
 bit-reproducible; their runtimes are asserted against the stated budgets.
 """
 
+import itertools
 import math
 import time
 
 import numpy as np
+import pytest
 
 import spectral_distill as sd
-from spectral_distill import SimConfig, SpikedModel
+from spectral_distill import (AssumptionError, NumericalError, SDParams,
+                              SimConfig, SpikedModel)
 from spectral_distill.federated import federated_b
 from spectral_distill.spectra import companion_stieltjes_boundary, nu_affine
 
-from conftest import random_model
+from conftest import _reference_panels, random_model
 
 ONE = lambda x: np.ones_like(x)
 
@@ -350,4 +353,70 @@ def test_criterion_10_optimal_parameter_phenomenology(fig3_factory):
         abs(xi_at_small) < 0.05 and np.all(lam0 < 0) and band <= 3.0,
         f"xi*(0.01) = {xi_at_small:.4f}, lambda0* < 0 on all 50 deltas, "
         f"-lambda0*/x* band factor {band:.2f}",
+    )
+
+
+def _chain_risk(model, theta, steps):
+    """Limiting pred risk of the chain with lambdas theta[:steps + 1] and
+    xis theta[steps + 1:]; a refused chain scores a large finite penalty."""
+    params = SDParams(tuple(theta[:steps + 1]), tuple(theta[steps + 1:]))
+    try:
+        return sd.limiting_pred_risk(model, sd.SDChain(params)).total
+    except (AssumptionError, NumericalError, ValueError):
+        return 1e6
+
+
+def _best_short_chain(model, params, lam_ridge, k):
+    """Best (s - k)-step chain found by Nelder-Mead over (lambda, xi).
+
+    Starts: the optimal chain with each choice of k stages dropped, and
+    the ridge chain (every lambda the best ridge one, every xi 0).
+    """
+    from scipy.optimize import minimize
+
+    s = len(params.xis)
+    steps = s - k
+    starts = []
+    for dropped in itertools.combinations(range(s + 1), k):
+        kept = [j for j in range(s + 1) if j not in dropped]
+        starts.append([params.lambdas[j] for j in kept]
+                      + [params.xis[j - 1] for j in kept[1:]])
+    starts.append([lam_ridge] * (steps + 1) + [0.0] * steps)
+    results = [minimize(lambda th: _chain_risk(model, th, steps), x0,
+                        method="Nelder-Mead",
+                        options={"xatol": 1e-8, "fatol": 1e-12, "maxiter": 2000})
+               for x0 in starts]
+    best = min(results, key=lambda res: res.fun)
+    return best.fun, best.x, steps
+
+
+def test_criterion_11_fewer_steps_are_strictly_worse(fig1_model, fig4_model):
+    # PAPER.md: any (s - k)-step chain, 1 <= k <= s, is strictly worse
+    # than the optimal s-step one
+    t0 = time.time()
+    gaps, ref_err = [], 0.0
+    for name, model in (("fig1", fig1_model), ("fig4", fig4_model)):
+        rule, _ = sd.optimal_pred_rule(model)
+        optimum = sd.limiting_pred_risk(model, rule).total
+        params = sd.synthesize_sd_params(rule)
+        lam_ridge, _ = sd.best_ridge(model)
+        for k in range(1, model.s + 1):
+            risk, theta, steps = _best_short_chain(model, params, lam_ridge, k)
+            gaps.append((f"{name} k={k}", risk - optimum))
+            winner = sd.SDChain(SDParams(tuple(theta[:steps + 1]),
+                                         tuple(theta[steps + 1:])))
+            with pytest.MonkeyPatch.context() as patch:
+                sd.spectra._grid_cached.cache_clear()
+                patch.setattr(sd.spectra, "_theta_panels", _reference_panels)
+                ref = sd.limiting_pred_risk(model, winner).total
+            sd.spectra._grid_cached.cache_clear()
+            ref_err = max(ref_err, abs(risk - ref) / ref)
+    elapsed = time.time() - t0
+    report(
+        11,
+        all(gap >= 1e-3 for _, gap in gaps) and ref_err <= 1e-12
+        and elapsed < 60.0,
+        "gaps over the optimum " + ", ".join(f"{k}: {g:.3e}" for k, g in gaps)
+        + f"; winners match the reference grid to {ref_err:.1e} "
+        f"({elapsed:.1f}s)",
     )

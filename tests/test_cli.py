@@ -552,13 +552,20 @@ def _refusal(tmp_path, kind):
     if kind == "sd-huge-xi":
         rule = {"kind": "sd", "lambdas": [1.0, 2.0], "xis": [-1e300]}
         return "risk", {"model": FIG1_MODEL, "risk": {"rules": [rule]}}, [], 4
+    if kind == "gd-diverges-at-outlier":
+        # |1 - 0.2 x*| = 1.057 at the outlier x* = 72/7: after 20,000
+        # steps the rule overflows there, so its risk is not a double
+        config = json.loads((CORPUS / "risk__readme.json").read_text())
+        config["risk"] = {"rules": [{"kind": "gd", "etas": [0.2],
+                                     "steps": [20000]}]}
+        return "risk", config, [], 4
     config = {"model": FIG1_MODEL, "optimal": {}}
     return "optimal", config, ["--out", str(tmp_path / "missing" / "x.json")], 2
 
 
 @pytest.mark.parametrize("kind", ["infinite-grid-bound", "simulate-huge-c",
                                   "missing-directory", "gd-huge-eta",
-                                  "sd-huge-xi"])
+                                  "sd-huge-xi", "gd-diverges-at-outlier"])
 def test_refused_input_prints_one_line_in_a_fresh_process(tmp_path, kind):
     # warnings are shown in a fresh process, unlike under pytest
     command, config, extra, code = _refusal(tmp_path, kind)
@@ -694,6 +701,25 @@ def test_count_above_its_cap_is_config_error(tmp_path, capsys, command, field,
     assert captured.out == ""
     assert captured.err == (f"config error: {where} = {cap + over} exceeds "
                             f"its cap of {cap}\n")
+
+
+@pytest.mark.parametrize("threads", [0, cli.MAX_THREADS + 1])
+def test_threads_outside_their_range_are_config_error(tmp_path, capsys,
+                                                     monkeypatch, threads):
+    # every replicate goes to the pool at once, and each thread holds its
+    # own n x p design: the thread count bounds the memory of a run
+    def refuse(*args, **kwargs):
+        raise AssertionError("harness_suite was called")
+
+    monkeypatch.setattr(cli.montecarlo, "harness_suite", refuse)
+    cfg = write_cfg(tmp_path, {"model": FIG1_MODEL,
+                               "simulate": {**SIM_SIZES,
+                                            "estimators": ["ridge:1.0"]}})
+    assert main(["simulate", "--config", cfg, "--threads", str(threads)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"config error: --threads = {threads} is outside "
+                            f"1..{cli.MAX_THREADS}\n")
 
 
 def test_underflowing_chain_basis_is_numerical_failure(tmp_path, capsys):

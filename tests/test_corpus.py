@@ -8,6 +8,14 @@ printed without a decimal point and compare as floats. The round-off
 measures `round_trip_sup_error` and `fixed_point_residual` are compared
 to 1e-13 absolute, since their relative value is itself round-off.
 `tests/corpus/make_corpus.py` regenerates the corpus.
+
+The model has two exact scale symmetries. Multiplying sigma0^2 and every
+delta by k and dividing r and every alpha by sqrt(k) scales the
+eigenvalues by k: pred stays, est scales by 1/k, the lambdas by k, the
+xis stay. Multiplying r and every alpha by t and sigma_eps^2 by t^2
+scales both risks by t^2. With k and t powers of two every input is
+exact, so every closed-form corpus case must give the same exit code and
+exactly rescaled risks and chain parameters.
 """
 
 import json
@@ -102,3 +110,45 @@ def test_corpus_is_complete():
     assert len(CASES) >= 70
     for name in CASES:
         assert (CORPUS / f"{name}.out").exists(), name
+
+
+SCALED_CASES = [name for name in CASES
+                if name.split("__")[0] in ("optimal", "sd-params", "federated")]
+# (k, t): covariance scales 2^+-4 and 2^+-20, signal scales 2^+-40
+SCALES = ([(2.0**e, 1.0) for e in (-20, -4, 4, 20)]
+          + [(1.0, 2.0**e) for e in (-40, 40)])
+
+
+def _scaled(model: dict, k: float, t: float) -> dict:
+    """The model with covariance scale k and signal scale t applied."""
+    root = math.sqrt(k)
+    spikes = [{"delta": sp["delta"] * k, "alpha": sp["alpha"] * t / root}
+              for sp in model["spikes"]]
+    return {**model, "sigma0_sq": model["sigma0_sq"] * k,
+            "r": model["r"] * t / root,
+            "sigma_eps_sq": model["sigma_eps_sq"] * t * t, "spikes": spikes}
+
+
+def _rescaled(payload: dict, k: float, t: float):
+    """(risks, lambdas, xis) of a payload as the scaled model must print
+    them."""
+    params = payload.get("sd_params", payload)
+    risks = {key: value * t * t / (k if key == "est" else 1.0)
+             for key, value in payload.get("risks", {}).items()}
+    return risks, [lam * k for lam in params["lambdas"]], params["xis"]
+
+
+@pytest.mark.parametrize("name", SCALED_CASES)
+def test_scaled_model_gives_exactly_scaled_outputs(tmp_path, name):
+    command = name.split("__")[0]
+    config = json.loads((CORPUS / f"{name}.json").read_text())
+    path, out = tmp_path / "cfg.json", tmp_path / "out.json"
+    payloads = {}
+    for k, t in [(1.0, 1.0), *SCALES]:
+        path.write_text(json.dumps({**config,
+                                    "model": _scaled(config["model"], k, t)}))
+        assert main([command, "--config", str(path), "--out", str(out)]) == 0, (k, t)
+        payloads[k, t] = json.loads(out.read_text())
+    want = payloads.pop((1.0, 1.0))
+    for (k, t), got in payloads.items():
+        assert _rescaled(got, 1.0, 1.0) == _rescaled(want, k, t), (k, t)

@@ -244,6 +244,41 @@ def test_apply_rule_to_vector_with_nonzero_rule_at_zero(small_case):
     assert np.linalg.norm(got - direct) <= 1e-12 * np.linalg.norm(direct)
 
 
+def test_rule_pole_at_a_sample_eigenvalue_drops_that_direction(small_case):
+    # p > n; the pseudoinverse convention applies where a rule meets the
+    # sample spectrum: the direction at the pole contributes nothing
+    model, cfg, X, y, beta0, V, sp = small_case
+    k = sp.d.size // 2
+    pole = sp.d[k]
+    got = sd.fit_shrinkage(X, y, sd.RationalRule((pole,), (1.0,)), sp).coords
+    assert got[k] == 0.0
+    rest = np.arange(sp.d.size) != k
+    np.testing.assert_allclose(got[rest], sp.z[rest] / (sp.d[rest] - pole),
+                               rtol=1e-14, atol=0.0)
+
+
+def test_rule_overflow_at_the_top_sample_eigenvalue_drops_it(small_case):
+    # |1 - eta d| > 1 only at the top eigenvalue (the outlier): 5000 steps
+    # overflow there, while every other direction keeps its finite value
+    model, cfg, X, y, beta0, V, sp = small_case
+    top = int(np.argmax(sp.d))
+    eta = 4.0 / (sp.d[top] + np.sort(sp.d)[-2])
+    rule = sd.GDPoly(eta, 5000)
+    assert 5000 * np.log(abs(1.0 - eta * sp.d[top])) > np.log(np.finfo(float).max)
+    got = sd.fit_shrinkage(X, y, rule, sp).coords
+    assert got[top] == 0.0
+    rest = np.arange(sp.d.size) != top
+    np.testing.assert_array_equal(got[rest], rule(sp.d[rest]) * sp.z[rest])
+
+
+def test_ridgeless_rule_applies_the_pseudoinverse(small_case):
+    model, cfg, X, y, beta0, V, sp = small_case
+    n, p = X.shape
+    got = sd.apply_rule_to_vector(sp, sd.Ridge(0.0), beta0)
+    direct = np.linalg.pinv(X.T @ X / n, hermitian=True) @ beta0
+    assert np.linalg.norm(got - direct) <= 1e-10 * np.linalg.norm(direct)
+
+
 def test_decompose_fit_and_risk_allocate_no_n_by_p_array():
     model = SpikedModel(1.0, 3.0, ((7.0, 1.7),), 2.0, 4.0)
     cfg = SimConfig(model, n=200, p=600, seed=2)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -162,10 +163,16 @@ def test_rule_pole_rejection(fig1_model):
 
 
 def test_rational_pole_evaluation_flagged():
+    # a rule is its formula: at its pole the value is not finite, with no
+    # warning; only eval_shrinkage, where a rule meets sample eigenvalues,
+    # maps it to 0 by the pseudoinverse convention
     f = sd.RationalRule((2.0,), (1.0,))  # pole at 2
-    with pytest.warns(RuntimeWarning):
-        vals = f(np.array([1.0, 2.0, 3.0]))
-    assert vals[1] == 0.0 and np.isfinite(vals).all()
+    x = np.array([1.0, 2.0, 3.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals = f(x)
+    assert vals[0] == -1.0 and not np.isfinite(vals[1]) and vals[2] == 1.0
+    np.testing.assert_array_equal(sd.eval_shrinkage(f, x), [-1.0, 0.0, 1.0])
 
 
 def test_pcr_surrogate_tau_range(fig4_model):
