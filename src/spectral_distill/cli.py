@@ -2,9 +2,10 @@
 
 Subcommands: measure | risk | optimal | sd-params | federated | simulate
 | sweep. Exit codes: 0 success, 2 config error, 3 assumption violation,
-4 numerical failure. Every CSV starts with a comment line carrying the
-sha256 of the fully resolved config; floats are serialized with 17
-significant digits so outputs round-trip exactly.
+4 numerical failure. The config file alone decides the numbers, seed
+included, and every output carries the sha256 of the config file's JSON
+as written (keys sorted, no defaults filled in); floats are serialized
+with 17 significant digits so outputs round-trip exactly.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ MAX_GRID = 100_000        # measure.grid_size and the num of a grid
 MAX_DIM = 20_000          # simulate n and p: each replicate draws n x p
 MAX_REPLICATES = 100_000
 MAX_CLIENTS = 100_000     # federated K
-MAX_THREADS = 8           # --threads: each thread holds its own n x p design
 
 
 def _walk(spec, value, where):
@@ -170,7 +170,6 @@ SCHEMA = {
     "model": {"sigma0_sq": _number, "c": _number, "r": _number,
               "sigma_eps_sq": _number,
               "spikes?": [{"delta": _number, "alpha": _number}]},
-    "output": {"path?": _string},
     "measure": {"grid_size?": _count(MAX_GRID, least=2), "x_min?": _finite,
                 "x_max?": _finite},
     "risk": {"rules": [_rule]},
@@ -244,6 +243,10 @@ def _atomic_write(path: str, text: str):
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".spectral-distill-")
     try:
         with os.fdopen(fd, "w") as handle:
+            # mkstemp creates the file 0600; give it the mode open() would
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(handle.fileno(), 0o666 & ~umask)
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -271,23 +274,15 @@ def _csv(header_comment_lines, columns, rows) -> str:
 # rule/estimator specs
 
 
-def build_rules(spec, model, where):
+def build_rules(spec, model):
     """Expand one checked rule spec into a list of (label, hyper1, hyper2, fn)."""
-    try:
-        return _build_rules_inner(spec, model)
-    except AssumptionError as exc:
-        # a rule that cannot exist for this model is a config problem
-        raise ConfigError(f"invalid rule in {where}: {exc}") from exc
-
-
-def _build_rules_inner(spec, model):
     kind = spec["kind"]
     if kind == "ridge":
         return [("ridge", lam, "", shrinkage.Ridge(lam))
                 for lam in spec["lambdas"].tolist()]
     if kind == "sd":
         params = shrinkage.SDParams(tuple(spec["lambdas"]), tuple(spec["xis"]))
-        return [("sd", "", "", shrinkage.sd_chain_fn(params, model))]
+        return [("sd", "", "", shrinkage.SDChain(params))]
     if kind == "gd":
         return [("gd", eta, T, shrinkage.GDPoly(eta, T))
                 for eta in spec["etas"] for T in spec["steps"]]
@@ -336,8 +331,8 @@ def cmd_risk(model, block, tag):
            "est_total"]
     )
     rows = []
-    for i, spec in enumerate(block["rules"]):
-        for label, h1, h2, fn in build_rules(spec, model, f"risk.rules[{i}]"):
+    for spec in block["rules"]:
+        for label, h1, h2, fn in build_rules(spec, model):
             pred = shrinkage.limiting_pred_risk(model, fn)
             est = shrinkage.limiting_est_risk(model, fn)
             rows.append(
@@ -447,27 +442,33 @@ def _parse_estimator(label: str, model, p: int, n: int):
     raise ConfigError(f"unrecognized estimator spec '{label}'")
 
 
-def _sim_config(model, block, seed_override) -> montecarlo.SimConfig:
-    """The SimConfig of a simulate block or of a sweep's sim block."""
-    return montecarlo.SimConfig(
-        model, block["n"], block["p"],
-        block["seed"] if seed_override is None else seed_override,
-        entry_dist=block.get("entry_dist", "gaussian"),
-        n_replicates=block["n_replicates"],
-        student_df=block.get("student_df", 10.0),
-    )
-
-
-def cmd_simulate(model, block, tag, threads=1, seed_override=None):
+def _estimate(model, labels, sim):
+    """The limiting risk of each estimator in `labels` and, given a
+    simulate block or a sweep's sim block, its harness reports on that
+    block's data (else an empty dict)."""
     ests, targets = {}, {}
-    for label in block["estimators"]:
-        est, target = _parse_estimator(label, model, block["p"], block["n"])
-        ests[label] = est
-        targets[label] = target
+    for label in labels:
+        if sim is None and label.startswith("pcr:"):
+            raise ConfigError(
+                "pcr:<m> estimators need a sweep.sim block to fix p and n"
+            )
+        ests[label], targets[label] = _parse_estimator(
+            label, model, sim["p"] if sim else 0, sim["n"] if sim else 0)
+    if sim is None:
+        return targets, {}
     # after the estimators, so that a refused one is reported without the
     # p/n warning of a setting that is never run
-    cfg = _sim_config(model, block, seed_override)
-    reports = montecarlo.harness_suite(cfg, ests, targets, threads=threads)
+    cfg = montecarlo.SimConfig(
+        model, sim["n"], sim["p"], sim["seed"],
+        entry_dist=sim.get("entry_dist", "gaussian"),
+        n_replicates=sim["n_replicates"],
+        student_df=sim.get("student_df", 10.0),
+    )
+    return targets, montecarlo.harness_suite(cfg, ests, targets)
+
+
+def cmd_simulate(model, block, tag):
+    _, reports = _estimate(model, block["estimators"], block)
     cols = ["estimator", "limit", "empirical_mean", "std_error",
             "relative_gap", "n_replicates"]
     rows = [
@@ -478,7 +479,7 @@ def cmd_simulate(model, block, tag, threads=1, seed_override=None):
     return _csv([f"config={tag}"], cols, rows)
 
 
-def cmd_sweep(base, block, tag, threads=1, seed_override=None):
+def cmd_sweep(base, block, tag):
     param = block["parameter"]
     spike_index = block.get("spike_index", 1)
     if param == "delta" and not 1 <= spike_index <= max(base.s, 1):
@@ -511,28 +512,11 @@ def cmd_sweep(base, block, tag, threads=1, seed_override=None):
     for v in block["values"]:
         model = model_at(v)
         row = [float(v)]
-        ests, targets = {}, {}
+        targets, reports = _estimate(model, est_labels, sim_block)
         for label in est_labels:
-            if sim_block is None and label.startswith("pcr:"):
-                raise ConfigError(
-                    "pcr:<m> estimators need a sweep.sim block to fix p and n"
-                )
-            est, target = _parse_estimator(
-                label, model,
-                sim_block["p"] if sim_block else 0,
-                sim_block["n"] if sim_block else 0,
-            )
-            ests[label] = est
-            targets[label] = target
-        if sim_block:
-            cfg = _sim_config(model, sim_block, seed_override)
-            reports = montecarlo.harness_suite(cfg, ests, targets, threads=threads)
-            for label in est_labels:
-                r = reports[label]
-                row += [r.target, r.empirical_mean, r.std_error]
-        else:
-            for label in est_labels:
-                row.append(targets[label])
+            row.append(targets[label])
+            if sim_block:
+                row += [reports[label].empirical_mean, reports[label].std_error]
         if include_params:
             rule, _ = optimal.optimal_pred_rule(model)
             params = optimal.synthesize_sd_params(rule)
@@ -566,9 +550,9 @@ _PARSER = argparse.ArgumentParser(
 _PARSER.add_argument("command", choices=sorted(_COMMANDS))
 _PARSER.add_argument("--config", required=True, help="path to a JSON config")
 _PARSER.add_argument("--out", default=None, help="output path (default stdout)")
-_PARSER.add_argument("--threads", type=int, default=1)
-_PARSER.add_argument("--seed", type=int, default=None,
-                     help="override the simulation seed")
+# replicates run on one thread; the flag stays so that existing callers
+# passing --threads 1 keep working
+_PARSER.add_argument("--threads", type=int, default=1, help="only 1 is accepted")
 
 
 def main(argv=None) -> int:
@@ -584,23 +568,18 @@ def main(argv=None) -> int:
     name = args.command.replace("-", "_")
     fn = _COMMANDS[args.command]
     try:
-        if not 1 <= args.threads <= MAX_THREADS:
-            raise ConfigError(f"--threads = {args.threads} is outside "
-                              f"1..{MAX_THREADS}")
+        if args.threads != 1:
+            raise ConfigError(f"--threads = {args.threads}: replicates run on "
+                              "one thread, so only 1 is accepted")
         if not isinstance(config, dict) or "model" not in config:
             raise ConfigError("top-level object with a 'model' block required")
         unknown = set(config) - set(SCHEMA)
         if unknown:
             raise ConfigError(f"unknown top-level key(s) {sorted(unknown)}")
-        output = _walk(SCHEMA["output"], config.get("output", {}), "output")
         block = _walk(SCHEMA[name], config.get(name, {}), name)
         model = parse_model(config["model"])
         tag = _config_hash(config)
-        if args.command in ("simulate", "sweep"):
-            text = fn(model, block, tag, threads=args.threads,
-                      seed_override=args.seed)
-        else:
-            text = fn(model, block, tag)
+        text = fn(model, block, tag)
     except AssumptionError as exc:
         print(f"assumption violation: {exc}", file=sys.stderr)
         return 3
@@ -611,13 +590,12 @@ def main(argv=None) -> int:
     except ValueError as exc:  # ConfigError, or a check of the objects built
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    out_path = args.out or output.get("path")
     try:
-        _emit(text, out_path)
+        _emit(text, args.out)
     except OSError as exc:
-        if not out_path:  # stdout itself failed: not a config problem
+        if not args.out:  # stdout itself failed: not a config problem
             raise
-        print(f"config error: cannot write {out_path}: {exc.strerror or exc}",
+        print(f"config error: cannot write {args.out}: {exc.strerror or exc}",
               file=sys.stderr)
         return 2
     return 0

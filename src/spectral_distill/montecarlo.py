@@ -8,14 +8,13 @@ and compares replicate averages against asymptotic targets.
 
 Randomness uses counter-based Philox streams keyed by
 (seed, replicate, role[, client]) so replicates and clients are
-independent and bit-reproducible under any parallel schedule.
+independent and bit-reproducible in whatever order they run.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -385,20 +384,14 @@ def _replicate_risks(cfg: SimConfig, fitters: dict, replicate: int) -> dict:
     return {name: risk(fit(X, y, sp).coords) for name, fit in fitters.items()}
 
 
-def harness_suite(cfg: SimConfig, estimators: dict, targets: dict,
-                  threads: int = 1) -> dict[str, HarnessReport]:
-    """Run all replicates once, fitting every estimator on shared data.
-
-    Results are reduced in replicate order, so reports are identical for
-    any thread count.
+def harness_suite(cfg: SimConfig, estimators: dict, targets: dict
+                  ) -> dict[str, HarnessReport]:
+    """Run all replicates once, in order, fitting every estimator on
+    shared data. Replicates run one after another: BLAS already uses
+    every core for each one's Gram matrix and eigendecomposition.
     """
     fitters = {name: make_fitter(est) for name, est in estimators.items()}
-    reps = range(cfg.n_replicates)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            rows = list(ex.map(lambda r: _replicate_risks(cfg, fitters, r), reps))
-    else:
-        rows = [_replicate_risks(cfg, fitters, r) for r in reps]
+    rows = [_replicate_risks(cfg, fitters, r) for r in range(cfg.n_replicates)]
     out = {}
     for name in estimators:
         vals = np.array([row[name] for row in rows])
@@ -410,7 +403,6 @@ def harness_suite(cfg: SimConfig, estimators: dict, targets: dict,
     return out
 
 
-def converge_harness(cfg: SimConfig, estimator, target: float,
-                     threads: int = 1) -> HarnessReport:
+def converge_harness(cfg: SimConfig, estimator, target: float) -> HarnessReport:
     """Replicate-averaged empirical risk against an asymptotic target."""
-    return harness_suite(cfg, {"est": estimator}, {"est": target}, threads)["est"]
+    return harness_suite(cfg, {"est": estimator}, {"est": target})["est"]

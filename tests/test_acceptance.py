@@ -392,10 +392,15 @@ def _best_short_chain(model, params, lam_ridge, k):
 
 def test_criterion_11_fewer_steps_are_strictly_worse(fig1_model, fig4_model):
     # PAPER.md: any (s - k)-step chain, 1 <= k <= s, is strictly worse
-    # than the optimal s-step one
+    # than the optimal s-step one; on the figure models and on seeded
+    # random models with every spike detached
     t0 = time.time()
+    rng = np.random.default_rng(7)
+    models = [("fig1", fig1_model), ("fig4", fig4_model)] + [
+        (f"random{i} s={s}", random_model(rng, s, force_above_bbp=True))
+        for i, s in enumerate((1, 2, 2, 3))]
     gaps, ref_err = [], 0.0
-    for name, model in (("fig1", fig1_model), ("fig4", fig4_model)):
+    for name, model in models:
         rule, _ = sd.optimal_pred_rule(model)
         optimum = sd.limiting_pred_risk(model, rule).total
         params = sd.synthesize_sd_params(rule)

@@ -365,7 +365,8 @@ def test_sweep_sigma_eps(tmp_path):
     assert all(o < t for o, t in zip(opt, tuned))
 
 
-def test_simulate_seed_override_and_threads(tmp_path):
+def test_simulate_seed_override_and_threads(tmp_path, capsys):
+    # the seed comes from the config alone, so the config tag fixes it
     payload = {
         "model": {"sigma0_sq": 1.0, "c": 0.5, "r": 2.0, "sigma_eps_sq": 1.0,
                   "spikes": []},
@@ -373,14 +374,21 @@ def test_simulate_seed_override_and_threads(tmp_path):
                      "estimators": ["ridge:1.0"]},
     }
     cfg = write_cfg(tmp_path, payload)
-    base, threaded, reseeded = (tmp_path / n for n in ("a.csv", "b.csv", "c.csv"))
+    base, one_thread, reseeded = (tmp_path / n for n in ("a.csv", "b.csv", "c.csv"))
     assert main(["simulate", "--config", cfg, "--out", str(base)]) == 0
-    assert main(["simulate", "--config", cfg, "--out", str(threaded),
-                 "--threads", "3"]) == 0
-    assert base.read_bytes() == threaded.read_bytes()
-    assert main(["simulate", "--config", cfg, "--out", str(reseeded),
-                 "--seed", "99"]) == 0
-    assert base.read_bytes() != reseeded.read_bytes()
+    assert main(["simulate", "--config", cfg, "--out", str(one_thread),
+                 "--threads", "1"]) == 0
+    assert base.read_bytes() == one_thread.read_bytes()
+    with pytest.raises(SystemExit) as exit_info:
+        main(["simulate", "--config", cfg, "--seed", "99"])
+    assert exit_info.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    payload["simulate"]["seed"] = 99
+    assert main(["simulate", "--config", write_cfg(tmp_path, payload, "c.json"),
+                 "--out", str(reseeded)]) == 0
+    (tag, _, *rows), (tag2, _, *rows2) = (
+        path.read_text().splitlines() for path in (base, reseeded))
+    assert tag != tag2 and rows != rows2
 
 
 def test_federated_isotropic_json(tmp_path):
@@ -503,37 +511,44 @@ def test_malformed_input_is_config_error(tmp_path, capsys, command, block):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
-def test_output_block_takes_only_a_path(tmp_path):
+def test_output_block_is_an_unknown_key(tmp_path, capsys):
+    # --out alone says where the output goes
     out = tmp_path / "opt.json"
     cfg = write_cfg(tmp_path, {"model": FIG1_MODEL, "optimal": {},
                                "output": {"path": str(out)}})
-    assert main(["optimal", "--config", cfg]) == 0
-    assert json.loads(out.read_text())["coprime"] is True
-    bad = write_cfg(tmp_path, {"model": FIG1_MODEL, "optimal": {},
-                               "output": {"format": "xml"}}, "bad.json")
-    assert main(["optimal", "--config", bad]) == 2
+    assert main(["optimal", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == "config error: unknown top-level key(s) ['output']\n"
     with pytest.raises(SystemExit):
         main(["optimal", "--config", cfg, "--format", "json"])
 
 
-@pytest.mark.parametrize("via", ["--out", "output.path"])
-def test_unwritable_output_is_one_line_config_error(tmp_path, capsys, via):
+def test_unwritable_output_is_one_line_config_error(tmp_path, capsys):
     missing = tmp_path / "missing" / "x.json"
     taken = tmp_path / "taken"  # a directory: the rename onto it fails
     taken.mkdir()
+    cfg = write_cfg(tmp_path, {"model": FIG1_MODEL, "sd_params": {}})
     for out in (missing, taken):
-        payload = {"model": FIG1_MODEL, "sd_params": {}}
-        extra = ["--out", str(out)]
-        if via == "output.path":
-            payload["output"], extra = {"path": str(out)}, []
-        assert main(["sd-params", "--config", write_cfg(tmp_path, payload),
-                     *extra]) == 2
+        assert main(["sd-params", "--config", cfg, "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"config error: cannot write {out}: ")
         assert captured.err.count("\n") == 1
     assert not list(tmp_path.rglob(".spectral-distill-*"))
     assert not missing.parent.exists() and not any(taken.iterdir())
+
+
+def test_out_file_honours_the_umask(tmp_path):
+    # the temporary file an output is renamed from is created 0600
+    cfg = write_cfg(tmp_path, {"model": FIG1_MODEL, "sd_params": {}})
+    out = tmp_path / "sd.json"
+    old = os.umask(0o022)
+    try:
+        assert main(["sd-params", "--config", cfg, "--out", str(out)]) == 0
+    finally:
+        os.umask(old)
+    assert out.stat().st_mode & 0o777 == 0o644
 
 
 def _refusal(tmp_path, kind):
@@ -609,6 +624,17 @@ def test_cli_import_loads_no_scipy():
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_thread_pool():
+    src = os.path.dirname(os.path.dirname(
+        sys.modules["spectral_distill.cli"].__file__))
+    code = ("import sys, spectral_distill.cli; "
+            "print('concurrent.futures' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_non_string_sweep_estimator_is_config_error(tmp_path, capsys):
@@ -703,11 +729,10 @@ def test_count_above_its_cap_is_config_error(tmp_path, capsys, command, field,
                             f"its cap of {cap}\n")
 
 
-@pytest.mark.parametrize("threads", [0, cli.MAX_THREADS + 1])
+@pytest.mark.parametrize("threads", [0, 2, 9])
 def test_threads_outside_their_range_are_config_error(tmp_path, capsys,
                                                      monkeypatch, threads):
-    # every replicate goes to the pool at once, and each thread holds its
-    # own n x p design: the thread count bounds the memory of a run
+    # replicates run on one thread; the flag takes only 1
     def refuse(*args, **kwargs):
         raise AssertionError("harness_suite was called")
 
@@ -718,8 +743,50 @@ def test_threads_outside_their_range_are_config_error(tmp_path, capsys,
     assert main(["simulate", "--config", cfg, "--threads", str(threads)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (f"config error: --threads = {threads} is outside "
-                            f"1..{cli.MAX_THREADS}\n")
+    assert captured.err == (f"config error: --threads = {threads}: replicates "
+                            "run on one thread, so only 1 is accepted\n")
+
+
+README_MODEL = {"sigma0_sq": 1.0, "c": 2.0, "r": 2.0, "sigma_eps_sq": 4.0,
+                "spikes": [{"delta": 7.0, "alpha": 1.7}]}
+NO_NOISE, C_ONE = {"sigma_eps_sq": 0.0}, {"c": 1.0}
+
+
+@pytest.mark.parametrize("model,command,block", [
+    ({}, "risk", {"rules": [{"kind": "ridge", "lambdas": [-3.0]}]}),
+    ({}, "risk", {"rules": [{"kind": "sd", "lambdas": [-3.0], "xis": []}]}),
+    ({}, "simulate", {**SIM_SIZES, "estimators": ["ridge:-3"]}),
+    ({}, "sweep", {"parameter": "sigma_eps_sq", "values": [4.0],
+                   "estimators": ["ridge:-3"]}),
+    (NO_NOISE, "risk", {"rules": [{"kind": "optimal_pred"}]}),
+    (NO_NOISE, "risk", {"rules": [{"kind": "optimal_est"}]}),
+    (NO_NOISE, "optimal", {}),
+    (NO_NOISE, "sd-params", {}),
+    (NO_NOISE, "federated", {"K": 2}),
+    (NO_NOISE, "simulate", {**SIM_SIZES, "estimators": ["sd_optimal"]}),
+    (NO_NOISE, "sweep", {"parameter": "delta", "values": [7.0],
+                         "estimators": ["sd_optimal"]}),
+    (C_ONE, "risk", {"rules": [{"kind": "min_norm"}]}),
+    (C_ONE, "simulate", {**SIM_SIZES, "p": 40, "estimators": ["minnorm"]}),
+    (C_ONE, "sweep", {"parameter": "sigma_eps_sq", "values": [4.0],
+                      "estimators": ["minnorm"]}),
+], ids=["ridge-risk", "sd-risk", "ridge-simulate", "ridge-sweep",
+        "optimal_pred-risk", "optimal_est-risk", "optimal", "sd-params",
+        "federated", "sd_optimal-simulate", "sd_optimal-sweep",
+        "min_norm-risk", "minnorm-simulate", "minnorm-sweep"])
+def test_rule_that_cannot_exist_exits_3_under_every_command(tmp_path, capsys,
+                                                            model, command,
+                                                            block):
+    # on the README model: lambda = -3 puts a pole inside the bulk, and the
+    # optimal rules at sigma_eps^2 = 0 and the min-norm rule at c = 1 do
+    # not exist; each once exited 2 under some commands and 3 under others
+    config = {"model": {**README_MODEL, **model},
+              command.replace("-", "_"): block}
+    assert main([command, "--config", write_cfg(tmp_path, config)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("assumption violation:")
+    assert captured.err.count("\n") == 1
 
 
 def test_underflowing_chain_basis_is_numerical_failure(tmp_path, capsys):

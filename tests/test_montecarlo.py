@@ -322,16 +322,6 @@ def test_aggregated_clients_share_signal(small_case):
     assert not np.array_equal(sd.gen_data(cfg2, client=1)[2], b_a)
 
 
-def test_harness_threads_deterministic():
-    model = SpikedModel(1.0, 0.5, (), 1.0, 1.0)
-    cfg = SimConfig(model, n=120, p=60, seed=13, n_replicates=6)
-    target = sd.limiting_pred_risk(model, sd.Ridge(1.0)).total
-    r1 = sd.converge_harness(cfg, sd.Ridge(1.0), target, threads=1)
-    r2 = sd.converge_harness(cfg, sd.Ridge(1.0), target, threads=3)
-    assert r1.values == r2.values
-    assert r1.empirical_mean == r2.empirical_mean
-
-
 def test_harness_gap_shrinks_with_size():
     model = SpikedModel(1.0, 2.0, (), 2.0, 1.0)
     lam = sd.isotropic_optimal(model).lam
