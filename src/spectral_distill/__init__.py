@@ -43,12 +43,10 @@ from .shrinkage import (
     Tabulated,
     RiskBreakdown,
     eval_shrinkage,
-    sd_chain_fn,
     limiting_pred_risk,
     limiting_est_risk,
     ridge_risk_curve,
     best_ridge,
-    named_surrogates,
     pcr_surrogate,
     min_norm_surrogate,
     pcr_sharp_pred_risk,
@@ -75,19 +73,14 @@ from .federated import (
 )
 from .montecarlo import (
     SimConfig,
-    FittedEstimator,
     HarnessReport,
     gen_data,
     decompose,
     apply_rule_to_vector,
-    fit_shrinkage,
-    fit_sd,
-    fit_pcr,
-    fit_minnorm,
+    fit_coords,
     fit_aggregated,
     sigma_risk,
     coordinate_risk,
-    converge_harness,
     harness_suite,
 )
 

@@ -161,7 +161,8 @@ def _rule(value, where) -> dict:
     return {"kind": kind, **_walk(RULES[kind], rest, where)}
 
 
-_SIM = {"n": _count(MAX_DIM), "p": _count(MAX_DIM), "seed": _integer,
+_DIM = _count(MAX_DIM, least=1)
+_SIM = {"n": _DIM, "p": _DIM, "seed": _integer,
         "n_replicates": _count(MAX_REPLICATES), "entry_dist?": _string,
         "student_df?": _number}
 
@@ -421,8 +422,10 @@ def _parse_estimator(label: str, model, p: int, n: int):
         return params, total
     if kind == "pcr" and len(parts) == 2:
         m = int(parts[1])
+        if not 1 <= m <= min(n, p):
+            raise ConfigError(f"{label}: m must be in 1..min(n, p) = {min(n, p)}")
         s_plus = int(np.sum(model.deltas > model.bbp_threshold))
-        if m >= min(n, p):
+        if m == min(n, p):
             # retains every nonzero direction: the min-norm interpolator
             target = shrinkage.limiting_pred_risk(
                 model, shrinkage.min_norm_surrogate(model)).total
@@ -448,6 +451,8 @@ def _estimate(model, labels, sim):
     block's data (else an empty dict)."""
     ests, targets = {}, {}
     for label in labels:
+        if label in ests:  # reports are keyed by label
+            raise ConfigError(f"estimator '{label}' is listed twice")
         if sim is None and label.startswith("pcr:"):
             raise ConfigError(
                 "pcr:<m> estimators need a sweep.sim block to fix p and n"

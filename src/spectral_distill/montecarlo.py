@@ -1,10 +1,12 @@
 """Finite-sample simulator and convergence harness.
 
-Generates spiked-model data, fits every estimator with a limiting-risk
-formula as coordinates in the sample eigenbasis (no p x n eigenvector
-matrix and no p x p covariance is ever materialized), computes exact
-Sigma-norm risks from those coordinates through the spike decomposition,
-and compares replicate averages against asymptotic targets.
+Generates spiked-model data and fits every estimator with a limiting-risk
+formula as a function of the sample spectrum: `fit_coords` gives a fit's
+coordinates in the sample eigenbasis of one `SampleSpectrum` (no p x n
+eigenvector matrix and no p x p covariance is ever materialized). Exact
+Sigma-norm risks are computed from those coordinates through the spike
+decomposition, and `harness_suite` compares replicate averages against
+asymptotic targets.
 
 Randomness uses counter-based Philox streams keyed by
 (seed, replicate, role[, client]) so replicates and clients are
@@ -222,75 +224,46 @@ def _apply_rule_values(f: ShrinkageFn, d: np.ndarray) -> np.ndarray:
     return vals
 
 
-@dataclass(frozen=True)
-class FittedEstimator:
-    """A fit as coordinates in its spectrum's eigenbasis.
-
-    With `spectrum` None the coordinates are the p coefficients themselves
-    (an aggregate of fits on different designs).
+def fit_coords(spectrum: SampleSpectrum, est) -> np.ndarray:
+    """Coordinates c of a fit in the sample eigenbasis (the fit is
+    `spectrum.lift(c)`) for a ShrinkageFn f (f(Sigma_hat) X'y/n; gradient
+    descent is the rule GDPoly(eta, steps)), SDParams (the self-distillation
+    recursion), ("pcr", m) or ("minnorm",). The last two, least squares on
+    the top m sample principal components and the min-norm interpolator
+    (OLS when n > p), depend on n and so are not limiting-spectrum rules.
     """
+    d, z = spectrum.d, spectrum.z
+    if isinstance(est, ShrinkageFn):
+        return _apply_rule_values(est, d) * z
+    if isinstance(est, SDParams):
+        # stage t applies (Sigma_hat + lambda_t I)^+, zero inside the pinv
+        # band, to the blend of the data term and the last stage's predictions
+        band = _pinv_band(d)
 
-    coords: np.ndarray
-    spectrum: SampleSpectrum | None
+        def pinv_scale(lam):
+            denom = d + lam
+            with np.errstate(divide="ignore"):
+                return np.where(np.abs(denom) < band, 0.0, 1.0 / denom)
 
-    @property
-    def coefficients(self) -> np.ndarray:
-        if self.spectrum is None:
-            return self.coords
-        return self.spectrum.lift(self.coords)
-
-
-def fit_shrinkage(X, y, f: ShrinkageFn, spectrum: SampleSpectrum | None = None
-                  ) -> FittedEstimator:
-    """beta_f = f(Sigma_hat) X'y/n via the sample eigenbasis."""
-    sp = decompose(X, y) if spectrum is None else spectrum
-    return FittedEstimator(_apply_rule_values(f, sp.d) * sp.z, sp)
-
-
-def fit_sd(X, y, params: SDParams, spectrum: SampleSpectrum | None = None
-           ) -> FittedEstimator:
-    """Self-distillation recursion in the sample eigenbasis.
-
-    Stage t solves (Sigma_hat + lambda_t I)^+ applied to the blend of the
-    data term and the previous stage's predictions; directions with
-    |d_i + lambda_t| inside the pseudoinverse band contribute nothing.
-    """
-    sp = decompose(X, y) if spectrum is None else spectrum
-    d, z = sp.d, sp.z
-    band = _pinv_band(d)
-    lam = params.lambdas
-
-    def pinv_scale(t):
-        denom = d + lam[t]
+        coords = pinv_scale(est.lambdas[0]) * z
+        for lam, xi in zip(est.lambdas[1:], est.xis):
+            coords = pinv_scale(lam) * ((1.0 - xi) * z + xi * d * coords)
+        return coords
+    kind = est[0] if isinstance(est, tuple) and est else None
+    coords = np.zeros_like(d)
+    if kind == "pcr":
+        m, k = est[1], min(spectrum.n, spectrum.p)
+        if not 1 <= m <= k:
+            raise ValueError(f"m must be in 1..min(n, p) = {k}")
+        order = np.argsort(d)[::-1][:m]
         with np.errstate(divide="ignore"):
-            return np.where(np.abs(denom) < band, 0.0, 1.0 / denom)
-
-    coords = pinv_scale(0) * z
-    for t in range(1, len(lam)):
-        xi = params.xis[t - 1]
-        coords = pinv_scale(t) * ((1.0 - xi) * z + xi * d * coords)
-    return FittedEstimator(coords, sp)
-
-
-def fit_pcr(X, y, m: int, spectrum: SampleSpectrum | None = None) -> FittedEstimator:
-    """Least squares on the top m sample principal components."""
-    sp = decompose(X, y) if spectrum is None else spectrum
-    if not 1 <= m <= min(sp.n, sp.p):
-        raise ValueError(f"m must be in 1..min(n, p) = {min(sp.n, sp.p)}")
-    order = np.argsort(sp.d)[::-1][:m]
-    coords = np.zeros_like(sp.d)
-    with np.errstate(divide="ignore"):
-        coords[order] = np.where(sp.d[order] > 0, sp.z[order] / sp.d[order], 0.0)
-    return FittedEstimator(coords, sp)
-
-
-def fit_minnorm(X, y, spectrum: SampleSpectrum | None = None) -> FittedEstimator:
-    """Minimum l2-norm interpolator (OLS when n > p)."""
-    sp = decompose(X, y) if spectrum is None else spectrum
-    keep = sp.d > (sp.d.max() if sp.d.size else 1.0) * 1e-12
-    coords = np.zeros_like(sp.d)
-    coords[keep] = sp.z[keep] / sp.d[keep]
-    return FittedEstimator(coords, sp)
+            coords[order] = np.where(d[order] > 0, z[order] / d[order], 0.0)
+        return coords
+    if kind == "minnorm":
+        keep = d > (d.max() if d.size else 1.0) * 1e-12
+        coords[keep] = z[keep] / d[keep]
+        return coords
+    raise ValueError(f"unrecognized estimator spec: {est!r}")
 
 
 def sigma_risk(beta_hat, beta0, model: SpikedModel, V) -> float:
@@ -324,7 +297,7 @@ def coordinate_risk(spectrum: SampleSpectrum, beta0, model: SpikedModel, V):
     return risk
 
 
-def fit_aggregated(cfgs, rules, rhos) -> FittedEstimator:
+def fit_aggregated(cfgs, rules, rhos) -> np.ndarray:
     """Weighted sum of per-client shrinkage fits on shared-signal data.
 
     All configs must share the model and p; the signal (beta0 and the
@@ -343,28 +316,9 @@ def fit_aggregated(cfgs, rules, rhos) -> FittedEstimator:
     beta = np.zeros(base.p)
     for l, (cfg, f, rho) in enumerate(zip(cfgs, rules, rhos)):
         X, y, _, _ = gen_data(cfg, 0, l, signal)
-        beta += rho * fit_shrinkage(X, y, f).coefficients
-    return FittedEstimator(beta, None)
-
-
-def make_fitter(est):
-    """Normalize an estimator spec to a fit(X, y, spectrum) callable.
-
-    Accepts a ShrinkageFn (gradient descent is the rule GDPoly(eta, steps)),
-    SDParams, or the tuples ("pcr", m) and ("minnorm",), whose fits depend
-    on the sample size and so are not rules of the limiting spectrum.
-    """
-    if isinstance(est, ShrinkageFn):
-        return lambda X, y, sp: fit_shrinkage(X, y, est, sp)
-    if isinstance(est, SDParams):
-        return lambda X, y, sp: fit_sd(X, y, est, sp)
-    if isinstance(est, tuple) and est:
-        kind = est[0]
-        if kind == "pcr":
-            return lambda X, y, sp: fit_pcr(X, y, est[1], sp)
-        if kind == "minnorm":
-            return lambda X, y, sp: fit_minnorm(X, y, sp)
-    raise ValueError(f"unrecognized estimator spec: {est!r}")
+        sp = decompose(X, y)
+        beta += rho * sp.lift(fit_coords(sp, f))
+    return beta
 
 
 @dataclass(frozen=True)
@@ -377,21 +331,24 @@ class HarnessReport:
     values: tuple[float, ...]
 
 
-def _replicate_risks(cfg: SimConfig, fitters: dict, replicate: int) -> dict:
+def _replicate_risks(cfg: SimConfig, estimators: dict, replicate: int) -> dict:
     X, y, beta0, V = gen_data(cfg, replicate)
     sp = decompose(X, y)
     risk = coordinate_risk(sp, beta0, cfg.model, V)
-    return {name: risk(fit(X, y, sp).coords) for name, fit in fitters.items()}
+    return {name: risk(fit_coords(sp, est)) for name, est in estimators.items()}
 
 
 def harness_suite(cfg: SimConfig, estimators: dict, targets: dict
                   ) -> dict[str, HarnessReport]:
-    """Run all replicates once, in order, fitting every estimator on
-    shared data. Replicates run one after another: BLAS already uses
-    every core for each one's Gram matrix and eigendecomposition.
+    """Replicate-averaged empirical risk of each estimator against its
+    asymptotic target, keyed like `estimators` and `targets`.
+
+    Every estimator spec that `fit_coords` takes is fitted on each
+    replicate's shared data. Replicates run one after another: BLAS
+    already uses every core for each one's Gram matrix and
+    eigendecomposition.
     """
-    fitters = {name: make_fitter(est) for name, est in estimators.items()}
-    rows = [_replicate_risks(cfg, fitters, r) for r in range(cfg.n_replicates)]
+    rows = [_replicate_risks(cfg, estimators, r) for r in range(cfg.n_replicates)]
     out = {}
     for name in estimators:
         vals = np.array([row[name] for row in rows])
@@ -401,8 +358,3 @@ def harness_suite(cfg: SimConfig, estimators: dict, targets: dict
         gap = abs(mean - target) / abs(target) if target != 0 else math.inf
         out[name] = HarnessReport(mean, se, target, gap, len(vals), tuple(vals))
     return out
-
-
-def converge_harness(cfg: SimConfig, estimator, target: float) -> HarnessReport:
-    """Replicate-averaged empirical risk against an asymptotic target."""
-    return harness_suite(cfg, {"est": estimator}, {"est": target})["est"]

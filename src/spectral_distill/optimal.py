@@ -30,7 +30,7 @@ import numpy as np
 
 from . import measures
 from .errors import AssumptionError, NumericalError, StructuralError
-from .shrinkage import (RationalRule, Ridge, SDParams, _xf_moments, sd_chain_fn,
+from .shrinkage import (RationalRule, Ridge, SDChain, SDParams, _xf_moments,
                         validate_rule)
 # get_grid stays bound here for perfbench's tracer, which wraps each binding
 from .spectra import SpikedModel, bracketed_newton, get_grid  # noqa: F401
@@ -348,7 +348,7 @@ def coprimality_check(rule: RationalRule) -> bool:
 
 def sd_round_trip_error(model: SpikedModel, rule: RationalRule,
                         params: SDParams) -> float:
-    """sup over grid and atoms of |sd_chain(params) - rule|, the rule's
+    """sup over grid and atoms of |SDChain(params) - rule|, the rule's
     values being those `validate_rule` holds."""
     grid, values = validate_rule(model, rule)
-    return float(np.max(np.abs(sd_chain_fn(params)(grid.support_points) - values)))
+    return float(np.max(np.abs(SDChain(params)(grid.support_points) - values)))

@@ -163,6 +163,12 @@ class RationalRule(ShrinkageFn):
 
 @dataclass(frozen=True)
 class SDChain(ShrinkageFn):
+    """Closed-form rule of the k-step self-distillation chain.
+
+    f_k(x) = sum_{j=0..k} (1-xi_j) (prod_{t>j} xi_t) (prod_{t>j} x/(x+lambda_t))
+             / (x + lambda_j),  with xi_0 = 0.
+    """
+
     params: SDParams
 
     def poles(self):
@@ -324,18 +330,6 @@ def eval_shrinkage(f: ShrinkageFn, x):
     return np.where(np.isfinite(values), values, 0.0)
 
 
-def sd_chain_fn(params: SDParams, model: SpikedModel | None = None) -> SDChain:
-    """Closed-form rule of the k-step self-distillation chain.
-
-    f_k(x) = sum_{j=0..k} (1-xi_j) (prod_{t>j} xi_t) (prod_{t>j} x/(x+lambda_t))
-             / (x + lambda_j),  with xi_0 = 0.
-    """
-    fn = SDChain(params)
-    if model is not None:
-        validate_rule(model, fn)
-    return fn
-
-
 def validate_rule(model: SpikedModel, f: ShrinkageFn
                   ) -> tuple[SpectralGrid, np.ndarray]:
     """Check a rule against a model and evaluate it once on the model's grid.
@@ -493,14 +487,6 @@ def min_norm_surrogate(model: SpikedModel,
     if cut + 0.5 * w >= a:
         raise ValueError("ramp must stay inside the spectral gap (0, a)")
     return MinNormSurrogate(cut, w)
-
-
-def named_surrogates(model: SpikedModel) -> dict:
-    """{'min_norm': ShrinkageFn, 'pcr': tau -> ShrinkageFn}."""
-    out = {"pcr": lambda tau: pcr_surrogate(model, tau)}
-    if abs(model.c - 1.0) >= 1e-12:
-        out["min_norm"] = min_norm_surrogate(model)
-    return out
 
 
 @dataclass(frozen=True)

@@ -752,6 +752,66 @@ README_MODEL = {"sigma0_sq": 1.0, "c": 2.0, "r": 2.0, "sigma_eps_sq": 4.0,
 NO_NOISE, C_ONE = {"sigma_eps_sq": 0.0}, {"c": 1.0}
 
 
+def _estimating(command, labels):
+    """A simulate block, or a sweep block with a sim block, of `labels`."""
+    if command == "simulate":
+        return {**SIM_SIZES, "estimators": labels}
+    return {"parameter": "sigma_eps_sq", "values": [4.0],
+            "estimators": labels, "sim": dict(SIM_SIZES)}
+
+
+def _refuse(name):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{name} was called")
+    return refuse
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+@pytest.mark.parametrize("m", [0, -3, 41])
+def test_pcr_outside_one_to_min_n_p_is_refused_before_any_draw(
+        tmp_path, capsys, monkeypatch, command, m):
+    # the range was once checked inside the fit, after an n x p design had
+    # been drawn and decomposed
+    monkeypatch.setattr(cli.montecarlo, "gen_data", _refuse("gen_data"))
+    cfg = write_cfg(tmp_path, {"model": README_MODEL,
+                               command: _estimating(command, [f"pcr:{m}"])})
+    assert main([command, "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"config error: pcr:{m}: m must be in "
+                            "1..min(n, p) = 40\n")
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+@pytest.mark.parametrize("field", ["n", "p"])
+def test_simulation_size_below_one_is_refused_by_name(tmp_path, capsys,
+                                                      command, field):
+    # a size of 0 is named as such, not as an empty pcr:<m> range
+    block = _estimating(command, ["pcr:1"])
+    sizes = block["sim"] if command == "sweep" else block
+    sizes[field] = 0
+    where = "sweep.sim" if command == "sweep" else "simulate"
+    cfg = write_cfg(tmp_path, {"model": README_MODEL, command: block})
+    assert main([command, "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: {where}.{field} must be at least 1\n"
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_repeated_estimator_label_is_config_error(tmp_path, capsys,
+                                                  monkeypatch, command):
+    # reports are keyed by label: simulate once printed 2 rows for these 3
+    # labels and sweep every ridge:1 column twice
+    monkeypatch.setattr(cli.montecarlo, "harness_suite",
+                        _refuse("harness_suite"))
+    block = _estimating(command, ["ridge:1", "ridge:1", "minnorm"])
+    cfg = write_cfg(tmp_path, {"model": README_MODEL, command: block})
+    assert main([command, "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: estimator 'ridge:1' is listed twice\n"
+
+
 @pytest.mark.parametrize("model,command,block", [
     ({}, "risk", {"rules": [{"kind": "ridge", "lambdas": [-3.0]}]}),
     ({}, "risk", {"rules": [{"kind": "sd", "lambdas": [-3.0], "xis": []}]}),

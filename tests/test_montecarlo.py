@@ -73,7 +73,7 @@ def test_entry_distributions_unit_variance():
 def test_fit_ridge_matches_direct_solve(small_case):
     model, cfg, X, y, beta0, V, sp = small_case
     lam = 0.37
-    got = sd.fit_shrinkage(X, y, sd.Ridge(lam), sp).coefficients
+    got = sp.lift(sd.fit_coords(sp, sd.Ridge(lam)))
     n, p = X.shape
     direct = np.linalg.solve(X.T @ X / n + lam * np.eye(p), X.T @ y / n)
     assert np.linalg.norm(got - direct) < 1e-8 * np.linalg.norm(direct)
@@ -82,7 +82,7 @@ def test_fit_ridge_matches_direct_solve(small_case):
 def test_fit_zero_rule(small_case):
     model, cfg, X, y, beta0, V, sp = small_case
     zero = sd.Tabulated((0.0, 100.0), (0.0, 0.0))
-    assert np.allclose(sd.fit_shrinkage(X, y, zero, sp).coefficients, 0.0)
+    assert np.allclose(sp.lift(sd.fit_coords(sp, zero)), 0.0)
 
 
 def test_fit_sd_equals_chain(small_case):
@@ -94,8 +94,8 @@ def test_fit_sd_equals_chain(small_case):
              float(rng.uniform(0.1, 2))),
             tuple(rng.uniform(-1, 1, size=2)),
         )
-        via_rec = sd.fit_sd(X, y, params, sp).coefficients
-        via_fn = sd.fit_shrinkage(X, y, sd.sd_chain_fn(params), sp).coefficients
+        via_rec = sp.lift(sd.fit_coords(sp, params))
+        via_fn = sp.lift(sd.fit_coords(sp, sd.SDChain(params)))
         assert np.linalg.norm(via_rec - via_fn) < 1e-8 * max(
             1.0, np.linalg.norm(via_fn)
         )
@@ -105,31 +105,32 @@ def test_fit_sd_degenerate_weights(small_case):
     model, cfg, X, y, beta0, V, sp = small_case
     # all xi = 0: the chain collapses to ridge at the last stage
     params = SDParams((0.9, 5.0, 0.2), (0.0, 0.0))
-    got = sd.fit_sd(X, y, params, sp).coefficients
-    ridge = sd.fit_shrinkage(X, y, sd.Ridge(0.2), sp).coefficients
+    got = sp.lift(sd.fit_coords(sp, params))
+    ridge = sp.lift(sd.fit_coords(sp, sd.Ridge(0.2)))
     assert np.allclose(got, ridge)
     # k = 0 is plain ridge
-    got0 = sd.fit_sd(X, y, SDParams((0.9,), ()), sp).coefficients
-    assert np.allclose(got0, sd.fit_shrinkage(X, y, sd.Ridge(0.9), sp).coefficients)
+    got0 = sp.lift(sd.fit_coords(sp, SDParams((0.9,), ())))
+    assert np.allclose(got0, sp.lift(sd.fit_coords(sp, sd.Ridge(0.9))))
 
 
 def test_pcr_full_rank_is_minnorm(small_case):
     model, cfg, X, y, beta0, V, sp = small_case
     m = min(X.shape)
-    pcr = sd.fit_pcr(X, y, m, sp).coefficients
-    mn = sd.fit_minnorm(X, y, sp).coefficients
+    pcr = sp.lift(sd.fit_coords(sp, ("pcr", m)))
+    mn = sp.lift(sd.fit_coords(sp, ("minnorm",)))
     assert np.allclose(pcr, mn)
     with pytest.raises(ValueError):
-        sd.fit_pcr(X, y, m + 1, sp)
+        sd.fit_coords(sp, ("pcr", m + 1))
     with pytest.raises(ValueError):
-        sd.fit_pcr(X, y, 0, sp)
+        sd.fit_coords(sp, ("pcr", 0))
 
 
 def test_minnorm_underparametrized_is_ols():
     model = SpikedModel(1.0, 0.5, ((2.0, 0.5),), 1.0, 1.0)
     cfg = SimConfig(model, n=300, p=150, seed=11)
     X, y, beta0, V = sd.gen_data(cfg)
-    mn = sd.fit_minnorm(X, y).coefficients
+    sp = sd.decompose(X, y)
+    mn = sp.lift(sd.fit_coords(sp, ("minnorm",)))
     ols = np.linalg.lstsq(X, y, rcond=None)[0]
     assert np.linalg.norm(mn - ols) < 1e-8 * np.linalg.norm(ols)
 
@@ -137,15 +138,15 @@ def test_minnorm_underparametrized_is_ols():
 def test_minnorm_surrogate_matches_interpolator(small_case):
     model, cfg, X, y, beta0, V, sp = small_case
     f0 = sd.min_norm_surrogate(model)
-    via_rule = sd.fit_shrinkage(X, y, f0, sp).coefficients
-    mn = sd.fit_minnorm(X, y, sp).coefficients
+    via_rule = sp.lift(sd.fit_coords(sp, f0))
+    mn = sp.lift(sd.fit_coords(sp, ("minnorm",)))
     assert np.linalg.norm(via_rule - mn) < 1e-8 * np.linalg.norm(mn)
 
 
 def test_gd_first_step(small_case):
     model, cfg, X, y, beta0, V, sp = small_case
     n = X.shape[0]
-    got = sd.fit_shrinkage(X, y, sd.GDPoly(0.05, 1), sp).coefficients
+    got = sp.lift(sd.fit_coords(sp, sd.GDPoly(0.05, 1)))
     assert np.allclose(got, 0.05 * X.T @ y / n)
 
 
@@ -164,7 +165,8 @@ def test_sigma_risk_matches_fresh_sample_oracle():
     model = SpikedModel(1.0, 0.5, ((2.5, 0.8),), 1.5, 1.0)
     cfg = SimConfig(model, n=80, p=40, seed=21)
     X, y, beta0, V = sd.gen_data(cfg)
-    beta_hat = sd.fit_shrinkage(X, y, sd.Ridge(0.5)).coefficients
+    sp = sd.decompose(X, y)
+    beta_hat = sp.lift(sd.fit_coords(sp, sd.Ridge(0.5)))
     exact = sd.sigma_risk(beta_hat, beta0, model, V)
     rng = np.random.default_rng(77)
     n_test = 200_000
@@ -200,7 +202,7 @@ def basis_case(request):
 def _estimator_cases(m_top):
     """(estimator spec, rule values g(d)) for every estimator kind."""
     params = SDParams((0.8, 2.0, 0.5), (0.4, -0.3))
-    chain = sd.sd_chain_fn(params)
+    chain = sd.SDChain(params)
     return {
         "ridge": (sd.Ridge(0.7), lambda d: 1.0 / (d + 0.7)),
         "sd": (params, chain),
@@ -217,12 +219,12 @@ def test_w_free_fits_match_explicit_w(basis_case):
     d, W, z = _explicit_basis(X, y)
     risk = sd.coordinate_risk(sp, beta0, model, V)
     for name, (est, g) in _estimator_cases(10).items():
-        fit = sd.montecarlo.make_fitter(est)(X, y, sp)
+        coords = sd.fit_coords(sp, est)
         want = W @ (g(d) * z)
-        got = fit.coefficients
+        got = sp.lift(coords)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), name
         lifted = sd.sigma_risk(got, beta0, model, V)
-        assert risk(fit.coords) == pytest.approx(lifted, rel=1e-12, abs=0), name
+        assert risk(coords) == pytest.approx(lifted, rel=1e-12, abs=0), name
 
 
 def test_project_inverts_lift(basis_case):
@@ -250,7 +252,7 @@ def test_rule_pole_at_a_sample_eigenvalue_drops_that_direction(small_case):
     model, cfg, X, y, beta0, V, sp = small_case
     k = sp.d.size // 2
     pole = sp.d[k]
-    got = sd.fit_shrinkage(X, y, sd.RationalRule((pole,), (1.0,)), sp).coords
+    got = sd.fit_coords(sp, sd.RationalRule((pole,), (1.0,)))
     assert got[k] == 0.0
     rest = np.arange(sp.d.size) != k
     np.testing.assert_allclose(got[rest], sp.z[rest] / (sp.d[rest] - pole),
@@ -265,7 +267,7 @@ def test_rule_overflow_at_the_top_sample_eigenvalue_drops_it(small_case):
     eta = 4.0 / (sp.d[top] + np.sort(sp.d)[-2])
     rule = sd.GDPoly(eta, 5000)
     assert 5000 * np.log(abs(1.0 - eta * sp.d[top])) > np.log(np.finfo(float).max)
-    got = sd.fit_shrinkage(X, y, rule, sp).coords
+    got = sd.fit_coords(sp, rule)
     assert got[top] == 0.0
     rest = np.arange(sp.d.size) != top
     np.testing.assert_array_equal(got[rest], rule(sp.d[rest]) * sp.z[rest])
@@ -288,8 +290,8 @@ def test_decompose_fit_and_risk_allocate_no_n_by_p_array():
     tracemalloc.start()
     try:
         sp = sd.decompose(X, y)
-        fit = sd.fit_shrinkage(X, y, sd.Ridge(1.0), sp)
-        sd.coordinate_risk(sp, beta0, model, V)(fit.coords)
+        coords = sd.fit_coords(sp, sd.Ridge(1.0))
+        sd.coordinate_risk(sp, beta0, model, V)(coords)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -298,14 +300,15 @@ def test_decompose_fit_and_risk_allocate_no_n_by_p_array():
 
 def test_fit_aggregated_reductions(small_case):
     model, cfg, X, y, beta0, V, sp = small_case
-    single = sd.fit_aggregated([cfg], [sd.Ridge(0.5)], [1.0]).coefficients
+    single = sd.fit_aggregated([cfg], [sd.Ridge(0.5)], [1.0])
     X0, y0, b0, V0 = sd.gen_data(cfg, client=0)
-    direct = sd.fit_shrinkage(X0, y0, sd.Ridge(0.5)).coefficients
+    sp0 = sd.decompose(X0, y0)
+    direct = sp0.lift(sd.fit_coords(sp0, sd.Ridge(0.5)))
     assert np.allclose(single, direct)
     zero = sd.fit_aggregated(
         [cfg, cfg.__class__(model, cfg.n, cfg.p, 77)],
         [sd.Ridge(0.5)] * 2, [0.0, 0.0],
-    ).coefficients
+    )
     assert np.allclose(zero, 0.0)
     with pytest.raises(ValueError):
         sd.fit_aggregated([cfg], [sd.Ridge(0.5)] * 2, [1.0, 1.0])
@@ -329,7 +332,8 @@ def test_harness_gap_shrinks_with_size():
     gaps = []
     for n, p in ((250, 500), (500, 1000), (1000, 2000)):
         cfg = SimConfig(model, n=n, p=p, seed=17, n_replicates=12)
-        gaps.append(sd.converge_harness(cfg, sd.Ridge(lam), target).relative_gap)
+        report = sd.harness_suite(cfg, {"ridge": sd.Ridge(lam)}, {"ridge": target})
+        gaps.append(report["ridge"].relative_gap)
     assert gaps[0] > gaps[1] > gaps[2]
 
 
@@ -340,7 +344,8 @@ def test_universality_across_entry_distributions():
     for dist in ("gaussian", "rademacher"):
         cfg = SimConfig(model, n=400, p=800, seed=29, n_replicates=10,
                         entry_dist=dist)
-        reports[dist] = sd.converge_harness(cfg, sd.Ridge(1.0), target)
+        reports[dist] = sd.harness_suite(
+            cfg, {"ridge": sd.Ridge(1.0)}, {"ridge": target})["ridge"]
     diff = abs(reports["gaussian"].empirical_mean
                - reports["rademacher"].empirical_mean)
     joint = np.hypot(reports["gaussian"].std_error,
@@ -348,9 +353,10 @@ def test_universality_across_entry_distributions():
     assert diff < 2.0 * joint
 
 
-def test_make_fitter_rejects_unknown():
+def test_fit_coords_rejects_unknown(small_case):
+    sp = small_case[-1]
     with pytest.raises(ValueError):
-        sd.montecarlo.make_fitter(("bogus",))
+        sd.fit_coords(sp, ("bogus",))
 
 
 def test_harness_fig4_size_ridge_and_gd():
@@ -400,6 +406,7 @@ def test_aggregated_risk_convergence():
         agg = np.zeros(p)
         for l, cfg in enumerate(cfgs):
             X, y, _, _ = sd.gen_data(cfg, r, client=l, signal=(beta0, V))
-            agg += fed.rho_star * sd.fit_shrinkage(X, y, local).coefficients
+            sp = sd.decompose(X, y)
+            agg += fed.rho_star * sp.lift(sd.fit_coords(sp, local))
         risks.append(sd.sigma_risk(agg, beta0, model, V))
     assert abs(np.mean(risks) - limit) / limit < 0.05

@@ -136,7 +136,7 @@ def test_synthesis_round_trip(fig1_model, fig4_model):
         assert not np.any(grid.on_support(-lams))
         # round-trip risk equality
         r1 = sd.limiting_pred_risk(model, rule).total
-        r2 = sd.limiting_pred_risk(model, sd.sd_chain_fn(params, model)).total
+        r2 = sd.limiting_pred_risk(model, sd.SDChain(params)).total
         assert abs(r1 - r2) < 1e-9
 
 
@@ -188,7 +188,7 @@ def test_optimality_over_random_rules(fig1_model):
             lams = np.concatenate([
                 -rng.uniform(b * 1.5, b * 4, size=2), rng.uniform(0.05, 3, size=1)
             ])
-            f = sd.sd_chain_fn(sd.SDParams(tuple(lams), tuple(rng.uniform(-1, 1, 2))))
+            f = sd.SDChain(sd.SDParams(tuple(lams), tuple(rng.uniform(-1, 1, 2))))
         else:
             poles = np.concatenate([
                 rng.uniform(b * 1.5, b * 3, size=1), -rng.uniform(0.2, 3, size=1)

@@ -34,7 +34,7 @@ def test_eval_examples():
     direct = eta * sum((1 - eta * x) ** k for k in range(T))
     assert np.allclose(sd.GDPoly(eta, T)(x), direct, atol=1e-13)
     params = SDParams((0.8,), ())
-    assert np.allclose(sd.sd_chain_fn(params)(x), sd.Ridge(0.8)(x))
+    assert np.allclose(sd.SDChain(params)(x), sd.Ridge(0.8)(x))
     with pytest.raises(ValueError):
         sd.eval_shrinkage(sd.Ridge(0.5), -1.0)
 
@@ -52,10 +52,10 @@ def test_sd_chain_degenerate_weights():
     # xi_1 = 0 collapses to ridge at the last stage
     p0 = SDParams((5.0, 0.25), (0.0,))
     x = np.linspace(0.05, 6.0, 23)
-    assert np.allclose(sd.sd_chain_fn(p0)(x), sd.Ridge(0.25)(x))
+    assert np.allclose(sd.SDChain(p0)(x), sd.Ridge(0.25)(x))
     # xi_1 = 1 keeps only the teacher: x / ((x + l1)(x + l0))
     p1 = SDParams((0.7, 0.2), (1.0,))
-    assert np.allclose(sd.sd_chain_fn(p1)(x), x / ((x + 0.2) * (x + 0.7)))
+    assert np.allclose(sd.SDChain(p1)(x), x / ((x + 0.2) * (x + 0.7)))
 
 
 def test_sd_chain_matches_recursion_oracle():
@@ -65,7 +65,7 @@ def test_sd_chain_matches_recursion_oracle():
         params = SDParams(
             tuple(rng.uniform(-6, 6, size=3)), tuple(rng.uniform(-1.5, 1.5, size=2))
         )
-        assert np.max(np.abs(sd.sd_chain_fn(params)(x)
+        assert np.max(np.abs(sd.SDChain(params)(x)
                              - sd_recursion_oracle(params, x))) < 1e-12
 
 
@@ -82,7 +82,7 @@ def test_sd_chain_recursion_property(lams, xis_seed):
     # keep evaluation away from the poles to compare finite values
     for lam in lams:
         x = x[np.abs(x + lam) > 1e-3]
-    got = sd.sd_chain_fn(params)(x)
+    got = sd.SDChain(params)(x)
     want = sd_recursion_oracle(params, x)
     assert np.max(np.abs(got - want)) < 1e-9 * max(1.0, np.max(np.abs(want)))
 
@@ -357,14 +357,6 @@ def test_min_norm_surrogate_requires_spectral_gap():
     assert fn(0.0) == 0.0
     xs = np.linspace(a, 4.0, 9)
     assert np.allclose(fn(xs), 1.0 / xs)
-
-
-def test_named_surrogates(fig4_model):
-    sur = sd.named_surrogates(fig4_model)
-    assert isinstance(sur["min_norm"], sd.MinNormSurrogate)
-    assert isinstance(sur["pcr"](0.2), sd.PCRSurrogate)
-    at_one = sd.named_surrogates(SpikedModel(1.0, 1.0, (), 1.0, 1.0))
-    assert "min_norm" not in at_one
 
 
 def test_dominance_battery(fig1_model, fig4_model):
