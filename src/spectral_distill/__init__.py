@@ -75,10 +75,10 @@ from .montecarlo import (
     SimConfig,
     HarnessReport,
     gen_data,
+    sample_gram,
     decompose,
     apply_rule_to_vector,
     fit_coords,
-    fit_aggregated,
     sigma_risk,
     coordinate_risk,
     harness_suite,

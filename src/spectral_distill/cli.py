@@ -400,6 +400,15 @@ def cmd_federated(model, block, tag):
     return _json_dump(payload) + "\n"
 
 
+def _label_number(label: str, field: str, text: str, kind):
+    """`kind(text)`, or a ConfigError naming the estimator label and field."""
+    try:
+        return kind(text)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{label}: {field} = '{text}' is not {what}") from None
+
+
 def _parse_estimator(label: str, model, p: int, n: int):
     """Estimator spec strings for simulate/sweep.
 
@@ -409,7 +418,7 @@ def _parse_estimator(label: str, model, p: int, n: int):
     parts = label.split(":")
     kind = parts[0]
     if kind == "ridge" and len(parts) == 2:
-        lam = float(parts[1])
+        lam = _label_number(label, "lambda", parts[1], float)
         est = shrinkage.Ridge(lam)
         return est, shrinkage.limiting_pred_risk(model, est).total
     if kind == "ridge_tuned" and len(parts) == 1:
@@ -421,7 +430,7 @@ def _parse_estimator(label: str, model, p: int, n: int):
         total = shrinkage.limiting_pred_risk(model, rule).total
         return params, total
     if kind == "pcr" and len(parts) == 2:
-        m = int(parts[1])
+        m = _label_number(label, "m", parts[1], int)
         if not 1 <= m <= min(n, p):
             raise ConfigError(f"{label}: m must be in 1..min(n, p) = {min(n, p)}")
         s_plus = int(np.sum(model.deltas > model.bbp_threshold))
@@ -439,7 +448,8 @@ def _parse_estimator(label: str, model, p: int, n: int):
             model, shrinkage.min_norm_surrogate(model)).total
         return ("minnorm",), target
     if kind == "gd" and len(parts) == 3:
-        eta, steps = float(parts[1]), int(parts[2])
+        eta = _label_number(label, "eta", parts[1], float)
+        steps = _label_number(label, "steps", parts[2], int)
         est = shrinkage.GDPoly(eta, steps)
         return est, shrinkage.limiting_pred_risk(model, est).total
     raise ConfigError(f"unrecognized estimator spec '{label}'")

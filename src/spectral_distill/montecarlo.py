@@ -1,9 +1,14 @@
 """Finite-sample simulator and convergence harness.
 
 Generates spiked-model data and fits every estimator with a limiting-risk
-formula as a function of the sample spectrum: `fit_coords` gives a fit's
-coordinates in the sample eigenbasis of one `SampleSpectrum` (no p x n
-eigenvector matrix and no p x p covariance is ever materialized). Exact
+formula as a function of the sample spectrum. A replicate is split at the
+Gram matrix: `sample_gram` forms, in one step, everything the fits and
+risks read from the n x p design (the Gram, the data term of y and the
+images of beta0 and V), the design is released, and `decompose`
+eigensolves without it. The `SampleSpectrum` so holds only arrays of size
+min(n, p); `fit_coords` gives a fit's coordinates in its eigenbasis (no
+p x n eigenvector matrix and no p x p covariance is ever materialized),
+and a caller that holds the design lifts them to p coefficients. Exact
 Sigma-norm risks are computed from those coordinates through the spike
 decomposition, and `harness_suite` compares replicate averages against
 asymptotic targets.
@@ -31,6 +36,10 @@ _ROLE_IDS = {"signal": 0, "design": 1, "noise": 2}
 PINV_RTOL = 1e-10
 
 _ENTRY_DISTS = ("gaussian", "rademacher", "student_t")
+
+#: rows per block of `gen_data`'s rank-s update, whose temporary so stays
+#: a small fraction of the design
+_UPDATE_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -129,7 +138,7 @@ def gen_data(cfg: SimConfig, replicate: int = 0, client: int | None = None,
 
     X = Z Sigma^{1/2} applied through the spike identity
     Sigma^{1/2} = sigma0 I + sum_j (sqrt(delta_j + sigma0^2) - sigma0) v_j v_j',
-    as one in-place rank-s update of sigma0 Z;
+    as an in-place rank-s update of sigma0 Z, a block of rows at a time;
     beta0 satisfies ||beta0|| = r and beta0'v_j = alpha_j exactly, with the
     remainder drawn uniformly in the orthocomplement of span(v_j).
     The signal (beta0, V) comes from cfg's signal stream unless given:
@@ -143,7 +152,9 @@ def gen_data(cfg: SimConfig, replicate: int = 0, client: int | None = None,
     ZV = X @ V
     X *= sigma0
     if model.s:
-        X += (ZV * (np.sqrt(model.deltas + model.sigma0_sq) - sigma0)) @ V.T
+        A = ZV * (np.sqrt(model.deltas + model.sigma0_sq) - sigma0)
+        for i in range(0, cfg.n, _UPDATE_ROWS):
+            X[i:i + _UPDATE_ROWS] += A[i:i + _UPDATE_ROWS] @ V.T
     rng_e = _rng(cfg.seed, replicate, "noise", client)
     eps = rng_e.standard_normal(cfg.n) * math.sqrt(model.sigma_eps_sq)
     y = X @ beta0 + eps
@@ -151,15 +162,47 @@ def gen_data(cfg: SimConfig, replicate: int = 0, client: int | None = None,
 
 
 @dataclass
+class SampleGram:
+    """What a `SampleSpectrum` reads from a design X (see `sample_gram`)."""
+
+    G: np.ndarray  # X X'/n when p > n, else X'X/n
+    data: np.ndarray | None  # y when p > n, else X'y; None without y
+    signal: np.ndarray | None  # X [beta0 V] when p > n, else [beta0 V]
+    n: int
+    p: int
+
+
+def sample_gram(X: np.ndarray, y: np.ndarray | None = None,
+                signal: tuple[np.ndarray, np.ndarray] | None = None
+                ) -> SampleGram:
+    """Everything `decompose` and the fits and risks read from X.
+
+    With it formed, X can be released before the eigensolve, which then
+    works on min(n, p)-sized arrays only. `signal` = (beta0, V) adds the
+    images that give their sample-eigenbasis coordinates.
+    """
+    n, p = X.shape
+    block = None if signal is None else np.column_stack(signal)
+    if p <= n:
+        G = X.T @ X
+        G /= n
+        return SampleGram(G, None if y is None else X.T @ y, block, n, p)
+    G = X @ X.T
+    G /= n
+    return SampleGram(G, y, None if block is None else X @ block, n, p)
+
+
+@dataclass
 class SampleSpectrum:
-    """Thin eigendecomposition of Sigma_hat = X'X/n.
+    """Thin eigendecomposition of Sigma_hat = X'X/n, without X.
 
     Only the k = min(n, p) possibly-nonzero eigenpairs are kept; for p > n
     the remaining p - n eigenvalues are exactly zero and their directions
     are annihilated by X'y, so they never enter a fit. Fits live in the
     coordinates of the kept eigenvectors W (p x k), which is never formed
     when p > n: there W = X'U / sqrt(n d) for the eigenvectors U of
-    X X'/n, so `project` and `lift` go through X and the n x k matrix U.
+    X X'/n. Every array is k-sized or k x k, so `project` and `lift`, the
+    maps between p-space and the coordinates, take X from the caller.
     """
 
     d: np.ndarray
@@ -167,48 +210,61 @@ class SampleSpectrum:
     n: int
     p: int
     U: np.ndarray  # eigenvectors of X X'/n (p > n) or of X'X/n (p <= n)
-    X: np.ndarray | None = None  # the design when p > n, else None
     scale: np.ndarray | None = None  # 1/sqrt(n d) when p > n, else None
+    signal: np.ndarray | None = None  # W'[beta0 V], if the Gram had them
 
-    def project(self, v: np.ndarray) -> np.ndarray:
-        """W'v for a p-vector or a p x m matrix v."""
-        if self.X is None:
+    def _check_design(self, X: np.ndarray):
+        if X.shape != (self.n, self.p):
+            raise ValueError(f"X must be the {self.n} x {self.p} design of "
+                             "this spectrum")
+
+    def project(self, v: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """W'v for a p-vector or a p x m matrix v; X is the design."""
+        self._check_design(X)
+        if self.scale is None:
             return self.U.T @ v
         scale = self.scale if np.ndim(v) == 1 else self.scale[:, None]
-        return (self.U.T @ (self.X @ v)) * scale
+        return (self.U.T @ (X @ v)) * scale
 
-    def lift(self, c: np.ndarray) -> np.ndarray:
+    def lift(self, c: np.ndarray, X: np.ndarray) -> np.ndarray:
         """W c: the p-vector with sample-eigenbasis coordinates c."""
-        if self.X is None:
+        self._check_design(X)
+        if self.scale is None:
             return self.U @ c
-        return self.X.T @ (self.U @ (c * self.scale))
+        return X.T @ (self.U @ (c * self.scale))
 
 
-def decompose(X: np.ndarray, y: np.ndarray | None = None) -> SampleSpectrum:
-    n, p = X.shape
+def decompose(gram: SampleGram) -> SampleSpectrum:
+    """Eigendecompose the Gram of `sample_gram`; the design is not needed."""
+    n, p = gram.n, gram.p
+    d, U = np.linalg.eigh(gram.G)
+    data, signal = gram.data, gram.signal
     if p <= n:
-        d, U = np.linalg.eigh(X.T @ X / n)
         d = np.clip(d, 0.0, None)
-        z = U.T @ (X.T @ y) / n if y is not None else np.zeros_like(d)
-        return SampleSpectrum(d, z, n, p, U)
-    # Gram trick: eigendecompose the n x n matrix; W stays implicit.
-    d, U = np.linalg.eigh(X @ X.T / n)
-    keep = d > max(d[-1], 0.0) * 1e-14
-    d, U = d[keep], U[:, keep]
-    z = np.sqrt(d / n) * (U.T @ y) if y is not None else np.zeros_like(d)
-    return SampleSpectrum(d, z, n, p, U, X, 1.0 / np.sqrt(n * d))
+        z = U.T @ data / n if data is not None else np.zeros_like(d)
+        signal = None if signal is None else U.T @ signal
+        return SampleSpectrum(d, z, n, p, U, None, signal)
+    # Gram trick: the eigenvalues ascend, so the kept ones are a suffix and
+    # U keeps its columns as a view
+    first = int(np.searchsorted(d, max(d[-1], 0.0) * 1e-14, side="right"))
+    d, U = d[first:], U[:, first:]
+    scale = 1.0 / np.sqrt(n * d)
+    z = np.sqrt(d / n) * (U.T @ data) if data is not None else np.zeros_like(d)
+    signal = None if signal is None else (U.T @ signal) * scale[:, None]
+    return SampleSpectrum(d, z, n, p, U, scale, signal)
 
 
 def apply_rule_to_vector(spectrum: SampleSpectrum, f: ShrinkageFn,
-                         v: np.ndarray) -> np.ndarray:
-    """f(Sigma_hat) v, including the implicit zero-eigenvalue directions."""
+                         v: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """f(Sigma_hat) v, including the implicit zero-eigenvalue directions;
+    X is the design the spectrum was formed from."""
     vals = _apply_rule_values(f, spectrum.d)
-    coords = spectrum.project(v)
+    coords = spectrum.project(v, X)
     if spectrum.d.size < spectrum.p:
         f0 = float(eval_shrinkage(f, np.zeros(1))[0])
         if f0 != 0.0:
-            return spectrum.lift((vals - f0) * coords) + f0 * v
-    return spectrum.lift(vals * coords)
+            return spectrum.lift((vals - f0) * coords, X) + f0 * v
+    return spectrum.lift(vals * coords, X)
 
 
 def _pinv_band(d: np.ndarray) -> float:
@@ -226,7 +282,7 @@ def _apply_rule_values(f: ShrinkageFn, d: np.ndarray) -> np.ndarray:
 
 def fit_coords(spectrum: SampleSpectrum, est) -> np.ndarray:
     """Coordinates c of a fit in the sample eigenbasis (the fit is
-    `spectrum.lift(c)`) for a ShrinkageFn f (f(Sigma_hat) X'y/n; gradient
+    `spectrum.lift(c, X)`) for a ShrinkageFn f (f(Sigma_hat) X'y/n; gradient
     descent is the rule GDPoly(eta, steps)), SDParams (the self-distillation
     recursion), ("pcr", m) or ("minnorm",). The last two, least squares on
     the top m sample principal components and the min-norm interpolator
@@ -280,12 +336,14 @@ def sigma_risk(beta_hat, beta0, model: SpikedModel, V) -> float:
 def coordinate_risk(spectrum: SampleSpectrum, beta0, model: SpikedModel, V):
     """sigma_risk of fits on `spectrum`, as a function of their coordinates.
 
-    Projects beta0 and V once: with b = W'beta0 and the spike projections
-    W'v_j, a fit W c has risk sigma0^2 (||c - b||^2 + ||beta0||^2 - ||b||^2)
+    Reads b = W'beta0 and the spike projections W'v_j from the spectrum,
+    which must have been formed with the signal (beta0, V): a fit W c has
+    risk sigma0^2 (||c - b||^2 + ||beta0||^2 - ||b||^2)
     + sum_j delta_j (c'W'v_j - v_j'beta0)^2, so no p-vector is formed.
     """
-    proj = spectrum.project(np.column_stack([beta0, V]))
-    b, WV = proj[:, 0], proj[:, 1:]
+    if spectrum.signal is None:
+        raise ValueError("the spectrum was formed without the signal (beta0, V)")
+    b, WV = spectrum.signal[:, 0], spectrum.signal[:, 1:]
     outside = float(beta0 @ beta0) - float(b @ b)
     alphas = V.T @ beta0
 
@@ -295,30 +353,6 @@ def coordinate_risk(spectrum: SampleSpectrum, beta0, model: SpikedModel, V):
         return model.sigma0_sq * (float(e @ e) + outside) + spikes
 
     return risk
-
-
-def fit_aggregated(cfgs, rules, rhos) -> np.ndarray:
-    """Weighted sum of per-client shrinkage fits on shared-signal data.
-
-    All configs must share the model and p; the signal (beta0 and the
-    spike directions) comes from the first config's signal stream, while
-    each client's design and noise use its own seed.
-    """
-    cfgs = list(cfgs)
-    K = len(cfgs)
-    if len(rules) != K or len(rhos) != K:
-        raise ValueError("need one rule and one weight per client")
-    base = cfgs[0]
-    for cfg in cfgs[1:]:
-        if cfg.model != base.model or cfg.p != base.p:
-            raise ValueError("clients must share the model and dimension p")
-    signal = _signal(base, 0)
-    beta = np.zeros(base.p)
-    for l, (cfg, f, rho) in enumerate(zip(cfgs, rules, rhos)):
-        X, y, _, _ = gen_data(cfg, 0, l, signal)
-        sp = decompose(X, y)
-        beta += rho * sp.lift(fit_coords(sp, f))
-    return beta
 
 
 @dataclass(frozen=True)
@@ -333,7 +367,9 @@ class HarnessReport:
 
 def _replicate_risks(cfg: SimConfig, estimators: dict, replicate: int) -> dict:
     X, y, beta0, V = gen_data(cfg, replicate)
-    sp = decompose(X, y)
+    gram = sample_gram(X, y, (beta0, V))
+    del X  # the eigensolve runs without the design
+    sp = decompose(gram)
     risk = coordinate_risk(sp, beta0, cfg.model, V)
     return {name: risk(fit_coords(sp, est)) for name, est in estimators.items()}
 

@@ -323,10 +323,10 @@ def test_criterion_09_product_form_monte_carlo():
             for r in range(cfg.n_replicates):
                 Xl, _, beta0, _ = sd.gen_data(cfg, r, client=0)
                 Xk, _, _, _ = sd.gen_data(cfg, r, client=1)
-                spl = sd.decompose(Xl)
-                spk = sd.decompose(Xk)
-                u = sd.apply_rule_to_vector(spl, phi, beta0)
-                v = sd.apply_rule_to_vector(spk, psi, beta0)
+                spl = sd.decompose(sd.sample_gram(Xl))
+                spk = sd.decompose(sd.sample_gram(Xk))
+                u = sd.apply_rule_to_vector(spl, phi, beta0, Xl)
+                v = sd.apply_rule_to_vector(spk, psi, beta0, Xk)
                 vals.append(float(u @ v) / float(beta0 @ beta0))
             gap = abs(np.mean(vals) - limit) / abs(limit)
             worst = max(worst, gap)

@@ -783,6 +783,28 @@ def test_pcr_outside_one_to_min_n_p_is_refused_before_any_draw(
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
+@pytest.mark.parametrize("label,message", [
+    ("pcr:abc", "m = 'abc' is not an integer"),
+    ("pcr:1.5", "m = '1.5' is not an integer"),
+    ("ridge:x", "lambda = 'x' is not a number"),
+    ("gd:x:100", "eta = 'x' is not a number"),
+    ("gd:0.1:x", "steps = 'x' is not an integer"),
+    ("gd:0.1:2.5", "steps = '2.5' is not an integer"),
+])
+def test_malformed_estimator_number_names_label_and_field(
+        tmp_path, capsys, monkeypatch, command, label, message):
+    # the int()/float() error once came through alone, as
+    # "invalid literal for int() with base 10: 'abc'"
+    monkeypatch.setattr(cli.montecarlo, "gen_data", _refuse("gen_data"))
+    cfg = write_cfg(tmp_path, {"model": README_MODEL,
+                               command: _estimating(command, [label])})
+    assert main([command, "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {label}: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
 @pytest.mark.parametrize("field", ["n", "p"])
 def test_simulation_size_below_one_is_refused_by_name(tmp_path, capsys,
                                                       command, field):

@@ -188,8 +188,10 @@ def test_product_form_heterogeneous_monte_carlo():
     for r in range(12):
         Xl, _, beta0, V = sd.gen_data(cfg_l, r, client=0)
         Xk, _, _, _ = sd.gen_data(cfg_k, r, client=1, signal=(beta0, V))
-        u = sd.apply_rule_to_vector(sd.decompose(Xl), phi, beta0)
-        v = sd.apply_rule_to_vector(sd.decompose(Xk), psi, beta0)
+        u = sd.apply_rule_to_vector(sd.decompose(sd.sample_gram(Xl)), phi,
+                                    beta0, Xl)
+        v = sd.apply_rule_to_vector(sd.decompose(sd.sample_gram(Xk)), psi,
+                                    beta0, Xk)
         vals.append(float(u @ v) / float(beta0 @ beta0))
     assert abs(np.mean(vals) - limit) / abs(limit) < 0.05
 

@@ -12,7 +12,8 @@ def small_case():
     model = SpikedModel(1.0, 2.0, ((7.0, 1.7),), 2.0, 4.0)
     cfg = SimConfig(model, n=200, p=400, seed=42)
     X, y, beta0, V = sd.gen_data(cfg)
-    return model, cfg, X, y, beta0, V, sd.decompose(X, y)
+    sp = sd.decompose(sd.sample_gram(X, y, (beta0, V)))
+    return model, cfg, X, y, beta0, V, sp
 
 
 def test_config_validation():
@@ -73,7 +74,7 @@ def test_entry_distributions_unit_variance():
 def test_fit_ridge_matches_direct_solve(small_case):
     model, cfg, X, y, beta0, V, sp = small_case
     lam = 0.37
-    got = sp.lift(sd.fit_coords(sp, sd.Ridge(lam)))
+    got = sp.lift(sd.fit_coords(sp, sd.Ridge(lam)), X)
     n, p = X.shape
     direct = np.linalg.solve(X.T @ X / n + lam * np.eye(p), X.T @ y / n)
     assert np.linalg.norm(got - direct) < 1e-8 * np.linalg.norm(direct)
@@ -82,7 +83,7 @@ def test_fit_ridge_matches_direct_solve(small_case):
 def test_fit_zero_rule(small_case):
     model, cfg, X, y, beta0, V, sp = small_case
     zero = sd.Tabulated((0.0, 100.0), (0.0, 0.0))
-    assert np.allclose(sp.lift(sd.fit_coords(sp, zero)), 0.0)
+    assert np.allclose(sp.lift(sd.fit_coords(sp, zero), X), 0.0)
 
 
 def test_fit_sd_equals_chain(small_case):
@@ -94,8 +95,8 @@ def test_fit_sd_equals_chain(small_case):
              float(rng.uniform(0.1, 2))),
             tuple(rng.uniform(-1, 1, size=2)),
         )
-        via_rec = sp.lift(sd.fit_coords(sp, params))
-        via_fn = sp.lift(sd.fit_coords(sp, sd.SDChain(params)))
+        via_rec = sp.lift(sd.fit_coords(sp, params), X)
+        via_fn = sp.lift(sd.fit_coords(sp, sd.SDChain(params)), X)
         assert np.linalg.norm(via_rec - via_fn) < 1e-8 * max(
             1.0, np.linalg.norm(via_fn)
         )
@@ -105,19 +106,19 @@ def test_fit_sd_degenerate_weights(small_case):
     model, cfg, X, y, beta0, V, sp = small_case
     # all xi = 0: the chain collapses to ridge at the last stage
     params = SDParams((0.9, 5.0, 0.2), (0.0, 0.0))
-    got = sp.lift(sd.fit_coords(sp, params))
-    ridge = sp.lift(sd.fit_coords(sp, sd.Ridge(0.2)))
+    got = sp.lift(sd.fit_coords(sp, params), X)
+    ridge = sp.lift(sd.fit_coords(sp, sd.Ridge(0.2)), X)
     assert np.allclose(got, ridge)
     # k = 0 is plain ridge
-    got0 = sp.lift(sd.fit_coords(sp, SDParams((0.9,), ())))
-    assert np.allclose(got0, sp.lift(sd.fit_coords(sp, sd.Ridge(0.9))))
+    got0 = sp.lift(sd.fit_coords(sp, SDParams((0.9,), ())), X)
+    assert np.allclose(got0, sp.lift(sd.fit_coords(sp, sd.Ridge(0.9)), X))
 
 
 def test_pcr_full_rank_is_minnorm(small_case):
     model, cfg, X, y, beta0, V, sp = small_case
     m = min(X.shape)
-    pcr = sp.lift(sd.fit_coords(sp, ("pcr", m)))
-    mn = sp.lift(sd.fit_coords(sp, ("minnorm",)))
+    pcr = sp.lift(sd.fit_coords(sp, ("pcr", m)), X)
+    mn = sp.lift(sd.fit_coords(sp, ("minnorm",)), X)
     assert np.allclose(pcr, mn)
     with pytest.raises(ValueError):
         sd.fit_coords(sp, ("pcr", m + 1))
@@ -129,8 +130,8 @@ def test_minnorm_underparametrized_is_ols():
     model = SpikedModel(1.0, 0.5, ((2.0, 0.5),), 1.0, 1.0)
     cfg = SimConfig(model, n=300, p=150, seed=11)
     X, y, beta0, V = sd.gen_data(cfg)
-    sp = sd.decompose(X, y)
-    mn = sp.lift(sd.fit_coords(sp, ("minnorm",)))
+    sp = sd.decompose(sd.sample_gram(X, y))
+    mn = sp.lift(sd.fit_coords(sp, ("minnorm",)), X)
     ols = np.linalg.lstsq(X, y, rcond=None)[0]
     assert np.linalg.norm(mn - ols) < 1e-8 * np.linalg.norm(ols)
 
@@ -138,15 +139,15 @@ def test_minnorm_underparametrized_is_ols():
 def test_minnorm_surrogate_matches_interpolator(small_case):
     model, cfg, X, y, beta0, V, sp = small_case
     f0 = sd.min_norm_surrogate(model)
-    via_rule = sp.lift(sd.fit_coords(sp, f0))
-    mn = sp.lift(sd.fit_coords(sp, ("minnorm",)))
+    via_rule = sp.lift(sd.fit_coords(sp, f0), X)
+    mn = sp.lift(sd.fit_coords(sp, ("minnorm",)), X)
     assert np.linalg.norm(via_rule - mn) < 1e-8 * np.linalg.norm(mn)
 
 
 def test_gd_first_step(small_case):
     model, cfg, X, y, beta0, V, sp = small_case
     n = X.shape[0]
-    got = sp.lift(sd.fit_coords(sp, sd.GDPoly(0.05, 1)))
+    got = sp.lift(sd.fit_coords(sp, sd.GDPoly(0.05, 1)), X)
     assert np.allclose(got, 0.05 * X.T @ y / n)
 
 
@@ -165,8 +166,8 @@ def test_sigma_risk_matches_fresh_sample_oracle():
     model = SpikedModel(1.0, 0.5, ((2.5, 0.8),), 1.5, 1.0)
     cfg = SimConfig(model, n=80, p=40, seed=21)
     X, y, beta0, V = sd.gen_data(cfg)
-    sp = sd.decompose(X, y)
-    beta_hat = sp.lift(sd.fit_coords(sp, sd.Ridge(0.5)))
+    sp = sd.decompose(sd.sample_gram(X, y))
+    beta_hat = sp.lift(sd.fit_coords(sp, sd.Ridge(0.5)), X)
     exact = sd.sigma_risk(beta_hat, beta0, model, V)
     rng = np.random.default_rng(77)
     n_test = 200_000
@@ -196,7 +197,8 @@ def basis_case(request):
     c, n, p = request.param
     model = SpikedModel(1.0, c, ((6.0, 1.2), (3.5, 0.8)), 2.0, 1.5)
     X, y, beta0, V = sd.gen_data(SimConfig(model, n=n, p=p, seed=8))
-    return model, X, y, beta0, V, sd.decompose(X, y)
+    sp = sd.decompose(sd.sample_gram(X, y, (beta0, V)))
+    return model, X, y, beta0, V, sp
 
 
 def _estimator_cases(m_top):
@@ -221,7 +223,7 @@ def test_w_free_fits_match_explicit_w(basis_case):
     for name, (est, g) in _estimator_cases(10).items():
         coords = sd.fit_coords(sp, est)
         want = W @ (g(d) * z)
-        got = sp.lift(coords)
+        got = sp.lift(coords, X)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), name
         lifted = sd.sigma_risk(got, beta0, model, V)
         assert risk(coords) == pytest.approx(lifted, rel=1e-12, abs=0), name
@@ -230,9 +232,10 @@ def test_w_free_fits_match_explicit_w(basis_case):
 def test_project_inverts_lift(basis_case):
     model, X, y, beta0, V, sp = basis_case
     c = np.random.default_rng(3).standard_normal(sp.d.size)
-    assert np.linalg.norm(sp.project(sp.lift(c)) - c) <= 1e-12 * np.linalg.norm(c)
+    back = sp.project(sp.lift(c, X), X)
+    assert np.linalg.norm(back - c) <= 1e-12 * np.linalg.norm(c)
     block = np.column_stack([beta0, V])
-    assert np.allclose(sp.project(block)[:, 0], sp.project(beta0), rtol=0,
+    assert np.allclose(sp.project(block, X)[:, 0], sp.project(beta0, X), rtol=0,
                        atol=1e-14)
 
 
@@ -241,7 +244,7 @@ def test_apply_rule_to_vector_with_nonzero_rule_at_zero(small_case):
     model, cfg, X, y, beta0, V, sp = small_case
     n, p = X.shape
     lam = 0.6
-    got = sd.apply_rule_to_vector(sp, sd.Ridge(lam), beta0)
+    got = sd.apply_rule_to_vector(sp, sd.Ridge(lam), beta0, X)
     direct = np.linalg.solve(X.T @ X / n + lam * np.eye(p), beta0)
     assert np.linalg.norm(got - direct) <= 1e-12 * np.linalg.norm(direct)
 
@@ -276,7 +279,7 @@ def test_rule_overflow_at_the_top_sample_eigenvalue_drops_it(small_case):
 def test_ridgeless_rule_applies_the_pseudoinverse(small_case):
     model, cfg, X, y, beta0, V, sp = small_case
     n, p = X.shape
-    got = sd.apply_rule_to_vector(sp, sd.Ridge(0.0), beta0)
+    got = sd.apply_rule_to_vector(sp, sd.Ridge(0.0), beta0, X)
     direct = np.linalg.pinv(X.T @ X / n, hermitian=True) @ beta0
     assert np.linalg.norm(got - direct) <= 1e-10 * np.linalg.norm(direct)
 
@@ -289,7 +292,7 @@ def test_decompose_fit_and_risk_allocate_no_n_by_p_array():
     # and its risk need n x n and n-sized arrays, never another n x p one
     tracemalloc.start()
     try:
-        sp = sd.decompose(X, y)
+        sp = sd.decompose(sd.sample_gram(X, y, (beta0, V)))
         coords = sd.fit_coords(sp, sd.Ridge(1.0))
         sd.coordinate_risk(sp, beta0, model, V)(coords)
         peak = tracemalloc.get_traced_memory()[1]
@@ -298,20 +301,32 @@ def test_decompose_fit_and_risk_allocate_no_n_by_p_array():
     assert peak < X.nbytes, f"traced peak {peak} B >= {X.nbytes} B"
 
 
-def test_fit_aggregated_reductions(small_case):
-    model, cfg, X, y, beta0, V, sp = small_case
-    single = sd.fit_aggregated([cfg], [sd.Ridge(0.5)], [1.0])
-    X0, y0, b0, V0 = sd.gen_data(cfg, client=0)
-    sp0 = sd.decompose(X0, y0)
-    direct = sp0.lift(sd.fit_coords(sp0, sd.Ridge(0.5)))
-    assert np.allclose(single, direct)
-    zero = sd.fit_aggregated(
-        [cfg, cfg.__class__(model, cfg.n, cfg.p, 77)],
-        [sd.Ridge(0.5)] * 2, [0.0, 0.0],
-    )
-    assert np.allclose(zero, 0.0)
-    with pytest.raises(ValueError):
-        sd.fit_aggregated([cfg], [sd.Ridge(0.5)] * 2, [1.0, 1.0])
+def test_replicate_releases_its_design_before_the_eigensolve(monkeypatch):
+    # the spectrum once held the design through eigh, and gen_data's rank-s
+    # update allocated a second n x p array
+    model = SpikedModel(1.0, 3.0, ((7.0, 1.7),), 2.0, 4.0)
+    cfg = SimConfig(model, n=200, p=600, seed=2)
+    design, square = cfg.n * cfg.p * 8, cfg.n * cfg.n * 8
+    estimators, targets = {"ridge": sd.Ridge(1.0)}, {"ridge": 1.0}
+    # numpy imports its random modules on first use: keep them untraced
+    sd.harness_suite(cfg, estimators, targets)
+    eigh, at_eigh = np.linalg.eigh, []
+
+    def traced_eigh(a):
+        at_eigh.append(tracemalloc.get_traced_memory()[0])
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", traced_eigh)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        sd.harness_suite(cfg, estimators, targets)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(at_eigh) == 1
+    assert at_eigh[0] - base < design, f"{at_eigh[0] - base} B live at eigh"
+    assert peak < design + 2 * square, f"traced peak {peak} B"
 
 
 def test_aggregated_clients_share_signal(small_case):
@@ -406,7 +421,7 @@ def test_aggregated_risk_convergence():
         agg = np.zeros(p)
         for l, cfg in enumerate(cfgs):
             X, y, _, _ = sd.gen_data(cfg, r, client=l, signal=(beta0, V))
-            sp = sd.decompose(X, y)
-            agg += fed.rho_star * sp.lift(sd.fit_coords(sp, local))
+            sp = sd.decompose(sd.sample_gram(X, y))
+            agg += fed.rho_star * sp.lift(sd.fit_coords(sp, local), X)
         risks.append(sd.sigma_risk(agg, beta0, model, V))
     assert abs(np.mean(risks) - limit) / limit < 0.05
