@@ -38,8 +38,7 @@ from .shrinkage import (
     RationalRule,
     SDChain,
     GDPoly,
-    PCRSurrogate,
-    MinNormSurrogate,
+    SharpCut,
     Tabulated,
     RiskBreakdown,
     eval_shrinkage,
@@ -47,8 +46,8 @@ from .shrinkage import (
     limiting_est_risk,
     ridge_risk_curve,
     best_ridge,
-    pcr_surrogate,
-    min_norm_surrogate,
+    pcr_rule,
+    min_norm_rule,
     pcr_sharp_pred_risk,
     pcr_component_limit_risk,
 )

@@ -146,8 +146,8 @@ RULES = {
     "ridge": {"lambdas": _grid},
     "sd": {"lambdas": [_number], "xis": [_number]},
     "gd": {"etas": [_number], "steps": [_integer]},
-    "pcr": {"taus": [_number], "ramp_width?": _number},
-    "min_norm": {"ramp_width?": _number},
+    "pcr": {"taus": [_number]},
+    "min_norm": {},
     "optimal_pred": {},
     "optimal_est": {},
 }
@@ -288,12 +288,10 @@ def build_rules(spec, model):
         return [("gd", eta, T, shrinkage.GDPoly(eta, T))
                 for eta in spec["etas"] for T in spec["steps"]]
     if kind == "pcr":
-        return [("pcr", tau, "",
-                 shrinkage.pcr_surrogate(model, tau, spec.get("ramp_width")))
+        return [("pcr", tau, "", shrinkage.pcr_rule(model, tau))
                 for tau in spec["taus"]]
     if kind == "min_norm":
-        return [("min_norm", "", "",
-                 shrinkage.min_norm_surrogate(model, spec.get("ramp_width")))]
+        return [("min_norm", "", "", shrinkage.min_norm_rule(model))]
     if kind == "optimal_pred":
         return [("optimal_pred", "", "", optimal.optimal_pred_rule(model)[0])]
     return [("optimal_est", "", "", optimal.optimal_est_rule(model))]
@@ -437,7 +435,7 @@ def _parse_estimator(label: str, model, p: int, n: int):
         if m == min(n, p):
             # retains every nonzero direction: the min-norm interpolator
             target = shrinkage.limiting_pred_risk(
-                model, shrinkage.min_norm_surrogate(model)).total
+                model, shrinkage.min_norm_rule(model)).total
         elif m <= s_plus:
             target = shrinkage.pcr_component_limit_risk(model, m).total
         else:
@@ -445,7 +443,7 @@ def _parse_estimator(label: str, model, p: int, n: int):
         return ("pcr", m), target
     if kind == "minnorm" and len(parts) == 1:
         target = shrinkage.limiting_pred_risk(
-            model, shrinkage.min_norm_surrogate(model)).total
+            model, shrinkage.min_norm_rule(model)).total
         return ("minnorm",), target
     if kind == "gd" and len(parts) == 3:
         eta = _label_number(label, "eta", parts[1], float)

@@ -37,8 +37,8 @@ PINV_RTOL = 1e-10
 
 _ENTRY_DISTS = ("gaussian", "rademacher", "student_t")
 
-#: rows per block of `gen_data`'s rank-s update, whose temporary so stays
-#: a small fraction of the design
+#: rows per block of `gen_data`'s rank-s update and of the Rademacher
+#: draw, whose temporaries so stay a small fraction of the design
 _UPDATE_ROWS = 64
 
 
@@ -104,7 +104,15 @@ def _draw_entries(rng, shape, dist, df):
     if dist == "gaussian":
         return rng.standard_normal(shape)
     if dist == "rademacher":
-        return rng.integers(0, 2, size=shape).astype(float) * 2.0 - 1.0
+        # the bit generator keeps the unused half of a 64-bit word between
+        # calls, so row blocks draw the same entries as one call would
+        out = np.empty(shape)
+        for i in range(0, shape[0], _UPDATE_ROWS):
+            block = out[i:i + _UPDATE_ROWS]
+            block[...] = rng.integers(0, 2, size=block.shape)
+        out *= 2.0
+        out -= 1.0
+        return out
     # unit-variance student t
     return rng.standard_t(df, size=shape) / math.sqrt(df / (df - 2.0))
 

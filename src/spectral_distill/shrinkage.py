@@ -5,9 +5,9 @@ formula, not finite where that has a pole or overflows. The estimator is
 f(Sigma_hat) X'y/n with the pseudoinverse convention, applied only where
 a rule meets sample eigenvalues (`eval_shrinkage`): a direction where f
 is not finite contributes nothing. Every rule is a ShrinkageFn: ridge,
-self-distillation chains, gradient-descent polynomials, ramped PCR /
-min-norm surrogates, tabulated values, and RationalRule, the one
-rational type. A RationalRule is Q/P with P given by its roots; the
+self-distillation chains, gradient-descent polynomials, SharpCut (PCR
+and the min-norm interpolator), tabulated values, and RationalRule, the
+one rational type. A RationalRule is Q/P with P given by its roots; the
 optimal rules of `optimal` evaluate Q in the factored nu basis of their
 model, hand-built ones from its coefficients.
 
@@ -25,9 +25,7 @@ The inner products of `optimal` and `federated` need one more pass,
 int x f against F_MP and each F_{delta_j} (`_xf_moments`). Values, risk
 moments and that pass are each cached per (grid object, rule), so the
 risks, inner products and self-checks of one rule share one evaluation
-and integrate each integrand once; see `validate_rule`. The sharp PCR
-risks are those of a private rule, 1/x at and above a cut and 0 below
-it, so every risk goes through the same moments.
+and integrate each integrand once; see `validate_rule`.
 """
 
 from __future__ import annotations
@@ -74,8 +72,8 @@ class ShrinkageFn:
     """Base class: a callable rule with optional pole/breakpoint metadata;
     its call is the formula as is, inf or nan at a pole or on overflow."""
 
-    #: bulk points where the rule is only piecewise smooth (ramp edges);
-    #: risk quadrature splits panels there.
+    #: bulk points where the rule is only piecewise smooth (a cut, table
+    #: points); risk quadrature splits panels there.
     breakpoints: tuple[float, ...] = ()
 
     def poles(self) -> tuple[float, ...]:
@@ -222,57 +220,23 @@ class GDPoly(ShrinkageFn):
         return out[0] if scalar else out
 
 
-def _smoothstep(t):
-    t = np.clip(t, 0.0, 1.0)
-    return t * t * (3.0 - 2.0 * t)
-
-
 @dataclass(frozen=True)
-class _RampedInverse(ShrinkageFn):
-    """0 below the ramp, 1/x above it, C^1 cubic smoothstep in between."""
+class SharpCut(ShrinkageFn):
+    """1/x at and above the cut, 0 below it; the cut is its break point.
 
-    threshold: float
-    ramp_width: float
+    PCR keeps the components above a cut inside the bulk (`pcr_rule`) or
+    among the outliers; the minimum-norm interpolator keeps every nonzero
+    one (`min_norm_rule`).
+    """
+
+    cut: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.ramp_width) and self.ramp_width > 0):
-            raise ValueError(
-                f"ramp_width must be positive and finite, got {self.ramp_width}"
-            )
-        if self.threshold - 0.5 * self.ramp_width <= 0:
-            raise ValueError("ramp must stay strictly above zero")
-        object.__setattr__(
-            self,
-            "breakpoints",
-            (self.threshold - 0.5 * self.ramp_width,
-             self.threshold + 0.5 * self.ramp_width),
-        )
+        object.__setattr__(self, "breakpoints", (self.cut,))
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
-        lo, hi = self.breakpoints
-        out = np.zeros_like(x)
-        above = x >= hi
-        out[above] = 1.0 / x[above]
-        ramp = (x > lo) & (x < hi)
-        out[ramp] = _smoothstep((x[ramp] - lo) / (hi - lo)) / x[ramp]
-        return out[0] if scalar else out
-
-
-@dataclass(frozen=True)
-class PCRSurrogate(_RampedInverse):
-    """Keep-above-threshold rule smoothed over a narrow ramp inside the bulk."""
-
-
-@dataclass(frozen=True)
-class MinNormSurrogate(_RampedInverse):
-    """1/x with the pole gated off below a cut inside the spectral gap."""
-
-    @property
-    def cut(self) -> float:
-        return self.threshold
+        return np.divide(1.0, x, out=np.zeros_like(x), where=x >= self.cut)
 
 
 @dataclass(frozen=True)
@@ -452,67 +416,35 @@ def best_ridge(model: SpikedModel, lambdas=None, kind: str = "pred"):
     return float(lam[i]), float(totals[i])
 
 
-def default_ramp_width(model: SpikedModel) -> float:
-    a, b = mp_support(model)
-    return 1e-3 * (b - a)
-
-
-def pcr_surrogate(model: SpikedModel, tau: float,
-                  ramp_width: float | None = None) -> PCRSurrogate:
-    """Smoothed keep-top-tau-fraction rule with threshold inside the bulk."""
+def pcr_rule(model: SpikedModel, tau: float) -> SharpCut:
+    """PCR retaining the top tau fraction of components: its cut is the
+    bulk quantile with upper-tail mass tau."""
     if not 0.0 < tau < min(1.0, 1.0 / model.c):
         raise ValueError(
             f"tau must lie in (0, {min(1.0, 1.0 / model.c)}) for a bulk threshold"
         )
-    t = mp_quantile_inverse(model, tau)
-    w = default_ramp_width(model) if ramp_width is None else float(ramp_width)
-    return PCRSurrogate(t, w)
+    return SharpCut(mp_quantile_inverse(model, tau))
 
 
-def min_norm_surrogate(model: SpikedModel,
-                       ramp_width: float | None = None) -> MinNormSurrogate:
-    """Minimum-norm interpolator surrogate; the cut sits in the spectral gap.
+def min_norm_rule(model: SpikedModel) -> SharpCut:
+    """The minimum-norm interpolator, 1/x on every nonzero eigenvalue.
 
-    Unsupported at c = 1 where the gap closes and the limiting risk is
-    infinite.
+    Its cut sits halfway into the spectral gap (0, a), so it keeps the
+    whole bulk and drops only the zero eigenvalues. Unsupported at c = 1, where the
+    gap closes and the limiting risk is infinite.
     """
     a, _ = mp_support(model)
     if a <= 0 or abs(model.c - 1.0) < 1e-12:
         raise AssumptionError(
-            "min-norm surrogate needs c != 1: the spectral gap above zero closes "
+            "min-norm rule needs c != 1: the spectral gap above zero closes "
             "and the limiting risk diverges at c = 1"
         )
-    cut = 0.5 * a  # half the gap by default
-    w = 0.5 * a if ramp_width is None else float(ramp_width)
-    if cut + 0.5 * w >= a:
-        raise ValueError("ramp must stay inside the spectral gap (0, a)")
-    return MinNormSurrogate(cut, w)
-
-
-@dataclass(frozen=True)
-class _SharpCut(ShrinkageFn):
-    """1/x at and above the cut, 0 below; the cut is its break point."""
-
-    cut: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "breakpoints", (self.cut,))
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.divide(1.0, x, out=np.zeros_like(x), where=x >= self.cut)
+    return SharpCut(0.5 * a)
 
 
 def pcr_sharp_pred_risk(model: SpikedModel, tau: float) -> RiskBreakdown:
-    """Zero-ramp-width limit of the PCR surrogate's prediction risk.
-
-    The risk of the exact indicator rule that retains the top tau fraction
-    of components: 1/x at and above the bulk quantile, where the
-    quadrature is split, and 0 below it.
-    """
-    if not 0.0 < tau < min(1.0, 1.0 / model.c):
-        raise ValueError("tau out of range")
-    return limiting_pred_risk(model, _SharpCut(mp_quantile_inverse(model, tau)))
+    """Prediction risk of PCR retaining the top tau fraction (`pcr_rule`)."""
+    return limiting_pred_risk(model, pcr_rule(model, tau))
 
 
 def pcr_component_limit_risk(model: SpikedModel, m: int | None = None
@@ -528,4 +460,4 @@ def pcr_component_limit_risk(model: SpikedModel, m: int | None = None
     detached = sorted((float(x) for x in get_grid(model).atom_locs if x > 0),
                       reverse=True)
     kept = len(detached) if m is None else min(max(0, m), len(detached))
-    return limiting_pred_risk(model, _SharpCut(detached[kept - 1] if kept else math.inf))
+    return limiting_pred_risk(model, SharpCut(detached[kept - 1] if kept else math.inf))

@@ -156,7 +156,7 @@ def cases() -> dict:
         {"kind": "ridge", "lambdas": {"min": 0.01, "max": 10.0, "num": 20,
                                       "spacing": "log"}},
         {"kind": "gd", "etas": [0.05], "steps": [50, 500]},
-        {"kind": "pcr", "taus": [0.1, 0.4], "ramp_width": 0.01},
+        {"kind": "pcr", "taus": [0.1, 0.4]},
         {"kind": "min_norm"}, SD_RULE,
         {"kind": "optimal_pred"}, {"kind": "optimal_est"},
     ]}})

@@ -187,10 +187,10 @@ def _competitor_risks(model, risk_fn):
         min(risk_fn(sd.Ridge(float(l))).total for l in lams)
     ]
     if abs(model.c - 1.0) > 1e-12:
-        vals.append(risk_fn(sd.min_norm_surrogate(model)).total)
+        vals.append(risk_fn(sd.min_norm_rule(model)).total)
     for tau in (0.05, 0.1, 0.3):
         if tau < min(1.0, 1.0 / model.c):  # feasible retained fractions only
-            vals.append(risk_fn(sd.pcr_surrogate(model, tau)).total)
+            vals.append(risk_fn(sd.pcr_rule(model, tau)).total)
     for eta in (0.01, 0.1):
         for T in (10, 100, 1000):
             try:

@@ -459,12 +459,10 @@ NAN, INF = float("nan"), float("inf")
     ("risk", {"rules": [{"kind": "sd", "lambdas": [NAN, 1.0], "xis": [0.5]}]}),
     ("risk", {"rules": [{"kind": "sd", "lambdas": [2.0, 1.0], "xis": [NAN]}]}),
     ("risk", {"rules": [{"kind": "gd", "etas": [NAN], "steps": [10]}]}),
-    ("risk", {"rules": [{"kind": "pcr", "taus": [0.2], "ramp_width": NAN}]}),
-    ("risk", {"rules": [{"kind": "min_norm", "ramp_width": NAN}]}),
     ("simulate", {"n": 40, "p": 80, "seed": 1, "n_replicates": 1,
                   "estimators": ["ridge:nan"]}),
 ], ids=["ridge-nan", "ridge-inf", "sd-lambda-nan", "sd-xi-nan", "gd-eta-nan",
-        "pcr-ramp-nan", "min_norm-ramp-nan", "simulate-ridge-nan"])
+        "simulate-ridge-nan"])
 def test_non_finite_rule_hyperparameter_is_config_error(tmp_path, capsys,
                                                          command, block):
     # these once mapped the NaN rule values to 0 and printed the zero
@@ -476,6 +474,33 @@ def test_non_finite_rule_hyperparameter_is_config_error(tmp_path, capsys,
     assert captured.out == ""
     assert captured.err.startswith("config error:") and "finite" in captured.err
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("rule", [{"kind": "pcr", "taus": [0.2]},
+                                  {"kind": "min_norm"}],
+                         ids=["pcr", "min_norm"])
+def test_ramp_width_is_unknown_key(tmp_path, capsys, rule):
+    # PCR and min-norm are exact cut rules; the C^1 ramp that once smoothed
+    # them, and its width, are gone
+    config = {"model": README_MODEL,
+              "risk": {"rules": [{**rule, "ramp_width": 0.01}]}}
+    assert main(["risk", "--config", write_cfg(tmp_path, config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: unknown key(s)")
+    assert "ramp_width" in captured.err and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.5, 1.0])
+def test_pcr_tau_outside_bulk_is_config_error(tmp_path, capsys, tau):
+    # the README model has c = 2, so the bulk holds a fraction 1/c = 0.5
+    config = {"model": README_MODEL,
+              "risk": {"rules": [{"kind": "pcr", "taus": [tau]}]}}
+    assert main(["risk", "--config", write_cfg(tmp_path, config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error:") and "tau" in captured.err
+    assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("df", [INF, NAN], ids=["inf", "nan"])

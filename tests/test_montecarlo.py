@@ -138,7 +138,7 @@ def test_minnorm_underparametrized_is_ols():
 
 def test_minnorm_surrogate_matches_interpolator(small_case):
     model, cfg, X, y, beta0, V, sp = small_case
-    f0 = sd.min_norm_surrogate(model)
+    f0 = sd.min_norm_rule(model)
     via_rule = sp.lift(sd.fit_coords(sp, f0), X)
     mn = sp.lift(sd.fit_coords(sp, ("minnorm",)), X)
     assert np.linalg.norm(via_rule - mn) < 1e-8 * np.linalg.norm(mn)
@@ -327,6 +327,30 @@ def test_replicate_releases_its_design_before_the_eigensolve(monkeypatch):
     assert len(at_eigh) == 1
     assert at_eigh[0] - base < design, f"{at_eigh[0] - base} B live at eigh"
     assert peak < design + 2 * square, f"traced peak {peak} B"
+
+
+def test_rademacher_draw_is_one_design_and_keeps_its_stream():
+    # the draw once made an int64 n x p array and then a float copy of it
+    for shape in [(200, 600), (37, 41), (3, 5), (129, 41)]:
+        for seed in range(4):
+            rng = sd.montecarlo._rng(seed, 0, "design")
+            got = sd.montecarlo._draw_entries(rng, shape, "rademacher", None)
+            rng = sd.montecarlo._rng(seed, 0, "design")
+            want = rng.integers(0, 2, size=shape).astype(float) * 2.0 - 1.0
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    model = SpikedModel(1.0, 3.0, ((7.0, 1.7),), 2.0, 4.0)
+    peaks = {}
+    for dist in ("gaussian", "rademacher"):
+        cfg = SimConfig(model, n=200, p=600, seed=2, entry_dist=dist)
+        sd.gen_data(cfg)  # numpy imports its random modules on first use
+        tracemalloc.start()
+        try:
+            sd.gen_data(cfg)
+            peaks[dist] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    block = sd.montecarlo._UPDATE_ROWS * cfg.p * 8
+    assert peaks["rademacher"] <= peaks["gaussian"] + block, peaks
 
 
 def test_aggregated_clients_share_signal(small_case):

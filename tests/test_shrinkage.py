@@ -177,23 +177,12 @@ def test_rational_pole_evaluation_flagged():
 
 def test_pcr_surrogate_tau_range(fig4_model):
     with pytest.raises(ValueError):
-        sd.pcr_surrogate(fig4_model, 0.0)
+        sd.pcr_rule(fig4_model, 0.0)
     with pytest.raises(ValueError):
-        sd.pcr_surrogate(fig4_model, 0.5)  # bulk mass is 1/c = 0.5
-    fn = sd.pcr_surrogate(fig4_model, 0.3)
+        sd.pcr_rule(fig4_model, 0.5)  # bulk mass is 1/c = 0.5
+    fn = sd.pcr_rule(fig4_model, 0.3)
     a, b = sd.mp_support(fig4_model)
-    assert a < fn.threshold < b
-
-
-def test_pcr_surrogate_ramp_self_convergence(fig4_model):
-    # widths 1e-3 and 1e-4 move the limiting risk by less than 1e-4
-    r3 = sd.limiting_pred_risk(fig4_model, sd.pcr_surrogate(fig4_model, 0.05, 1e-3))
-    r4 = sd.limiting_pred_risk(fig4_model, sd.pcr_surrogate(fig4_model, 0.05, 1e-4))
-    assert abs(r3.total - r4.total) < 1e-4
-    # and the zero-width sharp rule is their limit
-    sharp = sd.pcr_sharp_pred_risk(fig4_model, 0.05)
-    assert abs(r4.total - sharp.total) < 1e-4
-    assert abs(r4.total - sharp.total) < abs(r3.total - sharp.total) + 1e-12
+    assert a < fn.cut < b
 
 
 def test_pcr_component_limit_matches_tau_to_zero(fig4_model):
@@ -207,6 +196,8 @@ def test_pcr_component_limit_matches_tau_to_zero(fig4_model):
 PANEL_MODELS = {
     "fig4": SpikedModel(1.0, 2.0, ((7.0, 1.7),), 2.0, 4.0),
     "c_below_one": SpikedModel(1.0, 0.5, ((1.5, 0.6),), 2.0, 1.0),
+    "c_0.999": SpikedModel(1.0, 1.0 - 1e-3, ((3.0, 0.6),), 2.0, 1.0),
+    "c_1.001": SpikedModel(1.0, 1.0 + 1e-3, ((3.0, 0.6),), 2.0, 1.0),
     "c_1.01": SpikedModel(1.0, 1.01, ((3.0, 0.6),), 2.0, 1.0),
     "c_1.05": SpikedModel(1.0, 1.05, ((3.0, 0.6),), 2.0, 1.0),
     "near_detachment": SpikedModel(
@@ -217,16 +208,15 @@ PANEL_MODELS = {
 def _panel_risks(model, tau):
     sd.spectra._grid_cached.cache_clear()
     sharp = sd.pcr_sharp_pred_risk(model, tau).total
-    ramped = sd.limiting_pred_risk(model, sd.pcr_surrogate(model, tau)).total
     kept = [sd.pcr_component_limit_risk(model, m).total for m in (0, 1, None)]
-    return np.array([sharp, ramped, *kept])
+    return np.array([sharp, *kept])
 
 
 @pytest.mark.parametrize("name", sorted(PANEL_MODELS))
 def test_panel_risks_match_converged_reference(name, monkeypatch):
     model = PANEL_MODELS[name]
     bulk = min(1.0, 1.0 / model.c)
-    for tau in (1e-3, 0.25 * bulk, 0.9 * bulk):
+    for tau in (1e-3, 0.05, 0.25 * bulk, 0.4, 0.9 * bulk):
         t = sd.mp_quantile_inverse(model, tau)
         assert sd.get_grid(model, breaks=(t,)).x.size < 1024
         got = _panel_risks(model, tau)
@@ -256,7 +246,7 @@ def _edge_values(model):
         "gd_0.01x10": sd.GDPoly(0.01, 10),
         "optimal_pred": sd.optimal_pred_rule(model)[0],
         "optimal_est": sd.optimal_est_rule(model),
-        "min_norm": sd.min_norm_surrogate(model),
+        "min_norm": sd.min_norm_rule(model),
     }
     out = {name: np.array([sd.limiting_pred_risk(model, f).total,
                            sd.limiting_est_risk(model, f).total])
@@ -350,9 +340,9 @@ def test_pred_and_est_risk_share_one_moment_pass(fig1_model, monkeypatch):
 
 def test_min_norm_surrogate_requires_spectral_gap():
     with pytest.raises(AssumptionError):
-        sd.min_norm_surrogate(SpikedModel(1.0, 1.0, (), 1.0, 1.0))
+        sd.min_norm_rule(SpikedModel(1.0, 1.0, (), 1.0, 1.0))
     m = SpikedModel(1.0, 2.0, (), 1.0, 1.0)
-    fn = sd.min_norm_surrogate(m)
+    fn = sd.min_norm_rule(m)
     a, _ = sd.mp_support(m)
     assert fn(0.0) == 0.0
     xs = np.linspace(a, 4.0, 9)
@@ -367,11 +357,11 @@ def test_dominance_battery(fig1_model, fig4_model):
         best = sd.limiting_pred_risk(model, rule).total
         competitors = [sd.best_ridge(model)[1]]
         competitors.append(
-            sd.limiting_pred_risk(model, sd.min_norm_surrogate(model)).total
+            sd.limiting_pred_risk(model, sd.min_norm_rule(model)).total
         )
         for tau in (0.05, 0.1, 0.3):
             competitors.append(
-                sd.limiting_pred_risk(model, sd.pcr_surrogate(model, tau)).total
+                sd.limiting_pred_risk(model, sd.pcr_rule(model, tau)).total
             )
         competitors.append(sd.pcr_component_limit_risk(model).total)
         for eta in (0.01, 0.1):
@@ -450,7 +440,7 @@ def test_risk_evaluates_rule_once(fig1_model, which):
     if which == "optimal":
         rule = sd.optimal_pred_rule(fig1_model)[0]
     else:
-        rule = sd.pcr_surrogate(fig1_model, 0.1)
+        rule = sd.pcr_rule(fig1_model, 0.1)
     sizes = []
 
     class Counting(sd.ShrinkageFn):
