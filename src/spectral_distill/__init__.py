@@ -6,29 +6,19 @@ Monte Carlo validator."""
 from .errors import AssumptionError, NumericalError, StructuralError
 from .spectra import (
     SpikedModel,
-    SpectralMeasure,
+    MixtureWeights,
+    mixture_weights,
     mp_support,
     mp_density,
-    mp_stieltjes,
-    companion_stieltjes,
-    spiked_stieltjes,
+    bulk_densities,
     outlier_location,
-    spiked_measure,
-    mp_measure,
     mp_quantile_inverse,
     get_grid,
 )
 from .measures import (
-    MixtureWeights,
     RnPolynomials,
     GramSystem,
-    mixture_weights,
     rn_polynomials,
-    mu_j,
-    weight_w,
-    target_g,
-    basis_h,
-    inner_w,
     gram_system,
 )
 from .shrinkage import (
@@ -39,7 +29,6 @@ from .shrinkage import (
     SDChain,
     GDPoly,
     SharpCut,
-    Tabulated,
     RiskBreakdown,
     eval_shrinkage,
     limiting_pred_risk,
@@ -55,7 +44,6 @@ from .optimal import (
     OptimalCoefficients,
     optimal_pred_rule,
     optimal_est_rule,
-    isotropic_optimal,
     denominator_roots,
     synthesize_sd_params,
     coprimality_check,
@@ -66,8 +54,6 @@ from .federated import (
     FederatedOptimum,
     federated_optimum,
     federated_b,
-    b0_noise_limit,
-    product_form_limit,
     federated_risk,
 )
 from .montecarlo import (
@@ -76,7 +62,6 @@ from .montecarlo import (
     gen_data,
     sample_gram,
     decompose,
-    apply_rule_to_vector,
     fit_coords,
     sigma_risk,
     coordinate_risk,

@@ -306,20 +306,16 @@ def cmd_measure(model, block, tag):
     grid_size = block.get("grid_size", 200)
     a, b = spectra.mp_support(model)
     xs = np.linspace(block.get("x_min", a), block.get("x_max", b), grid_size)
-    cols = ["x", "f_mp"] + [f"f_delta_{j + 1}" for j in range(model.s)]
-    dens = [spectra.mp_density(model, xs)]
-    spiked = [spectra.spiked_measure(model, d) for d in model.deltas]
-    dens += [m.bulk_density(xs) for m in spiked]
-    rows = [
-        [xs[i]] + [col[i] for col in dens] for i in range(grid_size)
-    ]
+    names = ["mp"] + [f"delta_{j + 1}" for j in range(model.s)]
+    rows = np.column_stack([xs, spectra.bulk_densities(model, xs).T])
+    # the atoms of each measure are the grid's atoms where it has mass
+    grid = spectra.get_grid(model)
     comments = [f"config={tag}"]
-    for loc, mass in spectra.mp_measure(model).atoms:
-        comments.append(f"atom,mp,{_fmt(loc)},{_fmt(mass)}")
-    for j, m in enumerate(spiked):
-        for loc, mass in m.atoms:
-            comments.append(f"atom,delta_{j + 1},{_fmt(loc)},{_fmt(mass)}")
-    return _csv(comments, cols, rows)
+    for name, w in zip(names, (grid.w_mp, *grid.w_delta)):
+        comments += [f"atom,{name},{_fmt(loc)},{_fmt(mass)}"
+                     for loc, mass in zip(grid.atom_locs, w[grid.x.size:])
+                     if mass > 0]
+    return _csv(comments, ["x"] + [f"f_{name}" for name in names], rows)
 
 
 def cmd_risk(model, block, tag):
@@ -432,8 +428,10 @@ def _parse_estimator(label: str, model, p: int, n: int):
         if not 1 <= m <= min(n, p):
             raise ConfigError(f"{label}: m must be in 1..min(n, p) = {min(n, p)}")
         s_plus = int(np.sum(model.deltas > model.bbp_threshold))
-        if m == min(n, p):
-            # retains every nonzero direction: the min-norm interpolator
+        if m == min(n, p) or m / p >= min(1.0, 1.0 / model.c):
+            # retains every nonzero direction, or a fraction at or past the
+            # bulk's whole mass, where the cut falls to a: the min-norm
+            # interpolator
             target = shrinkage.limiting_pred_risk(
                 model, shrinkage.min_norm_rule(model)).total
         elif m <= s_plus:

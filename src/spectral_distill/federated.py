@@ -10,20 +10,22 @@ solves the K-client system (I + D_K H) b = gamma with
 
 The limiting aggregated risk of arbitrary (rule, weight) choices expands
 in the same weighted inner products, with cross-client product terms.
+The high-noise limit of b0^(K) and the product-form limit of cross-matrix
+quadratic forms, which the tests check this against, are in
+`tests/oracles.py`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import measures, optimal
-from .errors import AssumptionError, NumericalError
+from .errors import AssumptionError
 from .shrinkage import (RationalRule, SDParams, ShrinkageFn, _moments, _xf_moments,
                         validate_rule)
-from .spectra import SpikedModel, get_grid
+from .spectra import SpikedModel
 
 
 @dataclass(frozen=True)
@@ -69,45 +71,6 @@ def federated_optimum(model: SpikedModel, K: int) -> FederatedOptimum:
     fK = replace(local, q_nu=tuple(rho * np.asarray(local.q_nu)))
     params = optimal.synthesize_sd_params(local)
     return FederatedOptimum(K, tuple(b), rho, fK, local, params)
-
-
-def b0_noise_limit(model: SpikedModel, K: int) -> float:
-    """High-noise limit of b0^(K): sigma0^2 r^2 omega0.
-
-    Also verifies that b0^(K)(sigma_eps^2 = 1e6) is closer to the limit
-    than b0^(K)(sigma_eps^2 = 1e3).
-    """
-    w = measures.mixture_weights(model)
-    limit = model.sigma0_sq * model.r**2 * w.omega0
-    near = federated_b(model.replace(sigma_eps_sq=1e6), K)[0]
-    far = federated_b(model.replace(sigma_eps_sq=1e3), K)[0]
-    if abs(near - limit) > abs(far - limit) + 1e-12 * abs(limit):
-        raise NumericalError(
-            "b0^(K) did not approach its high-noise limit monotonically "
-            f"(|{near} - {limit}| vs |{far} - {limit}|)"
-        )
-    return limit
-
-
-def product_form_limit(model: SpikedModel, phi: ShrinkageFn, psi: ShrinkageFn,
-                       c_l: float, c_k: float) -> float:
-    """Deterministic limit of beta0' phi(S_l) psi(S_k) beta0 / ||beta0||^2
-    for independent sample covariances with aspect ratios c_l and c_k.
-
-        omega0 (int phi dF_MP,cl)(int psi dF_MP,ck)
-        + sum_j omega_j (int phi dF_dj,cl)(int psi dF_dj,ck).
-    """
-    w = measures.mixture_weights(model)
-    grid_l = get_grid(model.replace(c=float(c_l)))
-    grid_k = get_grid(model.replace(c=float(c_k)))
-    ints_l = grid_l.integrate(phi(grid_l.support_points))
-    ints_k = grid_k.integrate(psi(grid_k.support_points))
-    total = w.omega0 * ints_l.mp * ints_k.mp
-    for om, dl, dk in zip(w.omegas, ints_l.delta, ints_k.delta):
-        total += om * dl * dk
-    if not math.isfinite(total):
-        raise NumericalError("product form limit did not evaluate finitely")
-    return float(total)
 
 
 def _rule_integrals(model: SpikedModel, f: ShrinkageFn):

@@ -4,8 +4,11 @@ The mixture F_alpha = omega0 F_MP + sum_j omega_j F_{delta_j} carries the
 signal's alignment with the spike directions. The affine ratios nu_j and
 their products nu, nu_{-j} turn every risk functional into polynomial
 algebra; mu_j and mu_0 are the densities of F_{delta_j} and F_MP with
-respect to F_alpha. On top of those sit the weight w, the target g, the
-basis h_j, the x*w-weighted inner product, and the Gram matrix H.
+respect to F_alpha. On top of those sit the weight w, the target g and
+the basis h_j, evaluated here only at the grid's points (`_mu_all`,
+`_target_and_basis`), and the Gram matrix H of the x*w-weighted inner
+product. Their checked pointwise forms (`mu_j`, `weight_w`, `target_g`,
+`basis_h`, `inner_w`) are the tests' references, in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -18,8 +21,7 @@ import numpy as np
 
 from . import spectra
 from .errors import NumericalError
-# the mixture weights live with the grid, which builds F_alpha from them
-from .spectra import MixtureWeights, SpikedModel, get_grid, mixture_weights  # noqa: F401
+from .spectra import SpikedModel, get_grid, mixture_weights
 
 
 @dataclass(frozen=True)
@@ -114,33 +116,6 @@ def _mu_all(model: SpikedModel, x) -> np.ndarray:
     return out
 
 
-def _check_support(model: SpikedModel, x):
-    grid = get_grid(model)
-    ok = grid.on_support(x)
-    if not np.all(ok):
-        bad = np.asarray(x, dtype=float)[~np.asarray(ok)]
-        raise ValueError(
-            f"point(s) {bad} lie outside the limiting support "
-            f"(bulk [{grid.bulk_lo}, {grid.bulk_hi}] plus atoms {grid.atom_locs})"
-        )
-
-
-def mu_j(model: SpikedModel, j: int, x):
-    """Density of F_{delta_j} (j >= 1) or F_MP (j = 0) w.r.t. F_alpha."""
-    if not 0 <= j <= model.s:
-        raise ValueError(f"j must be in 0..{model.s}")
-    _check_support(model, x)
-    scalar = np.isscalar(x)
-    vals = _mu_all(model, np.atleast_1d(np.asarray(x, dtype=float)))[j]
-    return float(vals[0]) if scalar else vals
-
-
-def weight_w(model: SpikedModel, x):
-    """w(x) = sigma0^2 r^2 x + c sigma0^2 sigma_eps^2 mu_0(x); positive."""
-    _check_support(model, x)
-    return _weight_w_unchecked(model, x)
-
-
 def _weight_w_unchecked(model: SpikedModel, x):
     x = np.asarray(x, dtype=float)
     return _weight(model, x, _mu_all(model, x)[0])
@@ -160,37 +135,6 @@ def _target_and_basis(model: SpikedModel, x) -> tuple[np.ndarray, np.ndarray]:
     for j, (d, a) in enumerate(model.spikes):
         num = num + d * a * a * mu[j + 1]
     return num / w, mu / w
-
-
-def target_g(model: SpikedModel, x):
-    """g(x) = (sigma0^2 r^2 + sum_j delta_j alpha_j^2 mu_j(x)) / w(x)."""
-    _check_support(model, x)
-    return _target_and_basis(model, x)[0]
-
-
-def basis_h(model: SpikedModel, j: int, x):
-    """h_j(x) = mu_j(x) / w(x)."""
-    if not 0 <= j <= model.s:
-        raise ValueError(f"j must be in 0..{model.s}")
-    _check_support(model, x)
-    return _target_and_basis(model, x)[1][j]
-
-
-def inner_w(model: SpikedModel, phi, psi) -> float:
-    """<phi, psi>_w = int phi psi x w dF_alpha.
-
-    phi and psi are callables. The explicit x factor kills any zero-atom
-    contribution, so that atom's integrand is set to 0 even where phi or
-    psi is singular there.
-    """
-    grid = get_grid(model)
-    x = grid.support_points  # every bulk node is positive
-    with np.errstate(invalid="ignore"):
-        vals = (phi(x) * psi(x)) * (x * _weight_w_unchecked(model, x))
-    total = float(grid.integrate(np.where(x > 0.0, vals, 0.0)).alpha)
-    if not math.isfinite(total):
-        raise NumericalError("inner product did not evaluate to a finite value")
-    return total
 
 
 @dataclass(frozen=True)

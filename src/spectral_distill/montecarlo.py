@@ -262,19 +262,6 @@ def decompose(gram: SampleGram) -> SampleSpectrum:
     return SampleSpectrum(d, z, n, p, U, scale, signal)
 
 
-def apply_rule_to_vector(spectrum: SampleSpectrum, f: ShrinkageFn,
-                         v: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """f(Sigma_hat) v, including the implicit zero-eigenvalue directions;
-    X is the design the spectrum was formed from."""
-    vals = _apply_rule_values(f, spectrum.d)
-    coords = spectrum.project(v, X)
-    if spectrum.d.size < spectrum.p:
-        f0 = float(eval_shrinkage(f, np.zeros(1))[0])
-        if f0 != 0.0:
-            return spectrum.lift((vals - f0) * coords, X) + f0 * v
-    return spectrum.lift(vals * coords, X)
-
-
 def _pinv_band(d: np.ndarray) -> float:
     """Half-width of the pseudoinverse band around each pole of a rule."""
     return PINV_RTOL * float(d.max()) if d.size else 0.0

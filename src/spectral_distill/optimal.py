@@ -30,7 +30,7 @@ import numpy as np
 
 from . import measures
 from .errors import AssumptionError, NumericalError, StructuralError
-from .shrinkage import (RationalRule, Ridge, SDChain, SDParams, _xf_moments,
+from .shrinkage import (RationalRule, SDChain, SDParams, _xf_moments,
                         validate_rule)
 # get_grid stays bound here for perfbench's tracer, which wraps each binding
 from .spectra import SpikedModel, bracketed_newton, get_grid  # noqa: F401
@@ -247,13 +247,6 @@ def optimal_est_rule(model: SpikedModel) -> RationalRule:
     _require_noise(model)
     w = measures.mixture_weights(model)
     return _factored_rule(model, model.r**2 * np.array([w.omega0, *w.omegas]), 1.0)
-
-
-def isotropic_optimal(model: SpikedModel) -> Ridge:
-    """Optimal rule under isotropy: ridge at lambda* = c sigma_eps^2 / r^2."""
-    if model.s != 0:
-        raise ValueError("isotropic_optimal requires s = 0; use optimal_pred_rule")
-    return Ridge(model.c * model.sigma_eps_sq / model.r**2)
 
 
 def synthesize_sd_params(rule: RationalRule) -> SDParams:

@@ -6,10 +6,11 @@ f(Sigma_hat) X'y/n with the pseudoinverse convention, applied only where
 a rule meets sample eigenvalues (`eval_shrinkage`): a direction where f
 is not finite contributes nothing. Every rule is a ShrinkageFn: ridge,
 self-distillation chains, gradient-descent polynomials, SharpCut (PCR
-and the min-norm interpolator), tabulated values, and RationalRule, the
-one rational type. A RationalRule is Q/P with P given by its roots; the
-optimal rules of `optimal` evaluate Q in the factored nu basis of their
-model, hand-built ones from its coefficients.
+and the min-norm interpolator), and RationalRule, the one rational type
+(the tests add a tabulated rule in `tests/oracles.py`). A RationalRule
+is Q/P with P given by its roots; the optimal rules of `optimal`
+evaluate Q in the factored nu basis of their model, hand-built ones from
+its coefficients.
 
 A rule meets a model in `validate_rule`, which checks it and evaluates it
 once on all the points of the model's grid, bulk nodes and atoms alike.
@@ -72,8 +73,8 @@ class ShrinkageFn:
     """Base class: a callable rule with optional pole/breakpoint metadata;
     its call is the formula as is, inf or nan at a pole or on overflow."""
 
-    #: bulk points where the rule is only piecewise smooth (a cut, table
-    #: points); risk quadrature splits panels there.
+    #: bulk points where the rule is only piecewise smooth (a cut); risk
+    #: quadrature splits panels there.
     breakpoints: tuple[float, ...] = ()
 
     def poles(self) -> tuple[float, ...]:
@@ -237,32 +238,6 @@ class SharpCut(ShrinkageFn):
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         return np.divide(1.0, x, out=np.zeros_like(x), where=x >= self.cut)
-
-
-@dataclass(frozen=True)
-class Tabulated(ShrinkageFn):
-    """Rule given by values on sorted sample points (e.g. the grid support).
-
-    Linear between the points and constant beyond them, so every table
-    point is a kink and is declared as a breakpoint.
-    """
-
-    xs: tuple[float, ...]
-    ys: tuple[float, ...]
-
-    def __post_init__(self):
-        xs = np.asarray(self.xs, dtype=float)
-        ys = np.asarray(self.ys, dtype=float)
-        if xs.shape != ys.shape or xs.ndim != 1:
-            raise ValueError("xs and ys must be 1-d arrays of equal length")
-        if np.any(np.diff(xs) < 0):
-            raise ValueError("xs must be sorted ascending")
-        object.__setattr__(self, "xs", tuple(float(v) for v in xs))
-        object.__setattr__(self, "ys", tuple(float(v) for v in ys))
-        object.__setattr__(self, "breakpoints", self.xs)
-
-    def __call__(self, x):
-        return np.interp(np.asarray(x, dtype=float), self.xs, self.ys)
 
 
 @dataclass(frozen=True)

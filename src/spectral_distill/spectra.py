@@ -1,6 +1,6 @@
 """Marchenko-Pastur and one-spike limiting spectral measures.
 
-Supports, densities, atoms, Stieltjes transforms, and the quadrature
+Supports, densities, atoms, the bulk quantile, and the quadrature
 workspace. Everything here is deterministic and closed-form except the
 bulk quadrature, which is one rule: composite Gauss-Legendre panels in
 theta after the map x = (a+b)/2 + ((b-a)/2) cos(theta). That map absorbs
@@ -8,7 +8,11 @@ the square-root edge factor of the bulk density analytically; the panels
 are split at a rule's break points and graded toward an edge with a near
 singularity. A `SpectralGrid` is those bulk nodes followed by the atoms,
 one point array with one weight vector per measure, and the split of a
-measure into bulk and atoms is known only here.
+measure into bulk and atoms is known only here. The density of F_delta
+is the MP density divided by nu_delta in one place, `_over_nu`, which
+both the grid's weights and `bulk_densities` call. The Stieltjes
+transforms, which only the tests use as references, are in
+`tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -147,16 +151,6 @@ def mixture_weights(model: SpikedModel) -> MixtureWeights:
     return MixtureWeights(1.0 - sum(omegas), omegas)
 
 
-@dataclass(frozen=True)
-class SpectralMeasure:
-    """A limiting measure: bulk density on [bulk_lo, bulk_hi] plus atoms."""
-
-    bulk_lo: float
-    bulk_hi: float
-    bulk_density: Callable[[np.ndarray], np.ndarray]
-    atoms: tuple[tuple[float, float], ...]
-
-
 def mp_support(model: SpikedModel) -> tuple[float, float]:
     """Bulk support [a, b] = sigma0^2 (1 -+ sqrt(c))^2."""
     root_c = math.sqrt(model.c)
@@ -183,71 +177,6 @@ def mp_density(model: SpikedModel, x) -> np.ndarray:
 
 def mp_atom_at_zero(model: SpikedModel) -> float:
     return max(0.0, 1.0 - 1.0 / model.c)
-
-
-def _check_off_positive_axis(z: complex):
-    if z.imag == 0.0 and z.real >= 0.0:
-        raise ValueError(f"z must lie off the nonnegative real axis, got {z}")
-
-
-def mp_stieltjes(model: SpikedModel, z: complex) -> complex:
-    """Stieltjes transform m(z) of the MP law, z off [0, inf).
-
-    Branch of sqrt((z-a)(z-b)) chosen so that Im m > 0 when Im z > 0
-    (conjugate-symmetric below the axis) and m > 0 for real z < 0.
-    """
-    z = complex(z)
-    _check_off_positive_axis(z)
-    a, b = mp_support(model)
-    s0 = model.sigma0_sq
-    sq = np.sqrt(complex((z - a) * (z - b)))
-    denom = 2.0 * model.c * z * s0
-    m = (s0 * (1.0 - model.c) - z + sq) / denom
-    if z.imag > 0:
-        ok = m.imag > 0
-    elif z.imag < 0:
-        ok = m.imag < 0
-    else:
-        ok = m.real > 0
-    if not ok:
-        m = (s0 * (1.0 - model.c) - z - sq) / denom
-    return m
-
-
-def mp_stieltjes_boundary(model: SpikedModel, x: float) -> complex:
-    """Boundary value m(x + i0) for x in the open bulk."""
-    a, b = mp_support(model)
-    if not (a < x < b):
-        raise ValueError(f"x={x} is not in the open bulk ({a}, {b})")
-    s0 = model.sigma0_sq
-    re = (s0 * (1.0 - model.c) - x) / (2.0 * model.c * x * s0)
-    im = math.sqrt((b - x) * (x - a)) / (2.0 * model.c * x * s0)
-    return complex(re, im)
-
-
-def companion_stieltjes(model: SpikedModel, z: complex) -> complex:
-    """Companion transform m_(z) = -(1-c)/z + c m(z)."""
-    z = complex(z)
-    _check_off_positive_axis(z)
-    return -(1.0 - model.c) / z + model.c * mp_stieltjes(model, z)
-
-
-def companion_stieltjes_boundary(model: SpikedModel, x: float) -> complex:
-    return -(1.0 - model.c) / x + model.c * mp_stieltjes_boundary(model, x)
-
-
-def spiked_stieltjes(model: SpikedModel, delta: float, z: complex) -> complex:
-    """Stieltjes transform of the one-spike limit F_delta.
-
-    m_delta(z) = sigma0^2 m(z) / (sigma0^2 + delta + delta z m(z)).
-    """
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
-    z = complex(z)
-    _check_off_positive_axis(z)
-    m = mp_stieltjes(model, z)
-    s0 = model.sigma0_sq
-    return s0 * m / (s0 + delta + delta * z * m)
 
 
 def outlier_location(model: SpikedModel, delta: float) -> float:
@@ -288,45 +217,38 @@ def nu_affine(model: SpikedModel, delta: float) -> tuple[float, float]:
     return delta * xstar / denom, -delta / denom
 
 
-def mp_measure(model: SpikedModel) -> SpectralMeasure:
-    a, b = mp_support(model)
-    atoms = ()
-    m0 = mp_atom_at_zero(model)
-    if m0 > 0:
-        atoms = ((0.0, m0),)
-    return SpectralMeasure(a, b, lambda x: mp_density(model, x), atoms)
+def _over_nu(model: SpikedModel, delta: float, weights: np.ndarray,
+             below_hi: np.ndarray) -> np.ndarray:
+    """weights / nu_delta(x) at bulk points x with b - x = below_hi.
 
-
-def spiked_measure(model: SpikedModel, delta: float) -> SpectralMeasure:
-    """Limiting measure F_delta of the one-spike alignment weights.
-
-    delta = 0 returns the MP measure itself.
+    nu(x) = (x_star - x)/g with g = c sigma0^2 (delta + sigma0^2)/delta.
+    x_star - x is formed as (x_star - b) + (b - x), with x_star - b from
+    the closed form (delta - sigma0^2 sqrt(c))^2 / delta, so it keeps its
+    digits next to the edge when the spike sits near the detachment
+    point. A gap beyond the double range puts the outlier at infinity,
+    where the ratio is 0.
     """
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
-    if delta == 0.0:
-        return mp_measure(model)
+    g = model.c * model.sigma0_sq * (delta + model.sigma0_sq) / delta
+    with np.errstate(over="ignore"):
+        gap = (delta - model.bbp_threshold) ** 2 / delta
+    return weights * g / (gap + below_hi)
+
+
+def bulk_densities(model: SpikedModel, x) -> np.ndarray:
+    """Rows f_MP, f_delta_1, ..., f_delta_s of the bulk densities at x.
+
+    f_delta_j = f_MP / nu_j. Every row is 0 off the open bulk (a, b), and
+    only the points inside it are evaluated, so x may lie anywhere.
+    """
     a, b = mp_support(model)
-    p, q = nu_affine(model, delta)
-
-    def density(x, _p=p, _q=q):
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
-        base = mp_density(model, x)
-        out = np.zeros_like(base)
-        nz = base > 0
-        out[nz] = base[nz] / (_p + _q * x[nz])
-        return out[0] if scalar else out
-
-    atoms = []
-    m0 = spiked_atom_at_zero(model, delta)
-    if m0 > 0:
-        atoms.append((0.0, m0))
-    ms = outlier_atom_mass(model, delta)
-    if ms > 0:
-        atoms.append((outlier_location(model, delta), ms))
-    return SpectralMeasure(a, b, density, tuple(atoms))
+    x = np.asarray(x, dtype=float)
+    rows = np.zeros((model.s + 1,) + x.shape)
+    rows[0] = mp_density(model, x)
+    inside = (x > a) & (x < b)
+    f_mp, below_hi = rows[0][inside], b - x[inside]
+    for j, d in enumerate(model.deltas):
+        rows[j + 1][inside] = _over_nu(model, d, f_mp, below_hi)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -564,27 +486,12 @@ class SpectralGrid:
             2.0 * math.pi * model.sigma0_sq * model.c * self.x)
         self.w_mp = np.concatenate([mp_bulk, mp_atoms])
         self.w_delta = tuple(
-            np.concatenate([self._delta_bulk_weights(d, mp_bulk, below_hi), atoms])
+            np.concatenate([_over_nu(model, d, mp_bulk, below_hi), atoms])
             for d, atoms in zip(model.deltas, delta_atoms))
         weights = mixture_weights(model)
         self.w_alpha = weights.omega0 * self.w_mp
         for om, w in zip(weights.omegas, self.w_delta):
             self.w_alpha = self.w_alpha + om * w
-
-    def _delta_bulk_weights(self, delta: float, mp_bulk: np.ndarray,
-                            below_hi: np.ndarray) -> np.ndarray:
-        """Bulk weights for F_delta: mp weights divided by nu_delta(x).
-
-        nu(x) = (x_star - x)/g with g = c sigma0^2 (delta + sigma0^2)/delta.
-        x_star - x is formed as (x_star - b) + (b - x) from the closed
-        forms (delta - sigma0^2 sqrt(c))^2 / delta and 2h sin^2(theta/2),
-        so it keeps its digits at the nodes next to the edge when the spike
-        sits near the detachment point.
-        """
-        model = self.model
-        g = model.c * model.sigma0_sq * (delta + model.sigma0_sq) / delta
-        gap = (delta - model.bbp_threshold) ** 2 / delta
-        return mp_bulk * g / (gap + below_hi)
 
     def integrate(self, values) -> MeasureIntegrals:
         """Integrals of one integrand against F_alpha, each F_delta_j and F_MP.

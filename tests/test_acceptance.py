@@ -15,9 +15,11 @@ import spectral_distill as sd
 from spectral_distill import (AssumptionError, NumericalError, SDParams,
                               SimConfig, SpikedModel)
 from spectral_distill.federated import federated_b
-from spectral_distill.spectra import companion_stieltjes_boundary, nu_affine
+from spectral_distill.spectra import nu_affine
 
 from conftest import _reference_panels, random_model
+from oracles import (apply_rule_to_vector, basis_h, companion_stieltjes_boundary,
+                     inner_w, product_form_limit, spiked_stieltjes)
 
 ONE = lambda x: np.ones_like(x)
 
@@ -111,7 +113,7 @@ def test_criterion_03_stieltjes_consistency():
                 rng.uniform(-4.0, 2.0 * grid.bulk_hi),
                 rng.uniform(0.2, 3.0) * rng.choice([-1.0, 1.0]),
             )
-            closed = sd.spiked_stieltjes(model, delta, z)
+            closed = spiked_stieltjes(model, delta, z)
             quadr = grid.integrate(1.0 / (grid.support_points - z)).delta[0]
             worst_mdelta = max(worst_mdelta, abs(closed - quadr))
         a, b = grid.bulk_lo, grid.bulk_hi
@@ -239,8 +241,8 @@ def test_criterion_07_federated_closed_forms(fig1_model):
     )
     # isotropic closed form
     iso = SpikedModel(1.0, 2.0, (), 2.0, 1.0)
-    h00 = sd.inner_w(iso, lambda x: sd.basis_h(iso, 0, x),
-                     lambda x: sd.basis_h(iso, 0, x))
+    h00 = inner_w(iso, lambda x: basis_h(iso, 0, x),
+                     lambda x: basis_h(iso, 0, x))
     s0r2 = iso.sigma0_sq * iso.r**2
     iso_err = max(
         abs(federated_b(iso, K)[0] - s0r2 / (1 + s0r2 * (K - 1) * h00))
@@ -318,15 +320,15 @@ def test_criterion_09_product_form_monte_carlo():
     details = []
     for phi in rules:
         for psi in rules:
-            limit = sd.product_form_limit(model, phi, psi, c, c)
+            limit = product_form_limit(model, phi, psi, c, c)
             vals = []
             for r in range(cfg.n_replicates):
                 Xl, _, beta0, _ = sd.gen_data(cfg, r, client=0)
                 Xk, _, _, _ = sd.gen_data(cfg, r, client=1)
                 spl = sd.decompose(sd.sample_gram(Xl))
                 spk = sd.decompose(sd.sample_gram(Xk))
-                u = sd.apply_rule_to_vector(spl, phi, beta0, Xl)
-                v = sd.apply_rule_to_vector(spk, psi, beta0, Xk)
+                u = apply_rule_to_vector(spl, phi, beta0, Xl)
+                v = apply_rule_to_vector(spk, psi, beta0, Xk)
                 vals.append(float(u @ v) / float(beta0 @ beta0))
             gap = abs(np.mean(vals) - limit) / abs(limit)
             worst = max(worst, gap)

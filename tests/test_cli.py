@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spectral_distill import cli
+from spectral_distill import cli, shrinkage, spectra
 from spectral_distill.cli import main
 
 CORPUS = pathlib.Path(__file__).parent / "corpus"
@@ -61,6 +61,35 @@ def test_measure_isotropic_has_only_mp_column(tmp_path):
     _, header, rows = read_csv(out)
     assert header == ["x", "f_mp"]
     assert len(rows) == 16
+
+
+@pytest.mark.parametrize("model", [FIG1_MODEL, ISO_MODEL | {
+    "spikes": [{"delta": 7.0, "alpha": 1.7}]}], ids=["fig1", "readme"])
+def test_measure_off_the_bulk_prints_zero_densities(tmp_path, model):
+    # x runs from below zero to an outlier, where x* - x is 0 for that
+    # spike's density; off the open bulk (a, b) every density is exactly
+    # 0, with no nan and no warning (a fresh process shows warnings)
+    parsed = cli.parse_model(model)
+    a, b = spectra.mp_support(parsed)
+    xstar = spectra.outlier_location(parsed, parsed.deltas[-1])
+    config = {"model": model,
+              "measure": {"grid_size": 41, "x_min": -1.0, "x_max": xstar}}
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONWARNINGS", None)
+    out = tmp_path / "m.csv"
+    done = subprocess.run(
+        [sys.executable, "-m", "spectral_distill.cli", "measure",
+         "--config", write_cfg(tmp_path, config), "--out", str(out)],
+        env=env, capture_output=True, text=True)
+    assert done.returncode == 0 and done.stderr.count("\n") <= 1, done.stderr
+    assert "nan" not in out.read_text()
+    _, header, rows = read_csv(out)
+    assert float(rows[-1][0]) == xstar
+    off = [row for row in rows if not a < float(row[0]) < b]
+    assert {float(row[0]) < a for row in off} == {True, False}  # both sides
+    assert len(header) == 2 + parsed.s
+    assert all(v == "0" for row in off for v in row[1:])
 
 
 def test_risk_csv_ridge_argmin(tmp_path):
@@ -583,9 +612,12 @@ def _refusal(tmp_path, kind):
                   "lambdas": {"min": INF, "max": 1.0, "num": 3}}]}}
         return "risk", config, [], 2
     if kind == "simulate-huge-c":
+        # the bulk sits near c = 1.2e21, where gd:0.05:100 diverges; its
+        # pcr:<m> labels, with m/p past the bulk mass 1/c, take the
+        # min-norm target
         config = json.loads((CORPUS / "simulate__readme-sim.json").read_text())
         config["model"]["c"] = 2**70
-        return "simulate", config, [], 2
+        return "simulate", config, [], 4
     if kind == "gd-huge-eta":
         rule = {"kind": "gd", "etas": [1e300], "steps": [10]}
         return "risk", {"model": FIG1_MODEL, "risk": {"rules": [rule]}}, [], 4
@@ -805,6 +837,33 @@ def test_pcr_outside_one_to_min_n_p_is_refused_before_any_draw(
     assert captured.out == ""
     assert captured.err == (f"config error: pcr:{m}: m must be in "
                             "1..min(n, p) = 40\n")
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_pcr_past_the_bulk_mass_takes_the_min_norm_target(tmp_path, command):
+    # c = 2 leaves the bulk a mass 1/c = 0.5. At p = 150, pcr:79 keeps a
+    # fraction 79/150 > 0.5, past the whole bulk, where the cut falls to a:
+    # its limit is the min-norm interpolator's. It once exited 2 with a
+    # message about a tau field that the config does not have. pcr:74
+    # (74/150 < 0.5) keeps its sharp-cut target.
+    sizes = {"n": 80, "p": 150, "seed": 1, "n_replicates": 1}
+    labels = ["pcr:79", "pcr:74", "minnorm"]
+    block = ({**sizes, "estimators": labels} if command == "simulate" else
+             {"parameter": "sigma_eps_sq", "values": [4.0],
+              "estimators": labels, "sim": sizes})
+    out = tmp_path / "out.csv"
+    cfg = write_cfg(tmp_path, {"model": README_MODEL, command: block})
+    with pytest.warns(UserWarning, match="p/n"):  # 150/80 is not c
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    _, header, rows = read_csv(out)
+    if command == "simulate":
+        limit = {row[0]: row[header.index("limit")] for row in rows}
+    else:
+        limit = {label: rows[0][header.index(f"{label}_limit")] for label in labels}
+    assert limit["pcr:79"] == limit["minnorm"]
+    model = cli.parse_model(README_MODEL)
+    sharp = shrinkage.pcr_sharp_pred_risk(model, 74 / 150).total
+    assert float(limit["pcr:74"]) == sharp
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep"])

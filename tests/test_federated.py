@@ -8,6 +8,8 @@ from spectral_distill import AssumptionError, SpikedModel
 from spectral_distill.federated import federated_b
 
 from conftest import random_model
+from oracles import (apply_rule_to_vector, b0_noise_limit, basis_h, inner_w,
+                     product_form_limit)
 
 ONE = lambda x: np.ones_like(x)
 
@@ -24,8 +26,8 @@ def test_k1_reduces_to_single_client(fig1_model):
 
 def test_isotropic_closed_form():
     model = SpikedModel(1.0, 2.0, (), 2.0, 1.0)
-    h00 = sd.inner_w(model, lambda x: sd.basis_h(model, 0, x),
-                     lambda x: sd.basis_h(model, 0, x))
+    h00 = inner_w(model, lambda x: basis_h(model, 0, x),
+                     lambda x: basis_h(model, 0, x))
     s0r2 = model.sigma0_sq * model.r**2
     for K in (1, 2, 7, 25):
         b0 = federated_b(model, K)[0]
@@ -55,9 +57,9 @@ def test_one_spike_b0_positive():
 
 
 def test_b0_noise_limit(fig1_model):
-    assert sd.b0_noise_limit(fig1_model, 5) == pytest.approx(9.75)
+    assert b0_noise_limit(fig1_model, 5) == pytest.approx(9.75)
     m0 = SpikedModel(1.3, 0.7, (), 2.0, 1.0)
-    assert sd.b0_noise_limit(m0, 9) == pytest.approx(1.3 * 4.0)
+    assert b0_noise_limit(m0, 9) == pytest.approx(1.3 * 4.0)
     big = federated_b(fig1_model.replace(sigma_eps_sq=1e6), 40)[0]
     assert abs(big - 9.75) < 1e-3 * 9.75
 
@@ -95,9 +97,9 @@ def test_invalid_k(fig1_model):
 
 
 def test_product_form_limit_examples(fig1_model):
-    got = sd.product_form_limit(fig1_model, ONE, ONE, 3.0, 3.0)
+    got = product_form_limit(fig1_model, ONE, ONE, 3.0, 3.0)
     assert got == pytest.approx(1.0)
-    mean_form = sd.product_form_limit(fig1_model, lambda x: x, ONE, 3.0, 3.0)
+    mean_form = product_form_limit(fig1_model, lambda x: x, ONE, 3.0, 3.0)
     w = sd.mixture_weights(fig1_model)
     expect = w.omega0 * fig1_model.sigma0_sq + sum(
         om * (d + fig1_model.sigma0_sq)
@@ -108,11 +110,11 @@ def test_product_form_limit_examples(fig1_model):
 
 def test_product_form_heterogeneous_ratios(fig1_model):
     # mean integral under the c_l measure differs from the c_k one
-    v1 = sd.product_form_limit(fig1_model, lambda x: x, ONE, 0.5, 2.0)
-    v2 = sd.product_form_limit(fig1_model, ONE, lambda x: x, 0.5, 2.0)
+    v1 = product_form_limit(fig1_model, lambda x: x, ONE, 0.5, 2.0)
+    v2 = product_form_limit(fig1_model, ONE, lambda x: x, 0.5, 2.0)
     assert v1 == pytest.approx(v2)  # means of F_delta do not depend on c
-    r1 = sd.product_form_limit(fig1_model, lambda x: x * x, ONE, 0.5, 2.0)
-    r2 = sd.product_form_limit(fig1_model, ONE, lambda x: x * x, 0.5, 2.0)
+    r1 = product_form_limit(fig1_model, lambda x: x * x, ONE, 0.5, 2.0)
+    r2 = product_form_limit(fig1_model, ONE, lambda x: x * x, 0.5, 2.0)
     assert abs(r1 - r2) > 1e-3  # second moments do
 
 
@@ -183,14 +185,14 @@ def test_product_form_heterogeneous_monte_carlo():
     cfg_l = SimConfig(model_l, n=int(p / c_l), p=p, seed=44)
     cfg_k = SimConfig(model_k, n=int(p / c_k), p=p, seed=44)
     phi, psi = sd.Ridge(0.5), sd.Ridge(2.0)
-    limit = sd.product_form_limit(model_l, phi, psi, c_l, c_k)
+    limit = product_form_limit(model_l, phi, psi, c_l, c_k)
     vals = []
     for r in range(12):
         Xl, _, beta0, V = sd.gen_data(cfg_l, r, client=0)
         Xk, _, _, _ = sd.gen_data(cfg_k, r, client=1, signal=(beta0, V))
-        u = sd.apply_rule_to_vector(sd.decompose(sd.sample_gram(Xl)), phi,
+        u = apply_rule_to_vector(sd.decompose(sd.sample_gram(Xl)), phi,
                                     beta0, Xl)
-        v = sd.apply_rule_to_vector(sd.decompose(sd.sample_gram(Xk)), psi,
+        v = apply_rule_to_vector(sd.decompose(sd.sample_gram(Xk)), psi,
                                     beta0, Xk)
         vals.append(float(u @ v) / float(beta0 @ beta0))
     assert abs(np.mean(vals) - limit) / abs(limit) < 0.05

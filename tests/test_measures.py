@@ -9,6 +9,7 @@ from spectral_distill import SpikedModel
 from spectral_distill.measures import _mu_all
 
 from conftest import random_model
+from oracles import Tabulated, basis_h, inner_w, mu_j, target_g, weight_w
 
 ONE = lambda x: np.ones_like(x)
 
@@ -40,7 +41,7 @@ def test_mixture_measure_atom_relation(fig1_model):
     atom = dict(zip(grid.atom_locs, grid.w_alpha[grid.x.size:]))
     for j, d in enumerate(fig1_model.deltas):
         loc = sd.outlier_location(fig1_model, d)
-        spiked_mass = dict(sd.spiked_measure(fig1_model, d).atoms)[loc]
+        spiked_mass = dict(zip(grid.atom_locs, grid.w_delta[j][grid.x.size:]))[loc]
         assert atom[loc] == pytest.approx(w.omegas[j] * spiked_mass)
 
 
@@ -101,9 +102,9 @@ def test_mu_partition_of_unity(fig1_model):
     w = sd.mixture_weights(fig1_model)
     pts = np.concatenate([np.linspace(grid.bulk_lo, grid.bulk_hi, 200),
                           grid.atom_locs])
-    total = w.omega0 * sd.mu_j(fig1_model, 0, pts)
+    total = w.omega0 * mu_j(fig1_model, 0, pts)
     for j in range(fig1_model.s):
-        total = total + w.omegas[j] * sd.mu_j(fig1_model, j + 1, pts)
+        total = total + w.omegas[j] * mu_j(fig1_model, j + 1, pts)
     assert np.max(np.abs(total - 1.0)) < 1e-12
 
 
@@ -111,25 +112,25 @@ def test_mu_values_at_outliers(fig1_model):
     w = sd.mixture_weights(fig1_model)
     for j, d in enumerate(fig1_model.deltas):
         xstar = sd.outlier_location(fig1_model, d)
-        assert sd.mu_j(fig1_model, j + 1, xstar) == pytest.approx(1.0 / w.omegas[j])
-        assert sd.mu_j(fig1_model, 0, xstar) == 0.0
+        assert mu_j(fig1_model, j + 1, xstar) == pytest.approx(1.0 / w.omegas[j])
+        assert mu_j(fig1_model, 0, xstar) == 0.0
         for i in range(fig1_model.s):
             if i != j:
-                assert sd.mu_j(fig1_model, i + 1, xstar) == 0.0
+                assert mu_j(fig1_model, i + 1, xstar) == 0.0
 
 
 def test_mu_trivial_when_isotropic():
     m = SpikedModel(1.0, 0.5, (), 1.0, 1.0)
     xs = np.linspace(*sd.mp_support(m), 32)
-    assert np.allclose(sd.mu_j(m, 0, xs), 1.0)
+    assert np.allclose(mu_j(m, 0, xs), 1.0)
 
 
 def test_mu_domain_error(fig1_model):
     b = sd.mp_support(fig1_model)[1]
     with pytest.raises(ValueError):
-        sd.mu_j(fig1_model, 0, b + 0.5)  # between bulk and outliers
+        mu_j(fig1_model, 0, b + 0.5)  # between bulk and outliers
     with pytest.raises(ValueError):
-        sd.weight_w(fig1_model, -1.0)
+        weight_w(fig1_model, -1.0)
 
 
 def test_mu_change_of_measure(fig1_model):
@@ -147,11 +148,11 @@ def test_mu_change_of_measure(fig1_model):
 def test_weight_positive_and_outlier_value(fig1_model):
     grid = sd.get_grid(fig1_model)
     pts = grid.support_points
-    assert np.all(sd.weight_w(fig1_model, pts) > 0)
+    assert np.all(weight_w(fig1_model, pts) > 0)
     for d in fig1_model.deltas:
         xstar = sd.outlier_location(fig1_model, d)
         expected = fig1_model.sigma0_sq * fig1_model.r**2 * xstar
-        assert sd.weight_w(fig1_model, xstar) == pytest.approx(expected)
+        assert weight_w(fig1_model, xstar) == pytest.approx(expected)
 
 
 def test_weight_and_target_isotropic_forms():
@@ -159,9 +160,9 @@ def test_weight_and_target_isotropic_forms():
     xs = np.linspace(*sd.mp_support(m), 40)
     s0sq, r2 = m.sigma0_sq, m.r**2
     w_expect = s0sq * r2 * xs + m.c * s0sq * m.sigma_eps_sq
-    assert np.allclose(sd.weight_w(m, xs), w_expect)
-    assert np.allclose(sd.target_g(m, xs), s0sq * r2 / w_expect)
-    assert np.allclose(sd.basis_h(m, 0, xs), 1.0 / w_expect)
+    assert np.allclose(weight_w(m, xs), w_expect)
+    assert np.allclose(target_g(m, xs), s0sq * r2 / w_expect)
+    assert np.allclose(basis_h(m, 0, xs), 1.0 / w_expect)
 
 
 def test_target_identity_in_basis(fig1_model):
@@ -171,21 +172,21 @@ def test_target_identity_in_basis(fig1_model):
     pts = np.concatenate([np.linspace(grid.bulk_lo, grid.bulk_hi, 100),
                           grid.atom_locs])
     w = sd.mixture_weights(model)
-    rhs = model.sigma0_sq * model.r**2 * w.omega0 * sd.basis_h(model, 0, pts)
+    rhs = model.sigma0_sq * model.r**2 * w.omega0 * basis_h(model, 0, pts)
     for j, (d, a) in enumerate(model.spikes):
-        rhs = rhs + (d + model.sigma0_sq) * a * a * sd.basis_h(model, j + 1, pts)
-    assert np.max(np.abs(sd.target_g(model, pts) - rhs)) < 1e-12
+        rhs = rhs + (d + model.sigma0_sq) * a * a * basis_h(model, j + 1, pts)
+    assert np.max(np.abs(target_g(model, pts) - rhs)) < 1e-12
 
 
 def test_inner_product_symmetry_and_zero(fig1_model):
     grid = sd.get_grid(fig1_model)
     rng = np.random.default_rng(11)
     pts = grid.support_points
-    phi = sd.Tabulated(tuple(np.sort(pts)), tuple(rng.normal(size=pts.size)))
-    psi = sd.Tabulated(tuple(np.sort(pts)), tuple(rng.normal(size=pts.size)))
-    assert sd.inner_w(fig1_model, phi, psi) == sd.inner_w(fig1_model, psi, phi)
+    phi = Tabulated(tuple(np.sort(pts)), tuple(rng.normal(size=pts.size)))
+    psi = Tabulated(tuple(np.sort(pts)), tuple(rng.normal(size=pts.size)))
+    assert inner_w(fig1_model, phi, psi) == inner_w(fig1_model, psi, phi)
     zero = lambda x: np.zeros_like(x)
-    assert sd.inner_w(fig1_model, zero, zero) == 0.0
+    assert inner_w(fig1_model, zero, zero) == 0.0
 
 
 def test_inner_product_against_spiked_integral(fig1_model):
@@ -194,7 +195,7 @@ def test_inner_product_against_spiked_integral(fig1_model):
     grid = sd.get_grid(model)
     phi = lambda x: 1.0 / (x + 2.0)
     for j in range(model.s):
-        lhs = sd.inner_w(model, lambda x: sd.basis_h(model, j + 1, x), phi)
+        lhs = inner_w(model, lambda x: basis_h(model, j + 1, x), phi)
         x = grid.support_points
         rhs = grid.integrate(x * phi(x)).delta[j]
         assert abs(lhs - rhs) < 1e-10
@@ -228,14 +229,14 @@ def test_gram_diagonal_outlier_term(fig1_model):
     grid = sd.get_grid(model)
     gs = sd.gram_system(model)
     for j, (d, a) in enumerate(model.spikes):
-        hj = lambda x: sd.basis_h(model, j + 1, x)
-        via_alpha = sd.inner_w(model, hj, hj)
+        hj = lambda x: basis_h(model, j + 1, x)
+        via_alpha = inner_w(model, hj, hj)
         assert abs(via_alpha - gs.H[j + 1, j + 1]) < 1e-10
         mass = sd.spectra.outlier_atom_mass(model, d)
         atom_term = mass / (model.sigma0_sq * a * a)
         bulk_term = grid.w_delta[j][:grid.x.size] @ (
             grid.x * _mu_all(model, grid.x)[j + 1]
-            / sd.weight_w(model, grid.x)
+            / weight_w(model, grid.x)
         )
         assert gs.H[j + 1, j + 1] == pytest.approx(bulk_term + atom_term)
 

@@ -6,6 +6,8 @@ import pytest
 import spectral_distill as sd
 from spectral_distill import SDParams, SimConfig, SpikedModel
 
+from oracles import Tabulated, apply_rule_to_vector, isotropic_optimal
+
 
 @pytest.fixture(scope="module")
 def small_case():
@@ -82,7 +84,7 @@ def test_fit_ridge_matches_direct_solve(small_case):
 
 def test_fit_zero_rule(small_case):
     model, cfg, X, y, beta0, V, sp = small_case
-    zero = sd.Tabulated((0.0, 100.0), (0.0, 0.0))
+    zero = Tabulated((0.0, 100.0), (0.0, 0.0))
     assert np.allclose(sp.lift(sd.fit_coords(sp, zero), X), 0.0)
 
 
@@ -244,7 +246,7 @@ def test_apply_rule_to_vector_with_nonzero_rule_at_zero(small_case):
     model, cfg, X, y, beta0, V, sp = small_case
     n, p = X.shape
     lam = 0.6
-    got = sd.apply_rule_to_vector(sp, sd.Ridge(lam), beta0, X)
+    got = apply_rule_to_vector(sp, sd.Ridge(lam), beta0, X)
     direct = np.linalg.solve(X.T @ X / n + lam * np.eye(p), beta0)
     assert np.linalg.norm(got - direct) <= 1e-12 * np.linalg.norm(direct)
 
@@ -279,7 +281,7 @@ def test_rule_overflow_at_the_top_sample_eigenvalue_drops_it(small_case):
 def test_ridgeless_rule_applies_the_pseudoinverse(small_case):
     model, cfg, X, y, beta0, V, sp = small_case
     n, p = X.shape
-    got = sd.apply_rule_to_vector(sp, sd.Ridge(0.0), beta0, X)
+    got = apply_rule_to_vector(sp, sd.Ridge(0.0), beta0, X)
     direct = np.linalg.pinv(X.T @ X / n, hermitian=True) @ beta0
     assert np.linalg.norm(got - direct) <= 1e-10 * np.linalg.norm(direct)
 
@@ -366,7 +368,7 @@ def test_aggregated_clients_share_signal(small_case):
 
 def test_harness_gap_shrinks_with_size():
     model = SpikedModel(1.0, 2.0, (), 2.0, 1.0)
-    lam = sd.isotropic_optimal(model).lam
+    lam = isotropic_optimal(model).lam
     target = sd.limiting_pred_risk(model, sd.Ridge(lam)).total
     gaps = []
     for n, p in ((250, 500), (500, 1000), (1000, 2000)):

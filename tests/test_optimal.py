@@ -8,6 +8,7 @@ import spectral_distill as sd
 from spectral_distill import SpikedModel, StructuralError
 from spectral_distill.cli import parse_model
 from conftest import many_spike_model, random_model
+from oracles import isotropic_optimal
 
 
 def test_b0_closed_form(fig1_model):
@@ -77,13 +78,13 @@ def test_roots_polish_residual(fig1_model):
 
 def test_isotropic_optimal():
     m = SpikedModel(1.0, 2.0, (), 2.0, 1.0)
-    ridge = sd.isotropic_optimal(m)
+    ridge = isotropic_optimal(m)
     assert ridge.lam == pytest.approx(0.5)
     # ridgeless limit as the signal grows
     big = SpikedModel(1.0, 2.0, (), 1e6, 1.0)
-    assert sd.isotropic_optimal(big).lam < 1e-10
+    assert isotropic_optimal(big).lam < 1e-10
     with pytest.raises(ValueError):
-        sd.isotropic_optimal(SpikedModel(1.0, 2.0, ((1.5, 0.5),), 2.0, 1.0))
+        isotropic_optimal(SpikedModel(1.0, 2.0, ((1.5, 0.5),), 2.0, 1.0))
     # at s = 0 the optimal rule is that ridge: P = x + lambda*, Q = 1
     rule, coef = sd.optimal_pred_rule(m)
     assert rule.roots_of_p == (pytest.approx(-ridge.lam, rel=1e-15),)
@@ -94,7 +95,7 @@ def test_isotropic_optimal():
 
 def test_isotropic_grid_convexity():
     m = SpikedModel(1.0, 2.0, (), 2.0, 1.0)
-    lam = sd.isotropic_optimal(m).lam
+    lam = isotropic_optimal(m).lam
     mid = sd.limiting_pred_risk(m, sd.Ridge(lam)).total
     assert sd.limiting_pred_risk(m, sd.Ridge(lam * 1.1)).total >= mid
     assert sd.limiting_pred_risk(m, sd.Ridge(lam * 0.9)).total >= mid
@@ -102,7 +103,7 @@ def test_isotropic_grid_convexity():
 
 def test_small_delta_converges_to_isotropic_ridge():
     spiked = SpikedModel(1.0, 2.0, ((1e-6, 0.5),), 2.0, 1.0)
-    iso = sd.isotropic_optimal(SpikedModel(1.0, 2.0, (), 2.0, 1.0))
+    iso = isotropic_optimal(SpikedModel(1.0, 2.0, (), 2.0, 1.0))
     rule, _ = sd.optimal_pred_rule(spiked)
     grid = sd.get_grid(spiked)
     assert np.max(np.abs(rule(grid.x) - iso(grid.x))) < 1e-6

@@ -10,6 +10,7 @@ import spectral_distill as sd
 from spectral_distill import AssumptionError, SDParams, SpikedModel
 
 from conftest import _reference_panels
+from oracles import Tabulated
 
 
 def sd_recursion_oracle(params, x):
@@ -88,7 +89,7 @@ def test_sd_chain_recursion_property(lams, xis_seed):
 
 
 def test_zero_rule_risk(fig1_model):
-    zero = sd.Tabulated((0.0, 100.0), (0.0, 0.0))
+    zero = Tabulated((0.0, 100.0), (0.0, 0.0))
     bk = sd.limiting_pred_risk(fig1_model, zero)
     expected = fig1_model.sigma0_sq * fig1_model.r**2 + float(
         np.sum(fig1_model.deltas * fig1_model.alphas**2)
@@ -286,7 +287,7 @@ def test_tabulated_risks_match_converged_reference(c, monkeypatch):
     model = SpikedModel(1.0, c, ((3.0, 0.6),), 2.0, 1.0)
     a, b = sd.mp_support(model)
     xs = np.linspace(a + 0.1 * (b - a), b - 0.05 * (b - a), 7)
-    rule = sd.Tabulated(tuple(xs), tuple((1.0 + 0.3 * np.sin(np.arange(7)))
+    rule = Tabulated(tuple(xs), tuple((1.0 + 0.3 * np.sin(np.arange(7)))
                                          / (xs + 0.5)))
     assert rule.breakpoints == rule.xs
     got = _tabulated_risks(model, rule)
@@ -400,9 +401,9 @@ def test_scale_consistency(fig4_model):
 
 def test_tabulated_validation():
     with pytest.raises(ValueError):
-        sd.Tabulated((1.0, 0.5), (0.0, 0.0))
+        Tabulated((1.0, 0.5), (0.0, 0.0))
     with pytest.raises(ValueError):
-        sd.Tabulated((0.0, 1.0), (0.0,))
+        Tabulated((0.0, 1.0), (0.0,))
 
 
 def test_sd_params_validation():

@@ -7,7 +7,10 @@ from scipy.integrate import quad
 
 import spectral_distill as sd
 from spectral_distill import AssumptionError, SpikedModel
-from spectral_distill.spectra import companion_stieltjes_boundary, nu_affine
+from spectral_distill.spectra import nu_affine
+
+from oracles import (companion_stieltjes, companion_stieltjes_boundary, mp_stieltjes,
+                     spiked_stieltjes)
 
 ONE = lambda x: np.ones_like(x)
 
@@ -19,6 +22,13 @@ def iso(sigma0_sq=1.0, c=1.0):
 def spiked(sigma0_sq, c, delta):
     # one spike, so the model's grid integrates against F_delta
     return SpikedModel(sigma0_sq, c, ((delta, 0.5),), 1.0, 1.0)
+
+
+def delta_atoms(model, j=0):
+    """(location, mass) of each atom of F_delta_j, as `measure` prints them."""
+    grid = sd.get_grid(model)
+    return tuple((loc, mass) for loc, mass
+                 in zip(grid.atom_locs, grid.w_delta[j][grid.x.size:]) if mass > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +91,7 @@ def test_mp_stieltjes_value_against_quadrature_oracle():
         return math.sqrt((b - x) * (x - a)) / (2 * math.pi * x)
 
     oracle, err = quad(lambda x: dens(x) / (x + 1.0), a, b, limit=200)
-    got = sd.mp_stieltjes(model, -1.0)
+    got = mp_stieltjes(model, -1.0)
     assert abs(got.imag) < 1e-12
     assert abs(got.real - oracle) < 1e-8
     # analytic value (sqrt(5)-1)/2
@@ -92,14 +102,14 @@ def test_mp_stieltjes_value_against_quadrature_oracle():
 def test_mp_stieltjes_tail(c, s0):
     model = iso(s0, c)
     z = -1e9
-    assert abs(-z * sd.mp_stieltjes(model, z) - 1.0) < 1e-6
+    assert abs(-z * mp_stieltjes(model, z) - 1.0) < 1e-6
 
 
 @pytest.mark.parametrize("z", [0.5 + 2.0j, -1.0 + 0.0j, 3.0 - 0.7j, -2.5 + 0.1j])
 @pytest.mark.parametrize("c,s0", [(1.0, 1.0), (2.0, 1.0), (2.5, 1.3), (0.4, 0.8)])
 def test_companion_fixed_point(z, c, s0):
     model = iso(s0, c)
-    mb = sd.companion_stieltjes(model, z)
+    mb = companion_stieltjes(model, z)
     s0sq = model.sigma0_sq
     res = z * s0sq * mb**2 + (z - s0sq * (c - 1)) * mb + 1.0
     assert abs(res) < 1e-12
@@ -108,8 +118,8 @@ def test_companion_fixed_point(z, c, s0):
 def test_companion_equals_mp_at_c_one():
     model = iso(1.0, 1.0)
     for z in (-0.5, 1.0 + 1.0j, -3.0):
-        assert sd.companion_stieltjes(model, z) == pytest.approx(
-            sd.mp_stieltjes(model, z)
+        assert companion_stieltjes(model, z) == pytest.approx(
+            mp_stieltjes(model, z)
         )
 
 
@@ -124,31 +134,30 @@ def test_companion_boundary_modulus_identity():
 def test_stieltjes_domain_errors():
     model = iso()
     with pytest.raises(ValueError):
-        sd.mp_stieltjes(model, 2.0)
+        mp_stieltjes(model, 2.0)
     with pytest.raises(ValueError):
-        sd.companion_stieltjes(model, 0.0)
+        companion_stieltjes(model, 0.0)
     with pytest.raises(ValueError):
-        sd.spiked_stieltjes(model, 1.0, 5.0)
+        spiked_stieltjes(model, 1.0, 5.0)
 
 
 def test_spiked_stieltjes_reduces_at_delta_zero():
     model = iso(1.0, 2.0)
     for z in (-1.0, 2.0 + 1.0j):
-        assert sd.spiked_stieltjes(model, 0.0, z) == pytest.approx(
-            sd.mp_stieltjes(model, z)
+        assert spiked_stieltjes(model, 0.0, z) == pytest.approx(
+            mp_stieltjes(model, z)
         )
 
 
 def test_spiked_stieltjes_against_scipy_oracle():
-    model = iso(1.0, 1.0)
     delta = 2.0
+    model = spiked(1.0, 1.0, delta)
     a, b = sd.mp_support(model)
-    meas = sd.spiked_measure(model, delta)
     z = -1.0
-    bulk, _ = quad(lambda x: meas.bulk_density(np.array([x]))[0] / (x - z),
+    bulk, _ = quad(lambda x: sd.bulk_densities(model, np.array([x]))[1][0] / (x - z),
                    a, b, limit=200)
-    atoms = sum(mass / (loc - z) for loc, mass in meas.atoms)
-    got = sd.spiked_stieltjes(model, delta, z)
+    atoms = sum(mass / (loc - z) for loc, mass in delta_atoms(model))
+    got = spiked_stieltjes(model, delta, z)
     assert abs(got.real - (bulk + atoms)) < 1e-6
     assert abs(got.imag) < 1e-12
 
@@ -156,7 +165,7 @@ def test_spiked_stieltjes_against_scipy_oracle():
 def test_spiked_stieltjes_tail():
     model = iso(1.0, 2.0)
     z = -1e9
-    assert abs(-z * sd.spiked_stieltjes(model, 3.0, z) - 1.0) < 1e-6
+    assert abs(-z * spiked_stieltjes(model, 3.0, z) - 1.0) < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -182,28 +191,55 @@ def test_outlier_never_below_bulk_edge():
 
 
 def test_spiked_measure_atom_masses():
-    m = iso(1.0, 1.0)
-    meas = sd.spiked_measure(m, 2.0)
-    assert meas.atoms == ((4.5, pytest.approx(0.5)),)
+    assert delta_atoms(spiked(1.0, 1.0, 2.0)) == ((4.5, pytest.approx(0.5)),)
     # below the detachment threshold: no atoms at c = 1
-    meas_low = sd.spiked_measure(m, 0.8)
-    assert meas_low.atoms == ()
+    assert delta_atoms(spiked(1.0, 1.0, 0.8)) == ()
     # zero atom iff c > 1
-    assert sd.spiked_measure(iso(1.0, 2.0), 1.0).atoms[0][0] == 0.0
-    assert all(loc != 0.0 for loc, _ in sd.spiked_measure(iso(1.0, 0.8), 1.0).atoms)
-    with pytest.raises(ValueError):
-        sd.spiked_measure(m, -0.1)
+    assert delta_atoms(spiked(1.0, 2.0, 1.0))[0][0] == 0.0
+    assert all(loc != 0.0 for loc, _ in delta_atoms(spiked(1.0, 0.8, 1.0)))
 
 
 def test_spiked_measure_below_bbp_bulk_mass_via_oracle():
-    # scipy quadrature oracle, independent of the production grid
-    m = iso(1.0, 1.0)
-    meas = sd.spiked_measure(m, 1.0)  # sits exactly at the threshold
-    assert meas.atoms == ()
-    mass, err = quad(lambda x: meas.bulk_density(np.array([x]))[0], 0.0, 4.0,
+    # scipy quadrature oracle, independent of the production grid. A model
+    # refuses a spike within 1e-9 of the threshold in delta^2, so this is
+    # the nearest spike below it.
+    m = spiked(1.0, 1.0, 1.0 - 1e-9)
+    assert delta_atoms(m) == ()
+    mass, err = quad(lambda x: sd.bulk_densities(m, np.array([x]))[1][0], 0.0, 4.0,
                      limit=400)
     assert err < 1e-8
     assert abs(mass - 1.0) < 1e-8
+
+
+@pytest.mark.parametrize("sigma0_sq,c", [(1.0, 0.3), (0.7, 2.0), (2.5, 5.0)])
+def test_bulk_densities_next_to_detachment_against_50_digit_reference(sigma0_sq, c):
+    # Spikes at (1 + 1e-4)x and (1 + 1e-8)x the detachment point put x* a
+    # relative 1e-8 and 1e-16 above b. The reference takes the program's
+    # float a, b and x as exact, so the rounding of b itself shows as an
+    # error of up to ~eps b / (x* - x), which the bound allows.
+    mpmath = pytest.importorskip("mpmath")
+    thr = sigma0_sq * math.sqrt(c)
+    model = SpikedModel(sigma0_sq, c, ((thr * (1 + 1e-4), 0.3),
+                                       (thr * (1 + 1e-8), 0.2)), 1.0, 1.0)
+    a, b = sd.mp_support(model)
+    x = np.concatenate([b - b * np.geomspace(1e-12, 0.5, 24),
+                        np.linspace(a, b, 41)[1:-1]])
+    got = sd.bulk_densities(model, x)
+    eps = np.finfo(float).eps
+    with mpmath.workdps(50):
+        s0 = mpmath.mpf(sigma0_sq)
+        cc, lo, hi = mpmath.mpf(c), mpmath.mpf(a), mpmath.mpf(b)
+        for j, delta in enumerate(model.deltas):
+            d = mpmath.mpf(float(delta))
+            xstar = (d + s0) * (d + cc * s0) / d
+            for i, xi in enumerate(x.tolist()):
+                xm = mpmath.mpf(xi)
+                f_mp = (mpmath.sqrt((hi - xm) * (xm - lo))
+                        / (2 * mpmath.pi * s0 * cc * xm))
+                ref = f_mp * cc * s0 * (d + s0) / (d * (xstar - xm))
+                err = abs((got[j + 1][i] - ref) / ref)
+                bound = 4 * eps * b / float(xstar - xm) + 8 * eps
+                assert err <= bound, (float(delta), xi, float(err), bound)
 
 
 def away_from_threshold(delta, model):
@@ -266,7 +302,7 @@ def test_stieltjes_closed_form_matches_grid_quadrature():
         grid = sd.get_grid(model)
         for _ in range(20):
             z = complex(rng.uniform(-4, 8), rng.uniform(0.2, 3.0) * rng.choice([-1, 1]))
-            got = sd.spiked_stieltjes(model, delta, z)
+            got = spiked_stieltjes(model, delta, z)
             ref = grid.integrate(1.0 / (grid.support_points - z)).delta[0]
             assert abs(got - ref) < 1e-6
 
