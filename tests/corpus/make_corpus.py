@@ -10,10 +10,12 @@ it). Closed-form and risk models are drawn with the seeded generator of
 the README examples, isotropic (s = 0) models under every command that
 builds an optimal rule, edge-regime models (c next to or at 1, a spike
 just above the detachment point) under `optimal` and `risk`, Monte Carlo
-`simulate` runs (spiked p > n with every estimator kind, p <= n, and
-rademacher and student-t entries), a spiked `sweep` with a `sim` block,
-many-spike models (s = 14, 16 and 20) under every closed-form command,
-and a few measure/sweep configs.
+`simulate` runs (spiked p > n with every estimator kind, p <= n,
+rademacher and student-t entries, and a small p <= n rademacher design
+that is often rank-deficient, whose `pcr:min(n,p)` row must equal its
+`minnorm` row), a spiked `sweep` with a `sim` block, many-spike models
+(s = 14, 16 and 20) under every closed-form command, and a few
+measure/sweep configs.
 
     python tests/corpus/make_corpus.py 'optimal__many-*' ...
 
@@ -107,6 +109,12 @@ SIMULATE_CASES = {
     "student-sim": (README_MODEL, {"n": 80, "p": 160, "entry_dist": "student_t",
                                    "student_df": 12.0},
                     ["ridge_tuned", "ridge:0.5", "gd:0.05:100"]),
+    # a p <= n rademacher design that is often rank-deficient: PCR keeping
+    # every component must equal the min-norm fit
+    "rankdef-rademacher": (_edge_model(0.5, [(3.0, 1.0)]),
+                           {"n": 8, "p": 4, "entry_dist": "rademacher",
+                            "n_replicates": 200},
+                           ["pcr:4", "minnorm"]),
 }
 def many_spike_models(s: int, count: int) -> list[dict]:
     """The first `count` draws of conftest.many_spike_model at seed 0."""
@@ -177,7 +185,7 @@ def cases() -> dict:
         "sim": {"n": 60, "p": 120, "seed": 7, "n_replicates": 3}}})
     for label, (model, sizes, ests) in SIMULATE_CASES.items():
         out[f"simulate__{label}"] = ("simulate", {"model": model, "simulate": {
-            **sizes, "seed": 3, "n_replicates": 4, "estimators": ests}})
+            "seed": 3, "n_replicates": 4, **sizes, "estimators": ests}})
     out["sweep__readme-sim"] = ("sweep", {"model": README_MODEL, "sweep": {
         "parameter": "delta", "values": [4.0, 7.0],
         "estimators": ["ridge_tuned", "sd_optimal", "pcr:2", "minnorm"],
