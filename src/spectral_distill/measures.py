@@ -44,9 +44,6 @@ class RnPolynomials:
         """Leading coefficient of nu, prod_j (-scale_j)."""
         return math.prod(-sc for sc in self.scales)
 
-    def nu_j(self, j: int, x):
-        return self.scales[j] * (self.xstars[j] - np.asarray(x, dtype=float))
-
     def nu(self, x):
         x = np.asarray(x, dtype=float)
         out = np.ones_like(x)

@@ -8,10 +8,12 @@ images of beta0 and V), the design is released, and `decompose`
 eigensolves without it. The `SampleSpectrum` so holds only arrays of size
 min(n, p); `fit_coords` gives a fit's coordinates in its eigenbasis (no
 p x n eigenvector matrix and no p x p covariance is ever materialized),
-and a caller that holds the design lifts them to p coefficients. Exact
-Sigma-norm risks are computed from those coordinates through the spike
-decomposition, and `harness_suite` compares replicate averages against
-asymptotic targets.
+and a caller that holds the design lifts them to p coefficients.
+`decompose` decides the null directions, `shrinkage.eval_shrinkage`
+decides a rule's values, and so ("pcr", min(n, p)) equals ("minnorm",).
+Exact Sigma-norm risks are computed from those coordinates through the
+spike decomposition, and `harness_suite` compares replicate averages
+against asymptotic targets.
 
 Randomness uses counter-based Philox streams keyed by
 (seed, replicate, role[, client]) so replicates and clients are
@@ -26,14 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .shrinkage import SDParams, ShrinkageFn, eval_shrinkage
+from .shrinkage import Ridge, SDParams, ShrinkageFn, eval_shrinkage
 from .spectra import SpikedModel
 
 _ROLE_IDS = {"signal": 0, "design": 1, "noise": 2}
-
-#: eigendirections within this times the largest eigenvalue of a rule's
-#: pole contribute nothing, like those where the rule is not finite.
-PINV_RTOL = 1e-10
 
 _ENTRY_DISTS = ("gaussian", "rademacher", "student_t")
 
@@ -204,13 +202,15 @@ def sample_gram(X: np.ndarray, y: np.ndarray | None = None,
 class SampleSpectrum:
     """Thin eigendecomposition of Sigma_hat = X'X/n, without X.
 
-    Only the k = min(n, p) possibly-nonzero eigenpairs are kept; for p > n
-    the remaining p - n eigenvalues are exactly zero and their directions
-    are annihilated by X'y, so they never enter a fit. Fits live in the
+    Only the k <= min(n, p) eigenpairs that `decompose` keeps are held.
+    On the other p - k directions Sigma_hat is taken as zero (at least
+    p - n of them, when p > n, are the null space of X, which X'y never
+    reaches), and no fit has a component there. Fits live in the
     coordinates of the kept eigenvectors W (p x k), which is never formed
     when p > n: there W = X'U / sqrt(n d) for the eigenvectors U of
-    X X'/n. Every array is k-sized or k x k, so `project` and `lift`, the
-    maps between p-space and the coordinates, take X from the caller.
+    X X'/n. Every array is k-sized or min(n, p) x k, so `project` and
+    `lift`, the maps between p-space and the coordinates, take X from the
+    caller.
     """
 
     d: np.ndarray
@@ -243,36 +243,31 @@ class SampleSpectrum:
 
 
 def decompose(gram: SampleGram) -> SampleSpectrum:
-    """Eigendecompose the Gram of `sample_gram`; the design is not needed."""
+    """Eigendecompose the Gram of `sample_gram`; the design is not needed.
+
+    The one place that decides the null directions of Sigma_hat: an
+    eigenvalue at or below 1e-12 times the largest is taken as zero and
+    its direction dropped, for p > n and p <= n alike.
+    """
     n, p = gram.n, gram.p
     d, U = np.linalg.eigh(gram.G)
+    # eigh returns a zero eigenvalue of the m x m Gram, m = min(n, p), as
+    # round-off of either sign and at most about m eps d_max: below
+    # 1e-12 d_max for m up to about 4,500, and far below the smallest
+    # eigenvalue of a full-rank design. The eigenvalues ascend, so the
+    # kept ones are a suffix and U keeps its columns as a view.
+    first = int(np.searchsorted(d, max(d[-1], 0.0) * 1e-12, side="right"))
+    d, U = d[first:], U[:, first:]
     data, signal = gram.data, gram.signal
     if p <= n:
-        d = np.clip(d, 0.0, None)
         z = U.T @ data / n if data is not None else np.zeros_like(d)
         signal = None if signal is None else U.T @ signal
         return SampleSpectrum(d, z, n, p, U, None, signal)
-    # Gram trick: the eigenvalues ascend, so the kept ones are a suffix and
-    # U keeps its columns as a view
-    first = int(np.searchsorted(d, max(d[-1], 0.0) * 1e-14, side="right"))
-    d, U = d[first:], U[:, first:]
+    # Gram trick: W = X'U / sqrt(n d)
     scale = 1.0 / np.sqrt(n * d)
     z = np.sqrt(d / n) * (U.T @ data) if data is not None else np.zeros_like(d)
     signal = None if signal is None else (U.T @ signal) * scale[:, None]
     return SampleSpectrum(d, z, n, p, U, scale, signal)
-
-
-def _pinv_band(d: np.ndarray) -> float:
-    """Half-width of the pseudoinverse band around each pole of a rule."""
-    return PINV_RTOL * float(d.max()) if d.size else 0.0
-
-
-def _apply_rule_values(f: ShrinkageFn, d: np.ndarray) -> np.ndarray:
-    vals = eval_shrinkage(f, d)
-    band = _pinv_band(d)
-    for pole in f.poles():
-        vals = np.where(np.abs(d - pole) < band, 0.0, vals)
-    return vals
 
 
 def fit_coords(spectrum: SampleSpectrum, est) -> np.ndarray:
@@ -282,38 +277,32 @@ def fit_coords(spectrum: SampleSpectrum, est) -> np.ndarray:
     recursion), ("pcr", m) or ("minnorm",). The last two, least squares on
     the top m sample principal components and the min-norm interpolator
     (OLS when n > p), depend on n and so are not limiting-spectrum rules.
+
+    Every kept eigenvalue is nonzero (`decompose` drops the null
+    directions) and every rule value comes from `eval_shrinkage`, so PCR
+    keeping all min(n, p) components is the min-norm fit.
     """
     d, z = spectrum.d, spectrum.z
     if isinstance(est, ShrinkageFn):
-        return _apply_rule_values(est, d) * z
+        return eval_shrinkage(est, d) * z
     if isinstance(est, SDParams):
-        # stage t applies (Sigma_hat + lambda_t I)^+, zero inside the pinv
-        # band, to the blend of the data term and the last stage's predictions
-        band = _pinv_band(d)
-
-        def pinv_scale(lam):
-            denom = d + lam
-            with np.errstate(divide="ignore"):
-                return np.where(np.abs(denom) < band, 0.0, 1.0 / denom)
-
-        coords = pinv_scale(est.lambdas[0]) * z
+        # stage t applies the ridge rule of lambda_t to the blend of the
+        # data term and the last stage's predictions
+        coords = eval_shrinkage(Ridge(est.lambdas[0]), d) * z
         for lam, xi in zip(est.lambdas[1:], est.xis):
-            coords = pinv_scale(lam) * ((1.0 - xi) * z + xi * d * coords)
+            coords = eval_shrinkage(Ridge(lam), d) * ((1.0 - xi) * z + xi * d * coords)
         return coords
     kind = est[0] if isinstance(est, tuple) and est else None
-    coords = np.zeros_like(d)
     if kind == "pcr":
         m, k = est[1], min(spectrum.n, spectrum.p)
         if not 1 <= m <= k:
             raise ValueError(f"m must be in 1..min(n, p) = {k}")
         order = np.argsort(d)[::-1][:m]
-        with np.errstate(divide="ignore"):
-            coords[order] = np.where(d[order] > 0, z[order] / d[order], 0.0)
+        coords = np.zeros_like(d)
+        coords[order] = z[order] / d[order]
         return coords
     if kind == "minnorm":
-        keep = d > (d.max() if d.size else 1.0) * 1e-12
-        coords[keep] = z[keep] / d[keep]
-        return coords
+        return z / d
     raise ValueError(f"unrecognized estimator spec: {est!r}")
 
 

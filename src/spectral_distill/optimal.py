@@ -261,14 +261,11 @@ def synthesize_sd_params(rule: RationalRule) -> SDParams:
     residual polynomial vanishes (which would break the construction);
     the descending order puts the largest root at stage 0 so the initial
     ridge has the single large negative penalty. Q is read at the roots
-    through `rule.q`, the factored form when the rule has one.
+    through `rule.q`, in its factored form.
     """
     gammas_all = list(rule.roots_of_p)
     d = len(gammas_all) - 1
-    if rule.rn is None:
-        lead_q = float(rule.q_coeffs[d]) if len(rule.q_coeffs) > d else 0.0
-    else:
-        lead_q = rule.q_nu[0] * rule.rn.nu_lead
+    lead_q = rule.q_nu[0] * rule.rn.nu_lead
     q_at = dict(zip(gammas_all, rule.q(np.array(gammas_all)).tolist()))
 
     chosen: list[float] = []

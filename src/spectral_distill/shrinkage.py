@@ -2,15 +2,15 @@
 
 A rule f maps eigenvalues to shrinkage factors; calling it gives its
 formula, not finite where that has a pole or overflows. The estimator is
-f(Sigma_hat) X'y/n with the pseudoinverse convention, applied only where
-a rule meets sample eigenvalues (`eval_shrinkage`): a direction where f
-is not finite contributes nothing. Every rule is a ShrinkageFn: ridge,
-self-distillation chains, gradient-descent polynomials, SharpCut (PCR
-and the min-norm interpolator), and RationalRule, the one rational type
+f(Sigma_hat) X'y/n. `montecarlo.decompose` decides which sample
+directions are null, and `eval_shrinkage` decides a rule's values on the
+others: 0 where f is not finite or next to a pole. Every rule is a
+ShrinkageFn: ridge, self-distillation chains, gradient-descent
+polynomials, SharpCut (PCR and the min-norm interpolator), and
+RationalRule, the one rational type
 (the tests add a tabulated rule in `tests/oracles.py`). A RationalRule
-is Q/P with P given by its roots; the optimal rules of `optimal`
-evaluate Q in the factored nu basis of their model, hand-built ones from
-its coefficients.
+is Q/P with P given by its roots and Q in a factored nu basis; the
+optimal rules of `optimal` use the nu basis of their model.
 
 A rule meets a model in `validate_rule`, which checks it and evaluates it
 once on all the points of the model's grid, bulk nodes and atoms alike.
@@ -105,29 +105,24 @@ class Ridge(ShrinkageFn):
 class RationalRule(ShrinkageFn):
     """Rational rule Q/P with monic P = prod_k (x - roots_of_p[k]).
 
-    P is kept as its roots. Rules built from a model (see `optimal`) keep
-    Q in the nu-product basis of that model,
-    Q = q_nu[0] nu + sum_j q_nu[j] nu_{-j}, and evaluate it through the
-    factored nu products of `rn`: monomial coefficients cancel badly when
-    outliers (and so roots of P) sit close together or are many.
-    Hand-built rules (rn None) give Q by its ascending monomial
-    coefficients `q_coeffs`. The poles are the roots of P.
+    P is kept as its roots and Q in the nu-product basis of `rn`,
+    Q = q_nu[0] nu + sum_j q_nu[j] nu_{-j}, evaluated through the
+    factored nu products: monomial coefficients cancel badly when
+    outliers (and so roots of P) sit close together or are many. The
+    rules of `optimal` use the nu basis of their model. The poles are the
+    roots of P.
     """
 
     roots_of_p: tuple[float, ...]
-    q_coeffs: tuple[float, ...] = ()
-    q_nu: tuple[float, ...] = ()
-    rn: RnPolynomials | None = None
+    q_nu: tuple[float, ...]
+    rn: RnPolynomials
 
     def poles(self):
         return self.roots_of_p
 
     def q(self, x):
         """Numerator Q at x."""
-        x = np.asarray(x, dtype=float)
-        if self.rn is None:
-            return np.polynomial.polynomial.polyval(x, np.array(self.q_coeffs))
-        return self.rn.combination(self.q_nu, x)[0]
+        return self.rn.combination(self.q_nu, np.asarray(x, dtype=float))[0]
 
     def monomial_coeffs(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
         """Ascending coefficients of P and of Q (padded to deg P terms).
@@ -138,15 +133,12 @@ class RationalRule(ShrinkageFn):
         p = np.ones(1)
         for g in self.roots_of_p:
             p = np.convolve(p, [-g, 1.0])
-        if self.rn is None:
-            q = np.array(self.q_coeffs, dtype=float)
-        else:
-            # expand q_nu[0] nu + sum_j q_nu[j] nu_{-j} one factor at a time:
-            # q <- q nu_j + q_nu[j] (product of the factors so far)
-            q, prod = np.array(self.q_nu[:1]), np.ones(1)
-            for c, affine in zip(self.q_nu[1:], self.rn.affine):
-                q = np.convolve(q, affine) + np.append(c * prod, 0.0)
-                prod = np.convolve(prod, affine)
+        # expand q_nu[0] nu + sum_j q_nu[j] nu_{-j} one factor at a time:
+        # q <- q nu_j + q_nu[j] (product of the factors so far)
+        q, prod = np.array(self.q_nu[:1]), np.ones(1)
+        for c, affine in zip(self.q_nu[1:], self.rn.affine):
+            q = np.convolve(q, affine) + np.append(c * prod, 0.0)
+            prod = np.convolve(prod, affine)
         q = np.concatenate([q, np.zeros(max(0, p.size - 1 - q.size))])
         return tuple(p), tuple(q)
 
@@ -258,15 +250,27 @@ def _breakdown(bias_bulk: float, bias_spikes, variance: float) -> RiskBreakdown:
     return RiskBreakdown(float(bias_bulk), spikes, float(variance), total)
 
 
+#: a sample eigenvalue within this times the largest one of a declared
+#: pole of a rule takes the value 0, like one where the rule is not finite
+PINV_RTOL = 1e-10
+
+
 def eval_shrinkage(f: ShrinkageFn, x):
-    """f at sample eigenvalues x >= 0 under the pseudoinverse convention:
-    poles and overflows, where f is not finite, map to 0, so that direction
-    contributes nothing. The only place a rule's value is mapped."""
+    """f at sample eigenvalues x >= 0 under the pseudoinverse convention.
+
+    The only place a rule's value is mapped: where f is not finite (a
+    pole or an overflow), or x is within PINV_RTOL max(x) of one of its
+    poles, the value is 0, so that direction contributes nothing.
+    """
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise ValueError("shrinkage rules are defined on x >= 0")
     values = np.asarray(f(x), dtype=float)
-    return np.where(np.isfinite(values), values, 0.0)
+    keep = np.isfinite(values)
+    band = PINV_RTOL * float(x.max()) if x.size else 0.0
+    for pole in f.poles():
+        keep &= np.abs(x - pole) >= band
+    return np.where(keep, values, 0.0)
 
 
 def validate_rule(model: SpikedModel, f: ShrinkageFn

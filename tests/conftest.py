@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from spectral_distill import SpikedModel
+from spectral_distill import SpikedModel, spectra
+
+
+@pytest.fixture(autouse=True)
+def _fresh_grid_cache():
+    # every test builds its grids afresh, so the warnings a grid build
+    # raises show in each test that asks for it, whatever ran before
+    spectra._grid_cached.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -7,10 +7,11 @@ component with respect to F_alpha, the weight w, the target g, the basis
 h_j and the x w(x)-weighted inner product, evaluated pointwise with a
 support check; the isotropic optimum (ridge at lambda* = c sigma_eps^2 /
 r^2); the high-noise limit of the federated b0^(K) and the product-form
-limit of cross-matrix quadratic forms; a tabulated rule; and f(Sigma_hat)
-v for a finite sample. The program computes the same objects its own
-way (on the grid's points, in the factored nu basis, in the sample
-eigenbasis), and the tests check one against the other.
+limit of cross-matrix quadratic forms; a tabulated rule; a rational rule
+from monomial numerator coefficients; and f(Sigma_hat) v for a finite
+sample. The program computes the same objects its own way (on the grid's
+points, in the factored nu basis, in the sample eigenbasis), and the
+tests check one against the other.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from spectral_distill import measures
 from spectral_distill.errors import NumericalError
 from spectral_distill.federated import federated_b
 from spectral_distill.measures import _mu_all, _target_and_basis, _weight_w_unchecked
-from spectral_distill.montecarlo import SampleSpectrum, _apply_rule_values
-from spectral_distill.shrinkage import Ridge, ShrinkageFn, eval_shrinkage
+from spectral_distill.montecarlo import SampleSpectrum
+from spectral_distill.shrinkage import RationalRule, Ridge, ShrinkageFn, eval_shrinkage
 from spectral_distill.spectra import SpikedModel, get_grid, mp_support
 
 
@@ -245,6 +246,32 @@ class Tabulated(ShrinkageFn):
 
 
 # ---------------------------------------------------------------------------
+# a rational rule from monomial coefficients
+
+
+def monomial_rational_rule(roots_of_p, q_coeffs) -> RationalRule:
+    """Q/P for monic P with the given roots and Q = sum_i q_coeffs[i] x^i
+    of degree below len(roots_of_p).
+
+    Q is written in the nu basis of m = len(roots_of_p) - 1 factors
+    nu_j = x - j, j = 0..m-1 (nu_lead = 1): q_nu[0] is Q's x^m
+    coefficient, and Q - q_nu[0] nu vanishes at every node t_j, where
+    only nu_{-j} does not, so q_nu[j + 1] = Q(t_j) / nu_{-j}(t_j).
+    """
+    m = len(roots_of_p) - 1
+    if len(q_coeffs) > m + 1:
+        raise ValueError("Q must have a lower degree than P")
+    nodes = np.arange(float(m))
+    rn = measures.RnPolynomials(tuple((-t, 1.0) for t in nodes), tuple(nodes),
+                                (-1.0,) * m)
+    q_at = np.polynomial.polynomial.polyval(nodes, np.array(q_coeffs, dtype=float))
+    lead = float(q_coeffs[m]) if len(q_coeffs) > m else 0.0
+    rest = [q / math.prod(t - u for u in nodes if u != t)
+            for t, q in zip(nodes, q_at)]
+    return RationalRule(tuple(roots_of_p), (lead, *rest), rn)
+
+
+# ---------------------------------------------------------------------------
 # a rule applied to a vector in a finite sample
 
 
@@ -252,7 +279,7 @@ def apply_rule_to_vector(spectrum: SampleSpectrum, f: ShrinkageFn,
                          v: np.ndarray, X: np.ndarray) -> np.ndarray:
     """f(Sigma_hat) v, including the implicit zero-eigenvalue directions;
     X is the design the spectrum was formed from."""
-    vals = _apply_rule_values(f, spectrum.d)
+    vals = eval_shrinkage(f, spectrum.d)
     coords = spectrum.project(v, X)
     if spectrum.d.size < spectrum.p:
         f0 = float(eval_shrinkage(f, np.zeros(1))[0])

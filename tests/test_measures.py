@@ -62,9 +62,10 @@ def test_rn_polynomials_structure(fig1_model):
     xs = np.concatenate([np.linspace(a, b, 64), [0.0]])
     for j, (p, q) in enumerate(rn.affine):
         assert q < 0  # affine with negative slope
-        assert np.all(rn.nu_j(j, xs) > 0)
+        assert np.all(rn.scales[j] * (rn.xstars[j] - xs) > 0)
         xstar = sd.outlier_location(fig1_model, fig1_model.deltas[j])
-        assert rn.nu_j(j, xstar) == 0.0  # exact zero at its outlier
+        # nu_j's factor is exactly zero at its outlier
+        assert rn.scales[j] * (rn.xstars[j] - xstar) == 0.0
 
 
 def test_rn_combination_matches_products():

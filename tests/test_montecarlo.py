@@ -6,7 +6,8 @@ import pytest
 import spectral_distill as sd
 from spectral_distill import SDParams, SimConfig, SpikedModel
 
-from oracles import Tabulated, apply_rule_to_vector, isotropic_optimal
+from oracles import (Tabulated, apply_rule_to_vector, isotropic_optimal,
+                     monomial_rational_rule)
 
 
 @pytest.fixture(scope="module")
@@ -116,12 +117,24 @@ def test_fit_sd_degenerate_weights(small_case):
     assert np.allclose(got0, sp.lift(sd.fit_coords(sp, sd.Ridge(0.9)), X))
 
 
+def _rank_deficient_design():
+    # p <= n Gaussian design whose column 1 repeats column 0: eigh returns
+    # the null eigenvalue of X'X/n as round-off (7.5e-17 at this seed)
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((50, 20))
+    X[:, 1] = X[:, 0]
+    return X, rng.standard_normal(50)
+
+
 def test_pcr_full_rank_is_minnorm(small_case):
     model, cfg, X, y, beta0, V, sp = small_case
+    for design, response in ((X, y), _rank_deficient_design()):
+        spectrum = sd.decompose(sd.sample_gram(design, response))
+        k = min(design.shape)
+        pcr = spectrum.lift(sd.fit_coords(spectrum, ("pcr", k)), design)
+        mn = spectrum.lift(sd.fit_coords(spectrum, ("minnorm",)), design)
+        np.testing.assert_array_equal(pcr, mn)
     m = min(X.shape)
-    pcr = sp.lift(sd.fit_coords(sp, ("pcr", m)), X)
-    mn = sp.lift(sd.fit_coords(sp, ("minnorm",)), X)
-    assert np.allclose(pcr, mn)
     with pytest.raises(ValueError):
         sd.fit_coords(sp, ("pcr", m + 1))
     with pytest.raises(ValueError):
@@ -257,7 +270,7 @@ def test_rule_pole_at_a_sample_eigenvalue_drops_that_direction(small_case):
     model, cfg, X, y, beta0, V, sp = small_case
     k = sp.d.size // 2
     pole = sp.d[k]
-    got = sd.fit_coords(sp, sd.RationalRule((pole,), (1.0,)))
+    got = sd.fit_coords(sp, monomial_rational_rule((pole,), (1.0,)))
     assert got[k] == 0.0
     rest = np.arange(sp.d.size) != k
     np.testing.assert_allclose(got[rest], sp.z[rest] / (sp.d[rest] - pole),

@@ -8,7 +8,7 @@ import spectral_distill as sd
 from spectral_distill import SpikedModel, StructuralError
 from spectral_distill.cli import parse_model
 from conftest import many_spike_model, random_model
-from oracles import isotropic_optimal
+from oracles import isotropic_optimal, monomial_rational_rule
 
 
 def test_b0_closed_form(fig1_model):
@@ -163,7 +163,7 @@ def test_coprimality_examples(fig1_model):
     assert sd.coprimality_check(rule)
     # a reducible representation: (x + lam) / (x + lam)^2
     lam = 0.7
-    shared = sd.RationalRule(roots_of_p=(-lam, -lam), q_coeffs=(lam, 1.0))
+    shared = monomial_rational_rule((-lam, -lam), (lam, 1.0))
     assert not sd.coprimality_check(shared)
 
 
@@ -196,7 +196,7 @@ def test_optimality_over_random_rules(fig1_model):
             ])
             num = np.polynomial.polynomial.polyfromroots(
                 rng.uniform(-2, b, size=1))
-            f = sd.RationalRule(tuple(poles), tuple(num))
+            f = monomial_rational_rule(tuple(poles), tuple(num))
         try:
             total = sd.limiting_pred_risk(model, f).total
         except (sd.AssumptionError, sd.NumericalError):

@@ -10,7 +10,7 @@ import spectral_distill as sd
 from spectral_distill import AssumptionError, SDParams, SpikedModel
 
 from conftest import _reference_panels
-from oracles import Tabulated
+from oracles import Tabulated, monomial_rational_rule
 
 
 def sd_recursion_oracle(params, x):
@@ -155,7 +155,7 @@ def test_rule_pole_rejection(fig1_model):
         sd.limiting_pred_risk(fig1_model, sd.Ridge(-0.5 * (a + b)))
     mid = 0.5 * (a + b)
     with pytest.raises(AssumptionError):
-        sd.limiting_est_risk(fig1_model, sd.RationalRule((mid,), (1.0,)))
+        sd.limiting_est_risk(fig1_model, monomial_rational_rule((mid,), (1.0,)))
     xstar = sd.outlier_location(fig1_model, fig1_model.deltas[0])
     with pytest.raises(AssumptionError):
         sd.limiting_pred_risk(fig1_model, sd.Ridge(-xstar))
@@ -167,7 +167,7 @@ def test_rational_pole_evaluation_flagged():
     # a rule is its formula: at its pole the value is not finite, with no
     # warning; only eval_shrinkage, where a rule meets sample eigenvalues,
     # maps it to 0 by the pseudoinverse convention
-    f = sd.RationalRule((2.0,), (1.0,))  # pole at 2
+    f = monomial_rational_rule((2.0,), (1.0,))  # pole at 2
     x = np.array([1.0, 2.0, 3.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")

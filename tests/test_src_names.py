@@ -1,9 +1,11 @@
-"""Every public function and class of the package is used by the package.
+"""Every function, class and method of the package is used by the package.
 
 The package holds what the CLI runs. The paper's identities that only the
-tests use are the tests' references, in tests/oracles.py. So a public
-module-level function or class of a module that no module of the package
-references, by name or as an attribute, belongs there or nowhere.
+tests use are the tests' references, in tests/oracles.py. So a
+module-level function or class, public or private, or a method that no
+module of the package references, by name or as an attribute, belongs
+there or nowhere. Dunder methods are called by Python itself and are not
+checked.
 """
 
 import ast
@@ -13,14 +15,32 @@ import spectral_distill
 
 SRC = pathlib.Path(spectral_distill.__file__).parent
 
-# perfbench/spans.py wraps it to time the Monte Carlo risk layer
-ALLOWED = {"sigma_risk"}
+ALLOWED = {
+    # perfbench/spans.py wraps it to time the Monte Carlo risk layer
+    "sigma_risk",
+    # the README's library API for p-vectors: both take the design X from
+    # the caller, which the package itself never keeps
+    "SampleSpectrum.project",
+    "SampleSpectrum.lift",
+}
+
+
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
 
 
 def _defined(tree):
-    return {node.name for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and not node.name.startswith("_")}
+    """Module-level functions and classes, and 'Class.method' for each
+    method that is not a dunder."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        if isinstance(node, ast.ClassDef):
+            names.update(f"{node.name}.{item.name}" for item in node.body
+                         if isinstance(item, ast.FunctionDef)
+                         and not _is_dunder(item.name))
+    return names
 
 
 def _referenced(tree):
@@ -38,5 +58,6 @@ def test_every_public_name_in_src_is_used_in_src():
     used = set().union(*map(_referenced, trees.values()))
     unused = sorted(f"{module}.{name}" for module, tree in trees.items()
                     if module != "__init__"
-                    for name in _defined(tree) - used - ALLOWED)
+                    for name in _defined(tree) - ALLOWED
+                    if name.rsplit(".", 1)[-1] not in used)
     assert unused == []
