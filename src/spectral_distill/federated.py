@@ -23,8 +23,7 @@ import numpy as np
 
 from . import measures, optimal
 from .errors import AssumptionError
-from .shrinkage import (RationalRule, SDParams, ShrinkageFn, _moments, _xf_moments,
-                        validate_rule)
+from .shrinkage import RationalRule, SDParams, ShrinkageFn, validate_rule
 from .spectra import SpikedModel
 
 
@@ -75,14 +74,14 @@ def federated_optimum(model: SpikedModel, K: int) -> FederatedOptimum:
 
 def _rule_integrals(model: SpikedModel, f: ShrinkageFn):
     """(||f||_w^2, <g,f>_w, [<h_0,f>_w, ..., <h_s,f>_w]) for one rule."""
-    grid, values = validate_rule(model, f)
-    x = grid.support_points
+    checked = validate_rule(model, f)
+    x, values = checked.grid.support_points, checked.values
     s0sq = model.sigma0_sq
     # ||f||_w^2 = sigma0^2 r^2 int x^2 f^2 dF_alpha + c sigma0^2 se^2 int x f^2 dF_MP,
     # the latter being the variance moment of the risks
-    norm2 = s0sq * model.r**2 * grid.integrate(x**2 * values**2).alpha \
-        + model.c * s0sq * model.sigma_eps_sq * _moments(grid, f)[2]
-    t = _xf_moments(grid, f)  # <h_0,f>_w = int x f dF_MP, <h_j,f>_w = A_j
+    norm2 = s0sq * model.r**2 * checked.grid.integrate(x**2 * values**2).alpha \
+        + model.c * s0sq * model.sigma_eps_sq * checked.moments[2]
+    t = checked.xf  # <h_0,f>_w = int x f dF_MP, <h_j,f>_w = A_j
     gdot = s0sq * model.r**2 * measures.mixture_weights(model).omega0 * t[0]
     for j, (d, a) in enumerate(model.spikes):
         gdot += (d + s0sq) * a * a * t[j + 1]

@@ -6,9 +6,10 @@ their products nu, nu_{-j} turn every risk functional into polynomial
 algebra; mu_j and mu_0 are the densities of F_{delta_j} and F_MP with
 respect to F_alpha. On top of those sit the weight w, the target g and
 the basis h_j, evaluated here only at the grid's points (`_mu_all`,
-`_target_and_basis`), and the Gram matrix H of the x*w-weighted inner
-product. Their checked pointwise forms (`mu_j`, `weight_w`, `target_g`,
-`basis_h`, `inner_w`) are the tests' references, in `tests/oracles.py`.
+`_target_and_basis`; at an outlier, where mu_0 = 0, w needs no mu), and
+the Gram matrix H of the x*w-weighted inner product. Their checked
+pointwise forms (`mu_j`, `weight_w`, `target_g`, `basis_h`, `inner_w`)
+are the tests' references, in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -59,15 +60,16 @@ class RnPolynomials:
                 out = out * (sc * (xs - x))
         return out
 
-    def combination(self, coeffs, x):
+    def combination(self, coeffs, x, dcoeffs=None):
         """Value and slope of coeffs[0] nu(x) + sum_j coeffs[j] nu_{-j}(x)
-        (j = 1..s), for constant coeffs.
+        (j = 1..s).
 
         nu_{-j} is the product of the factors before j times those after
         it, so running products give every term in O(s) array products,
         and the product rule on the same running products gives the
-        slope. A Python float x is evaluated in floats, without numpy
-        overhead.
+        slope. dcoeffs, the slopes of coefficients that vary with x, add
+        their own combination to the slope. A Python float x is evaluated
+        in floats, without numpy overhead.
         """
         if not isinstance(x, float):
             x = np.asarray(x, dtype=float)
@@ -78,13 +80,17 @@ class RnPolynomials:
             dbefore.append(dbefore[-1] * f - before[-1] * sc)
             before.append(before[-1] * f)
         out, slope = coeffs[0] * before[-1], coeffs[0] * dbefore[-1]
+        extra = 0.0 if dcoeffs is None else dcoeffs[0] * before[-1]
         after, dafter = 1.0, 0.0
         for j in range(len(factors) - 1, -1, -1):
-            out = out + coeffs[j + 1] * (before[j] * after)
+            minus = before[j] * after
+            out = out + coeffs[j + 1] * minus
             slope = slope + coeffs[j + 1] * (dbefore[j] * after + before[j] * dafter)
+            if dcoeffs is not None:
+                extra = extra + dcoeffs[j + 1] * minus
             dafter = dafter * factors[j] - after * self.scales[j]
             after = after * factors[j]
-        return out, slope
+        return out, slope if dcoeffs is None else slope + extra
 
 
 @lru_cache(maxsize=128)
@@ -111,11 +117,6 @@ def _mu_all(model: SpikedModel, x) -> np.ndarray:
     for j in range(model.s):
         out[j + 1] = minus[j] / denom
     return out
-
-
-def _weight_w_unchecked(model: SpikedModel, x):
-    x = np.asarray(x, dtype=float)
-    return _weight(model, x, _mu_all(model, x)[0])
 
 
 def _weight(model: SpikedModel, x, mu0):
@@ -161,7 +162,8 @@ def gram_system(model: SpikedModel) -> GramSystem:
     for i, w in enumerate((grid.w_mp, *grid.w_delta)):
         H[i, :] = integrand @ w[:x.size]
     # Atom terms: only the outlier atoms contribute (x factor kills the
-    # zero atom; F_MP has no outliers), and mu_j(x_i*) = 1[i=j]/omega_i.
+    # zero atom; F_MP has no outliers), and mu_j(x_i*) = 1[i=j]/omega_i:
+    # nu_i(x_i*) = 0 makes nu, and so mu_0 = nu / (omega0 nu + ...), exactly 0.
     wmix = mixture_weights(model)
     for j in range(1, s + 1):
         k = grid.outlier_index.get(j - 1)
@@ -169,8 +171,7 @@ def gram_system(model: SpikedModel) -> GramSystem:
             continue
         xs = grid.support_points[k]
         mass = grid.w_delta[j - 1][k]
-        w_at = float(_weight_w_unchecked(model, np.array([xs]))[0])
-        H[j, j] += mass * xs * (1.0 / wmix.omegas[j - 1]) / w_at
+        H[j, j] += mass * xs * (1.0 / wmix.omegas[j - 1]) / _weight(model, xs, 0.0)
     H = 0.5 * (H + H.T)  # symmetrize away quadrature roundoff
     if not np.all(np.isfinite(H)):
         raise NumericalError("Gram matrix assembly produced non-finite entries")

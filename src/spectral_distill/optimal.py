@@ -30,8 +30,7 @@ import numpy as np
 
 from . import measures
 from .errors import AssumptionError, NumericalError, StructuralError
-from .shrinkage import (RationalRule, SDChain, SDParams, _xf_moments,
-                        validate_rule)
+from .shrinkage import RationalRule, SDChain, SDParams, validate_rule
 # get_grid stays bound here for perfbench's tracer, which wraps each binding
 from .spectra import SpikedModel, bracketed_newton, get_grid  # noqa: F401
 
@@ -155,9 +154,8 @@ def denominator_roots(model: SpikedModel) -> tuple[float, ...]:
     a = [model.r**2 * om / lead for om in w.omegas]
 
     def pv(x: float) -> tuple[float, float]:
-        val, slope = rn.combination((a0 * x + noise, *(aj * x for aj in a)), x)
-        # the coefficients vary with x too: add a0 nu + sum_j a_j nu_{-j}
-        return val, slope + rn.combination((a0, *a), x)[0]
+        # the coefficients vary with x, with slopes (a0, a_1, ..., a_s)
+        return rn.combination((a0 * x + noise, *(aj * x for aj in a)), x, (a0, *a))
 
     def root(lo, hi, flo):
         return bracketed_newton(pv, lo, hi, 0.5 * (lo + hi), rising=flo < 0.0)
@@ -218,9 +216,9 @@ def _factored_rule(model: SpikedModel, q_nu, s0sq: float,
 
 def fixed_point_residual(model: SpikedModel, rule: RationalRule) -> float:
     """max over the grid of |A f* - g| for A f = f + sum_j d_j a_j^2 <f,h_j> h_j."""
-    grid, resid = validate_rule(model, rule)
-    g, h = measures._target_and_basis(model, grid.support_points)
-    A = _xf_moments(grid, rule)[1:]
+    checked = validate_rule(model, rule)
+    g, h = measures._target_and_basis(model, checked.grid.support_points)
+    resid, A = checked.values, checked.xf[1:]
     for j, (d, al) in enumerate(model.spikes):
         resid = resid + d * al * al * A[j] * h[j + 1]
     return float(np.max(np.abs(resid - g)))
@@ -228,7 +226,7 @@ def fixed_point_residual(model: SpikedModel, rule: RationalRule) -> float:
 
 def inner_products_with_basis(model: SpikedModel, rule) -> np.ndarray:
     """A_j = <rule, h_j>_w = int x rule dF_{delta_j}, j = 1..s; read-only."""
-    return _xf_moments(validate_rule(model, rule)[0], rule)[1:]
+    return validate_rule(model, rule).xf[1:]
 
 
 def optimal_pred_rule(model: SpikedModel) -> tuple[RationalRule, OptimalCoefficients]:
@@ -340,5 +338,6 @@ def sd_round_trip_error(model: SpikedModel, rule: RationalRule,
                         params: SDParams) -> float:
     """sup over grid and atoms of |SDChain(params) - rule|, the rule's
     values being those `validate_rule` holds."""
-    grid, values = validate_rule(model, rule)
-    return float(np.max(np.abs(SDChain(params)(grid.support_points) - values)))
+    checked = validate_rule(model, rule)
+    return float(np.max(np.abs(SDChain(params)(checked.grid.support_points)
+                               - checked.values)))

@@ -12,10 +12,10 @@ RationalRule, the one rational type
 is Q/P with P given by its roots and Q in a factored nu basis; the
 optimal rules of `optimal` use the nu basis of their model.
 
-A rule meets a model in `validate_rule`, which checks it and evaluates it
-once on all the points of the model's grid, bulk nodes and atoms alike.
-Each limiting risk assembles three moments of those values, all from
-`SpectralGrid.integrate`:
+A rule meets a model in `validate_rule`, which checks its poles and
+evaluates it once on all the points of the model's grid, bulk nodes and
+atoms alike. Each limiting risk assembles three moments of those values,
+all from `SpectralGrid.integrate`:
 
     pred:  sigma0^2 r^2 int (1-xf)^2 dF_alpha
            + sum_j delta_j alpha_j^2 (int (1-xf) dF_{delta_j})^2
@@ -23,17 +23,17 @@ Each limiting risk assembles three moments of those values, all from
     est:   r^2 int (1-xf)^2 dF_alpha + c sigma_eps^2 int x f^2 dF_MP
 
 The inner products of `optimal` and `federated` need one more pass,
-int x f against F_MP and each F_{delta_j} (`_xf_moments`). Values, risk
-moments and that pass are each cached per (grid object, rule), so the
-risks, inner products and self-checks of one rule share one evaluation
-and integrate each integrand once; see `validate_rule`.
+int x f against F_MP and each F_{delta_j}. One cached `RuleOnGrid` per
+(grid object, rule) holds the values, and the moments and that pass once
+read, so the risks, inner products and self-checks of one rule share one
+check and evaluation and integrate each integrand once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -273,39 +273,63 @@ def eval_shrinkage(f: ShrinkageFn, x):
     return np.where(keep, values, 0.0)
 
 
-def validate_rule(model: SpikedModel, f: ShrinkageFn
-                  ) -> tuple[SpectralGrid, np.ndarray]:
+@dataclass(frozen=True, eq=False)
+class RuleOnGrid:
+    """A rule checked against a model: its read-only values at
+    `grid.support_points`, and their risk moments and x f pass, each
+    computed on first read and kept."""
+
+    grid: SpectralGrid
+    values: np.ndarray
+
+    @cached_property
+    def moments(self):
+        """Risk moments; the federated norm reads int x f^2 dF_MP too."""
+        return _rule_moments(self.grid, self.values)
+
+    @cached_property
+    def xf(self) -> np.ndarray:
+        """[int x f dF_MP, int x f dF_{delta_1}, ..., int x f dF_{delta_s}],
+        read-only; kept apart from `moments`, so that an op printing no
+        risk does not integrate those."""
+        xf = self.grid.integrate(self.grid.support_points * self.values)
+        out = np.concatenate([[xf.mp], xf.delta])
+        out.setflags(write=False)
+        return out
+
+
+def validate_rule(model: SpikedModel, f: ShrinkageFn) -> RuleOnGrid:
     """Check a rule against a model and evaluate it once on the model's grid.
 
     The grid's panels are split at the rule's breakpoints inside the
     bulk. A declared pole on the limiting support raises AssumptionError;
     a value that is not finite (an undeclared pole, or an overflow) raises
-    NumericalError, on every call: no convention maps it. Returns (grid, f at
-    grid.support_points), the values a read-only array from a small cache
-    keyed on the grid object and f, never on the model: a grid rebuilt
-    after `_grid_cached` is cleared, or from other panels, is evaluated
-    afresh. Equal package rules (frozen dataclasses) share an entry; other
-    ShrinkageFn classes hash by identity and must not change once called.
+    NumericalError, on every call: no convention maps it. Returns the
+    rule's `RuleOnGrid` from a small cache keyed on the grid object and f,
+    never on the model: a grid rebuilt after `_grid_cached` is cleared, or
+    from other panels, is checked and evaluated afresh. Equal package
+    rules (frozen dataclasses) share an entry; other ShrinkageFn classes
+    hash by identity and must not change once called.
     """
     a, b = mp_support(model)
     breaks = tuple(v for v in f.breakpoints if a < v < b)
-    grid = get_grid(model, breaks=breaks)
-    for p in f.poles():
-        if grid.on_support(np.array([p]))[0]:
-            raise AssumptionError(
-                f"rule has a pole at {p}, inside the limiting support; "
-                "shrinkage rules must be finite near the bulk and atoms"
-            )
-    return grid, _evaluate(grid, f)
+    return _check_and_evaluate(get_grid(model, breaks=breaks), f)
 
 
 @lru_cache(maxsize=16)
-def _evaluate(grid: SpectralGrid, f: ShrinkageFn) -> np.ndarray:
+def _check_and_evaluate(grid: SpectralGrid, f: ShrinkageFn) -> RuleOnGrid:
+    poles = np.asarray(f.poles(), dtype=float)
+    inside = grid.on_support(poles)
+    if np.any(inside):
+        raise AssumptionError(
+            f"rule has a pole at {float(poles[inside][0])}, inside the limiting "
+            "support; shrinkage rules must be finite near the bulk and atoms"
+        )
     values = np.asarray(f(grid.support_points))
     if not np.all(np.isfinite(values)):
         raise NumericalError("rule is not finite on the limiting support")
     values.setflags(write=False)
-    return values
+    return RuleOnGrid(grid, values)
 
 
 def _rule_moments(grid: SpectralGrid, f):
@@ -320,28 +344,6 @@ def _rule_moments(grid: SpectralGrid, f):
         resid = 1.0 - x * f
         return (grid.integrate(resid**2).alpha, grid.integrate(resid).delta,
                 grid.integrate(x * f**2).mp)
-
-
-@lru_cache(maxsize=16)
-def _moments(grid: SpectralGrid, f: ShrinkageFn):
-    """Risk moments of a rule validated on grid, shared by both risks and
-    by the federated norm, which reads int x f^2 dF_MP from them."""
-    return _rule_moments(grid, _evaluate(grid, f))
-
-
-@lru_cache(maxsize=16)
-def _xf_moments(grid: SpectralGrid, f: ShrinkageFn) -> np.ndarray:
-    """[int x f dF_MP, int x f dF_{delta_1}, ..., int x f dF_{delta_s}] of a
-    rule validated on grid, read-only.
-
-    The optimality inner products A_j, the fixed-point residual and the
-    federated expansion read this one pass. It stays apart from `_moments`
-    so that an op printing no risk does not pay for them.
-    """
-    xf = grid.integrate(grid.support_points * _evaluate(grid, f))
-    out = np.concatenate([[xf.mp], xf.delta])
-    out.setflags(write=False)
-    return out
 
 
 def _risk_terms(model: SpikedModel, moments, kind: str):
@@ -363,14 +365,12 @@ def _risk_terms(model: SpikedModel, moments, kind: str):
 
 def limiting_pred_risk(model: SpikedModel, f: ShrinkageFn) -> RiskBreakdown:
     """Limiting out-of-sample prediction risk of the rule's estimator."""
-    moments = _moments(validate_rule(model, f)[0], f)
-    return _breakdown(*_risk_terms(model, moments, "pred"))
+    return _breakdown(*_risk_terms(model, validate_rule(model, f).moments, "pred"))
 
 
 def limiting_est_risk(model: SpikedModel, f: ShrinkageFn) -> RiskBreakdown:
     """Limiting estimation (l2) risk; no per-spike squared bias terms."""
-    moments = _moments(validate_rule(model, f)[0], f)
-    return _breakdown(*_risk_terms(model, moments, "est"))
+    return _breakdown(*_risk_terms(model, validate_rule(model, f).moments, "est"))
 
 
 def ridge_risk_curve(model: SpikedModel, lambdas, kind: str = "pred") -> np.ndarray:

@@ -24,7 +24,7 @@ import numpy as np
 from spectral_distill import measures
 from spectral_distill.errors import NumericalError
 from spectral_distill.federated import federated_b
-from spectral_distill.measures import _mu_all, _target_and_basis, _weight_w_unchecked
+from spectral_distill.measures import _mu_all, _target_and_basis, _weight
 from spectral_distill.montecarlo import SampleSpectrum
 from spectral_distill.shrinkage import RationalRule, Ridge, ShrinkageFn, eval_shrinkage
 from spectral_distill.spectra import SpikedModel, get_grid, mp_support
@@ -122,6 +122,11 @@ def mu_j(model: SpikedModel, j: int, x):
     scalar = np.isscalar(x)
     vals = _mu_all(model, np.atleast_1d(np.asarray(x, dtype=float)))[j]
     return float(vals[0]) if scalar else vals
+
+
+def _weight_w_unchecked(model: SpikedModel, x):
+    x = np.asarray(x, dtype=float)
+    return _weight(model, x, _mu_all(model, x)[0])
 
 
 def weight_w(model: SpikedModel, x):

@@ -324,6 +324,37 @@ def test_closed_form_op_evaluates_optimal_rule_once(tmp_path, monkeypatch,
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("command,block", [
+    ("optimal", "optimal"), ("sd-params", "sd_params"), ("federated", "federated")])
+def test_closed_form_op_scans_poles_once_per_rule(tmp_path, monkeypatch,
+                                                  command, block):
+    # every validate_rule call on an equal rule and the same grid object
+    # reuses one check: the poles meet the support once per (grid, rule).
+    # No grid cache is cleared during an op, so a (model, rule) pair
+    # names one grid.
+    from spectral_distill import federated, optimal
+
+    scans, checked = [], set()
+    on_support = spectra.SpectralGrid.on_support
+    validate = shrinkage.validate_rule
+
+    def counting_scan(self, x):
+        scans.append(np.size(x))
+        return on_support(self, x)
+
+    def recording(model, f):
+        checked.add((model, f))
+        return validate(model, f)
+
+    monkeypatch.setattr(spectra.SpectralGrid, "on_support", counting_scan)
+    for module in (shrinkage, optimal, federated):
+        monkeypatch.setattr(module, "validate_rule", recording)
+    cfg = write_cfg(tmp_path, {"model": FIG1_MODEL,
+                               block: {"K": 3} if command == "federated" else {}})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert len(scans) == len(checked) >= 1
+
+
 @pytest.mark.parametrize("command,block,integrals", [
     ("optimal", "optimal", 4), ("sd-params", "sd_params", 1),
     ("federated", "federated", 5)])

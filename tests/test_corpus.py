@@ -106,6 +106,21 @@ def test_corpus_output(tmp_path, name):
     assert not bad, "\n".join(bad[:20])
 
 
+@pytest.mark.parametrize("name", [name for name in CASES if name.split("__")[0]
+                                  in ("optimal", "sd-params", "federated", "risk")])
+def test_warm_caches_change_no_byte(tmp_path, name):
+    # the second run reads the grids, rule checks and cached integrals of
+    # the first one
+    command = name.split("__")[0]
+    outs = []
+    for run in range(2):
+        out = tmp_path / f"out{run}"
+        assert main([command, "--config", str(CORPUS / f"{name}.json"),
+                     "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
 def test_corpus_is_complete():
     assert len(CASES) >= 70
     for name in CASES:

@@ -1,17 +1,23 @@
 import functools
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
 import spectral_distill as sd
 from spectral_distill import SpikedModel
+from spectral_distill.cli import parse_model
 from spectral_distill.measures import _mu_all
 
 from conftest import random_model
 from oracles import Tabulated, basis_h, inner_w, mu_j, target_g, weight_w
 
 ONE = lambda x: np.ones_like(x)
+CORPUS = pathlib.Path(__file__).parent / "corpus"
+CLOSED_FORM_CONFIGS = sorted(p for command in ("optimal", "sd-params", "federated")
+                             for p in CORPUS.glob(f"{command}__*.json"))
 
 
 def test_mixture_weights_examples(fig1_model):
@@ -96,6 +102,28 @@ def test_rn_combination_matches_products():
     assert np.array_equal(as_floats, np.stack([values, slopes], axis=1))
     # one table per model
     assert sd.rn_polynomials(model) is rn
+
+
+@pytest.mark.parametrize("path", CLOSED_FORM_CONFIGS, ids=lambda p: p.stem)
+def test_rn_combination_with_coefficient_slopes_is_two_calls(path):
+    # denominator_roots takes P and P' from one pass: its coefficients
+    # a0 x + noise and a_j x vary with x, with slopes a0 and a_j. The one
+    # pass must give the bits of the value and slope of one call plus the
+    # value of a second call on the slopes.
+    model = parse_model(json.loads(path.read_text())["model"])
+    rn = sd.rn_polynomials(model)
+    w = sd.mixture_weights(model)
+    lead = model.r**2 * w.omega0 * rn.nu_lead
+    slopes = (model.r**2 * w.omega0 / lead, *(model.r**2 * om / lead for om in w.omegas))
+    noise = model.c * model.sigma_eps_sq / lead
+    rng = np.random.default_rng(0)
+    top = 2.0 * max([model.sigma0_sq, *rn.xstars])
+    for x in [0.0, *rn.xstars, *rng.uniform(-top, top, size=16).tolist()]:
+        coeffs = (slopes[0] * x + noise, *(aj * x for aj in slopes[1:]))
+        value, slope = rn.combination(coeffs, x)
+        want = (value, slope + rn.combination(slopes, x)[0])
+        got = rn.combination(coeffs, x, slopes)
+        assert [v.hex() for v in got] == [v.hex() for v in want], x
 
 
 def test_mu_partition_of_unity(fig1_model):

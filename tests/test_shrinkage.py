@@ -302,19 +302,20 @@ def test_validate_rule_evaluates_a_rebuilt_grid(fig4_model, monkeypatch):
     # values are cached per grid object, so a grid rebuilt from other
     # panels is evaluated afresh and never served the older grid's values
     rule = sd.optimal_pred_rule(fig4_model)[0]
-    grid, values = sd.shrinkage.validate_rule(fig4_model, rule)
-    assert not values.flags.writeable
+    checked = sd.shrinkage.validate_rule(fig4_model, rule)
+    grid = checked.grid
+    assert not checked.values.flags.writeable
     a, b = sd.mp_support(fig4_model)
     with monkeypatch.context() as patch:
         patch.setattr(sd.spectra, "_theta_panels", _reference_panels)
         sd.spectra._grid_cached.cache_clear()
-        ref_grid, ref_values = sd.shrinkage.validate_rule(fig4_model, rule)
+        ref = sd.shrinkage.validate_rule(fig4_model, rule)
     n_ref = _reference_panels(a, b, ())[0].size
-    assert ref_grid is not grid and n_ref != grid.x.size
-    assert ref_grid.x.size == n_ref
-    assert np.array_equal(ref_values, rule(ref_grid.support_points))
+    assert ref.grid is not grid and n_ref != grid.x.size
+    assert ref.grid.x.size == n_ref
+    assert np.array_equal(ref.values, rule(ref.grid.support_points))
     sd.spectra._grid_cached.cache_clear()
-    assert (sd.shrinkage.validate_rule(fig4_model, rule)[1].size
+    assert (sd.shrinkage.validate_rule(fig4_model, rule).values.size
             == grid.support_points.size)
 
 
