@@ -162,6 +162,7 @@ def _rule(value, where) -> dict:
 
 
 _DIM = _count(MAX_DIM, least=1)
+# montecarlo.SimConfig's fields besides the model
 _SIM = {"n": _DIM, "p": _DIM, "seed": _integer,
         "n_replicates": _count(MAX_REPLICATES), "entry_dist?": _string,
         "student_df?": _number}
@@ -394,87 +395,51 @@ def cmd_federated(model, block, tag):
     return _json_dump(payload) + "\n"
 
 
-def _label_number(label: str, field: str, text: str, kind):
-    """`kind(text)`, or a ConfigError naming the estimator label and field."""
-    try:
-        return kind(text)
-    except ValueError:
-        what = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{label}: {field} = '{text}' is not {what}") from None
+# the fields of each estimator label as (name, type); see montecarlo.ESTIMATORS
+LABELS = {"ridge": (("lambda", float),), "ridge_tuned": (), "sd_optimal": (),
+          "pcr": (("m", int),), "minnorm": (), "gd": (("eta", float), ("steps", int))}
 
 
-def _parse_estimator(label: str, model, p: int, n: int):
-    """Estimator spec strings for simulate/sweep.
-
-    ridge:<lam> | ridge_tuned | sd_optimal | pcr:<m> | minnorm |
-    gd:<eta>:<steps>
-    """
-    parts = label.split(":")
-    kind = parts[0]
-    if kind == "ridge" and len(parts) == 2:
-        lam = _label_number(label, "lambda", parts[1], float)
-        est = shrinkage.Ridge(lam)
-        return est, shrinkage.limiting_pred_risk(model, est).total
-    if kind == "ridge_tuned" and len(parts) == 1:
-        lam, total = shrinkage.best_ridge(model)
-        return shrinkage.Ridge(lam), total
-    if kind == "sd_optimal" and len(parts) == 1:
-        rule, _ = optimal.optimal_pred_rule(model)
-        params = optimal.synthesize_sd_params(rule)
-        total = shrinkage.limiting_pred_risk(model, rule).total
-        return params, total
-    if kind == "pcr" and len(parts) == 2:
-        m = _label_number(label, "m", parts[1], int)
-        if not 1 <= m <= min(n, p):
-            raise ConfigError(f"{label}: m must be in 1..min(n, p) = {min(n, p)}")
-        s_plus = int(np.sum(model.deltas > model.bbp_threshold))
-        if m == min(n, p) or m / p >= min(1.0, 1.0 / model.c):
-            # retains every nonzero direction, or a fraction at or past the
-            # bulk's whole mass, where the cut falls to a: the min-norm
-            # interpolator
-            target = shrinkage.limiting_pred_risk(
-                model, shrinkage.min_norm_rule(model)).total
-        elif m <= s_plus:
-            target = shrinkage.pcr_component_limit_risk(model, m).total
-        else:
-            target = shrinkage.pcr_sharp_pred_risk(model, m / p).total
-        return ("pcr", m), target
-    if kind == "minnorm" and len(parts) == 1:
-        target = shrinkage.limiting_pred_risk(
-            model, shrinkage.min_norm_rule(model)).total
-        return ("minnorm",), target
-    if kind == "gd" and len(parts) == 3:
-        eta = _label_number(label, "eta", parts[1], float)
-        steps = _label_number(label, "steps", parts[2], int)
-        est = shrinkage.GDPoly(eta, steps)
-        return est, shrinkage.limiting_pred_risk(model, est).total
-    raise ConfigError(f"unrecognized estimator spec '{label}'")
+def _parse_estimator(label: str, n: int, p: int):
+    """The kind and arguments of a simulate/sweep estimator label: ridge:<lam>
+    | ridge_tuned | sd_optimal | pcr:<m> | minnorm | gd:<eta>:<steps>."""
+    kind, *texts = label.split(":")
+    fields = LABELS.get(kind)
+    if fields is None or len(texts) != len(fields):
+        raise ConfigError(f"unrecognized estimator spec '{label}'")
+    args = []
+    for (name, type_), text in zip(fields, texts):
+        try:
+            args.append(type_(text))
+        except ValueError:
+            what = "an integer" if type_ is int else "a number"
+            raise ConfigError(f"{label}: {name} = '{text}' is not {what}") from None
+    if kind == "pcr" and not 1 <= args[0] <= min(n, p):
+        raise ConfigError(f"{label}: m must be in 1..min(n, p) = {min(n, p)}")
+    return kind, args
 
 
 def _estimate(model, labels, sim):
     """The limiting risk of each estimator in `labels` and, given a
     simulate block or a sweep's sim block, its harness reports on that
     block's data (else an empty dict)."""
+    # first, so that a setting with p/n != c is refused before any limit
+    cfg = None if sim is None else montecarlo.SimConfig(
+        model, **{key: v for key, v in sim.items() if key != "estimators"})
+    n, p = (0, 0) if cfg is None else (cfg.n, cfg.p)
     ests, targets = {}, {}
     for label in labels:
         if label in ests:  # reports are keyed by label
             raise ConfigError(f"estimator '{label}' is listed twice")
-        if sim is None and label.startswith("pcr:"):
+        if cfg is None and label.startswith("pcr:"):
             raise ConfigError(
                 "pcr:<m> estimators need a sweep.sim block to fix p and n"
             )
-        ests[label], targets[label] = _parse_estimator(
-            label, model, sim["p"] if sim else 0, sim["n"] if sim else 0)
-    if sim is None:
+        kind, args = _parse_estimator(label, n, p)
+        ests[label], targets[label] = montecarlo.ESTIMATORS[kind](
+            model, n, p, *args)
+    if cfg is None or not ests:  # no estimator draws no data
         return targets, {}
-    # after the estimators, so that a refused one is reported without the
-    # p/n warning of a setting that is never run
-    cfg = montecarlo.SimConfig(
-        model, sim["n"], sim["p"], sim["seed"],
-        entry_dist=sim.get("entry_dist", "gaussian"),
-        n_replicates=sim["n_replicates"],
-        student_df=sim.get("student_df", 10.0),
-    )
     return targets, montecarlo.harness_suite(cfg, ests, targets)
 
 

@@ -92,6 +92,18 @@ class RnPolynomials:
             after = after * factors[j]
         return out, slope if dcoeffs is None else slope + extra
 
+    def value(self, coeffs, x: np.ndarray) -> np.ndarray:
+        """`combination`'s value at an array x, bit for bit, without slope."""
+        factors = [sc * (xs - x) for sc, xs in zip(self.scales, self.xstars)]
+        before = [np.ones_like(x)]
+        for f in factors:
+            before.append(before[-1] * f)
+        out, after = coeffs[0] * before[-1], 1.0
+        for j in range(len(factors) - 1, -1, -1):
+            out = out + coeffs[j + 1] * (before[j] * after)
+            after = after * factors[j]
+        return out
+
 
 @lru_cache(maxsize=128)
 def rn_polynomials(model: SpikedModel) -> RnPolynomials:

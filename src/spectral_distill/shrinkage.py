@@ -122,7 +122,7 @@ class RationalRule(ShrinkageFn):
 
     def q(self, x):
         """Numerator Q at x."""
-        return self.rn.combination(self.q_nu, np.asarray(x, dtype=float))[0]
+        return self.rn.value(self.q_nu, np.asarray(x, dtype=float))
 
     def monomial_coeffs(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
         """Ascending coefficients of P and of Q (padded to deg P terms).

@@ -310,9 +310,11 @@ def test_criterion_08_monte_carlo_convergence(fig4_model):
 
 
 def test_criterion_09_product_form_monte_carlo():
+    # the limit is taken at the simulated c = p/n = 800/533, not at 1.5;
+    # gen_data does not read c, so the draws are those drawn at c = 1.5
     p = 800
-    c = 1.5
-    n = int(round(p / c))
+    n = int(round(p / 1.5))
+    c = p / n
     model = SpikedModel(1.0, c, ((4.0, 1.2),), 2.0, 1.0)
     cfg = SimConfig(model, n=n, p=p, seed=909, n_replicates=20)
     rules = [sd.Ridge(0.5), sd.Ridge(2.0)]

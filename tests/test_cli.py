@@ -642,13 +642,13 @@ def _refusal(tmp_path, kind):
         config = {"model": FIG1_MODEL, "risk": {"rules": [{"kind": "ridge",
                   "lambdas": {"min": INF, "max": 1.0, "num": 3}}]}}
         return "risk", config, [], 2
-    if kind == "simulate-huge-c":
-        # the bulk sits near c = 1.2e21, where gd:0.05:100 diverges; its
-        # pcr:<m> labels, with m/p past the bulk mass 1/c, take the
-        # min-norm target
-        config = json.loads((CORPUS / "simulate__readme-sim.json").read_text())
+    if kind in ("simulate-huge-c", "sweep-huge-c"):
+        # data drawn at p/n = 2 are no sample of a model with c = 2^70; the
+        # sweep once printed a pcr:2 limit of 15.56 beside a mean of 4.36
+        command = kind.split("-")[0]
+        config = json.loads((CORPUS / f"{command}__readme-sim.json").read_text())
         config["model"]["c"] = 2**70
-        return "simulate", config, [], 4
+        return command, config, [], 2
     if kind == "gd-huge-eta":
         rule = {"kind": "gd", "etas": [1e300], "steps": [10]}
         return "risk", {"model": FIG1_MODEL, "risk": {"rules": [rule]}}, [], 4
@@ -667,8 +667,9 @@ def _refusal(tmp_path, kind):
 
 
 @pytest.mark.parametrize("kind", ["infinite-grid-bound", "simulate-huge-c",
-                                  "missing-directory", "gd-huge-eta",
-                                  "sd-huge-xi", "gd-diverges-at-outlier"])
+                                  "sweep-huge-c", "missing-directory",
+                                  "gd-huge-eta", "sd-huge-xi",
+                                  "gd-diverges-at-outlier"])
 def test_refused_input_prints_one_line_in_a_fresh_process(tmp_path, kind):
     # warnings are shown in a fresh process, unlike under pytest
     command, config, extra, code = _refusal(tmp_path, kind)
@@ -872,29 +873,79 @@ def test_pcr_outside_one_to_min_n_p_is_refused_before_any_draw(
 
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
 def test_pcr_past_the_bulk_mass_takes_the_min_norm_target(tmp_path, command):
-    # c = 2 leaves the bulk a mass 1/c = 0.5. At p = 150, pcr:79 keeps a
-    # fraction 79/150 > 0.5, past the whole bulk, where the cut falls to a:
-    # its limit is the min-norm interpolator's. It once exited 2 with a
-    # message about a tau field that the config does not have. pcr:74
-    # (74/150 < 0.5) keeps its sharp-cut target.
-    sizes = {"n": 80, "p": 150, "seed": 1, "n_replicates": 1}
-    labels = ["pcr:79", "pcr:74", "minnorm"]
+    # c = p/n = 2 leaves the bulk a mass 1/c = 0.5. At n = 80, p = 160,
+    # pcr:80 keeps every nonzero direction, the bulk's whole mass, and its
+    # limit is the min-norm interpolator's; pcr:79 (79/160 < 0.5) takes
+    # the sharp cut at 79/160.
+    sizes = {"n": 80, "p": 160, "seed": 1, "n_replicates": 1}
+    labels = ["pcr:80", "pcr:79", "minnorm"]
     block = ({**sizes, "estimators": labels} if command == "simulate" else
              {"parameter": "sigma_eps_sq", "values": [4.0],
               "estimators": labels, "sim": sizes})
     out = tmp_path / "out.csv"
     cfg = write_cfg(tmp_path, {"model": README_MODEL, command: block})
-    with pytest.warns(UserWarning, match="p/n"):  # 150/80 is not c
-        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    assert main([command, "--config", cfg, "--out", str(out)]) == 0
     _, header, rows = read_csv(out)
     if command == "simulate":
         limit = {row[0]: row[header.index("limit")] for row in rows}
     else:
         limit = {label: rows[0][header.index(f"{label}_limit")] for label in labels}
-    assert limit["pcr:79"] == limit["minnorm"]
+    assert limit["pcr:80"] == limit["minnorm"]
     model = cli.parse_model(README_MODEL)
-    sharp = shrinkage.pcr_sharp_pred_risk(model, 74 / 150).total
-    assert float(limit["pcr:74"]) == sharp
+    sharp = shrinkage.pcr_sharp_pred_risk(model, 79 / 160).total
+    assert float(limit["pcr:79"]) == sharp
+
+
+def _sim_block(command, sizes, labels):
+    if command == "simulate":
+        return {**sizes, "estimators": labels}
+    return {"parameter": "sigma_eps_sq", "values": [1.0, 4.0, 9.0],
+            "estimators": labels, "sim": sizes}
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_p_over_n_not_c_is_refused_before_any_limit_or_draw(
+        tmp_path, capsys, monkeypatch, command):
+    # the limits hold at c = p/n: a mean drawn at 150/80 was once printed
+    # beside a limit taken at c = 2, after only a warning
+    monkeypatch.setattr(cli.montecarlo, "gen_data", _refuse("gen_data"))
+    for kind in cli.montecarlo.ESTIMATORS:
+        monkeypatch.setitem(cli.montecarlo.ESTIMATORS, kind, _refuse(kind))
+    sizes = {"n": 80, "p": 150, "seed": 1, "n_replicates": 2}
+    block = _sim_block(command, sizes, ["ridge:1", "pcr:79", "minnorm"])
+    cfg = write_cfg(tmp_path, {"model": README_MODEL, command: block})
+    assert main([command, "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: p/n = 150/80 = 1.875 ")
+    assert "c = 2.0" in captured.err and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_no_estimator_draws_no_data(tmp_path, capsys, monkeypatch, command):
+    # without an estimator the output is the header alone: drawing and
+    # decomposing every replicate for it once took over a second
+    calls = []
+    gen_data = cli.montecarlo.gen_data
+    monkeypatch.setattr(cli.montecarlo, "gen_data",
+                        lambda *a, **k: calls.append(a) or gen_data(*a, **k))
+    sizes = {"n": 500, "p": 1000, "seed": 1, "n_replicates": 20}
+    cfg = write_cfg(tmp_path, {"model": README_MODEL,
+                               command: _sim_block(command, sizes, [])})
+    assert main([command, "--config", cfg]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert calls == []
+    if command == "simulate":
+        assert out[1:] == ["estimator,limit,empirical_mean,std_error,"
+                           "relative_gap,n_replicates"]
+    else:
+        assert out[1:] == ["sigma_eps_sq", "1", "4", "9"]
+    # a setting with p/n != c is still refused
+    sizes["p"] = 999
+    cfg = write_cfg(tmp_path, {"model": README_MODEL,
+                               command: _sim_block(command, sizes, [])})
+    assert main([command, "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith("config error: p/n = 999/500")
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep"])

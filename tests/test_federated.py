@@ -172,7 +172,6 @@ def test_noiseless_boundary_rejected(fig1_model):
         sd.federated_optimum(fig1_model.replace(sigma_eps_sq=0.0), 3)
 
 
-@pytest.mark.filterwarnings("ignore:p/n")
 def test_product_form_heterogeneous_monte_carlo():
     # clients with different aspect ratios share Sigma and beta0; the
     # cross-matrix quadratic form converges to the per-ratio product limit

@@ -100,6 +100,10 @@ def test_rn_combination_matches_products():
     as_floats = [rn.combination(coeffs, float(x)) for x in xs]
     assert all(type(v) is float and type(d) is float for v, d in as_floats)
     assert np.array_equal(as_floats, np.stack([values, slopes], axis=1))
+    # `value` gives the value's bits without the slope's running products
+    assert rn.value(coeffs, xs).tobytes() == values.tobytes()
+    square = xs[:100].reshape(10, 10)
+    assert rn.value(coeffs, square).tobytes() == values[:100].tobytes()
     # one table per model
     assert sd.rn_polynomials(model) is rn
 

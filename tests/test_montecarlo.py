@@ -1,10 +1,11 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import spectral_distill as sd
-from spectral_distill import SDParams, SimConfig, SpikedModel
+from spectral_distill import SDParams, SimConfig, SpikedModel, montecarlo
 
 from oracles import (Tabulated, apply_rule_to_vector, isotropic_optimal,
                      monomial_rational_rule)
@@ -32,8 +33,31 @@ def test_config_validation():
         with pytest.raises(ValueError, match="finite"):
             SimConfig(model, n=10, p=20, seed=1, entry_dist="student_t",
                       student_df=df)
-    with pytest.warns(UserWarning):
-        SimConfig(model, n=100, p=150, seed=1)  # p/n far from c
+    # the limits hold at c = p/n: one ulp either way is round-off, another
+    # ratio is another model
+    with pytest.raises(ValueError, match=r"p/n = 150/100 = 1\.5 .* c = 2\.0"):
+        SimConfig(model, n=100, p=150, seed=1)
+    for n, p in ((80, 160), (533, 800), (3, 10)):
+        c = p / n
+        for near in (math.nextafter(c, 0.0), c, math.nextafter(c, math.inf)):
+            SimConfig(model.replace(c=near), n=n, p=p, seed=1)
+
+
+@pytest.mark.parametrize("entry_dist", ["gaussian", "rademacher"])
+def test_replicates_alone_and_in_reverse_give_the_harness_bits(entry_dist):
+    # Philox streams are keyed by replicate, so a replicate's risks do not
+    # depend on which replicates ran before it
+    model = SpikedModel(1.0, 2.0, ((7.0, 1.7),), 2.0, 4.0)
+    cfg = SimConfig(model, n=30, p=60, seed=11, entry_dist=entry_dist,
+                    n_replicates=4)
+    ests = {"ridge": sd.Ridge(0.5), "pcr": ("pcr", 3), "minnorm": ("minnorm",),
+            "sd": SDParams((1.0, 2.0), (0.5,))}
+    reports = sd.harness_suite(cfg, ests, dict.fromkeys(ests, 1.0))
+    alone = {r: montecarlo._replicate_risks(cfg, ests, r)
+             for r in reversed(range(cfg.n_replicates))}
+    for name in ests:
+        got = [alone[r][name].hex() for r in range(cfg.n_replicates)]
+        assert got == [v.hex() for v in reports[name].values], name
 
 
 def test_gen_data_signal_exact(small_case):
@@ -52,9 +76,9 @@ def test_gen_data_deterministic(small_case):
     assert not np.array_equal(X, X3)
 
 
-@pytest.mark.filterwarnings("ignore:p/n")
 def test_gen_data_population_covariance():
-    model = SpikedModel(1.0, 2.0, ((3.0, 0.6),), 1.0, 1.0)
+    # gen_data does not read c, so c = p/n leaves the draws as they were
+    model = SpikedModel(1.0, 10 / 100_000, ((3.0, 0.6),), 1.0, 1.0)
     cfg = SimConfig(model, n=100_000, p=10, seed=5)
     X, _, _, V = sd.gen_data(cfg)
     n = X.shape[0]
@@ -65,9 +89,8 @@ def test_gen_data_population_covariance():
     assert np.all(np.abs(Sigma_hat - Sigma) < 3.5 * se)
 
 
-@pytest.mark.filterwarnings("ignore:p/n")
 def test_entry_distributions_unit_variance():
-    model = SpikedModel(1.0, 0.5, (), 1.0, 1.0)
+    model = SpikedModel(1.0, 4 / 60_000, (), 1.0, 1.0)
     for dist in ("rademacher", "student_t"):
         cfg = SimConfig(model, n=60_000, p=4, seed=9, entry_dist=dist)
         X, _, _, _ = sd.gen_data(cfg)

@@ -61,3 +61,17 @@ def test_every_public_name_in_src_is_used_in_src():
                     for name in _defined(tree) - ALLOWED
                     if name.rsplit(".", 1)[-1] not in used)
     assert unused == []
+
+
+def test_no_module_of_the_package_imports_warnings():
+    # bad input exits 2 or 3 and the run does not go on: the package
+    # refuses where it once warned
+    importers = []
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([alias.name for alias in node.names]
+                     if isinstance(node, ast.Import) else
+                     [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if "warnings" in names:
+                importers.append(path.stem)
+    assert importers == []
