@@ -427,15 +427,17 @@ def _estimate(model, labels, sim):
     cfg = None if sim is None else montecarlo.SimConfig(
         model, **{key: v for key, v in sim.items() if key != "estimators"})
     n, p = (0, 0) if cfg is None else (cfg.n, cfg.p)
-    ests, targets = {}, {}
+    ests, targets, seen = {}, {}, set()
     for label in labels:
-        if label in ests:  # reports are keyed by label
-            raise ConfigError(f"estimator '{label}' is listed twice")
         if cfg is None and label.startswith("pcr:"):
             raise ConfigError(
                 "pcr:<m> estimators need a sweep.sim block to fix p and n"
             )
         kind, args = _parse_estimator(label, n, p)
+        # one estimator, one row, however its fields are spelled
+        if (kind, *args) in seen:
+            raise ConfigError(f"estimator '{label}' is listed twice")
+        seen.add((kind, *args))
         ests[label], targets[label] = montecarlo.ESTIMATORS[kind](
             model, n, p, *args)
     if cfg is None or not ests:  # no estimator draws no data

@@ -17,6 +17,7 @@ quadratic forms, which the tests check this against, are in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -59,7 +60,7 @@ def federated_optimum(model: SpikedModel, K: int) -> FederatedOptimum:
     K = int(K)
     optimal._require_noise(model)
     b = federated_b(model, K)
-    if abs(b[0]) < 1e-10 * float(np.linalg.norm(measures._gram_rhs(model))):
+    if abs(b[0]) < 1e-10 * math.hypot(*measures._gram_rhs(model)):
         raise AssumptionError(
             "aggregate leading coefficient b0^(K) must be nonzero; this model "
             "and K sit on the degenerate set where the weight/rule split fails"

@@ -1,13 +1,14 @@
 """Mixture weights, density-ratio polynomials, and the weighted Gram system.
 
-The mixture F_alpha = omega0 F_MP + sum_j omega_j F_{delta_j} carries the
-signal's alignment with the spike directions. The affine ratios nu_j and
-their products nu, nu_{-j} turn every risk functional into polynomial
-algebra; mu_j and mu_0 are the densities of F_{delta_j} and F_MP with
-respect to F_alpha. On top of those sit the weight w, the target g and
-the basis h_j, evaluated here only at the grid's points (`_mu_all`,
-`_target_and_basis`; at an outlier, where mu_0 = 0, w needs no mu), and
-the Gram matrix H of the x*w-weighted inner product. Their checked
+The mixture F_alpha = omega0 F_MP + sum_j omega_j F_{delta_j} carries
+the signal's alignment with the spike directions. The affine ratios nu_j
+and their products nu, nu_{-j} turn every risk functional into
+polynomial algebra; mu_j and mu_0 are the densities of F_{delta_j} and
+F_MP with respect to F_alpha. On top of those sit the weight w, the
+target g and the basis h_j, evaluated here only at the grid's points
+(`_mu_all`, `_target_and_basis`; at an outlier, where mu_0 = 0, w needs
+no mu), and the Gram matrix H of the x*w-weighted inner product, which
+`SpectralGrid.integrate` sums over bulk and atoms alike. Their checked
 pointwise forms (`mu_j`, `weight_w`, `target_g`, `basis_h`, `inner_w`)
 are the tests' references, in `tests/oracles.py`.
 """
@@ -124,11 +125,7 @@ def _mu_all(model: SpikedModel, x) -> np.ndarray:
     denom = w.omega0 * nu
     for om, nm in zip(w.omegas, minus):
         denom = denom + om * nm
-    out = np.empty((model.s + 1,) + x.shape)
-    out[0] = nu / denom
-    for j in range(model.s):
-        out[j + 1] = minus[j] / denom
-    return out
+    return np.stack([nu, *minus]) / denom
 
 
 def _weight(model: SpikedModel, x, mu0):
@@ -159,31 +156,18 @@ class GramSystem:
 def gram_system(model: SpikedModel) -> GramSystem:
     """Assemble H and gamma over the model's cached grid.
 
-    Row i of H is computed as int x mu_j / w dF_{measure_i}, where
-    measure_0 = F_MP and measure_i = F_{delta_i}; the bulk part reuses
-    one set of integrand values for all rows.
+    Row i of H is int x mu_j / w dF_{measure_i}, where measure_0 = F_MP and
+    measure_i = F_{delta_i}: 0 at the zero atom, where w may be 0 too. An
+    integrand that is not finite elsewhere leaves H not finite, refused below.
     """
     grid = get_grid(model)
-    s = model.s
-    x = grid.x
-    mu = _mu_all(model, x)
-    wv = _weight(model, x, mu[0])
-    integrand = mu * (x / wv)  # row j: x mu_j / w on the bulk
-
-    H = np.empty((s + 1, s + 1))
-    for i, w in enumerate((grid.w_mp, *grid.w_delta)):
-        H[i, :] = integrand @ w[:x.size]
-    # Atom terms: only the outlier atoms contribute (x factor kills the
-    # zero atom; F_MP has no outliers), and mu_j(x_i*) = 1[i=j]/omega_i:
-    # nu_i(x_i*) = 0 makes nu, and so mu_0 = nu / (omega0 nu + ...), exactly 0.
-    wmix = mixture_weights(model)
-    for j in range(1, s + 1):
-        k = grid.outlier_index.get(j - 1)
-        if k is None:
-            continue
-        xs = grid.support_points[k]
-        mass = grid.w_delta[j - 1][k]
-        H[j, j] += mass * xs * (1.0 / wmix.omegas[j - 1]) / _weight(model, xs, 0.0)
+    x = grid.support_points
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mu = _mu_all(model, x)
+        integrand = mu * (x / _weight(model, x, mu[0]))
+    integrand[:, x == 0.0] = 0.0
+    sums = grid.integrate(integrand)
+    H = np.stack([sums.mp, *sums.delta])
     H = 0.5 * (H + H.T)  # symmetrize away quadrature roundoff
     if not np.all(np.isfinite(H)):
         raise NumericalError("Gram matrix assembly produced non-finite entries")

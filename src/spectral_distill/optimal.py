@@ -24,6 +24,7 @@ Monomial coefficients are formed only for output
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -185,14 +186,29 @@ def denominator_roots(model: SpikedModel) -> tuple[float, ...]:
     return tuple(sorted(roots))
 
 
+def _gauss_solve(A: list[list[float]], y: list[float]) -> list[float]:
+    """x with A x = y by Gaussian elimination with partial pivoting in Python
+    floats: one fixed order on every CPU, where LAPACK's follows the kernel."""
+    n, rows = len(y), [row + [v] for row, v in zip(A, y)]
+    for k in range(n):
+        p = max(range(k, n), key=lambda i: abs(rows[i][k]))
+        if rows[p][k] == 0.0:  # pragma: no cover - theory forbids it
+            raise NumericalError("optimality system became singular")
+        rows[k], rows[p] = rows[p], rows[k]
+        for i in range(k + 1, n):
+            m = rows[i][k] / rows[k][k]
+            rows[i] = [a - m * b for a, b in zip(rows[i], rows[k])]
+    x = [0.0] * n
+    for k in reversed(range(n)):
+        known = math.fsum(a * b for a, b in zip(rows[k][k + 1:n], x[k + 1:]))
+        x[k] = (rows[k][n] - known) / rows[k][k]
+    return x
+
+
 def _solve_system(model: SpikedModel, dmat_diag: np.ndarray) -> np.ndarray:
     gs = measures.gram_system(model)
     lhs = np.eye(model.s + 1) + dmat_diag[:, None] * gs.H
-    try:
-        b = np.linalg.solve(lhs, gs.gamma)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - theory forbids it
-        raise NumericalError(f"optimality system became singular: {exc}") from exc
-    return b
+    return np.array(_gauss_solve(lhs.tolist(), gs.gamma.tolist()))
 
 
 def _factored_rule(model: SpikedModel, q_nu, s0sq: float,

@@ -410,10 +410,9 @@ class MeasureIntegrals:
         self._grid, self._values = grid, values
 
     def _dot(self, w: np.ndarray) -> np.ndarray:
-        # The bulk and atom sums stay two dots, so the summation order,
-        # and with it every recorded output, does not depend on the atoms.
-        n, v = self._grid.x.size, self._values
-        return v[..., :n] @ w[:n] + v[..., n:] @ w[n:]
+        # Not `@`, whose BLAS sums in the order of the CPU's kernel:
+        # add.reduce sums pairwise in one fixed order.
+        return np.add.reduce(self._values * w, axis=-1)
 
     @property
     def alpha(self) -> np.ndarray:
@@ -439,12 +438,10 @@ class SpectralGrid:
     nodes) and `atom_locs` are views of it. Each measure has one weight
     vector over those points: `w_mp` for F_MP, `w_delta[j]` for F_delta_j
     (bulk weights f_MP / nu_j plus its atom masses) and `w_alpha` for the
-    mixture F_alpha. `outlier_index[j]` is the position of spike j's
-    outlier in `support_points`.
+    mixture F_alpha.
     """
 
     def __init__(self, model: SpikedModel, breaks: tuple[float, ...] = ()):
-        self.model = model
         a, b = mp_support(model)
         self.bulk_lo, self.bulk_hi = a, b
         xstars = [outlier_location(model, d) for d in model.deltas]
@@ -470,10 +467,8 @@ class SpectralGrid:
             mp_atoms.append(mp_atom_at_zero(model))
             for j, d in enumerate(model.deltas):
                 delta_atoms[j].append(spiked_atom_at_zero(model, d))
-        self.outlier_index = {}
         for j, d in enumerate(model.deltas):
             if d > model.bbp_threshold:
-                self.outlier_index[j] = n + len(locs)
                 locs.append(xstars[j])
                 mp_atoms.append(0.0)
                 for i in range(s):

@@ -356,13 +356,14 @@ def test_closed_form_op_scans_poles_once_per_rule(tmp_path, monkeypatch,
 
 
 @pytest.mark.parametrize("command,block,integrals", [
-    ("optimal", "optimal", 4), ("sd-params", "sd_params", 1),
-    ("federated", "federated", 5)])
+    ("optimal", "optimal", 5), ("sd-params", "sd_params", 2),
+    ("federated", "federated", 6)])
 def test_closed_form_op_integrates_each_integrand_once(tmp_path, monkeypatch,
                                                        command, block, integrals):
-    # the two risks share three moments; A_j, the fixed-point residual and
-    # the federated inner products share one x f pass; the federated norm
-    # adds x^2 f^2 and reads x f^2 from the risk moments
+    # the Gram system is one integrand, x mu_j / w; the two risks share
+    # three moments; A_j, the fixed-point residual and the federated inner
+    # products share one x f pass; the federated norm adds x^2 f^2 and
+    # reads x f^2 from the risk moments
     from spectral_distill import spectra
 
     calls = []
@@ -988,16 +989,23 @@ def test_simulation_size_below_one_is_refused_by_name(tmp_path, capsys,
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
 def test_repeated_estimator_label_is_config_error(tmp_path, capsys,
                                                   monkeypatch, command):
-    # reports are keyed by label: simulate once printed 2 rows for these 3
-    # labels and sweep every ridge:1 column twice
+    # reports are keyed by label: simulate once printed 2 rows for the first
+    # 3 labels and sweep every ridge:1 column twice; int() and float() read
+    # 1_0 as 10 and ' 1' as 1, so the second list once gave two pairs of
+    # identical rows
     monkeypatch.setattr(cli.montecarlo, "harness_suite",
                         _refuse("harness_suite"))
-    block = _estimating(command, ["ridge:1", "ridge:1", "minnorm"])
-    cfg = write_cfg(tmp_path, {"model": README_MODEL, command: block})
-    assert main([command, "--config", cfg]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "config error: estimator 'ridge:1' is listed twice\n"
+    for labels, message in (
+            (["ridge:1", "ridge:1", "minnorm"],
+             "estimator 'ridge:1' is listed twice"),
+            (["pcr:1_0", "pcr:10", "ridge: 1", "ridge:1"],
+             "estimator 'pcr:10' is listed twice")):
+        block = _estimating(command, labels)
+        cfg = write_cfg(tmp_path, {"model": README_MODEL, command: block})
+        assert main([command, "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: {message}\n"
 
 
 @pytest.mark.parametrize("model,command,block", [

@@ -1,12 +1,17 @@
 """CLI outputs on a fixed config corpus stay as they were recorded.
 
 Every case in tests/corpus is run through the CLI and compared with its
-recorded output token by token: strings and integers below 2^53
-exactly, floats to 1e-13 relative, so the check holds across BLAS builds
-that round dot products differently. Larger integers are integral floats
-printed without a decimal point and compare as floats. The round-off
-measures `round_trip_sup_error` and `fixed_point_residual` are compared
-to 1e-13 absolute, since their relative value is itself round-off.
+recorded output. A closed-form output (`optimal`, `sd-params`,
+`federated`, `risk`, `measure`) must match byte for byte: that path
+calls no BLAS or LAPACK routine, so its bits do not depend on the kernel
+OpenBLAS picks for the CPU, and a fresh process under other kernels must
+print the same bytes. A Monte Carlo output (`simulate`, `sweep`) forms
+its Gram matrix in BLAS and its eigenvectors in LAPACK, so it is
+compared token by token: strings and integers below 2^53 exactly,
+floats to 1e-13 relative. Larger integers are integral floats printed
+without a decimal point and compare as floats. The round-off measures
+`round_trip_sup_error` and `fixed_point_residual` are compared to 1e-13
+absolute, since their relative value is itself round-off.
 `tests/corpus/make_corpus.py` regenerates the corpus.
 
 The model has two exact scale symmetries. Multiplying sigma0^2 and every
@@ -20,14 +25,22 @@ exactly rescaled risks and chain parameters.
 
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
+import spectral_distill
 from spectral_distill.cli import main
 
 CORPUS = pathlib.Path(__file__).parent / "corpus"
 CASES = sorted(p.stem for p in CORPUS.glob("*.json"))
+MONTE_CARLO = ("simulate", "sweep")
+CLOSED_FORM_CASES = [name for name in CASES
+                     if name.split("__")[0] not in MONTE_CARLO]
 RTOL = 1e-13
 ROUND_OFF_KEYS = {"round_trip_sup_error", "fixed_point_residual"}
 
@@ -98,6 +111,9 @@ def test_corpus_output(tmp_path, name):
                  "--out", str(out)]) == 0
     want = (CORPUS / f"{name}.out").read_text()
     got = out.read_text()
+    if command not in MONTE_CARLO:
+        assert got == want
+        return
     bad = []
     if want.startswith("{"):
         _compare_json(json.loads(want), json.loads(got), "$", bad)
@@ -119,6 +135,58 @@ def test_warm_caches_change_no_byte(tmp_path, name):
                      "--out", str(out)]) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+# Run in a fresh interpreter: CORPUS OUT_DIR NAME... writes each case's
+# CLI output to OUT_DIR/NAME.out.
+_RUN_CASES = """
+import sys
+from spectral_distill.cli import main
+corpus, out_dir, *names = sys.argv[1:]
+for name in names:
+    command = name.split("__")[0]
+    code = main([command, "--config", f"{corpus}/{name}.json",
+                 "--out", f"{out_dir}/{name}.out"])
+    assert code == 0, (name, code)
+"""
+
+
+def _openblas_with_dynamic_arch() -> bool:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return ("openblas" in blas.get("name", "").lower()
+            and "DYNAMIC_ARCH" in blas.get("openblas configuration", ""))
+
+
+def test_closed_form_outputs_are_the_same_bits_on_every_blas_kernel(tmp_path):
+    # OPENBLAS_CORETYPE picks the kernel of one process, so each kernel
+    # gets its own interpreter; OPENBLAS_VERBOSE makes it name the kernel
+    if not _openblas_with_dynamic_arch():
+        pytest.skip("numpy's BLAS is not an OpenBLAS built with DYNAMIC_ARCH, "
+                    "so OPENBLAS_CORETYPE cannot pick its kernel")
+    src = os.path.dirname(os.path.dirname(spectral_distill.__file__))
+    runs = {}
+    for kernel in ("default", "Haswell", "Prescott"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_VERBOSE="2")
+        env.pop("OPENBLAS_CORETYPE", None)
+        if kernel != "default":
+            env["OPENBLAS_CORETYPE"] = kernel
+        (tmp_path / kernel).mkdir()
+        runs[kernel] = subprocess.Popen(
+            [sys.executable, "-c", _RUN_CASES, str(CORPUS), str(tmp_path / kernel),
+             *CLOSED_FORM_CASES], env=env, stderr=subprocess.PIPE, text=True)
+    cores = {}
+    for kernel, run in runs.items():
+        err = run.communicate(timeout=600)[1]
+        assert run.returncode == 0, err
+        cores[kernel] = [line for line in err.splitlines() if line.startswith("Core:")]
+    # the two forced kernels really ran, and differ
+    assert len(cores["Haswell"]) == len(cores["Prescott"]) == 1
+    assert cores["Haswell"] != cores["Prescott"]
+    bad = [f"{kernel}: {name}" for kernel in ("Haswell", "Prescott")
+           for name in CLOSED_FORM_CASES
+           if (tmp_path / kernel / f"{name}.out").read_bytes()
+           != (tmp_path / "default" / f"{name}.out").read_bytes()]
+    assert not bad, "\n".join(bad)
 
 
 def test_corpus_is_complete():

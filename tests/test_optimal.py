@@ -481,3 +481,38 @@ def test_fixed_point_residual_many_spikes():
             found += 1
             rule, _ = sd.optimal_pred_rule(model)
             assert sd.fixed_point_residual(model, rule) <= 1e-11, (s, model)
+
+
+CLOSED_FORM_MODELS = sorted({
+    path.stem: json.loads(path.read_text())["model"]
+    for path in CORPUS.glob("*.json")
+    if path.stem.split("__")[0] not in ("simulate", "sweep")}.items())
+
+
+def test_solve_matches_lapack_on_every_closed_form_corpus_model():
+    # the fixed-order elimination gives LAPACK's b to round-off, for the
+    # optimum's D and for a federated D_K, on models with up to 20 spikes
+    seen = set()
+    for name, block in CLOSED_FORM_MODELS:
+        model = parse_model(block)
+        if model in seen:
+            continue
+        seen.add(model)
+        gs = sd.gram_system(model)
+        for dmat in (np.array([0.0, *(d * a * a for d, a in model.spikes)]),
+                     sd.federated._dk_diag(model, 3)):
+            got = sd.optimal._solve_system(model, dmat)
+            want = np.linalg.solve(np.eye(model.s + 1) + dmat[:, None] * gs.H,
+                                   gs.gamma)
+            assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want)), name
+    assert max(model.s for model in seen) == 20
+
+
+def test_gauss_solve_swaps_rows_for_the_largest_pivot():
+    # without the swap, the 1e-20 pivot gives x_0 = 0; the 3x3 system's
+    # first pivot is not the largest in its column either, and its
+    # solution (1, -2, 3) is exact in floats
+    gauss_solve = sd.optimal._gauss_solve
+    assert gauss_solve([[1e-20, 1.0], [1.0, 1.0]], [1.0, 2.0]) == [1.0, 1.0]
+    A = [[1.0, 2.0, 1.0], [4.0, 1.0, -2.0], [-2.0, 8.0, 1.0]]
+    assert gauss_solve(A, [0.0, -4.0, -15.0]) == [1.0, -2.0, 3.0]
