@@ -447,14 +447,14 @@ class SpectralGrid:
         xstars = [outlier_location(model, d) for d in model.deltas]
         t, w_theta = _theta_panels(a, b, breaks, xstars)
         n = t.size
-        # Edge offsets from the half angle, with h = (b - a)/2:
+        # Edge offsets from the half angle, with 2h = b - a formed as
+        # 4 sigma0^2 sqrt(c), as b - a itself cancels at small c:
         #   x - a = 2h cos^2(theta/2),  b - x = 2h sin^2(theta/2).
         # A node t < 0 sits at theta = pi + t, where cos^2(theta/2) =
         # sin^2(t/2), so each offset comes from the node's small angle and
-        # keeps its digits next to its edge, also when a is zero or within
-        # round-off of it. h^2 sin^2(theta) is their product, so the MP
-        # bulk weight is w (x - a)(b - x) / x.
-        two_h = b - a
+        # keeps its digits next to its edge, even where a is 0 or round-off.
+        # Their product is h^2 sin^2(theta): the MP weight is w (x-a)(b-x)/x.
+        two_h = 4.0 * model.sigma0_sq * math.sqrt(model.c)
         cos2, sin2 = two_h * np.cos(0.5 * t) ** 2, two_h * np.sin(0.5 * t) ** 2
         above_lo = np.where(t > 0.0, cos2, sin2)
         below_hi = np.where(t > 0.0, sin2, cos2)

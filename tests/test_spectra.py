@@ -358,6 +358,15 @@ def test_panel_grid_masses_near_detachment(factor):
     assert abs(grid.w_delta[0].sum() - 1.0) < 1e-13
 
 
+@pytest.mark.parametrize("c", [1e-8, 1e-12, 1e-20, 1e-28, 1e-30])
+def test_mp_bulk_mass_is_one_at_small_c(c):
+    # the bulk width 4 sigma0^2 sqrt(c) is formed directly: as b - a it
+    # cancels, and the mass was off by -7.8e-13, -1.1e-10, 1.7e-7, -1.6e-3
+    # and 0.23 at these c
+    grid = sd.get_grid(SpikedModel(1.0, c, (), 2.0, 1.0))
+    assert abs(grid.w_mp.sum() - 1.0) <= 4 * np.spacing(1.0)
+
+
 def test_quantile_monotone():
     model = iso(1.3, 0.6)
     taus = np.linspace(0.01, 0.95, 12)
