@@ -18,7 +18,7 @@ quadratic forms, which the tests check this against, are in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +33,6 @@ class FederatedOptimum:
     K: int
     b: tuple[float, ...]
     rho_star: float
-    fK: RationalRule
     local_rule: RationalRule
     sd_params: SDParams
 
@@ -68,9 +67,8 @@ def federated_optimum(model: SpikedModel, K: int) -> FederatedOptimum:
     rho = float(b[0] / (model.sigma0_sq * model.r**2
                         * measures.mixture_weights(model).omega0))
     local = optimal._factored_rule(model, b, model.sigma0_sq, rho)
-    fK = replace(local, q_nu=tuple(rho * np.asarray(local.q_nu)))
     params = optimal.synthesize_sd_params(local)
-    return FederatedOptimum(K, tuple(b), rho, fK, local, params)
+    return FederatedOptimum(K, tuple(b), rho, local, params)
 
 
 def _rule_integrals(model: SpikedModel, f: ShrinkageFn):

@@ -1,16 +1,18 @@
-"""Mixture weights, density-ratio polynomials, and the weighted Gram system.
+"""Mixture weights, the factored nu basis, and the weighted Gram system.
 
 The mixture F_alpha = omega0 F_MP + sum_j omega_j F_{delta_j} carries
-the signal's alignment with the spike directions. The affine ratios nu_j
-and their products nu, nu_{-j} turn every risk functional into
-polynomial algebra; mu_j and mu_0 are the densities of F_{delta_j} and
-F_MP with respect to F_alpha. On top of those sit the weight w, the
-target g and the basis h_j, evaluated here only at the grid's points
-(`_mu_all`, `_target_and_basis`; at an outlier, where mu_0 = 0, w needs
-no mu), and the Gram matrix H of the x*w-weighted inner product, which
-`SpectralGrid.integrate` sums over bulk and atoms alike. Their checked
-pointwise forms (`mu_j`, `weight_w`, `target_g`, `basis_h`, `inner_w`)
-are the tests' references, in `tests/oracles.py`.
+the signal's alignment with the spike directions. The affine ratios
+nu_j = dF_MP/dF_{delta_j} and their products nu, nu_{-j} are the basis
+in which the optimal rules' numerator Q and denominator P are written
+(`RnPolynomials`). The densities mu_j of F_{delta_j} and mu_0 of F_MP
+with respect to F_alpha are the grid's weight ratios
+(`SpectralGrid.mu`); from them come the weight w, the target g and the
+basis h_j at the grid's points (`_target_and_basis`; at an outlier,
+where mu_0 = 0, w needs no mu), and the Gram matrix H of the
+x*w-weighted inner product, which `SpectralGrid.integrate` sums over
+bulk and atoms alike. The pointwise forms of mu_j, w, g, h_j and the
+inner product, from the paper's formulas, are the tests' references, in
+`tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -23,18 +25,20 @@ import numpy as np
 
 from . import spectra
 from .errors import NumericalError
-from .spectra import SpikedModel, get_grid, mixture_weights
+from .spectra import SpectralGrid, SpikedModel, get_grid, mixture_weights
 
 
 @dataclass(frozen=True)
 class RnPolynomials:
-    """Affine ratios nu_j and their products, kept in factored form.
+    """Affine ratios nu_j, the factors of the basis of Q and P.
 
     nu_j(x) = delta_j (x_star_j - x) / (c sigma0^2 (delta_j + sigma0^2)),
-    nu = prod_j nu_j (degree s), nu_minus[i] = prod_{j != i} nu_j (degree
+    nu = prod_j nu_j (degree s), nu_{-i} = prod_{j != i} nu_j (degree
     s-1). `affine` holds each nu_j as ascending coefficients (p_j, q_j);
     evaluation goes through the factored form scale_j * (x_star_j - x),
-    so nu_j vanishes exactly at its outlier.
+    so nu_j vanishes exactly at its outlier. Only combinations
+    coeffs[0] nu + sum_j coeffs[j] nu_{-j} are evaluated: `value` at an
+    array, `combination` at a float with its slope.
     """
 
     affine: tuple[tuple[float, float], ...]
@@ -46,37 +50,18 @@ class RnPolynomials:
         """Leading coefficient of nu, prod_j (-scale_j)."""
         return math.prod(-sc for sc in self.scales)
 
-    def nu(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.ones_like(x)
-        for sc, xs in zip(self.scales, self.xstars):
-            out = out * (sc * (xs - x))
-        return out
-
-    def nu_minus(self, i: int, x):
-        x = np.asarray(x, dtype=float)
-        out = np.ones_like(x)
-        for j, (sc, xs) in enumerate(zip(self.scales, self.xstars)):
-            if j != i:
-                out = out * (sc * (xs - x))
-        return out
-
-    def combination(self, coeffs, x, dcoeffs=None):
-        """Value and slope of coeffs[0] nu(x) + sum_j coeffs[j] nu_{-j}(x)
-        (j = 1..s).
+    def combination(self, coeffs, x: float, dcoeffs=None) -> tuple[float, float]:
+        """Value and slope at a float x of coeffs[0] nu(x) + sum_j coeffs[j]
+        nu_{-j}(x) (j = 1..s).
 
         nu_{-j} is the product of the factors before j times those after
-        it, so running products give every term in O(s) array products,
-        and the product rule on the same running products gives the
-        slope. dcoeffs, the slopes of coefficients that vary with x, add
-        their own combination to the slope. A Python float x is evaluated
-        in floats, without numpy overhead.
+        it, so running products give every term in O(s) products, and the
+        product rule on the same running products gives the slope.
+        dcoeffs, the slopes of coefficients that vary with x, add their own
+        combination to the slope.
         """
-        if not isinstance(x, float):
-            x = np.asarray(x, dtype=float)
         factors = [sc * (xs - x) for sc, xs in zip(self.scales, self.xstars)]
-        before = [1.0 if isinstance(x, float) else np.ones_like(x)]
-        dbefore = [0.0 * before[0]]
+        before, dbefore = [1.0], [0.0]
         for f, sc in zip(factors, self.scales):
             dbefore.append(dbefore[-1] * f - before[-1] * sc)
             before.append(before[-1] * f)
@@ -94,7 +79,8 @@ class RnPolynomials:
         return out, slope if dcoeffs is None else slope + extra
 
     def value(self, coeffs, x: np.ndarray) -> np.ndarray:
-        """`combination`'s value at an array x, bit for bit, without slope."""
+        """`combination`'s value at each point of an array x, bit for bit,
+        without the slope."""
         factors = [sc * (xs - x) for sc, xs in zip(self.scales, self.xstars)]
         before = [np.ones_like(x)]
         for f in factors:
@@ -115,28 +101,14 @@ def rn_polynomials(model: SpikedModel) -> RnPolynomials:
     return RnPolynomials(affine, xstars, scales)
 
 
-def _mu_all(model: SpikedModel, x) -> np.ndarray:
-    """Stacked (mu_0, mu_1, ..., mu_s) at x, without domain checks."""
-    x = np.asarray(x, dtype=float)
-    rn = rn_polynomials(model)
-    w = mixture_weights(model)
-    nu = rn.nu(x)
-    minus = [rn.nu_minus(i, x) for i in range(model.s)]
-    denom = w.omega0 * nu
-    for om, nm in zip(w.omegas, minus):
-        denom = denom + om * nm
-    return np.stack([nu, *minus]) / denom
-
-
 def _weight(model: SpikedModel, x, mu0):
     return model.sigma0_sq * (model.r**2 * x + model.c * model.sigma_eps_sq * mu0)
 
 
-def _target_and_basis(model: SpikedModel, x) -> tuple[np.ndarray, np.ndarray]:
-    """(g(x), [h_0(x), ..., h_s(x)]) from one mu evaluation, without
-    domain checks; for points known to lie on the support."""
-    x = np.asarray(x, dtype=float)
-    mu = _mu_all(model, x)
+def _target_and_basis(model: SpikedModel, grid: SpectralGrid
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """(g, [h_0, ..., h_s]) at the grid's support points, from its mu."""
+    x, mu = grid.support_points, grid.mu()
     w = _weight(model, x, mu[0])
     num = np.full_like(mu[0], model.sigma0_sq * model.r**2)
     for j, (d, a) in enumerate(model.spikes):
@@ -162,8 +134,8 @@ def gram_system(model: SpikedModel) -> GramSystem:
     """
     grid = get_grid(model)
     x = grid.support_points
+    mu = grid.mu()
     with np.errstate(divide="ignore", invalid="ignore"):
-        mu = _mu_all(model, x)
         integrand = mu * (x / _weight(model, x, mu[0]))
     integrand[:, x == 0.0] = 0.0
     sums = grid.integrate(integrand)

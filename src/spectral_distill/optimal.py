@@ -233,7 +233,7 @@ def _factored_rule(model: SpikedModel, q_nu, s0sq: float,
 def fixed_point_residual(model: SpikedModel, rule: RationalRule) -> float:
     """max over the grid of |A f* - g| for A f = f + sum_j d_j a_j^2 <f,h_j> h_j."""
     checked = validate_rule(model, rule)
-    g, h = measures._target_and_basis(model, checked.grid.support_points)
+    g, h = measures._target_and_basis(model, checked.grid)
     resid, A = checked.values, checked.xf[1:]
     for j, (d, al) in enumerate(model.spikes):
         resid = resid + d * al * al * A[j] * h[j + 1]

@@ -384,12 +384,11 @@ def ridge_risk_curve(model: SpikedModel, lambdas, kind: str = "pred") -> np.ndar
     return total + variance
 
 
-def best_ridge(model: SpikedModel, lambdas=None, kind: str = "pred"):
-    """(lambda, risk total) minimizing the limiting risk over a grid."""
-    if lambdas is None:
-        scale = model.c * model.sigma_eps_sq / model.r**2 + model.sigma0_sq
-        lambdas = np.geomspace(1e-4 * scale, 1e3 * scale, 200)
-    lam = np.asarray(lambdas, dtype=float)
+def best_ridge(model: SpikedModel, kind: str = "pred"):
+    """(lambda, risk total) minimizing the limiting risk over a 200-point
+    geometric grid around c sigma_eps^2 / r^2 + sigma0^2."""
+    scale = model.c * model.sigma_eps_sq / model.r**2 + model.sigma0_sq
+    lam = np.geomspace(1e-4 * scale, 1e3 * scale, 200)
     totals = ridge_risk_curve(model, lam, kind)
     i = int(np.argmin(totals))
     return float(lam[i]), float(totals[i])

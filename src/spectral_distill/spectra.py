@@ -10,9 +10,11 @@ singularity. A `SpectralGrid` is those bulk nodes followed by the atoms,
 one point array with one weight vector per measure, and the split of a
 measure into bulk and atoms is known only here. The density of F_delta
 is the MP density divided by nu_delta in one place, `_over_nu`, which
-both the grid's weights and `bulk_densities` call. The Stieltjes
-transforms, which only the tests use as references, are in
-`tests/oracles.py`.
+both the grid's weights and `bulk_densities` call. The densities mu_j
+of F_MP and each F_delta_j with respect to F_alpha are the ratios of
+the grid's weights (`SpectralGrid.mu`): no other module forms a density
+ratio. The Stieltjes transforms, which only the tests use as
+references, are in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -176,7 +178,8 @@ def mp_density(model: SpikedModel, x) -> np.ndarray:
 
 
 def mp_atom_at_zero(model: SpikedModel) -> float:
-    return max(0.0, 1.0 - 1.0 / model.c)
+    # (c - 1)/c, not 1 - 1/c: c - 1 is exact next to c = 1, 1/c is not
+    return max(0.0, (model.c - 1.0) / model.c)
 
 
 def outlier_location(model: SpikedModel, delta: float) -> float:
@@ -495,6 +498,21 @@ class SpectralGrid:
         limiting risk and inner product of a rule is assembled from these.
         """
         return MeasureIntegrals(self, values)
+
+    def mu(self) -> np.ndarray:
+        """Rows mu_0, mu_1, ..., mu_s at `support_points`: the densities of
+        F_MP and each F_delta_j with respect to F_alpha.
+
+        Each is a ratio of weights, [w_mp, *w_delta] / w_alpha, so the
+        bulk ratios carry the gap form of `_over_nu`, the zero atom's are
+        ratios of masses and an outlier's are 1/omega_j and exactly 0. A
+        bulk node whose weights all underflow to 0 (next to a = 0 at
+        sigma0^2 = 1e-150 and c = 1) carries no mass in any measure; its
+        mu is 0.
+        """
+        stack = np.stack([self.w_mp, *self.w_delta])
+        return np.divide(stack, self.w_alpha, out=np.zeros_like(stack),
+                         where=self.w_alpha > 0.0)
 
     def on_support(self, x) -> np.ndarray:
         """Mask of points on the bulk or on an atom, to a relative tolerance."""

@@ -31,7 +31,8 @@ recorded files alone. The recorded outputs match to 1e-13, not to the
 byte, across machines, so to check that a change keeps outputs
 byte-identical, run this script from both checkouts (the parent's copy of
 the script may be replaced by this one) on the same machine and compare
-the two directories with `diff -r`.
+the two directories with `diff -r`; `python tests/corpus/moves.py OLD_DIR
+NEW_DIR` then lists the largest move of each printed field.
 """
 
 from __future__ import annotations

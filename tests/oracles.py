@@ -9,9 +9,11 @@ support check; the isotropic optimum (ridge at lambda* = c sigma_eps^2 /
 r^2); the high-noise limit of the federated b0^(K) and the product-form
 limit of cross-matrix quadratic forms; a tabulated rule; a rational rule
 from monomial numerator coefficients; and f(Sigma_hat) v for a finite
-sample. The program computes the same objects its own way (on the grid's
-points, in the factored nu basis, in the sample eigenbasis), and the
-tests check one against the other.
+sample. The program computes the same objects its own way (mu_j as the
+grid's weight ratios, rules in the factored nu basis, sample rules in
+the sample eigenbasis), and the tests check one against the other; the pointwise
+mu_j, w, g and h_j here take nothing from the program but the support
+check.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import numpy as np
 from spectral_distill import measures
 from spectral_distill.errors import NumericalError
 from spectral_distill.federated import federated_b
-from spectral_distill.measures import _mu_all, _target_and_basis, _weight
 from spectral_distill.montecarlo import SampleSpectrum
 from spectral_distill.shrinkage import RationalRule, Ridge, ShrinkageFn, eval_shrinkage
 from spectral_distill.spectra import SpikedModel, get_grid, mp_support
@@ -114,19 +115,51 @@ def _check_support(model: SpikedModel, x):
         )
 
 
+def _mu_rows(model: SpikedModel, x) -> np.ndarray:
+    """Rows mu_0, mu_1, ..., mu_s at the points x, without a support check.
+
+    From the affine ratios nu_j = dF_MP/dF_{delta_j},
+    nu_j(x) = delta_j (x*_j - x) / (c sigma0^2 (delta_j + sigma0^2)), and
+    F_alpha = omega0 F_MP + sum_i omega_i F_{delta_i}:
+
+        mu_0 = 1 / (omega0 + sum_i omega_i / nu_i),   mu_j = mu_0 / nu_j.
+
+    At an outlier x*_j, where nu_j = 0, mu_j = 1/omega_j and every other
+    row is 0.
+    """
+    x = np.asarray(x, dtype=float)
+    s0, c = model.sigma0_sq, model.c
+    omegas = [a * a / model.r**2 for a in model.alphas]
+    with np.errstate(divide="ignore"):
+        inv_nu = [c * s0 * (d + s0) / (d * ((d + s0) * (d + c * s0) / d - x))
+                  for d in model.deltas]
+    rows = np.stack([np.ones_like(x), *inv_nu])
+    with np.errstate(invalid="ignore"):
+        rows = rows / ((1.0 - sum(omegas)) + sum(om * v for om, v in zip(omegas, inv_nu)))
+    for j, v in enumerate(inv_nu):
+        at = np.isinf(v)
+        rows[:, at] = 0.0
+        rows[j + 1, at] = 1.0 / omegas[j]
+    return rows
+
+
+def _weight(model: SpikedModel, x, mu0):
+    return model.sigma0_sq * (model.r**2 * x + model.c * model.sigma_eps_sq * mu0)
+
+
 def mu_j(model: SpikedModel, j: int, x):
     """Density of F_{delta_j} (j >= 1) or F_MP (j = 0) w.r.t. F_alpha."""
     if not 0 <= j <= model.s:
         raise ValueError(f"j must be in 0..{model.s}")
     _check_support(model, x)
     scalar = np.isscalar(x)
-    vals = _mu_all(model, np.atleast_1d(np.asarray(x, dtype=float)))[j]
+    vals = _mu_rows(model, np.atleast_1d(np.asarray(x, dtype=float)))[j]
     return float(vals[0]) if scalar else vals
 
 
 def _weight_w_unchecked(model: SpikedModel, x):
     x = np.asarray(x, dtype=float)
-    return _weight(model, x, _mu_all(model, x)[0])
+    return _weight(model, x, _mu_rows(model, x)[0])
 
 
 def weight_w(model: SpikedModel, x):
@@ -138,7 +171,12 @@ def weight_w(model: SpikedModel, x):
 def target_g(model: SpikedModel, x):
     """g(x) = (sigma0^2 r^2 + sum_j delta_j alpha_j^2 mu_j(x)) / w(x)."""
     _check_support(model, x)
-    return _target_and_basis(model, x)[0]
+    x = np.asarray(x, dtype=float)
+    mu = _mu_rows(model, x)
+    num = model.sigma0_sq * model.r**2
+    for j, (d, a) in enumerate(model.spikes):
+        num = num + d * a * a * mu[j + 1]
+    return num / _weight(model, x, mu[0])
 
 
 def basis_h(model: SpikedModel, j: int, x):
@@ -146,7 +184,9 @@ def basis_h(model: SpikedModel, j: int, x):
     if not 0 <= j <= model.s:
         raise ValueError(f"j must be in 0..{model.s}")
     _check_support(model, x)
-    return _target_and_basis(model, x)[1][j]
+    x = np.asarray(x, dtype=float)
+    mu = _mu_rows(model, x)
+    return mu[j] / _weight(model, x, mu[0])
 
 
 def inner_w(model: SpikedModel, phi, psi) -> float:

@@ -2,12 +2,13 @@
 
 Every case in tests/corpus is run through the CLI and compared with its
 recorded output. A closed-form output (`optimal`, `sd-params`,
-`federated`, `risk`, `measure`) must match byte for byte: that path
-calls no BLAS or LAPACK routine, so its bits do not depend on the kernel
-OpenBLAS picks for the CPU, and a fresh process under other kernels must
-print the same bytes. A Monte Carlo output (`simulate`, `sweep`) forms
-its Gram matrix in BLAS and its eigenvectors in LAPACK, so it is
-compared token by token: strings and integers below 2^53 exactly,
+`federated`, `risk`, `measure`, and a `sweep` without a `sim` block)
+must match byte for byte: that path calls no BLAS or LAPACK routine, so
+its bits do not depend on the kernel OpenBLAS picks for the CPU, and a
+fresh process under other kernels must print the same bytes. A Monte
+Carlo output (`simulate`, and a `sweep` with a `sim` block) forms its
+Gram matrix in BLAS and its eigenvectors in LAPACK, so it is compared
+token by token: strings and integers below 2^53 exactly,
 floats to 1e-13 relative. Larger integers are integral floats printed
 without a decimal point and compare as floats. The round-off measures
 `round_trip_sup_error` and `fixed_point_residual` are compared to 1e-13
@@ -23,6 +24,7 @@ exact, so every closed-form corpus case must give the same exit code and
 exactly rescaled risks and chain parameters.
 """
 
+import importlib.util
 import json
 import math
 import os
@@ -38,9 +40,15 @@ from spectral_distill.cli import main
 
 CORPUS = pathlib.Path(__file__).parent / "corpus"
 CASES = sorted(p.stem for p in CORPUS.glob("*.json"))
-MONTE_CARLO = ("simulate", "sweep")
-CLOSED_FORM_CASES = [name for name in CASES
-                     if name.split("__")[0] not in MONTE_CARLO]
+
+
+def _is_monte_carlo(name: str) -> bool:
+    command = name.split("__")[0]
+    config = json.loads((CORPUS / f"{name}.json").read_text())
+    return command == "simulate" or (command == "sweep" and "sim" in config["sweep"])
+
+
+CLOSED_FORM_CASES = [name for name in CASES if not _is_monte_carlo(name)]
 RTOL = 1e-13
 ROUND_OFF_KEYS = {"round_trip_sup_error", "fixed_point_residual"}
 
@@ -111,7 +119,7 @@ def test_corpus_output(tmp_path, name):
                  "--out", str(out)]) == 0
     want = (CORPUS / f"{name}.out").read_text()
     got = out.read_text()
-    if command not in MONTE_CARLO:
+    if name in CLOSED_FORM_CASES:
         assert got == want
         return
     bad = []
@@ -193,6 +201,35 @@ def test_corpus_is_complete():
     assert len(CASES) >= 70
     for name in CASES:
         assert (CORPUS / f"{name}.out").exists(), name
+    # a sweep without a sim block has no Monte Carlo part
+    assert "sweep__fig3" in CLOSED_FORM_CASES
+    assert "sweep__iso-sim" not in CLOSED_FORM_CASES
+
+
+def test_moves_reports_the_largest_move_of_each_field(tmp_path, capsys):
+    spec = importlib.util.spec_from_file_location("moves", CORPUS / "moves.py")
+    moves = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(moves)
+    old, new = tmp_path / "old", tmp_path / "new"
+    outputs = {
+        "optimal__a": ('{"b": [1.0, 2.0], "risks": {"pred": 3.0}, "config": "x"}',
+                       '{"b": [1.0, 2.5], "risks": {"pred": 3.0}, "config": "y"}'),
+        "optimal__b": ('{"b": [4.0, 1.0], "risks": {"pred": 3.0}, "config": "x"}',
+                       '{"b": [4.4, 1.0], "risks": {"pred": 3.0}, "config": "x"}'),
+        "risk__a": ("# config=x\nrule,pred\nridge,2.0\n",
+                    "# config=y\nrule,pred\nridge,2.0000000000000004\n"),
+        "risk__b": ("# config=x\nrule,pred\nridge,1.0\n",) * 2,
+    }
+    for directory, side in ((old, 0), (new, 1)):
+        directory.mkdir()
+        for name, texts in outputs.items():
+            (directory / f"{name}.out").write_text(texts[side])
+    assert moves.main([str(old), str(new)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "optimal b 2.00e-01 optimal__a 2.0 -> 2.5",
+        "risk pred 2.22e-16 risk__a 2.0 -> 2.0000000000000004",
+        "3 of 4 outputs differ",
+    ]
 
 
 SCALED_CASES = [name for name in CASES

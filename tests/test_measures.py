@@ -9,7 +9,6 @@ import pytest
 import spectral_distill as sd
 from spectral_distill import SpikedModel
 from spectral_distill.cli import parse_model
-from spectral_distill.measures import _mu_all
 
 from conftest import random_model
 from oracles import Tabulated, basis_h, inner_w, mu_j, target_g, weight_w
@@ -75,19 +74,24 @@ def test_rn_polynomials_structure(fig1_model):
 
 
 def test_rn_combination_matches_products():
-    # running-product form against the direct nu / nu_minus products
+    # running-product form against the direct products nu = prod_j nu_j
+    # and nu_{-i} = prod_{j != i} nu_j
     model = SpikedModel(1.0, 2.0, ((2.0, 0.4), (3.0, 0.3), (5.0, 0.5),
                                    (7.0, 0.2)), 3.0, 1.0)
     rn = sd.rn_polynomials(model)
     coeffs = [0.7, -1.3, 2.1, 0.4, -0.9]
     xs = np.concatenate([np.linspace(0.0, 12.0, 97), rn.xstars])
-    direct = coeffs[0] * rn.nu(xs) + sum(
-        coeffs[j + 1] * rn.nu_minus(j, xs) for j in range(model.s))
-    scale = np.abs(coeffs[0] * rn.nu(xs)) + sum(
-        np.abs(coeffs[j + 1] * rn.nu_minus(j, xs)) for j in range(model.s))
-    values, slopes = rn.combination(coeffs, xs)
-    assert np.all(np.abs(values - direct) <= 1e-14 * scale)
-    # the product-rule slope against the derivative of the expanded form
+    factors = [sc * (xstar - xs) for sc, xstar in zip(rn.scales, rn.xstars)]
+    terms = [coeffs[0] * math.prod(factors)] + [
+        coeffs[i + 1] * math.prod(f for j, f in enumerate(factors) if j != i)
+        for i in range(model.s)]
+    values = rn.value(coeffs, xs)
+    assert np.all(np.abs(values - sum(terms)) <= 1e-14 * sum(map(np.abs, terms)))
+    # a Python float gives the value's bits, and the product-rule slope
+    # of the expanded form
+    as_floats = [rn.combination(coeffs, float(x)) for x in xs]
+    assert all(type(v) is float and type(d) is float for v, d in as_floats)
+    assert np.array([v for v, _ in as_floats]).tobytes() == values.tobytes()
     poly = np.polynomial.polynomial
     terms = [np.array(a) for a in rn.affine]
     expanded = coeffs[0] * functools.reduce(poly.polymul, terms)
@@ -95,13 +99,9 @@ def test_rn_combination_matches_products():
         rest = terms[:j] + terms[j + 1:]
         expanded = poly.polyadd(expanded, coeffs[j + 1] * functools.reduce(poly.polymul, rest))
     want = poly.polyval(xs, poly.polyder(expanded))
+    slopes = np.array([d for _, d in as_floats])
     assert np.allclose(slopes, want, rtol=1e-12, atol=1e-13 * np.max(np.abs(want)))
-    # a Python float is evaluated in floats, to the same bits
-    as_floats = [rn.combination(coeffs, float(x)) for x in xs]
-    assert all(type(v) is float and type(d) is float for v, d in as_floats)
-    assert np.array_equal(as_floats, np.stack([values, slopes], axis=1))
-    # `value` gives the value's bits without the slope's running products
-    assert rn.value(coeffs, xs).tobytes() == values.tobytes()
+    # `value` works on any array shape
     square = xs[:100].reshape(10, 10)
     assert rn.value(coeffs, square).tobytes() == values[:100].tobytes()
     # one table per model
@@ -171,7 +171,7 @@ def test_mu_change_of_measure(fig1_model):
     for j in range(fig1_model.s):
         for phi in (ONE, lambda x: x, lambda x: x * x):
             def times_mu(x):
-                return phi(x) * _mu_all(fig1_model, x)[j + 1]
+                return phi(x) * mu_j(fig1_model, j + 1, x)
 
             lhs = grid.integrate(times_mu(grid.support_points)).alpha
             rhs = grid.integrate(phi(grid.support_points)).delta[j]
@@ -268,7 +268,7 @@ def test_gram_diagonal_outlier_term(fig1_model):
         mass = sd.spectra.outlier_atom_mass(model, d)
         atom_term = mass / (model.sigma0_sq * a * a)
         bulk_term = grid.w_delta[j][:grid.x.size] @ (
-            grid.x * _mu_all(model, grid.x)[j + 1]
+            grid.x * mu_j(model, j + 1, grid.x)
             / weight_w(model, grid.x)
         )
         assert gs.H[j + 1, j + 1] == pytest.approx(bulk_term + atom_term)
@@ -280,3 +280,21 @@ def test_gram_random_models_psd():
         model = random_model(rng, s=int(rng.integers(1, 4)))
         gs = sd.gram_system(model)
         assert np.linalg.eigvalsh(gs.H).min() >= -1e-10 * np.trace(gs.H)
+
+
+def test_grid_mu_matches_the_reference_formula(fig1_model):
+    grid = sd.get_grid(fig1_model)
+    want = np.stack([mu_j(fig1_model, j, grid.support_points)
+                     for j in range(fig1_model.s + 1)])
+    assert np.all(np.abs(grid.mu() - want) <= 1e-13 * want)
+
+
+def test_gram_system_is_finite_where_bulk_weights_underflow():
+    # at sigma0^2 = 1e-150 and c = 1 the MP weights of the nodes next to
+    # a = 0 underflow to 0: those nodes carry no mass, and their mu is 0
+    model = SpikedModel(1e-150, 1.0, ((3.0, 0.6),), 2.0, 1.0)
+    grid = sd.get_grid(model)
+    dead = grid.w_alpha == 0.0
+    assert dead.any()
+    assert np.all(grid.mu()[:, dead] == 0.0)
+    assert np.all(np.isfinite(sd.gram_system(model).H))

@@ -64,8 +64,9 @@ def factored_p(model, x):
     rn = sd.rn_polynomials(model)
     w = sd.mixture_weights(model)
     x = np.asarray(x, dtype=float)
-    mix = rn.combination((w.omega0, *w.omegas), x)[0]
-    p0 = model.r**2 * x * mix + model.c * model.sigma_eps_sq * rn.nu(x)
+    mix = rn.value((w.omega0, *w.omegas), x)
+    nu = rn.value((1.0,) + (0.0,) * model.s, x)
+    p0 = model.r**2 * x * mix + model.c * model.sigma_eps_sq * nu
     return p0 / (model.r**2 * w.omega0 * rn.nu_lead)
 
 
@@ -329,7 +330,7 @@ def test_federated_rule_solves_variational_oracle(fig1_model):
         M += (s0sq * (K - 1) + d * K) * alj * alj * np.outer(v, v)
         b += K * (d + s0sq) * alj * alj * v
     fed = sd.federated_optimum(model, K)
-    fv = K * fed.fK(pts)[live]
+    fv = K * fed.rho_star * fed.local_rule(pts)[live]
     resid = np.max(np.abs(M @ fv - b)) / np.max(np.abs(b))
     assert resid < 1e-12
 

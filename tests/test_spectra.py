@@ -295,6 +295,64 @@ def test_atom_presence_exactly_at_thresholds():
     assert sd.spectra.mp_atom_at_zero(iso(1.0, 1.0 + 1e-9)) > 0.0
 
 
+@pytest.mark.parametrize("c", [1.0 + 1e-6, 1.0 + 1e-12])
+def test_zero_atom_mass_next_to_c_1_against_40_digit_reference(c):
+    # (c - 1)/c: c - 1 is exact here, and 1 - 1/c would lose the digits
+    # that the rounding of 1/c takes
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        want = (mpmath.mpf(c) - 1) / mpmath.mpf(c)
+        got = sd.spectra.mp_atom_at_zero(iso(1.0, c))
+        assert abs((got - want) / want) <= np.finfo(float).eps / 2
+
+
+@pytest.mark.parametrize("model,bound", [
+    (SpikedModel(1.0, 3.0, ((2.0, 3.0), (3.0, 2.5)), 5.0, 4.0), 1e-13),
+    *[(SpikedModel(1.0, 2.0, ((k * math.sqrt(2.0), 0.6), (4.0, 0.5)), 2.0, 1.0),
+       1e-13 if k == 1.5 else 4 * np.finfo(float).eps * k / (k - 1.0))
+      for k in (1.5, 1.001, 1.00001)],
+], ids=["fig1", "det1.5", "det1.001", "det1.00001"])
+def test_grid_mu_against_50_digit_reference(model, bound):
+    # The reference takes the model's floats and the grid's node angles
+    # as exact: x = b - 4 sigma0^2 sqrt(c) sin^2(theta/2), theta = t for
+    # t > 0 and pi + t for t < 0. Next to detachment the rounding of
+    # sigma0^2 sqrt(c) in x* - b shows as an error of up to about
+    # eps delta / (delta - sigma0^2 sqrt(c)), which the bound allows.
+    mpmath = pytest.importorskip("mpmath")
+    grid = sd.get_grid(model)
+    a, b = sd.mp_support(model)
+    t, _ = sd.spectra._theta_panels(
+        a, b, (), [sd.outlier_location(model, d) for d in model.deltas])
+    assert t.size == grid.x.size
+    got = grid.mu()
+    with mpmath.workdps(50):
+        s0, c = mpmath.mpf(model.sigma0_sq), mpmath.mpf(model.c)
+        omegas = [mpmath.mpf(al) ** 2 / mpmath.mpf(model.r) ** 2 for al in model.alphas]
+        omega0 = 1 - sum(omegas)
+
+        def want(x):
+            inv_nu = [c * s0 * (d + s0) / (d * ((d + s0) * (d + c * s0) / d - x))
+                      for d in map(mpmath.mpf, model.deltas.tolist())]
+            mu0 = 1 / (omega0 + sum(om * v for om, v in zip(omegas, inv_nu)))
+            return [mu0, *(mu0 * v for v in inv_nu)]
+
+        top, two_h = s0 * (1 + mpmath.sqrt(c)) ** 2, 4 * s0 * mpmath.sqrt(c)
+        points = [top - two_h * mpmath.sin((ti if ti > 0 else mpmath.pi + ti) / 2) ** 2
+                  for ti in map(mpmath.mpf, t.tolist())]
+        refs = [want(x) for x in points]
+        if model.c > 1:
+            refs.append(want(mpmath.mpf(0)))
+        for j, d in enumerate(model.deltas):
+            if d > model.bbp_threshold:  # an outlier: 1/omega_j and 0
+                refs.append([1 / omegas[j] if i == j + 1 else mpmath.mpf(0)
+                             for i in range(model.s + 1)])
+        assert len(refs) == grid.support_points.size
+        worst = max(float(abs(g - r) / r) if r else abs(g)
+                    for col, ref in enumerate(refs)
+                    for g, r in zip(got[:, col].tolist(), ref))
+    assert worst <= bound
+
+
 def test_stieltjes_closed_form_matches_grid_quadrature():
     rng = np.random.default_rng(3)
     for delta in (0.5, 2.4, 6.0):
