@@ -25,7 +25,7 @@ import numpy as np
 from . import measures, optimal
 from .errors import AssumptionError
 from .shrinkage import RationalRule, SDParams, ShrinkageFn, validate_rule
-from .spectra import SpikedModel
+from .spectra import SpikedModel, fsum
 
 
 @dataclass(frozen=True)
@@ -121,6 +121,6 @@ def federated_risk(model: SpikedModel, K: int, rules, rhos) -> float:
     for j, (d, a) in enumerate(model.spikes):
         total += 2.0 * s0sq * a * a * cross[j + 1]
         total += d * a * a * sums[j + 1] ** 2
-    spike_const = sum(d * a * a for d, a in model.spikes)
+    spike_const = fsum(d * a * a for d, a in model.spikes)
     total += K**2 * (s0sq * model.r**2 + spike_const)
     return total / K**2

@@ -24,7 +24,6 @@ Monomial coefficients are formed only for output
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +32,7 @@ from . import measures
 from .errors import AssumptionError, NumericalError, StructuralError
 from .shrinkage import RationalRule, SDChain, SDParams, validate_rule
 # get_grid stays bound here for perfbench's tracer, which wraps each binding
-from .spectra import SpikedModel, bracketed_newton, get_grid  # noqa: F401
+from .spectra import SpikedModel, bracketed_newton, fsum, get_grid  # noqa: F401
 
 
 class _DD:
@@ -200,7 +199,7 @@ def _gauss_solve(A: list[list[float]], y: list[float]) -> list[float]:
             rows[i] = [a - m * b for a, b in zip(rows[i], rows[k])]
     x = [0.0] * n
     for k in reversed(range(n)):
-        known = math.fsum(a * b for a, b in zip(rows[k][k + 1:n], x[k + 1:]))
+        known = fsum(a * b for a, b in zip(rows[k][k + 1:n], x[k + 1:]))
         x[k] = (rows[k][n] - known) / rows[k][k]
     return x
 
@@ -287,12 +286,12 @@ def synthesize_sd_params(rule: RationalRule) -> SDParams:
     remaining = sorted(gammas_all, reverse=True)
     for k in range(-1, d):
         ts_f = [float(t) for t in ts]
-        partial = sum(ts_f)
+        partial = fsum(ts_f)
 
         def r_k(g):
             # residual polynomial value at a candidate root
             basis = _basis_values(g, chosen, d)
-            val = q_at[g] - sum(t * b for t, b in zip(ts_f, basis))
+            val = q_at[g] - fsum(t * b for t, b in zip(ts_f, basis))
             return val + (partial - lead_q + 1.0) * basis[k + 1]
 
         rvals = [abs(r_k(g)) for g in remaining]

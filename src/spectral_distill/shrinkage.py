@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import AssumptionError, NumericalError
-from .spectra import SpikedModel, get_grid, mp_support, mp_quantile_inverse
+from .spectra import SpikedModel, fsum, get_grid, mp_support, mp_quantile_inverse
 
 if TYPE_CHECKING:
     from .measures import RnPolynomials
@@ -244,7 +244,7 @@ class RiskBreakdown:
 
 def _breakdown(bias_bulk: float, bias_spikes, variance: float) -> RiskBreakdown:
     spikes = tuple(float(v) for v in bias_spikes)
-    total = float(bias_bulk) + sum(spikes) + float(variance)
+    total = float(bias_bulk) + fsum(spikes) + float(variance)
     if not math.isfinite(total):
         raise NumericalError("risk integrals did not evaluate to finite values")
     return RiskBreakdown(float(bias_bulk), spikes, float(variance), total)

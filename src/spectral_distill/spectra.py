@@ -34,6 +34,18 @@ _SUPPORT_RTOL = 1e-9
 _EPS = float(np.finfo(float).eps)
 
 
+def fsum(values) -> float:
+    """The correctly rounded sum of floats, math.fsum, whose bits do not
+    depend on the Python version as those of the built-in sum do. Where
+    math.fsum raises (a partial sum overflows, or inf meets -inf), the
+    plain sum's inf or nan, which the caller's own checks refuse."""
+    values = list(values)
+    try:
+        return math.fsum(values)
+    except (OverflowError, ValueError):
+        return sum(values)
+
+
 @dataclass(frozen=True)
 class SpikedModel:
     """Problem instance: Sigma = sigma0^2 I + sum_j delta_j v_j v_j'.
@@ -109,7 +121,7 @@ class SpikedModel:
                         "spike products must satisfy delta_i*delta_j != c*sigma0^4 "
                         f"(got {di}*{dj} ~= {thr})"
                     )
-        if sum(a * a for a in alphas) >= self.r**2:
+        if fsum(a * a for a in alphas) >= self.r**2:
             raise AssumptionError(
                 "signal must not lie in the spike span: sum alpha_j^2 < r^2 required"
             )
@@ -150,7 +162,7 @@ def mixture_weights(model: SpikedModel) -> MixtureWeights:
     weights and every formula in omega take them from here.
     """
     omegas = tuple(float(a * a) / model.r**2 for a in model.alphas)
-    return MixtureWeights(1.0 - sum(omegas), omegas)
+    return MixtureWeights(1.0 - fsum(omegas), omegas)
 
 
 def mp_support(model: SpikedModel) -> tuple[float, float]:

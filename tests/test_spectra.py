@@ -475,3 +475,12 @@ def test_plain_grid_inverse_moment_next_to_c_one(c):
     grid = sd.get_grid(model)
     want = 1.0 / (1.3 * (1.0 - c)) if c < 1 else 1.0 / (1.3 * c * (c - 1.0))
     assert abs(grid.w_mp[:grid.x.size] @ (1.0 / grid.x) - want) <= 1e-13 * want
+
+
+def test_fsum_is_correctly_rounded_and_never_raises():
+    assert sd.spectra.fsum([0.1] * 10) == 1.0  # a running sum gives 1 - eps/2
+    assert sd.spectra.fsum([1e308, 1e308]) == math.inf
+    assert math.isnan(sd.spectra.fsum([math.inf, -math.inf]))
+    # squares that overflow only when summed: still the span refusal
+    with pytest.raises(AssumptionError, match="spike span"):
+        SpikedModel(1.0, 2.0, ((3.0, 1e154), (5.0, 1e154)), 2.0, 1.0)
