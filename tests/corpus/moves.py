@@ -64,8 +64,6 @@ def fields(text: str) -> list:
 def _number(value):
     if isinstance(value, bool):
         return None
-    if isinstance(value, (int, float)):
-        return float(value)
     try:
         return float(value)
     except (TypeError, ValueError):
@@ -83,9 +81,9 @@ def largest_moves(old_dir, new_dir) -> tuple[dict, list, int]:
             continue
         differ.append(name)
         command = name.split("__")[0]
-        pairs = list(zip(fields(old), fields(new)))
-        if len(fields(old)) != len(fields(new)) or any(
-                fo != fn for (fo, _), (fn, _) in pairs):
+        before, after = fields(old), fields(new)
+        pairs = list(zip(before, after))
+        if len(before) != len(after) or any(fo != fn for (fo, _), (fn, _) in pairs):
             pairs = [(("structure", old), ("structure", new))]
         for (field, vo), (_, vn) in pairs:
             if vo == vn:
