@@ -4,8 +4,9 @@ The mixture F_alpha = omega0 F_MP + sum_j omega_j F_{delta_j} carries
 the signal's alignment with the spike directions. The affine ratios
 nu_j = dF_MP/dF_{delta_j} and their products nu, nu_{-j} are the basis
 in which the optimal rules' numerator Q and denominator P are written
-(`RnPolynomials`). The densities mu_j of F_{delta_j} and mu_0 of F_MP
-with respect to F_alpha are the grid's weight ratios
+(`RnPolynomials`); Q is evaluated there, while P's roots are found on
+P/nu, without the products. The densities mu_j of F_{delta_j} and mu_0
+of F_MP with respect to F_alpha are the grid's weight ratios
 (`SpectralGrid.mu`); from them come the weight w, the target g and the
 basis h_j at the grid's points (`_target_and_basis`; at an outlier,
 where mu_0 = 0, w needs no mu), and the Gram matrix H of the
@@ -30,15 +31,16 @@ from .spectra import SpectralGrid, SpikedModel, get_grid, mixture_weights
 
 @dataclass(frozen=True)
 class RnPolynomials:
-    """Affine ratios nu_j, the factors of the basis of Q and P.
+    """Affine ratios nu_j, the factors of the basis of Q.
 
     nu_j(x) = delta_j (x_star_j - x) / (c sigma0^2 (delta_j + sigma0^2)),
     nu = prod_j nu_j (degree s), nu_{-i} = prod_{j != i} nu_j (degree
     s-1). `affine` holds each nu_j as ascending coefficients (p_j, q_j);
     evaluation goes through the factored form scale_j * (x_star_j - x),
     so nu_j vanishes exactly at its outlier. Only combinations
-    coeffs[0] nu + sum_j coeffs[j] nu_{-j} are evaluated: `value` at an
-    array, `combination` at a float with its slope.
+    coeffs[0] nu + sum_j coeffs[j] nu_{-j} are evaluated, by `value`; P's
+    roots are found on P/nu (`optimal.denominator_roots`), which reads
+    only `xstars` and `scales`.
     """
 
     affine: tuple[tuple[float, float], ...]
@@ -50,37 +52,13 @@ class RnPolynomials:
         """Leading coefficient of nu, prod_j (-scale_j)."""
         return math.prod(-sc for sc in self.scales)
 
-    def combination(self, coeffs, x: float, dcoeffs=None) -> tuple[float, float]:
-        """Value and slope at a float x of coeffs[0] nu(x) + sum_j coeffs[j]
-        nu_{-j}(x) (j = 1..s).
+    def value(self, coeffs, x: np.ndarray) -> np.ndarray:
+        """coeffs[0] nu(x) + sum_j coeffs[j] nu_{-j}(x) (j = 1..s) at each
+        point of an array x.
 
         nu_{-j} is the product of the factors before j times those after
-        it, so running products give every term in O(s) products, and the
-        product rule on the same running products gives the slope.
-        dcoeffs, the slopes of coefficients that vary with x, add their own
-        combination to the slope.
+        it, so running products give every term in O(s) products.
         """
-        factors = [sc * (xs - x) for sc, xs in zip(self.scales, self.xstars)]
-        before, dbefore = [1.0], [0.0]
-        for f, sc in zip(factors, self.scales):
-            dbefore.append(dbefore[-1] * f - before[-1] * sc)
-            before.append(before[-1] * f)
-        out, slope = coeffs[0] * before[-1], coeffs[0] * dbefore[-1]
-        extra = 0.0 if dcoeffs is None else dcoeffs[0] * before[-1]
-        after, dafter = 1.0, 0.0
-        for j in range(len(factors) - 1, -1, -1):
-            minus = before[j] * after
-            out = out + coeffs[j + 1] * minus
-            slope = slope + coeffs[j + 1] * (dbefore[j] * after + before[j] * dafter)
-            if dcoeffs is not None:
-                extra = extra + dcoeffs[j + 1] * minus
-            dafter = dafter * factors[j] - after * self.scales[j]
-            after = after * factors[j]
-        return out, slope if dcoeffs is None else slope + extra
-
-    def value(self, coeffs, x: np.ndarray) -> np.ndarray:
-        """`combination`'s value at each point of an array x, bit for bit,
-        without the slope."""
         factors = [sc * (xs - x) for sc, xs in zip(self.scales, self.xstars)]
         before = [np.ones_like(x)]
         for f in factors:

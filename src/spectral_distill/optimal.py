@@ -13,17 +13,18 @@ those roots and matching coefficients turns Q/P into an s-step
 self-distillation chain.
 
 Optimal rules are `shrinkage.RationalRule`s, the one rational rule type,
-and stay in one basis, the factored nu products of their model: P is
-evaluated there, with its exact slope, to find its roots, which then
-define it; Q is kept as its nu-basis coefficients, which every risk,
-inner product, the coprimality check and the chain synthesis read.
-Monomial coefficients are formed only for output
-(`RationalRule.monomial_coeffs`).
+and stay in one basis, the factored nu products of their model. P is
+kept as its roots, found on its secular form P/nu, a sum of simple
+poles at the outliers with analytic brackets; Q is kept as its nu-basis
+coefficients, which every risk, inner product, the coprimality check
+and the chain synthesis read. Monomial coefficients are formed only for
+output (`RationalRule.monomial_coeffs`).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,61 +129,61 @@ def _require_noise(model: SpikedModel):
         )
 
 
+def _secular(model: SpikedModel):
+    """(F, lambda0, [(x*_j, b_j)] by ascending x*_j) for P's secular form.
+
+    Divided by r^2 omega0 nu, P is the secular function
+
+        F(x) = x + lambda0 + x sum_j b_j / (x*_j - x),
+
+    lambda0 = c sigma_eps^2 / (r^2 omega0), b_j = omega_j / (omega0 scale_j)
+    > 0, with slope F'(x) = 1 + sum_j b_j x*_j / (x*_j - x)^2 > 0: it
+    rises strictly between its poles, the outliers. F(x) returns the value
+    and the slope, each in O(s) with no products.
+    """
+    w = measures.mixture_weights(model)
+    lam0 = model.c * model.sigma_eps_sq / model.r**2 / w.omega0
+    rn = measures.rn_polynomials(model)
+    poles = sorted(zip(rn.xstars, (om / w.omega0 / sc
+                                   for om, sc in zip(w.omegas, rn.scales))))
+
+    def secular(x: float) -> tuple[float, float]:
+        terms = [b / (xstar - x) for xstar, b in poles]
+        slope = fsum(t * xstar / (xstar - x) for t, (xstar, _) in zip(terms, poles))
+        return x + lam0 + x * fsum(terms), 1.0 + slope
+
+    return secular, lam0, poles
+
+
 def denominator_roots(model: SpikedModel) -> tuple[float, ...]:
     """All s+1 real roots of the monic denominator P, ascending.
 
-    P is evaluated, with its slope, in the factored nu basis of the model,
-    P ~ r^2 x (omega0 nu + sum_j omega_j nu_{-j}) + c sigma_eps^2 nu, whose
-    factors vanish exactly at their outliers; monomial coefficients would
-    lose digits to cancellation when outliers sit close together or are
-    many. The brackets are the analytic sign changes, one between each
-    pair of consecutive outliers, one beyond the last outlier and one on
-    the negative axis; at s = 0 only the last is there and the root is
-    -lambda* of the isotropic ridge.
+    They are the zeros of P's secular form F (`_secular`), whose brackets
+    are analytic: one root between each pair of consecutive outliers, one
+    in [-lambda0, 0), where F(-lambda0) <= 0 < lambda0 = F(0), and one in
+    (x*_max, x*_max + sum_j b_j], where F >= lambda0. At s = 0 F is
+    x + lambda0 and the root is -lambda* of the isotropic ridge.
     """
-    rn = measures.rn_polynomials(model)
-    xs = sorted(rn.xstars)
+    secular, lam0, poles = _secular(model)
+    xs = [xstar for xstar, _ in poles]
     if any(hi - lo < 1e-9 * hi for lo, hi in zip(xs, xs[1:])):
         raise StructuralError(
             "two outlier locations nearly coincide; the model sits on an "
             "excluded degeneracy and root interlacing would be corrupted"
         )
-    # monic P = (a0 x + noise) nu + sum_j a_j x nu_{-j}
-    w = measures.mixture_weights(model)
-    lead = model.r**2 * w.omega0 * rn.nu_lead
-    a0, noise = model.r**2 * w.omega0 / lead, model.c * model.sigma_eps_sq / lead
-    a = [model.r**2 * om / lead for om in w.omegas]
-
-    def pv(x: float) -> tuple[float, float]:
-        # the coefficients vary with x, with slopes (a0, a_1, ..., a_s)
-        return rn.combination((a0 * x + noise, *(aj * x for aj in a)), x, (a0, *a))
-
-    def root(lo, hi, flo):
-        return bracketed_newton(pv, lo, hi, 0.5 * (lo + hi), rising=flo < 0.0)
-
-    f_xs = [pv(x)[0] for x in xs]
-    roots = []
-    for lo, hi, flo, fhi in zip(xs, xs[1:], f_xs, f_xs[1:]):
-        if not flo * fhi < 0.0:
-            raise StructuralError(
-                "no sign change between consecutive outliers; expected root "
-                "interlacing fails (model near an excluded degeneracy)"
-            )
-        roots.append(root(lo, hi, flo))
-    # push the far end out until P changes sign: beyond the last outlier,
-    # then below zero
-    outer = [(xs[-1], f_xs[-1], 2.0 * xs[-1])] if xs else []
-    outer.append((0.0, pv(0.0)[0], -max([model.sigma0_sq, *xs])))
-    for near, f_near, far in outer:
-        for _ in range(200):
-            f_far = pv(far)[0]
-            if f_near * f_far < 0.0:
-                break
-            far *= 2.0
-        else:
-            raise StructuralError(f"could not bracket a root of P beyond {near}")
-        roots.append(root(near, far, f_near) if near < far else root(far, near, f_far))
-    return tuple(sorted(roots))
+    top = xs[-1] + fsum(b for _, b in poles) if xs else 0.0
+    if not (lam0 < math.inf and top < math.inf and all(b > 0.0 for _, b in poles)):
+        raise NumericalError(
+            "the secular form of the denominator leaves the double range: a "
+            "pole weight underflows to zero or a bracket end overflows"
+        )
+    # from -lambda0 F is exact at s = 0, where it is the root
+    roots = [bracketed_newton(secular, -lam0, 0.0, -lam0)]
+    for lo, hi in zip(xs, [*xs[1:], top]):
+        mid = 0.5 * (lo + hi)
+        # no float strictly inside: the root is within an ulp of the pole lo
+        roots.append(bracketed_newton(secular, lo, hi, mid) if lo < mid < hi else lo)
+    return tuple(roots)
 
 
 def _gauss_solve(A: list[list[float]], y: list[float]) -> list[float]:
@@ -278,7 +279,7 @@ def synthesize_sd_params(rule: RationalRule) -> SDParams:
     """
     gammas_all = list(rule.roots_of_p)
     d = len(gammas_all) - 1
-    lead_q = rule.q_nu[0] * rule.rn.nu_lead
+    lead_q = float(rule.q_nu[0]) * rule.rn.nu_lead
     q_at = dict(zip(gammas_all, rule.q(np.array(gammas_all)).tolist()))
 
     chosen: list[float] = []
@@ -345,7 +346,7 @@ def coprimality_check(rule: RationalRule) -> bool:
     p_roots = np.asarray(rule.roots_of_p)
     spacing = np.min(np.diff(np.sort(p_roots))) if p_roots.size > 1 else 1.0
     h = 1e-8 * max(spacing, 1e-30)
-    lo, mid, hi = rule.q(p_roots[:, None] + np.array([-h, 0.0, h])).T
+    lo, mid, hi = np.sign(rule.q(p_roots[:, None] + np.array([-h, 0.0, h]))).T
     return not np.any((lo * mid <= 0.0) | (mid * hi <= 0.0))
 
 

@@ -121,8 +121,9 @@ class RationalRule(ShrinkageFn):
         return self.roots_of_p
 
     def q(self, x):
-        """Numerator Q at x."""
-        return self.rn.value(self.q_nu, np.asarray(x, dtype=float))
+        """Numerator Q at x; inf or nan where its nu products overflow."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.rn.value(self.q_nu, np.asarray(x, dtype=float))
 
     def monomial_coeffs(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
         """Ascending coefficients of P and of Q (padded to deg P terms).
@@ -145,10 +146,10 @@ class RationalRule(ShrinkageFn):
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         num = self.q(x)
-        den = np.ones_like(x)
-        for g in self.roots_of_p:
-            den = den * (x - g)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            den = np.ones_like(x)
+            for g in self.roots_of_p:
+                den = den * (x - g)
             return num / den
 
 

@@ -343,12 +343,12 @@ def _theta_panels(
     return np.concatenate([-t_lo, t_up[::-1]]), np.concatenate([w_lo, w_up[::-1]])
 
 
-def bracketed_newton(f, lo: float, hi: float, x: float, rising: bool,
+def bracketed_newton(f, lo: float, hi: float, x: float,
                      ftol: float = 0.0) -> float:
     """Zero of f in (lo, hi) by Newton steps kept inside a bisection bracket.
 
-    f(x) returns the value and the slope at x, and changes sign on
-    [lo, hi]: rising means the value is negative left of the zero. Each
+    f(x) returns the value and the slope at x, and rises through its zero
+    on [lo, hi]: negative left of it, positive right of it. Each
     evaluation shrinks the bracket to the side holding the zero; a Newton
     step that leaves it, or a zero slope, is replaced by bisection, except
     a step of round-off size, which ends the search. Stops when
@@ -360,7 +360,7 @@ def bracketed_newton(f, lo: float, hi: float, x: float, rising: bool,
         fx, slope = f(x)
         if abs(fx) <= ftol:
             break
-        if (fx < 0.0) == rising:
+        if fx < 0.0:
             lo = x
         else:
             hi = x
@@ -405,7 +405,7 @@ def mp_quantile_inverse(model: SpikedModel, tau: float) -> float:
 
     # the mass is increasing in theta and its derivative is the integrand
     theta = bracketed_newton(lambda t: (upper_mass(t) - tau, density(t)),
-                             0.0, math.pi, 0.5 * math.pi, rising=True, ftol=1e-15)
+                             0.0, math.pi, 0.5 * math.pi, ftol=1e-15)
     return float(mid + half * math.cos(theta))
 
 

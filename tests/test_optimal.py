@@ -1,11 +1,12 @@
 import json
+import math
 import pathlib
 
 import numpy as np
 import pytest
 
 import spectral_distill as sd
-from spectral_distill import SpikedModel, StructuralError
+from spectral_distill import NumericalError, SpikedModel, StructuralError
 from spectral_distill.cli import parse_model
 from conftest import many_spike_model, random_model
 from oracles import isotropic_optimal, monomial_rational_rule
@@ -418,9 +419,10 @@ REFERENCE_ROOTS = {
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_ROOTS))
 def test_roots_match_high_precision_reference(name):
-    # P is evaluated in the factored nu basis, so the roots stay exact to
-    # round-off even where the outliers, and so the roots, crowd together;
-    # the fixed-point residual then drops to round-off too
+    # the roots are found on P's secular form, whose gaps x*_j - x are
+    # exact next to each outlier, so they stay exact to round-off even
+    # where the outliers, and so the roots, crowd together; the
+    # fixed-point residual then drops to round-off too
     model = parse_model(json.loads((CORPUS / f"{name}.json").read_text())["model"])
     rule, _ = sd.optimal_pred_rule(model)
     ref = np.array([float(v) for v in REFERENCE_ROOTS[name]])
@@ -459,14 +461,52 @@ MANY_SPIKE_ROOTS = {
 
 @pytest.mark.parametrize("name", sorted(MANY_SPIKE_ROOTS))
 def test_many_spike_roots_within_4_ulp(name):
-    # the Newton slope comes from the factored P too: a slope taken from
-    # monomial coefficients (8% off at s = 16) once stopped the search
-    # early, leaving roots up to 5e-3 relative away
+    # the Newton slope is the secular form's own, exact to round-off: a
+    # slope taken from monomial coefficients (8% off at s = 16) once
+    # stopped the search early, leaving roots up to 5e-3 relative away
     model = parse_model(json.loads((CORPUS / f"{name}.json").read_text())["model"])
     rule, _ = sd.optimal_pred_rule(model)
     got = np.array(rule.roots_of_p)
     ref = np.array([float(v) for v in MANY_SPIKE_ROOTS[name]])
     assert np.all(np.abs(got - ref) <= 4 * np.spacing(np.abs(ref)))
+
+
+SECULAR_CONFIGS = sorted(p for command in ("optimal", "sd-params", "federated")
+                         for p in CORPUS.glob(f"{command}__*.json"))
+
+
+@pytest.mark.parametrize("path", SECULAR_CONFIGS, ids=lambda p: p.stem)
+def test_secular_value_and_slope_match_p_over_nu(path):
+    # F = P0 / (r^2 omega0 nu) with P0 = r^2 x (omega0 nu + sum_j omega_j
+    # nu_{-j}) + c sigma_eps^2 nu: its value against the factored P0 and nu
+    # of `rn.value`, its slope against a 50-digit derivative of P0 / nu, at
+    # random points and next to each pole
+    mpmath = pytest.importorskip("mpmath")
+    model = parse_model(json.loads(path.read_text())["model"])
+    secular, lam0, poles = sd.optimal._secular(model)
+    rn, w = sd.rn_polynomials(model), sd.mixture_weights(model)
+    r2, noise = model.r**2, model.c * model.sigma_eps_sq
+    top = 2.0 * max([model.sigma0_sq, *rn.xstars])
+    points = [*np.random.default_rng(0).uniform(-top, top, size=8).tolist(),
+              *(xstar * (1.0 + e) for xstar in rn.xstars for e in (-1e-6, 1e-6))]
+    for x in points:
+        value, slope = secular(x)
+        p0 = rn.value((r2 * w.omega0 * x + noise, *(r2 * om * x for om in w.omegas)),
+                      np.float64(x))
+        want = p0 / (r2 * w.omega0 * rn.value((1.0,) + (0.0,) * model.s, np.float64(x)))
+        size = abs(x) + lam0 + sum(abs(x * b / (xstar - x)) for xstar, b in poles)
+        assert abs(value - want) <= 1e-14 * size, x
+        with mpmath.workdps(50):
+            def f(t):
+                factors = [mpmath.mpf(sc) * (mpmath.mpf(xstar) - t)
+                           for sc, xstar in zip(rn.scales, rn.xstars)]
+                nu = mpmath.fprod(factors)
+                mix = w.omega0 * nu + mpmath.fsum(
+                    om * mpmath.fprod(factors[:j] + factors[j + 1:])
+                    for j, om in enumerate(w.omegas))
+                return (r2 * t * mix + noise * nu) / (r2 * w.omega0 * nu)
+            ref = float(mpmath.diff(f, mpmath.mpf(x)))
+        assert abs(slope - ref) <= 1e-14 * abs(ref), x
 
 
 def test_fixed_point_residual_many_spikes():
@@ -488,6 +528,45 @@ CLOSED_FORM_MODELS = sorted({
     path.stem: json.loads(path.read_text())["model"]
     for path in CORPUS.glob("*.json")
     if path.stem.split("__")[0] not in ("simulate", "sweep")}.items())
+
+
+def test_scaled_model_gives_exactly_scaled_roots():
+    # covariance scale k: sigma0^2 and every delta times k, r and every
+    # alpha over sqrt(k); F's lambda0, b_j and poles scale by k, so its
+    # roots do too, bit for bit, far past where the nu products of P
+    # (which scale like k^s) leave the double range
+    seen = set()
+    for name, block in CLOSED_FORM_MODELS:
+        model = parse_model(block)
+        if model in seen or model.sigma_eps_sq == 0.0:
+            continue
+        seen.add(model)
+        roots = sd.denominator_roots(model)
+        for k in (2.0**60, 2.0**-60, 2.0**120, 2.0**-120):
+            root = math.sqrt(k)
+            scaled = SpikedModel(model.sigma0_sq * k, model.c,
+                                 tuple((d * k, a / root) for d, a in model.spikes),
+                                 model.r / root, model.sigma_eps_sq)
+            assert sd.denominator_roots(scaled) == tuple(g * k for g in roots), (name, k)
+    assert len(seen) >= 70
+
+
+def test_root_within_an_ulp_of_the_last_outlier_is_that_outlier():
+    # at delta = 2^70 the bracket (x*, x* + b) past the outlier holds no
+    # float (b = 5.2, ulp(x*) = 2^18), and F is not evaluated at its pole
+    model = SpikedModel(1.0, 2.0, ((2.0**70, 0.5),), 2.0, 1.0)
+    xstar = sd.outlier_location(model, 2.0**70)
+    _, lam0, [(_, b)] = sd.optimal._secular(model)
+    assert xstar + b == xstar
+    assert sd.denominator_roots(model) == (-lam0, xstar)
+
+
+def test_underflowing_pole_weight_is_numerical_failure():
+    # b_1 = omega_1 / (omega0 scale_1) = 1e-300 / 1e180 underflows to 0, so
+    # F loses its pole at x*_1 and the sign change next to it
+    model = SpikedModel(1e-150, 1e-30, ((1.0, 1e-150),), 1.0, 1.0)
+    with pytest.raises(NumericalError, match="pole weight underflows to zero"):
+        sd.denominator_roots(model)
 
 
 def test_solve_matches_lapack_on_every_closed_form_corpus_model():
