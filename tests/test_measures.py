@@ -1,15 +1,21 @@
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
 import spectral_distill as sd
 from spectral_distill import SpikedModel
+from spectral_distill.cli import parse_model
 
 from conftest import random_model
 from oracles import Tabulated, basis_h, inner_w, mu_j, target_g, weight_w
 
 ONE = lambda x: np.ones_like(x)
+CORPUS = pathlib.Path(__file__).parent / "corpus"
+CLOSED_FORM_CONFIGS = sorted(p for command in ("optimal", "sd-params", "federated")
+                             for p in CORPUS.glob(f"{command}__*.json"))
 
 
 def test_mixture_weights_examples(fig1_model):
@@ -85,6 +91,33 @@ def test_rn_combination_matches_products():
     assert rn.value(coeffs, square).tobytes() == values[:100].tobytes()
     # one table per model
     assert sd.rn_polynomials(model) is rn
+
+
+@pytest.mark.parametrize("path", CLOSED_FORM_CONFIGS, ids=lambda p: p.stem)
+def test_rn_combination_with_coefficient_slopes_is_two_calls(path):
+    # P = (a0 x + noise) nu + sum_j a_j x nu_{-j} has coefficients that vary
+    # with x, with slopes a0 = r^2 omega0 and a_j = r^2 omega_j. `value` is
+    # linear in its coefficients, so the one call on P's coefficients is
+    # x times the call on the slopes plus noise times the call on nu, up to
+    # the rounding of the sums
+    model = parse_model(json.loads(path.read_text())["model"])
+    rn = sd.rn_polynomials(model)
+    w = sd.mixture_weights(model)
+    slopes = (model.r**2 * w.omega0, *(model.r**2 * om for om in w.omegas))
+    noise = model.c * model.sigma_eps_sq
+    rng = np.random.default_rng(0)
+    top = 2.0 * max([model.sigma0_sq, *rn.xstars])
+    xs = np.array([0.0, *rn.xstars, *rng.uniform(-top, top, size=16)])
+    coeffs = (slopes[0] * xs + noise, *(a * xs for a in slopes[1:]))
+    one = rn.value(coeffs, xs)
+    two = xs * rn.value(slopes, xs) + noise * rn.value((1.0,) + (0.0,) * model.s, xs)
+    factors = [sc * (xstar - xs) for sc, xstar in zip(rn.scales, rn.xstars)]
+    products = [math.prod(factors)] + [
+        math.prod(f for j, f in enumerate(factors) if j != i) for i in range(model.s)]
+    size = sum(np.abs(c) * np.abs(q) for c, q in zip(
+        (np.abs(slopes[0] * xs) + noise, *(np.abs(a * xs) for a in slopes[1:])), products))
+    assert np.all(np.isfinite(one)) and np.all(np.isfinite(size))
+    assert np.all(np.abs(one - two) <= 1e-14 * size), xs[np.abs(one - two) > 1e-14 * size]
 
 
 def test_mu_partition_of_unity(fig1_model):
