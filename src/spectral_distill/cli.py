@@ -395,16 +395,12 @@ def cmd_federated(model, block, tag):
     return _json_dump(payload) + "\n"
 
 
-# the fields of each estimator label as (name, type); see montecarlo.ESTIMATORS
-LABELS = {"ridge": (("lambda", float),), "ridge_tuned": (), "sd_optimal": (),
-          "pcr": (("m", int),), "minnorm": (), "gd": (("eta", float), ("steps", int))}
-
-
 def _parse_estimator(label: str, n: int, p: int):
-    """The kind and arguments of a simulate/sweep estimator label: ridge:<lam>
-    | ridge_tuned | sd_optimal | pcr:<m> | minnorm | gd:<eta>:<steps>."""
+    """The kind, `montecarlo.ESTIMATORS` function and arguments of a
+    simulate/sweep estimator label: ridge:<lam> | ridge_tuned | sd_optimal
+    | pcr:<m> | minnorm | gd:<eta>:<steps>."""
     kind, *texts = label.split(":")
-    fields = LABELS.get(kind)
+    fields, build = montecarlo.ESTIMATORS.get(kind, (None, None))
     if fields is None or len(texts) != len(fields):
         raise ConfigError(f"unrecognized estimator spec '{label}'")
     args = []
@@ -416,7 +412,7 @@ def _parse_estimator(label: str, n: int, p: int):
             raise ConfigError(f"{label}: {name} = '{text}' is not {what}") from None
     if kind == "pcr" and not 1 <= args[0] <= min(n, p):
         raise ConfigError(f"{label}: m must be in 1..min(n, p) = {min(n, p)}")
-    return kind, args
+    return kind, build, args
 
 
 def _estimate(model, labels, sim):
@@ -433,13 +429,12 @@ def _estimate(model, labels, sim):
             raise ConfigError(
                 "pcr:<m> estimators need a sweep.sim block to fix p and n"
             )
-        kind, args = _parse_estimator(label, n, p)
+        kind, build, args = _parse_estimator(label, n, p)
         # one estimator, one row, however its fields are spelled
         if (kind, *args) in seen:
             raise ConfigError(f"estimator '{label}' is listed twice")
         seen.add((kind, *args))
-        ests[label], targets[label] = montecarlo.ESTIMATORS[kind](
-            model, n, p, *args)
+        ests[label], targets[label] = build(model, n, p, *args)
     if cfg is None or not ests:  # no estimator draws no data
         return targets, {}
     return targets, montecarlo.harness_suite(cfg, ests, targets)

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -70,13 +69,14 @@ class RnPolynomials:
         return out
 
 
-@lru_cache(maxsize=128)
 def rn_polynomials(model: SpikedModel) -> RnPolynomials:
-    deltas = [d for d, _ in model.spikes]
-    affine = tuple(spectra.nu_affine(model, d) for d in deltas)
-    xstars = tuple(spectra.outlier_location(model, d) for d in deltas)
-    scales = tuple(-q for _, q in affine)
-    return RnPolynomials(affine, xstars, scales)
+    def build():
+        deltas = [d for d, _ in model.spikes]
+        affine = tuple(spectra.nu_affine(model, d) for d in deltas)
+        xstars = tuple(spectra.outlier_location(model, d) for d in deltas)
+        return RnPolynomials(affine, xstars, tuple(-q for _, q in affine))
+
+    return spectra.cached(model, "nu basis", build)
 
 
 def _weight(model: SpikedModel, x, mu0):
@@ -104,7 +104,7 @@ class GramSystem:
 
 
 def gram_system(model: SpikedModel) -> GramSystem:
-    """Assemble H and gamma over the model's cached grid.
+    """Assemble H and gamma over the model's grid, built once per model.
 
     Row i of H is int x mu_j / w dF_{measure_i}, where measure_0 = F_MP and
     measure_i = F_{delta_i}: 0 at the zero atom, where w may be 0 too. An

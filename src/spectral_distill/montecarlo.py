@@ -329,17 +329,18 @@ def _pcr(model, n, p, m):
     return ("pcr", m), target
 
 
-#: estimator kind -> function of (model, n, p, *the kind's arguments) giving
-#: the spec that `fit_coords` fits on n x p data of the model and the limit
-#: of its prediction risk; only pcr reads n and p
+#: estimator kind -> ((name, type) of each field of its label, function of
+#: (model, n, p, *fields) giving the spec that `fit_coords` fits on n x p data
+#: of the model and the limit of its prediction risk); only pcr reads n and p
 ESTIMATORS = {
-    "ridge": lambda model, n, p, lam: _rule(model, Ridge(lam)),
-    "ridge_tuned": _ridge_tuned,
-    "sd_optimal": _sd_optimal,
-    "pcr": _pcr,
-    "minnorm": lambda model, n, p: (
-        ("minnorm",), _rule(model, shrinkage.min_norm_rule(model))[1]),
-    "gd": lambda model, n, p, eta, steps: _rule(model, GDPoly(eta, steps)),
+    "ridge": ((("lambda", float),), lambda model, n, p, lam: _rule(model, Ridge(lam))),
+    "ridge_tuned": ((), _ridge_tuned),
+    "sd_optimal": ((), _sd_optimal),
+    "pcr": ((("m", int),), _pcr),
+    "minnorm": ((), lambda model, n, p: (
+        ("minnorm",), _rule(model, shrinkage.min_norm_rule(model))[1])),
+    "gd": ((("eta", float), ("steps", int)),
+           lambda model, n, p, eta, steps: _rule(model, GDPoly(eta, steps))),
 }
 
 

@@ -303,6 +303,10 @@ def synthesize_sd_params(rule: RationalRule) -> SDParams:
                 pick = idx
                 break
         if pick is None:
+            shared = _shared_roots(rule)
+            if shared.size:
+                raise AssumptionError("P and Q must be coprime for the s-step chain; "
+                                      f"they share the root {float(shared[0])!r}")
             raise StructuralError(
                 "self-distillation synthesis failed: every remaining root makes "
                 "the partial sums degenerate (numerical-precision failure)"
@@ -334,20 +338,24 @@ def synthesize_sd_params(rule: RationalRule) -> SDParams:
 
 
 def coprimality_check(rule: RationalRule) -> bool:
-    """True iff P and Q share no root (tolerance relative to root spacing).
+    """True iff P and Q share no root: then no shorter chain realizes the rule."""
+    return _shared_roots(rule).size == 0
+
+
+def _shared_roots(rule: RationalRule) -> np.ndarray:
+    """The roots of P that Q shares (tolerance relative to root spacing).
 
     Q is read through `rule.q` at each root gamma_k of P and at
     gamma_k -+ h, h = 1e-8 times the root spacing. The roots are exact to
     a few ulp and Q is evaluated in its own basis, so its rounding error
     is far below its change over h: a sign change (or a zero) among the
     three values puts a root of Q within h of gamma_k.
-    True implies no shorter self-distillation chain can realize the rule.
     """
     p_roots = np.asarray(rule.roots_of_p)
     spacing = np.min(np.diff(np.sort(p_roots))) if p_roots.size > 1 else 1.0
     h = 1e-8 * max(spacing, 1e-30)
     lo, mid, hi = np.sign(rule.q(p_roots[:, None] + np.array([-h, 0.0, h]))).T
-    return not np.any((lo * mid <= 0.0) | (mid * hi <= 0.0))
+    return p_roots[(lo * mid <= 0.0) | (mid * hi <= 0.0)]
 
 
 def sd_round_trip_error(model: SpikedModel, rule: RationalRule,

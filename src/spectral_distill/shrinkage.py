@@ -23,23 +23,24 @@ all from `SpectralGrid.integrate`:
     est:   r^2 int (1-xf)^2 dF_alpha + c sigma_eps^2 int x f^2 dF_MP
 
 The inner products of `optimal` and `federated` need one more pass,
-int x f against F_MP and each F_{delta_j}. One cached `RuleOnGrid` per
-(grid object, rule) holds the values, and the moments and that pass once
-read, so the risks, inner products and self-checks of one rule share one
-check and evaluation and integrate each integrand once.
+int x f against F_MP and each F_{delta_j}. One `RuleOnGrid` per (model,
+rule), kept as long as the model, holds the values, and the moments and
+that pass once read, so the risks, inner products and self-checks of one
+rule share one check and evaluation and integrate each integrand once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import AssumptionError, NumericalError
-from .spectra import SpikedModel, fsum, get_grid, mp_support, mp_quantile_inverse
+from .spectra import (SpikedModel, cached, fsum, get_grid, mp_support,
+                      mp_quantile_inverse)
 
 if TYPE_CHECKING:
     from .measures import RnPolynomials
@@ -306,18 +307,17 @@ def validate_rule(model: SpikedModel, f: ShrinkageFn) -> RuleOnGrid:
     bulk. A declared pole on the limiting support raises AssumptionError;
     a value that is not finite (an undeclared pole, or an overflow) raises
     NumericalError, on every call: no convention maps it. Returns the
-    rule's `RuleOnGrid` from a small cache keyed on the grid object and f,
-    never on the model: a grid rebuilt after `_grid_cached` is cleared, or
-    from other panels, is checked and evaluated afresh. Equal package
-    rules (frozen dataclasses) share an entry; other ShrinkageFn classes
-    hash by identity and must not change once called.
+    rule's `RuleOnGrid`, kept beside the model's grids (`spectra.cached`),
+    so records and grids are dropped together. Equal package rules (frozen
+    dataclasses) share a record; other ShrinkageFn classes hash by
+    identity and must not change once called.
     """
     a, b = mp_support(model)
     breaks = tuple(v for v in f.breakpoints if a < v < b)
-    return _check_and_evaluate(get_grid(model, breaks=breaks), f)
+    grid = get_grid(model, breaks=breaks)
+    return cached(model, (breaks, f), lambda: _check_and_evaluate(grid, f))
 
 
-@lru_cache(maxsize=16)
 def _check_and_evaluate(grid: SpectralGrid, f: ShrinkageFn) -> RuleOnGrid:
     poles = np.asarray(f.poles(), dtype=float)
     inside = grid.on_support(poles)

@@ -20,6 +20,7 @@ references, are in `tests/oracles.py`.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -536,10 +537,15 @@ class SpectralGrid:
         return ok
 
 
-@lru_cache(maxsize=128)
-def _grid_cached(model: SpikedModel, breaks: tuple) -> SpectralGrid:
-    return SpectralGrid(model, breaks=breaks)
+_per_model: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def cached(model: SpikedModel, key, build):
+    """build() once per model and key, freed with the model, which it must not hold."""
+    entries = _per_model.setdefault(model, {})
+    return entries[key] if key in entries else entries.setdefault(key, build())
 
 
 def get_grid(model: SpikedModel, breaks: tuple[float, ...] = ()) -> SpectralGrid:
-    return _grid_cached(model, tuple(breaks))
+    breaks = tuple(breaks)
+    return cached(model, breaks, lambda: SpectralGrid(model, breaks=breaks))

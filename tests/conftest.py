@@ -10,7 +10,7 @@ from spectral_distill import SpikedModel, spectra
 def _fresh_grid_cache():
     # every test builds its grids afresh, so the warnings a grid build
     # raises show in each test that asks for it, whatever ran before
-    spectra._grid_cached.cache_clear()
+    spectra._per_model.clear()
 
 
 @pytest.fixture(scope="session")

@@ -415,10 +415,10 @@ def test_criterion_11_fewer_steps_are_strictly_worse(fig1_model, fig4_model):
             winner = sd.SDChain(SDParams(tuple(theta[:steps + 1]),
                                          tuple(theta[steps + 1:])))
             with pytest.MonkeyPatch.context() as patch:
-                sd.spectra._grid_cached.cache_clear()
+                sd.spectra._per_model.clear()
                 patch.setattr(sd.spectra, "_theta_panels", _reference_panels)
                 ref = sd.limiting_pred_risk(model, winner).total
-            sd.spectra._grid_cached.cache_clear()
+            sd.spectra._per_model.clear()
             ref_err = max(ref_err, abs(risk - ref) / ref)
     elapsed = time.time() - t0
     report(

@@ -1,10 +1,12 @@
 import copy
+import gc
 import json
 import os
 import pathlib
 import subprocess
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -319,7 +321,7 @@ def test_closed_form_op_evaluates_optimal_rule_once(tmp_path, monkeypatch,
     monkeypatch.setattr(shrinkage.RationalRule, "__call__", counting)
     cfg = write_cfg(tmp_path, {"model": FIG1_MODEL,
                                block: {"K": 3} if command == "federated" else {}})
-    spectra._grid_cached.cache_clear()
+    spectra._per_model.clear()
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
     assert len(calls) == 1
 
@@ -328,10 +330,8 @@ def test_closed_form_op_evaluates_optimal_rule_once(tmp_path, monkeypatch,
     ("optimal", "optimal"), ("sd-params", "sd_params"), ("federated", "federated")])
 def test_closed_form_op_scans_poles_once_per_rule(tmp_path, monkeypatch,
                                                   command, block):
-    # every validate_rule call on an equal rule and the same grid object
-    # reuses one check: the poles meet the support once per (grid, rule).
-    # No grid cache is cleared during an op, so a (model, rule) pair
-    # names one grid.
+    # every validate_rule call on an equal rule and the same model reuses
+    # one check: the poles meet the support once per (model, rule)
     from spectral_distill import federated, optimal
 
     scans, checked = [], set()
@@ -376,9 +376,51 @@ def test_closed_form_op_integrates_each_integrand_once(tmp_path, monkeypatch,
     monkeypatch.setattr(spectra.SpectralGrid, "integrate", counting)
     cfg = write_cfg(tmp_path, {"model": FIG1_MODEL,
                                block: {"K": 3} if command == "federated" else {}})
-    spectra._grid_cached.cache_clear()
+    spectra._per_model.clear()
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
     assert len(calls) == integrals
+
+
+@pytest.mark.parametrize("command,block", [
+    ("optimal", {}),
+    ("simulate", {"n": 40, "p": 80, "seed": 1, "n_replicates": 2,
+                  "estimators": ["ridge_tuned", "sd_optimal", "pcr:1",
+                                 "pcr:20", "minnorm", "gd:0.05:10"]}),
+])
+def test_op_builds_each_grid_and_rule_record_once_and_frees_them(
+        tmp_path, monkeypatch, command, block):
+    # an op's grids, nu basis and rule records are kept per model: each is
+    # built once, and all are freed by reference counting when the op
+    # drops its model. The cyclic collector is off, so a cycle through a
+    # kept value would leave the grids alive.
+    built, checked = [], []
+    init = spectra.SpectralGrid.__init__
+    check = shrinkage._check_and_evaluate
+
+    def counting_init(self, model, breaks=()):
+        built.append((weakref.ref(self), tuple(breaks)))
+        init(self, model, breaks=breaks)
+
+    def counting_check(grid, f):
+        checked.append((id(grid), f))
+        return check(grid, f)
+
+    monkeypatch.setattr(spectra.SpectralGrid, "__init__", counting_init)
+    monkeypatch.setattr(shrinkage, "_check_and_evaluate", counting_check)
+    cfg = write_cfg(tmp_path, {"model": README_MODEL, command: block})
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        dead = [ref() is None for ref, _ in built]
+        assert len(spectra._per_model) == 0
+    finally:
+        if enabled:
+            gc.enable()
+    # one model per op, so a grid's breaks name it
+    assert len(built) == len({key for _, key in built}) >= 1
+    assert len(checked) == len(set(checked)) >= 1
+    assert all(dead)
 
 
 def test_assumption_message_names_condition(tmp_path, capsys):
@@ -597,6 +639,49 @@ def test_malformed_input_is_config_error(tmp_path, capsys, command, block):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command,config,field", [
+    ("risk", {"model": FIG1_MODEL, "risk": {"rules": {}}}, "risk.rules"),
+    ("optimal", {"model": [], "optimal": {}}, "model must be an object"),
+    ("sweep", {"model": FIG1_MODEL, "sweep": {
+        "parameter": "delta", "values": [2.5], "include_sd_params": 1}},
+     "sweep.include_sd_params"),
+    ("sweep", {"model": FIG1_MODEL, "sweep": {
+        "parameter": "sigma_eps_sq", "values": [1.0], "estimators": ["pcr:3"]}},
+     "sweep.sim"),
+    ("sweep", {"model": FIG1_MODEL, "sweep": {
+        "parameter": "delta", "values": [2.5], "spike_index": 3}},
+     "sweep.spike_index"),
+    ("sweep", {"model": ISO_MODEL, "sweep": {
+        "parameter": "delta", "values": [2.5]}}, "delta sweep"),
+    ("optimal", {"optimal": {}}, "'model'"),
+    ("optimal", [FIG1_MODEL], "'model'"),
+], ids=["rules-not-list", "model-not-object", "include_sd_params-not-boolean",
+        "pcr-sweep-without-sim", "spike_index-out-of-range",
+        "delta-sweep-without-spikes", "no-model", "top-level-list"])
+def test_misplaced_field_is_one_line_config_error(tmp_path, capsys, command,
+                                                   config, field):
+    cfg = write_cfg(tmp_path, config)
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and field in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("spacing", [{}, {"spacing": "linear"}],
+                         ids=["default", "linear"])
+def test_linear_ridge_grid_prints_the_rows_of_its_points(tmp_path, spacing):
+    rows = {}
+    for name, lambdas in (("grid", {"min": 0.1, "max": 2.0, "num": 5, **spacing}),
+                          ("list", np.linspace(0.1, 2.0, 5).tolist())):
+        rules = [{"kind": "ridge", "lambdas": lambdas}]
+        cfg = write_cfg(tmp_path, {"model": FIG1_MODEL, "risk": {"rules": rules}},
+                        name=f"{name}.json")
+        out = tmp_path / f"{name}.csv"
+        assert main(["risk", "--config", cfg, "--out", str(out)]) == 0
+        rows[name] = read_csv(out)[1:]
+    assert rows["grid"] == rows["list"] and len(rows["grid"][1]) == 5
+
+
 def test_output_block_is_an_unknown_key(tmp_path, capsys):
     # --out alone says where the output goes
     out = tmp_path / "opt.json"
@@ -663,6 +748,15 @@ def _refusal(tmp_path, kind):
         config["risk"] = {"rules": [{"kind": "gd", "etas": [0.2],
                                      "steps": [20000]}]}
         return "risk", config, [], 4
+    if kind.startswith("shared-root-"):
+        # a spike of 1e-300 makes Q and P share their root past the
+        # outlier: the rule is the 0-step ridge, no 1-step chain
+        command = kind.removeprefix("shared-root-")
+        block = {"K": 3} if command == "federated" else {}
+        config = {"model": README_MODEL | {"spikes": [{"delta": 1e-300,
+                                                       "alpha": 1.7}]},
+                  command.replace("-", "_"): block}
+        return command, config, [], 3
     config = {"model": FIG1_MODEL, "optimal": {}}
     return "optimal", config, ["--out", str(tmp_path / "missing" / "x.json")], 2
 
@@ -670,7 +764,9 @@ def _refusal(tmp_path, kind):
 @pytest.mark.parametrize("kind", ["infinite-grid-bound", "simulate-huge-c",
                                   "sweep-huge-c", "missing-directory",
                                   "gd-huge-eta", "sd-huge-xi",
-                                  "gd-diverges-at-outlier"])
+                                  "gd-diverges-at-outlier",
+                                  "shared-root-optimal", "shared-root-sd-params",
+                                  "shared-root-federated"])
 def test_refused_input_prints_one_line_in_a_fresh_process(tmp_path, kind):
     # warnings are shown in a fresh process, unlike under pytest
     command, config, extra, code = _refusal(tmp_path, kind)
@@ -684,7 +780,8 @@ def test_refused_input_prints_one_line_in_a_fresh_process(tmp_path, kind):
         env=env, capture_output=True, text=True)
     assert done.returncode == code
     assert done.stdout == ""
-    assert done.stderr.startswith({2: "config error:", 4: "numerical failure:"}[code])
+    assert done.stderr.startswith({2: "config error:", 3: "assumption violation:",
+                                   4: "numerical failure:"}[code])
     assert done.stderr.count("\n") == 1, done.stderr
 
 
@@ -910,8 +1007,9 @@ def test_p_over_n_not_c_is_refused_before_any_limit_or_draw(
     # the limits hold at c = p/n: a mean drawn at 150/80 was once printed
     # beside a limit taken at c = 2, after only a warning
     monkeypatch.setattr(cli.montecarlo, "gen_data", _refuse("gen_data"))
-    for kind in cli.montecarlo.ESTIMATORS:
-        monkeypatch.setitem(cli.montecarlo.ESTIMATORS, kind, _refuse(kind))
+    for kind, (fields, _) in cli.montecarlo.ESTIMATORS.items():
+        monkeypatch.setitem(cli.montecarlo.ESTIMATORS, kind,
+                            (fields, _refuse(kind)))
     sizes = {"n": 80, "p": 150, "seed": 1, "n_replicates": 2}
     block = _sim_block(command, sizes, ["ridge:1", "pcr:79", "minnorm"])
     cfg = write_cfg(tmp_path, {"model": README_MODEL, command: block})

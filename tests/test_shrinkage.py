@@ -207,7 +207,7 @@ PANEL_MODELS = {
 
 
 def _panel_risks(model, tau):
-    sd.spectra._grid_cached.cache_clear()
+    sd.spectra._per_model.clear()
     sharp = sd.pcr_sharp_pred_risk(model, tau).total
     kept = [sd.pcr_component_limit_risk(model, m).total for m in (0, 1, None)]
     return np.array([sharp, *kept])
@@ -224,7 +224,7 @@ def test_panel_risks_match_converged_reference(name, monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(sd.spectra, "_theta_panels", _reference_panels)
             ref = _panel_risks(model, tau)
-        sd.spectra._grid_cached.cache_clear()
+        sd.spectra._per_model.clear()
         assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))
 
 
@@ -240,7 +240,7 @@ EDGE_MODELS = {
 
 
 def _edge_values(model):
-    sd.spectra._grid_cached.cache_clear()
+    sd.spectra._per_model.clear()
     rules = {
         "ridge": sd.Ridge(0.3),
         "gd_0.1x1000": sd.GDPoly(0.1, 1000),
@@ -270,13 +270,13 @@ def test_edge_regime_risks_match_converged_reference(name, monkeypatch):
         # the reference reached the grid of rules without breaks
         a, b = sd.mp_support(model)
         assert sd.get_grid(model).x.size == _reference_panels(a, b, ())[0].size
-    sd.spectra._grid_cached.cache_clear()
+    sd.spectra._per_model.clear()
     for key in got:
         assert np.all(np.abs(got[key] - ref[key]) <= 1e-13 * np.abs(ref[key])), key
 
 
 def _tabulated_risks(model, rule):
-    sd.spectra._grid_cached.cache_clear()
+    sd.spectra._per_model.clear()
     return np.array([sd.limiting_pred_risk(model, rule).total,
                      sd.limiting_est_risk(model, rule).total])
 
@@ -294,13 +294,14 @@ def test_tabulated_risks_match_converged_reference(c, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(sd.spectra, "_theta_panels", _reference_panels)
         ref = _tabulated_risks(model, rule)
-    sd.spectra._grid_cached.cache_clear()
+    sd.spectra._per_model.clear()
     assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))
 
 
 def test_validate_rule_evaluates_a_rebuilt_grid(fig4_model, monkeypatch):
-    # values are cached per grid object, so a grid rebuilt from other
-    # panels is evaluated afresh and never served the older grid's values
+    # a rule's record is kept in its model's entry with the model's grids,
+    # so dropping that entry drops both: a grid rebuilt from other panels
+    # is evaluated afresh and never served the older grid's values
     rule = sd.optimal_pred_rule(fig4_model)[0]
     checked = sd.shrinkage.validate_rule(fig4_model, rule)
     grid = checked.grid
@@ -308,13 +309,13 @@ def test_validate_rule_evaluates_a_rebuilt_grid(fig4_model, monkeypatch):
     a, b = sd.mp_support(fig4_model)
     with monkeypatch.context() as patch:
         patch.setattr(sd.spectra, "_theta_panels", _reference_panels)
-        sd.spectra._grid_cached.cache_clear()
+        del sd.spectra._per_model[fig4_model]
         ref = sd.shrinkage.validate_rule(fig4_model, rule)
     n_ref = _reference_panels(a, b, ())[0].size
     assert ref.grid is not grid and n_ref != grid.x.size
     assert ref.grid.x.size == n_ref
     assert np.array_equal(ref.values, rule(ref.grid.support_points))
-    sd.spectra._grid_cached.cache_clear()
+    del sd.spectra._per_model[fig4_model]
     assert (sd.shrinkage.validate_rule(fig4_model, rule).values.size
             == grid.support_points.size)
 
@@ -329,7 +330,7 @@ def test_pred_and_est_risk_share_one_moment_pass(fig1_model, monkeypatch):
         return moments(*args)
 
     monkeypatch.setattr(sd.shrinkage, "_rule_moments", counting)
-    sd.spectra._grid_cached.cache_clear()
+    sd.spectra._per_model.clear()
     pred = sd.limiting_pred_risk(fig1_model, rule)
     est = sd.limiting_est_risk(fig1_model, rule)
     assert len(passes) == 1
@@ -425,7 +426,7 @@ def test_rule_is_called_once_on_bulk_and_atoms(fig4_model):
             return 1.0 / (np.asarray(x) + 0.5)
 
     rule = Counting()
-    sd.spectra._grid_cached.cache_clear()
+    sd.spectra._per_model.clear()
     sd.limiting_pred_risk(fig4_model, rule)
     sd.limiting_est_risk(fig4_model, rule)
     sd.optimal.inner_products_with_basis(fig4_model, rule)
