@@ -329,8 +329,7 @@ def cmd_risk(model, block, tag):
     rows = []
     for spec in block["rules"]:
         for label, h1, h2, fn in build_rules(spec, model):
-            pred = shrinkage.limiting_pred_risk(model, fn)
-            est = shrinkage.limiting_est_risk(model, fn)
+            pred, est = shrinkage.limiting_risks(model, fn)
             rows.append(
                 [label, h1, h2, pred.bias_bulk, *pred.bias_spikes,
                  pred.variance, pred.total, est.bias_bulk, est.variance,
@@ -396,9 +395,8 @@ def cmd_federated(model, block, tag):
 
 
 def _parse_estimator(label: str, n: int, p: int):
-    """The kind, `montecarlo.ESTIMATORS` function and arguments of a
-    simulate/sweep estimator label: ridge:<lam> | ridge_tuned | sd_optimal
-    | pcr:<m> | minnorm | gd:<eta>:<steps>."""
+    """The kind, `montecarlo.ESTIMATORS` function and arguments of a label:
+    ridge:<lam> | ridge_tuned | sd_optimal | pcr:<m> | minnorm | gd:<eta>:<steps>."""
     kind, *texts = label.split(":")
     fields, build = montecarlo.ESTIMATORS.get(kind, (None, None))
     if fields is None or len(texts) != len(fields):

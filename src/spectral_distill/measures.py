@@ -76,7 +76,7 @@ def rn_polynomials(model: SpikedModel) -> RnPolynomials:
         xstars = tuple(spectra.outlier_location(model, d) for d in deltas)
         return RnPolynomials(affine, xstars, tuple(-q for _, q in affine))
 
-    return spectra.cached(model, "nu basis", build)
+    return spectra.cached(model, ("nu basis",), build)
 
 
 def _weight(model: SpikedModel, x, mu0):

@@ -26,7 +26,8 @@ The inner products of `optimal` and `federated` need one more pass,
 int x f against F_MP and each F_{delta_j}. One `RuleOnGrid` per (model,
 rule), kept as long as the model, holds the values, and the moments and
 that pass once read, so the risks, inner products and self-checks of one
-rule share one check and evaluation and integrate each integrand once.
+rule share one check and evaluation and integrate each integrand once; a
+scan over many rules (`limiting_risks`) keeps none.
 """
 
 from __future__ import annotations
@@ -39,8 +40,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import AssumptionError, NumericalError
-from .spectra import (SpikedModel, cached, fsum, get_grid, mp_support,
-                      mp_quantile_inverse)
+from .spectra import SpikedModel, cached, fsum, get_grid, mp_support, mp_quantile_inverse
 
 if TYPE_CHECKING:
     from .measures import RnPolynomials
@@ -300,22 +300,21 @@ class RuleOnGrid:
         return out
 
 
-def validate_rule(model: SpikedModel, f: ShrinkageFn) -> RuleOnGrid:
+def validate_rule(model: SpikedModel, f: ShrinkageFn, keep: bool = True) -> RuleOnGrid:
     """Check a rule against a model and evaluate it once on the model's grid.
 
     The grid's panels are split at the rule's breakpoints inside the
     bulk. A declared pole on the limiting support raises AssumptionError;
     a value that is not finite (an undeclared pole, or an overflow) raises
     NumericalError, on every call: no convention maps it. Returns the
-    rule's `RuleOnGrid`, kept beside the model's grids (`spectra.cached`),
-    so records and grids are dropped together. Equal package rules (frozen
-    dataclasses) share a record; other ShrinkageFn classes hash by
-    identity and must not change once called.
+    rule's `RuleOnGrid`, kept beside the model's grids (`spectra.cached`)
+    unless keep is False, so records and grids are dropped together. Equal
+    package rules (frozen dataclasses) share a record; other ShrinkageFn
+    classes hash by identity and must not change once called.
     """
     a, b = mp_support(model)
-    breaks = tuple(v for v in f.breakpoints if a < v < b)
-    grid = get_grid(model, breaks=breaks)
-    return cached(model, (breaks, f), lambda: _check_and_evaluate(grid, f))
+    grid = get_grid(model, breaks=tuple(v for v in f.breakpoints if a < v < b))
+    return cached(model, ("rule", f), lambda: _check_and_evaluate(grid, f), keep)
 
 
 def _check_and_evaluate(grid: SpectralGrid, f: ShrinkageFn) -> RuleOnGrid:
@@ -372,6 +371,12 @@ def limiting_pred_risk(model: SpikedModel, f: ShrinkageFn) -> RiskBreakdown:
 def limiting_est_risk(model: SpikedModel, f: ShrinkageFn) -> RiskBreakdown:
     """Limiting estimation (l2) risk; no per-spike squared bias terms."""
     return _breakdown(*_risk_terms(model, validate_rule(model, f).moments, "est"))
+
+
+def limiting_risks(model: SpikedModel, f: ShrinkageFn):
+    """(pred, est) risks from one evaluation of the rule, which is not kept."""
+    moments = validate_rule(model, f, keep=False).moments
+    return [_breakdown(*_risk_terms(model, moments, kind)) for kind in ("pred", "est")]
 
 
 def ridge_risk_curve(model: SpikedModel, lambdas, kind: str = "pred") -> np.ndarray:

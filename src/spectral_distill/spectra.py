@@ -540,12 +540,15 @@ class SpectralGrid:
 _per_model: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def cached(model: SpikedModel, key, build):
-    """build() once per model and key, freed with the model, which it must not hold."""
+def cached(model: SpikedModel, key, build, keep: bool = True):
+    """build() once per model and key, freed with the model, which it must
+    not hold; keep=False keeps no new value. Keys: ("grid", breaks),
+    ("nu basis",) and ("rule", f)."""
     entries = _per_model.setdefault(model, {})
-    return entries[key] if key in entries else entries.setdefault(key, build())
+    value = entries[key] if key in entries else build()
+    return entries.setdefault(key, value) if keep else value
 
 
 def get_grid(model: SpikedModel, breaks: tuple[float, ...] = ()) -> SpectralGrid:
     breaks = tuple(breaks)
-    return cached(model, breaks, lambda: SpectralGrid(model, breaks=breaks))
+    return cached(model, ("grid", breaks), lambda: SpectralGrid(model, breaks=breaks))

@@ -386,13 +386,20 @@ def test_closed_form_op_integrates_each_integrand_once(tmp_path, monkeypatch,
     ("simulate", {"n": 40, "p": 80, "seed": 1, "n_replicates": 2,
                   "estimators": ["ridge_tuned", "sd_optimal", "pcr:1",
                                  "pcr:20", "minnorm", "gd:0.05:10"]}),
+    ("risk", {"rules": [
+        {"kind": "ridge", "lambdas": [0.1, 1.0]},
+        {"kind": "sd", "lambdas": [1.0, 2.0], "xis": [0.5]},
+        {"kind": "gd", "etas": [0.05], "steps": [10, 100]},
+        {"kind": "pcr", "taus": [0.1, 0.3]}, {"kind": "min_norm"},
+        {"kind": "optimal_pred"}, {"kind": "optimal_est"}]}),
+    ("federated", {"K": 3}),
 ])
 def test_op_builds_each_grid_and_rule_record_once_and_frees_them(
         tmp_path, monkeypatch, command, block):
     # an op's grids, nu basis and rule records are kept per model: each is
     # built once, and all are freed by reference counting when the op
-    # drops its model. The cyclic collector is off, so a cycle through a
-    # kept value would leave the grids alive.
+    # drops its model. The cyclic collector is off, so a kept value that
+    # held the model, or a cycle through one, would leave them alive.
     built, checked = [], []
     init = spectra.SpectralGrid.__init__
     check = shrinkage._check_and_evaluate
@@ -402,8 +409,10 @@ def test_op_builds_each_grid_and_rule_record_once_and_frees_them(
         init(self, model, breaks=breaks)
 
     def counting_check(grid, f):
+        record = check(grid, f)
         checked.append((id(grid), f))
-        return check(grid, f)
+        built.append((weakref.ref(record), ("rule", f)))
+        return record
 
     monkeypatch.setattr(spectra.SpectralGrid, "__init__", counting_init)
     monkeypatch.setattr(shrinkage, "_check_and_evaluate", counting_check)
@@ -417,8 +426,8 @@ def test_op_builds_each_grid_and_rule_record_once_and_frees_them(
     finally:
         if enabled:
             gc.enable()
-    # one model per op, so a grid's breaks name it
-    assert len(built) == len({key for _, key in built}) >= 1
+    # one model per op, so a grid's breaks name it, and a record its rule
+    assert len(built) == len({key for _, key in built}) >= 2
     assert len(checked) == len(set(checked)) >= 1
     assert all(dead)
 

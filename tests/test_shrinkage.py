@@ -341,6 +341,21 @@ def test_pred_and_est_risk_share_one_moment_pass(fig1_model, monkeypatch):
     assert pred.total > 0 and est.total > 0
 
 
+def test_limiting_risks_keep_no_record(fig1_model):
+    # a scan over many rules holds one record at a time: limiting_risks
+    # gives both risks from one evaluation and keeps it nowhere, while a
+    # record that is kept already (the optimal rule's) is read, not rebuilt
+    sd.spectra._per_model.clear()
+    rules = [sd.Ridge(float(lam)) for lam in np.geomspace(0.01, 10.0, 5)]
+    got = [sd.shrinkage.limiting_risks(fig1_model, f) for f in rules]
+    assert not any(key[0] == "rule" for key in sd.spectra._per_model[fig1_model])
+    assert got == [[sd.limiting_pred_risk(fig1_model, f),
+                    sd.limiting_est_risk(fig1_model, f)] for f in rules]
+    rule = sd.optimal_pred_rule(fig1_model)[0]
+    kept = sd.shrinkage.validate_rule(fig1_model, rule)
+    assert sd.shrinkage.validate_rule(fig1_model, rule, keep=False) is kept
+
+
 def test_min_norm_surrogate_requires_spectral_gap():
     with pytest.raises(AssumptionError):
         sd.min_norm_rule(SpikedModel(1.0, 1.0, (), 1.0, 1.0))
