@@ -340,12 +340,9 @@ def cmd_risk(model, block, tag):
 
 def _optimum_payload(model, rule, b, sd_params):
     round_trip = optimal.sd_round_trip_error(model, rule, sd_params)
-    p_coeffs, q_coeffs = rule.monomial_coeffs()
-    payload = {
+    return {
         "b": list(b),
         "P_roots": list(rule.roots_of_p),
-        "P_coeffs": list(p_coeffs),
-        "Q_coeffs": list(q_coeffs),
         "sd_params": {"lambdas": list(sd_params.lambdas),
                       "xis": list(sd_params.xis)},
         "risks": {
@@ -355,7 +352,6 @@ def _optimum_payload(model, rule, b, sd_params):
         "coprime": optimal.coprimality_check(rule),
         "self_check": {"round_trip_sup_error": round_trip},
     }
-    return payload
 
 
 def cmd_optimal(model, block, tag):

@@ -66,7 +66,7 @@ def federated_optimum(model: SpikedModel, K: int) -> FederatedOptimum:
         )
     rho = float(b[0] / (model.sigma0_sq * model.r**2
                         * measures.mixture_weights(model).omega0))
-    local = optimal._factored_rule(model, b, model.sigma0_sq, rho)
+    local = optimal._rational_rule(model, b, model.sigma0_sq, rho)
     params = optimal.synthesize_sd_params(local)
     return FederatedOptimum(K, tuple(b), rho, local, params)
 

@@ -1,12 +1,12 @@
-"""Mixture weights, the factored nu basis, and the weighted Gram system.
+"""Mixture weights, the outliers' nu ratios, and the weighted Gram system.
 
 The mixture F_alpha = omega0 F_MP + sum_j omega_j F_{delta_j} carries
 the signal's alignment with the spike directions. The affine ratios
-nu_j = dF_MP/dF_{delta_j} and their products nu, nu_{-j} are the basis
-in which the optimal rules' numerator Q and denominator P are written
-(`RnPolynomials`); Q is evaluated there, while P's roots are found on
-P/nu, without the products. The densities mu_j of F_{delta_j} and mu_0
-of F_MP with respect to F_alpha are the grid's weight ratios
+nu_j = dF_MP/dF_{delta_j} = scale_j (x*_j - x) place the optimal rules'
+poles: divided by nu = prod_j nu_j, their numerator Q and denominator P
+are sums of simple poles at the outliers x*_j (`RnPolynomials`), and no
+product of the nu_j is formed. The densities mu_j of F_{delta_j} and
+mu_0 of F_MP with respect to F_alpha are the grid's weight ratios
 (`SpectralGrid.mu`); from them come the weight w, the target g and the
 basis h_j at the grid's points (`_target_and_basis`; at an outlier,
 where mu_0 = 0, w needs no mu), and the Gram matrix H of the
@@ -18,7 +18,6 @@ inner product, from the paper's formulas, are the tests' references, in
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,51 +29,23 @@ from .spectra import SpectralGrid, SpikedModel, get_grid, mixture_weights
 
 @dataclass(frozen=True)
 class RnPolynomials:
-    """Affine ratios nu_j, the factors of the basis of Q.
+    """The outliers x*_j and the scales of the ratios nu_j, in spike order.
 
-    nu_j(x) = delta_j (x_star_j - x) / (c sigma0^2 (delta_j + sigma0^2)),
-    nu = prod_j nu_j (degree s), nu_{-i} = prod_{j != i} nu_j (degree
-    s-1). `affine` holds each nu_j as ascending coefficients (p_j, q_j);
-    evaluation goes through the factored form scale_j * (x_star_j - x),
-    so nu_j vanishes exactly at its outlier. Only combinations
-    coeffs[0] nu + sum_j coeffs[j] nu_{-j} are evaluated, by `value`; P's
-    roots are found on P/nu (`optimal.denominator_roots`), which reads
-    only `xstars` and `scales`.
+    nu_j(x) = scale_j (x*_j - x), scale_j = delta_j / (c sigma0^2
+    (delta_j + sigma0^2)) > 0, which vanishes exactly at its outlier.
+    P's secular form F and the optimal rules' numerator N
+    (`shrinkage.RationalRule`) have their poles there.
     """
 
-    affine: tuple[tuple[float, float], ...]
     xstars: tuple[float, ...]
     scales: tuple[float, ...]
-
-    @property
-    def nu_lead(self) -> float:
-        """Leading coefficient of nu, prod_j (-scale_j)."""
-        return math.prod(-sc for sc in self.scales)
-
-    def value(self, coeffs, x: np.ndarray) -> np.ndarray:
-        """coeffs[0] nu(x) + sum_j coeffs[j] nu_{-j}(x) (j = 1..s) at each
-        point of an array x.
-
-        nu_{-j} is the product of the factors before j times those after
-        it, so running products give every term in O(s) products.
-        """
-        factors = [sc * (xs - x) for sc, xs in zip(self.scales, self.xstars)]
-        before = [np.ones_like(x)]
-        for f in factors:
-            before.append(before[-1] * f)
-        out, after = coeffs[0] * before[-1], 1.0
-        for j in range(len(factors) - 1, -1, -1):
-            out = out + coeffs[j + 1] * (before[j] * after)
-            after = after * factors[j]
-        return out
 
 
 def rn_polynomials(model: SpikedModel) -> RnPolynomials:
     def build():
         deltas = [d for d, _ in model.spikes]
-        affine = tuple(spectra.nu_affine(model, d) for d in deltas)
-        xstars = tuple(spectra.outlier_location(model, d) for d in deltas)
-        return RnPolynomials(affine, xstars, tuple(-q for _, q in affine))
+        return RnPolynomials(tuple(spectra.outlier_location(model, d) for d in deltas),
+                             tuple(-spectra.nu_affine(model, d)[1] for d in deltas))
 
     return spectra.cached(model, ("nu basis",), build)
 

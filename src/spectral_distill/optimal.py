@@ -12,13 +12,17 @@ them negative and the positive ones interlacing the outliers; ordering
 those roots and matching coefficients turns Q/P into an s-step
 self-distillation chain.
 
-Optimal rules are `shrinkage.RationalRule`s, the one rational rule type,
-and stay in one basis, the factored nu products of their model. P is
-kept as its roots, found on its secular form P/nu, a sum of simple
-poles at the outliers with analytic brackets; Q is kept as its nu-basis
-coefficients, which every risk, inner product, the coprimality check
-and the chain synthesis read. Monomial coefficients are formed only for
-output (`RationalRule.monomial_coeffs`).
+Divided by nu = prod_j nu_j, numerator and denominator are sums of
+simple poles at the outliers, with no products:
+
+    f*(x) = N(x) / (K F(x)),   N = b_0 + sum_j b_j / nu_j,
+    K = sigma0^2 r^2 omega0,   F = P/(r^2 omega0 nu) (`_secular`).
+
+Optimal rules are `shrinkage.RationalRule`s in this form. P is kept as
+its roots, found on F with analytic brackets; every risk, inner product,
+the coprimality check and the chain synthesis read N, F and the rule's
+residues at P's roots, so a rule scales with its model where products
+of s factors would leave the double range.
 """
 
 from __future__ import annotations
@@ -94,20 +98,19 @@ class _DD:
         return self.hi + self.lo
 
 
-def _basis_values(x, chosen, d: int) -> list:
-    """[x^(d-j) prod_{i<j} (x - chosen_i) for j = 0..len(chosen)].
-
-    Works on floats and on _DD alike.
+def _basis_values(g, chosen, others) -> list:
+    """[B_0, ..., B_len(chosen)], stage j's basis x^(d-j) prod_{i<j} (x -
+    chosen_i) at a root g of P over P'(g): the product of g / (g - gamma)
+    over the roots other than g and chosen[:j], which are `others` and
+    chosen[j:]. Ratios, which a scale of the roots leaves as they are.
+    Works on floats and _DD alike.
     """
-    powers = [1.0]
-    for _ in range(d):
-        powers.append(powers[-1] * x)
-    out, prefix = [], 1.0
-    for j in range(len(chosen) + 1):
-        out.append(prefix * powers[d - j])
-        if j < len(chosen):
-            prefix = prefix * (x - chosen[j])
-    return out
+    out = [1.0]
+    for gamma in others:
+        out[0] = out[0] * (g / (g - gamma))
+    for gamma in reversed(chosen):
+        out.append(out[-1] * (g / (g - gamma)))
+    return out[::-1]
 
 
 @dataclass(frozen=True)
@@ -130,7 +133,7 @@ def _require_noise(model: SpikedModel):
 
 
 def _secular(model: SpikedModel):
-    """(F, lambda0, [(x*_j, b_j)] by ascending x*_j) for P's secular form.
+    """(F, lambda0, [(x*_j, b_j)] in spike order) for P's secular form.
 
     Divided by r^2 omega0 nu, P is the secular function
 
@@ -144,8 +147,8 @@ def _secular(model: SpikedModel):
     w = measures.mixture_weights(model)
     lam0 = model.c * model.sigma_eps_sq / model.r**2 / w.omega0
     rn = measures.rn_polynomials(model)
-    poles = sorted(zip(rn.xstars, (om / w.omega0 / sc
-                                   for om, sc in zip(w.omegas, rn.scales))))
+    poles = [(xstar, om / w.omega0 / sc)
+             for xstar, om, sc in zip(rn.xstars, w.omegas, rn.scales)]
 
     def secular(x: float) -> tuple[float, float]:
         terms = [b / (xstar - x) for xstar, b in poles]
@@ -165,7 +168,7 @@ def denominator_roots(model: SpikedModel) -> tuple[float, ...]:
     x + lambda0 and the root is -lambda* of the isotropic ridge.
     """
     secular, lam0, poles = _secular(model)
-    xs = [xstar for xstar, _ in poles]
+    xs = sorted(xstar for xstar, _ in poles)
     if any(hi - lo < 1e-9 * hi for lo, hi in zip(xs, xs[1:])):
         raise StructuralError(
             "two outlier locations nearly coincide; the model sits on an "
@@ -211,23 +214,20 @@ def _solve_system(model: SpikedModel, dmat_diag: np.ndarray) -> np.ndarray:
     return np.array(_gauss_solve(lhs.tolist(), gs.gamma.tolist()))
 
 
-def _factored_rule(model: SpikedModel, q_nu, s0sq: float,
+def _rational_rule(model: SpikedModel, b, s0sq: float,
                    rho: float = 1.0) -> RationalRule:
-    """Q0/(rho P0) as a rule with monic P, for
-    Q0 = q_nu[0] nu + sum_j q_nu[j] nu_{-j} and
-    P0 = s0sq (r^2 x (omega0 nu + sum_j omega_j nu_{-j}) + c sigma_eps^2 nu).
+    """Q0/(rho P0) = N/(rho K F) as a rule, for the numerator coefficients b.
 
-    s0sq = sigma0^2 gives the denominator of the prediction optimum, 1
-    that of the estimation optimum; both have the same roots. P0's
-    leading coefficient is s0sq r^2 omega0 prod_j (-scale_j). rho scales
-    a federated optimum down to its local rule.
+    Q0 = nu N and P0 = s0sq (r^2 x (omega0 nu + sum_j omega_j nu_{-j}) +
+    c sigma_eps^2 nu) = nu K F with K = s0sq r^2 omega0, nu = prod_j nu_j
+    and nu_{-j} = nu / nu_j. s0sq = sigma0^2 gives the prediction
+    optimum, 1 the estimation optimum; both have P's roots. rho scales a
+    federated optimum down to its local rule, whose numerator is N/rho.
     """
-    rn = measures.rn_polynomials(model)
-    lead = s0sq * model.r**2 * (measures.mixture_weights(model).omega0 * rn.nu_lead)
-    if lead == 0.0:
-        raise NumericalError("denominator lost its leading coefficient")
-    return RationalRule(denominator_roots(model),
-                        q_nu=tuple(np.asarray(q_nu) / (lead * rho)), rn=rn)
+    _, lam0, poles = _secular(model)
+    K = s0sq * model.r**2 * measures.mixture_weights(model).omega0
+    return RationalRule(denominator_roots(model), tuple(float(v) / rho for v in b), K,
+                        measures.rn_polynomials(model), lam0, tuple(w for _, w in poles))
 
 
 def fixed_point_residual(model: SpikedModel, rule: RationalRule) -> float:
@@ -250,7 +250,7 @@ def optimal_pred_rule(model: SpikedModel) -> tuple[RationalRule, OptimalCoeffici
     _require_noise(model)
     dmat = np.concatenate([[0.0], model.deltas * model.alphas**2])
     b = _solve_system(model, dmat)
-    rule = _factored_rule(model, b, model.sigma0_sq)
+    rule = _rational_rule(model, b, model.sigma0_sq)
     A = inner_products_with_basis(model, rule)
     return rule, OptimalCoefficients(tuple(b), tuple(A))
 
@@ -260,7 +260,7 @@ def optimal_est_rule(model: SpikedModel) -> RationalRule:
     prediction optimum up to the sigma0^2 factor."""
     _require_noise(model)
     w = measures.mixture_weights(model)
-    return _factored_rule(model, model.r**2 * np.array([w.omega0, *w.omegas]), 1.0)
+    return _rational_rule(model, model.r**2 * np.array([w.omega0, *w.omegas]), 1.0)
 
 
 def synthesize_sd_params(rule: RationalRule) -> SDParams:
@@ -271,16 +271,17 @@ def synthesize_sd_params(rule: RationalRule) -> SDParams:
         Q(x) = sum_j t_j x^{d-j} prod_{i<j} (x - gamma_i),
 
     then maps lambda_i = -gamma_i and xi_i = (t_0+..+t_{i-1})/(t_0+..+t_i).
-    Roots are consumed in descending order, skipping any root where the
-    residual polynomial vanishes (which would break the construction);
+    Divided by P'(gamma) at each root gamma of P, Q is the rule's residue
+    there and each basis value a product of ratios (`_basis_values`), so
+    the forward substitution forms no product of the roots. Roots are
+    consumed in descending order, skipping any root where the partial sum
+    of the stage weights vanishes (which would break the construction);
     the descending order puts the largest root at stage 0 so the initial
-    ridge has the single large negative penalty. Q is read at the roots
-    through `rule.q`, in its factored form.
+    ridge has the single large negative penalty.
     """
     gammas_all = list(rule.roots_of_p)
     d = len(gammas_all) - 1
-    lead_q = float(rule.q_nu[0]) * rule.rn.nu_lead
-    q_at = dict(zip(gammas_all, rule.q(np.array(gammas_all)).tolist()))
+    residue = dict(zip(gammas_all, rule.residues()))
 
     chosen: list[float] = []
     ts: list[_DD] = []
@@ -289,13 +290,15 @@ def synthesize_sd_params(rule: RationalRule) -> SDParams:
         ts_f = [float(t) for t in ts]
         partial = fsum(ts_f)
 
-        def r_k(g):
-            # residual polynomial value at a candidate root
-            basis = _basis_values(g, chosen, d)
-            val = q_at[g] - fsum(t * b for t, b in zip(ts_f, basis))
-            return val + (partial - lead_q + 1.0) * basis[k + 1]
+        def r_k(idx):
+            # the partial sum through the candidate root's stage, times its
+            # basis value
+            g = remaining[idx]
+            basis = _basis_values(g, chosen, remaining[:idx] + remaining[idx + 1:])
+            val = residue[g] - fsum(t * b for t, b in zip(ts_f, basis))
+            return val + partial * basis[k + 1]
 
-        rvals = [abs(r_k(g)) for g in remaining]
+        rvals = [abs(r_k(idx)) for idx in range(len(remaining))]
         scale = max(rvals) if rvals else 0.0
         pick = None
         for idx, g in enumerate(remaining):
@@ -315,18 +318,18 @@ def synthesize_sd_params(rule: RationalRule) -> SDParams:
         # Forward substitution in double-double arithmetic: with close
         # roots the terms cancel, and in floats the stage weights lose most
         # of their digits.
-        basis = _basis_values(_DD(g), chosen, d)
+        basis = _basis_values(_DD(g), chosen, remaining)
         if float(basis[k + 1]) == 0.0:
             raise NumericalError(
                 "self-distillation synthesis failed: the stage basis at root "
                 f"{g!r} underflows to zero in double precision"
             )
-        num = _DD(q_at[g]) - sum((t * b for t, b in zip(ts, basis)), _DD(0.0))
+        num = _DD(residue[g]) - sum((t * b for t, b in zip(ts, basis)), _DD(0.0))
         ts.append(num / basis[k + 1])
         chosen.append(g)
 
     sums = list(itertools.accumulate(ts))
-    if abs(float(sums[-1]) - 1.0) > 1e-8:
+    if not abs(float(sums[-1]) - 1.0) <= 1e-8:
         raise StructuralError(
             f"synthesized stage weights must sum to 1, got {float(sums[-1])}"
         )
@@ -345,17 +348,21 @@ def coprimality_check(rule: RationalRule) -> bool:
 def _shared_roots(rule: RationalRule) -> np.ndarray:
     """The roots of P that Q shares (tolerance relative to root spacing).
 
-    Q is read through `rule.q` at each root gamma_k of P and at
-    gamma_k -+ h, h = 1e-8 times the root spacing. The roots are exact to
-    a few ulp and Q is evaluated in its own basis, so its rounding error
-    is far below its change over h: a sign change (or a zero) among the
-    three values puts a root of Q within h of gamma_k.
+    Q is nu N times a constant, and nu = prod_j scale_j (x*_j - x), so Q
+    has the sign of N(x) prod_j sign(x*_j - x), read at gamma_k -+ h for
+    each root gamma_k of P, h = 1e-8 times the root spacing. The roots
+    are exact to a few ulp and N is a sum of s + 1 terms, so a sign
+    change (or a zero) between the two puts a root of Q within h of
+    gamma_k. A root equal to an outlier, N's pole, is not read itself.
     """
     p_roots = np.asarray(rule.roots_of_p)
     spacing = np.min(np.diff(np.sort(p_roots))) if p_roots.size > 1 else 1.0
     h = 1e-8 * max(spacing, 1e-30)
-    lo, mid, hi = np.sign(rule.q(p_roots[:, None] + np.array([-h, 0.0, h]))).T
-    return p_roots[(lo * mid <= 0.0) | (mid * hi <= 0.0)]
+    x = p_roots[:, None] + np.array([-h, h])
+    sign = np.sign(rule.numerator(x))
+    for xstar in rule.rn.xstars:
+        sign = sign * np.sign(xstar - x)
+    return p_roots[sign[:, 0] * sign[:, 1] <= 0.0]
 
 
 def sd_round_trip_error(model: SpikedModel, rule: RationalRule,

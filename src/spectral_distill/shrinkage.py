@@ -9,8 +9,8 @@ ShrinkageFn: ridge, self-distillation chains, gradient-descent
 polynomials, SharpCut (PCR and the min-norm interpolator), and
 RationalRule, the one rational type
 (the tests add a tabulated rule in `tests/oracles.py`). A RationalRule
-is Q/P with P given by its roots and Q in a factored nu basis; the
-optimal rules of `optimal` use the nu basis of their model.
+is N/(K F), two sums of simple poles at its model's outliers, with the
+roots of F, its poles, kept; the optimal rules of `optimal` are ones.
 
 A rule meets a model in `validate_rule`, which checks its poles and
 evaluates it once on all the points of the model's grid, bulk nodes and
@@ -104,54 +104,72 @@ class Ridge(ShrinkageFn):
 
 @dataclass(frozen=True)
 class RationalRule(ShrinkageFn):
-    """Rational rule Q/P with monic P = prod_k (x - roots_of_p[k]).
+    """Rational rule f = N/(K F), whose poles are the roots of P.
 
-    P is kept as its roots and Q in the nu-product basis of `rn`,
-    Q = q_nu[0] nu + sum_j q_nu[j] nu_{-j}, evaluated through the
-    factored nu products: monomial coefficients cancel badly when
-    outliers (and so roots of P) sit close together or are many. The
-    rules of `optimal` use the nu basis of their model. The poles are the
-    roots of P.
+        N(x) = b_0 + sum_j b_j / nu_j(x),     nu_j = scale_j (x*_j - x),
+        F(x) = x + lam0 + x sum_j w_j / (x*_j - x),
+
+    with x*_j and scale_j > 0 from `rn`; F is P's secular form. N and F
+    are O(s) sums of simple poles at the x*_j, a barycentric-type form:
+    no product of s factors, which would leave the double range under a
+    scale of the model, is formed. At x*_j the value is the ratio of the
+    residues of N and K F there. The rules of `optimal` use their model's
+    x*_j and scales.
     """
 
     roots_of_p: tuple[float, ...]
-    q_nu: tuple[float, ...]
+    b: tuple[float, ...]
+    K: float
     rn: RnPolynomials
+    lam0: float
+    weights: tuple[float, ...]
 
     def poles(self):
         return self.roots_of_p
 
-    def q(self, x):
-        """Numerator Q at x; inf or nan where its nu products overflow."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            return self.rn.value(self.q_nu, np.asarray(x, dtype=float))
+    def numerator(self, x):
+        """N at x, not finite at an outlier."""
+        x = np.asarray(x, dtype=float)
+        out = np.full_like(x, self.b[0])
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            for b, scale, xstar in zip(self.b[1:], self.rn.scales, self.rn.xstars):
+                out = out + b / (scale * (xstar - x))
+        return out
 
-    def monomial_coeffs(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        """Ascending coefficients of P and of Q (padded to deg P terms).
-
-        For output only: they lose digits to cancellation where the
-        factored forms do not.
-        """
-        p = np.ones(1)
+    def residues(self) -> tuple[float, ...]:
+        """N(g) / (K F'(g)) at each pole g, formed about the outlier x*_j
+        nearest g. With e = x*_j - g, N = M + n_j/e (n_j = b_j/scale_j) and
+        F = G + x w_j/e, F(g) = 0 gives e N(g) = M(g) e + n_j and e F'(g) =
+        G'(g) e - x*_j G(g)/g, where nothing has a pole at x*_j: a root
+        within an ulp of its outlier, whose e has no correct digit, keeps
+        its residue. A root at 0 gets nan."""
+        poles = list(zip(self.rn.xstars, self.weights, self.b[1:], self.rn.scales))
+        out = []
         for g in self.roots_of_p:
-            p = np.convolve(p, [-g, 1.0])
-        # expand q_nu[0] nu + sum_j q_nu[j] nu_{-j} one factor at a time:
-        # q <- q nu_j + q_nu[j] (product of the factors so far)
-        q, prod = np.array(self.q_nu[:1]), np.ones(1)
-        for c, affine in zip(self.q_nu[1:], self.rn.affine):
-            q = np.convolve(q, affine) + np.append(c * prod, 0.0)
-            prod = np.convolve(prod, affine)
-        q = np.concatenate([q, np.zeros(max(0, p.size - 1 - q.size))])
-        return tuple(p), tuple(q)
+            if not poles:  # f = b_0 / (K (x + lam0))
+                out.append(self.b[0] / self.K)
+                continue
+            j = min(range(len(poles)), key=lambda i: abs(poles[i][0] - g))
+            (xj, _, bj, scj), rest = poles[j], poles[:j] + poles[j + 1:]
+            m = fsum([self.b[0], *(b / (sc * (xs - g)) for xs, _, b, sc in rest)])
+            G = g + self.lam0 + g * fsum(w / (xs - g) for xs, w, *_ in rest)
+            dG = 1.0 + fsum(w / (xs - g) * (xs / (xs - g)) for xs, w, *_ in rest)
+            e = xj - g
+            out.append((m * e + bj / scj) / self.K / (dG * e - xj * (G / g)) if g else math.nan)
+        return tuple(out)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        num = self.q(x)
+        num = self.numerator(x)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            den = np.ones_like(x)
-            for g in self.roots_of_p:
-                den = den * (x - g)
-            return num / den
+            den = np.zeros_like(x)
+            for w, xstar in zip(self.weights, self.rn.xstars):
+                den = den + w / (xstar - x)
+            out = (num / self.K) / (x + self.lam0 + x * den)
+            for b, scale, w, xstar in zip(self.b[1:], self.rn.scales, self.weights,
+                                          self.rn.xstars):
+                out = np.where(x == xstar, (b / scale) / self.K / (xstar * w), out)
+        return out
 
 
 @dataclass(frozen=True)
@@ -168,19 +186,14 @@ class SDChain(ShrinkageFn):
         return tuple(-l for l in self.params.lambdas)
 
     def __call__(self, x):
+        # stage by stage, f_j = ((1 - xi_j) + xi_j x f_{j-1}) / (x + lambda_j):
+        # next to a pole this cancels less than the sum of the terms above
         x = np.asarray(x, dtype=float)
-        lams = self.params.lambdas
-        xis = (0.0,) + self.params.xis
-        k = self.params.k
-        with np.errstate(divide="ignore", invalid="ignore"):
-            acc = np.zeros_like(x)
-            coef = 1.0
-            suffix = np.ones_like(x)
-            for j in range(k, -1, -1):
-                acc = acc + (1.0 - xis[j]) * coef * suffix / (x + lams[j])
-                coef *= xis[j]
-                suffix = suffix * x / (x + lams[j])
-        return acc
+        out = np.zeros_like(x)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            for lam, xi in zip(self.params.lambdas, (0.0,) + self.params.xis):
+                out = ((1.0 - xi) + xi * x * out) / (x + lam)
+        return out
 
 
 @dataclass(frozen=True)

@@ -63,8 +63,9 @@ class SpikedModel:
     Every field must be finite and in range, or ValueError is raised:
     sigma0_sq and r in [1e-150, 1e150] (squares stay normal doubles), c in
     [1e-30, 1e30] (outside, the bulk [a, b] is under 18 ulp of b wide and
-    collapses in rounding) and |alpha_j| >= 1e-150 r (alpha_j^2/r^2 stays
-    nonzero).
+    collapses in rounding), delta_j / sigma0_sq in [1e-150, 1e150] (the
+    outlier's location and atom mass stay finite) and |alpha_j| >= 1e-150 r
+    (alpha_j^2/r^2 stays nonzero).
     """
 
     sigma0_sq: float
@@ -110,7 +111,10 @@ class SpikedModel:
             raise AssumptionError("spike strengths delta_j must be distinct")
         if any(a == 0 for a in alphas):
             raise AssumptionError("signal alignments alpha_j must be nonzero")
-        for j, a in enumerate(alphas):
+        for j, (d, a) in enumerate(self.spikes):
+            if not 1e-150 <= d / self.sigma0_sq <= 1e150:
+                raise ValueError(f"delta_{j + 1} / sigma0_sq = {d / self.sigma0_sq:g} "
+                                 "is out of range: it must lie in [1e-150, 1e+150]")
             if abs(a) < 1e-150 * self.r:
                 raise ValueError(f"alpha_{j + 1} = {a} is out of range: "
                                  "|alpha_j| must be at least 1e-150 r")
@@ -493,8 +497,10 @@ class SpectralGrid:
         self.support_points = np.concatenate([a + above_lo, locs])
         self.support_points.setflags(write=False)  # shared by every cache hit
         self.x, self.atom_locs = self.support_points[:n], self.support_points[n:]
-        mp_bulk = w_theta * above_lo * below_hi / (
-            2.0 * math.pi * model.sigma0_sq * model.c * self.x)
+        # divided by sigma0^2 c first: at sigma0^2 = 1e-150 the product of
+        # the offsets next to a = 0 would underflow
+        mp_bulk = w_theta * (above_lo / (2.0 * math.pi * model.sigma0_sq * model.c)
+                             ) * below_hi / self.x
         self.w_mp = np.concatenate([mp_bulk, mp_atoms])
         self.w_delta = tuple(
             np.concatenate([_over_nu(model, d, mp_bulk, below_hi), atoms])
@@ -519,9 +525,8 @@ class SpectralGrid:
         Each is a ratio of weights, [w_mp, *w_delta] / w_alpha, so the
         bulk ratios carry the gap form of `_over_nu`, the zero atom's are
         ratios of masses and an outlier's are 1/omega_j and exactly 0. A
-        bulk node whose weights all underflow to 0 (next to a = 0 at
-        sigma0^2 = 1e-150 and c = 1) carries no mass in any measure; its
-        mu is 0.
+        bulk node whose weights all underflowed to 0 would carry no mass
+        in any measure; its mu is 0.
         """
         stack = np.stack([self.w_mp, *self.w_delta])
         return np.divide(stack, self.w_alpha, out=np.zeros_like(stack),

@@ -1,9 +1,20 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from spectral_distill import SpikedModel, spectra
+
+
+@pytest.fixture(autouse=True)
+def _runtime_warnings_are_errors():
+    # a RuntimeWarning (an overflow, a division by zero) fails the test
+    # that raises it; here, not in the ini options, so that the benchmark's
+    # own tests keep their settings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        yield
 
 
 @pytest.fixture(autouse=True)

@@ -7,13 +7,14 @@ component with respect to F_alpha, the weight w, the target g, the basis
 h_j and the x w(x)-weighted inner product, evaluated pointwise with a
 support check; the isotropic optimum (ridge at lambda* = c sigma_eps^2 /
 r^2); the high-noise limit of the federated b0^(K) and the product-form
-limit of cross-matrix quadratic forms; a tabulated rule; a rational rule
-from monomial numerator coefficients; and f(Sigma_hat) v for a finite
-sample. The program computes the same objects its own way (mu_j as the
-grid's weight ratios, rules in the factored nu basis, sample rules in
-the sample eigenbasis), and the tests check one against the other; the pointwise
-mu_j, w, g and h_j here take nothing from the program but the support
-check.
+limit of cross-matrix quadratic forms; a tabulated rule; the optimal
+rules' numerator and denominator as the paper's nu products, and a
+rational rule from monomial numerator coefficients; and f(Sigma_hat) v
+for a finite sample. The program computes the same objects its own way
+(mu_j as the grid's weight ratios, rules as sums of simple poles,
+sample rules in the sample eigenbasis), and the tests check one against
+the other; the pointwise mu_j, w, g and h_j here take nothing from the
+program but the support check.
 """
 
 from __future__ import annotations
@@ -291,29 +292,50 @@ class Tabulated(ShrinkageFn):
 
 
 # ---------------------------------------------------------------------------
-# a rational rule from monomial coefficients
+# rational rules from products and from monomial coefficients
+
+
+def nu_products(rn: measures.RnPolynomials, coeffs, x) -> np.ndarray:
+    """coeffs[0] nu(x) + sum_j coeffs[j] nu_{-j}(x) from the products of
+    the factors nu_j = scale_j (x*_j - x): nu = prod_j nu_j and
+    nu_{-i} = prod_{j != i} nu_j. The optimal rules' Q0 and P0 in the
+    paper's form, which the program never forms."""
+    x = np.asarray(x, dtype=float)
+    factors = [sc * (xs - x) for sc, xs in zip(rn.scales, rn.xstars)]
+    one = np.ones_like(x)
+    out = coeffs[0] * math.prod(factors, start=one)
+    for i, c in enumerate(coeffs[1:]):
+        out = out + c * math.prod((f for j, f in enumerate(factors) if j != i), start=one)
+    return out
 
 
 def monomial_rational_rule(roots_of_p, q_coeffs) -> RationalRule:
     """Q/P for monic P with the given roots and Q = sum_i q_coeffs[i] x^i
     of degree below len(roots_of_p).
 
-    Q is written in the nu basis of m = len(roots_of_p) - 1 factors
-    nu_j = x - j, j = 0..m-1 (nu_lead = 1): q_nu[0] is Q's x^m
-    coefficient, and Q - q_nu[0] nu vanishes at every node t_j, where
-    only nu_{-j} does not, so q_nu[j + 1] = Q(t_j) / nu_{-j}(t_j).
+    The rule's poles x*_j are m = len(roots_of_p) - 1 nodes t_j below
+    every root and below 0, with scale_j = 1, so nu = prod_j (t_j - x) =
+    (-1)^m D(x) for D(x) = prod_j (x - t_j). Then F = P/D and
+    N/K = Q/D with K = (-1)^m, N = Q/nu. In partial fractions
+    P/D = x + p_m + sum_j t_j + sum_j P(t_j) / (D'(t_j) (x - t_j)), where
+    p_m = -sum of the roots, which F writes as x + lam0 + x sum_j w_j /
+    (t_j - x) with w_j = -P(t_j) / (t_j D'(t_j)); and Q/D = q_m + sum_j
+    Q(t_j) / (D'(t_j) (x - t_j)).
     """
     m = len(roots_of_p) - 1
     if len(q_coeffs) > m + 1:
         raise ValueError("Q must have a lower degree than P")
-    nodes = np.arange(float(m))
-    rn = measures.RnPolynomials(tuple((-t, 1.0) for t in nodes), tuple(nodes),
-                                (-1.0,) * m)
+    nodes = [-(j + 1.0 + max(abs(g) for g in roots_of_p)) for j in range(m)]
+    dprime = [math.prod(t - u for u in nodes if u != t) for t in nodes]
+    p_at = [math.prod(t - g for g in roots_of_p) for t in nodes]
     q_at = np.polynomial.polynomial.polyval(nodes, np.array(q_coeffs, dtype=float))
+    sign = (-1.0) ** m
+    weights = tuple(-p / (t * dp) for t, p, dp in zip(nodes, p_at, dprime))
+    lam0 = -sum(roots_of_p) + sum(nodes) + sum(weights)
     lead = float(q_coeffs[m]) if len(q_coeffs) > m else 0.0
-    rest = [q / math.prod(t - u for u in nodes if u != t)
-            for t, q in zip(nodes, q_at)]
-    return RationalRule(tuple(roots_of_p), (lead, *rest), rn)
+    b = (sign * lead, *(-sign * q / dp for q, dp in zip(q_at, dprime)))
+    rn = measures.RnPolynomials(tuple(nodes), (1.0,) * m)
+    return RationalRule(tuple(roots_of_p), b, sign, rn, lam0, weights)
 
 
 # ---------------------------------------------------------------------------

@@ -173,7 +173,7 @@ def test_federated_json_k1_equals_optimal(tmp_path):
     opt = json.loads(out_opt.read_text())
     fed = json.loads(out_fed.read_text())
     assert fed["rho_star"] == pytest.approx(1.0)
-    for key in ("b", "P_roots", "Q_coeffs"):
+    for key in ("b", "P_roots"):
         assert np.allclose(fed[key], opt[key])
     assert fed["sd_params"]["lambdas"] == pytest.approx(
         opt["sd_params"]["lambdas"]
@@ -289,6 +289,8 @@ def test_non_finite_model_field_is_config_error(tmp_path, capsys, key, value):
     ("c", 1e300, "[1e-30, 1e+30]"),
     ("r", 1e300, "[1e-150, 1e+150]"),
     ("sigma0_sq", 1e300, "[1e-150, 1e+150]"),
+    ("delta", 1e300, "[1e-150, 1e+150]"),
+    ("delta", 1e-300, "[1e-150, 1e+150]"),
     ("alpha", 1e-300, "at least 1e-150 r"),
 ])
 @pytest.mark.parametrize("command,block", [("optimal", {}), ("risk", {
@@ -758,11 +760,11 @@ def _refusal(tmp_path, kind):
                                      "steps": [20000]}]}
         return "risk", config, [], 4
     if kind.startswith("shared-root-"):
-        # a spike of 1e-300 makes Q and P share their root past the
+        # a spike of 1e-150 makes Q and P share their root past the
         # outlier: the rule is the 0-step ridge, no 1-step chain
         command = kind.removeprefix("shared-root-")
         block = {"K": 3} if command == "federated" else {}
-        config = {"model": README_MODEL | {"spikes": [{"delta": 1e-300,
+        config = {"model": README_MODEL | {"spikes": [{"delta": 1e-150,
                                                        "alpha": 1.7}]},
                   command.replace("-", "_"): block}
         return command, config, [], 3

@@ -20,8 +20,10 @@ delta by k and dividing r and every alpha by sqrt(k) scales the
 eigenvalues by k: pred stays, est scales by 1/k, the lambdas by k, the
 xis stay. Multiplying r and every alpha by t and sigma_eps^2 by t^2
 scales both risks by t^2. With k and t powers of two every input is
-exact, so every closed-form corpus case must give the same exit code and
-exactly rescaled risks and chain parameters.
+exact, so every `optimal`, `sd-params` and `federated` corpus case must
+give the same exit code and exactly rescaled risks and chain parameters,
+at k = 2^+-4, 2^+-20, 2^+-60 and 2^+-120 and at t = 2^+-40, and so must
+`optimal` on small random models at k = 2^e for even e in [-120, 120].
 """
 
 import importlib.util
@@ -31,9 +33,11 @@ import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import spectral_distill
 from spectral_distill.cli import main
@@ -234,8 +238,9 @@ def test_moves_reports_the_largest_move_of_each_field(tmp_path, capsys):
 
 SCALED_CASES = [name for name in CASES
                 if name.split("__")[0] in ("optimal", "sd-params", "federated")]
-# (k, t): covariance scales 2^+-4 and 2^+-20, signal scales 2^+-40
-SCALES = ([(2.0**e, 1.0) for e in (-20, -4, 4, 20)]
+# (k, t): covariance scales 2^+-4, 2^+-20, 2^+-60 and 2^+-120, signal
+# scales 2^+-40
+SCALES = ([(2.0**e, 1.0) for e in (-120, -60, -20, -4, 4, 20, 60, 120)]
           + [(1.0, 2.0**e) for e in (-40, 40)])
 
 
@@ -272,3 +277,35 @@ def test_scaled_model_gives_exactly_scaled_outputs(tmp_path, name):
     want = payloads.pop((1.0, 1.0))
     for (k, t), got in payloads.items():
         assert _rescaled(got, 1.0, 1.0) == _rescaled(want, k, t), (k, t)
+
+
+@st.composite
+def _small_models(draw):
+    """A model block with s <= 4 spikes, its deltas and alphas drawn
+    relative to sigma0^2 and r; it may sit on an excluded degeneracy."""
+    sigma0_sq, r = draw(st.floats(0.5, 2.0)), draw(st.floats(0.5, 4.0))
+    spikes = [{"delta": sigma0_sq * draw(st.floats(0.1, 20.0)),
+               "alpha": r * draw(st.floats(0.05, 0.45)) * draw(st.sampled_from([-1, 1]))}
+              for _ in range(draw(st.integers(0, 4)))]
+    return {"sigma0_sq": sigma0_sq, "c": draw(st.floats(0.2, 5.0)), "r": r,
+            "sigma_eps_sq": draw(st.floats(0.1, 4.0)), "spikes": spikes}
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(model=_small_models(), half_e=st.integers(-60, 60))
+def test_random_model_under_covariance_scale_2_to_e_gives_scaled_optimum(model, half_e):
+    # k = 2^e, e even in [-120, 120], so that sqrt(k) and every scaled
+    # input are exact
+    k = 2.0 ** (2 * half_e)
+    runs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = pathlib.Path(tmp, "cfg.json"), pathlib.Path(tmp, "out.json")
+        for scale in (1.0, k):
+            path.write_text(json.dumps({"model": _scaled(model, scale, 1.0), "optimal": {}}))
+            code = main(["optimal", "--config", str(path), "--out", str(out)])
+            runs.append((code, json.loads(out.read_text()) if code == 0 else None))
+            out.unlink(missing_ok=True)
+    (code, want), (scaled_code, got) = runs
+    assert scaled_code == code
+    if code == 0:
+        assert _rescaled(got, 1.0, 1.0) == _rescaled(want, k, 1.0)

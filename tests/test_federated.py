@@ -20,7 +20,7 @@ def test_k1_reduces_to_single_client(fig1_model):
     assert np.max(np.abs(np.array(fed.b) - np.array(coef.b))) < 1e-10
     assert fed.rho_star == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(fed.local_rule.roots_of_p, rule.roots_of_p)
-    assert np.allclose(fed.local_rule.q_nu, rule.q_nu)
+    assert np.allclose(fed.local_rule.b, rule.b)
 
 
 def test_isotropic_closed_form():

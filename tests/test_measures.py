@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import pathlib
@@ -8,6 +9,7 @@ import pytest
 import spectral_distill as sd
 from spectral_distill import SpikedModel
 from spectral_distill.cli import parse_model
+from spectral_distill.spectra import nu_affine
 
 from conftest import random_model
 from oracles import Tabulated, basis_h, inner_w, mu_j, target_g, weight_w
@@ -59,65 +61,65 @@ def test_mixture_measure_total_mass(fig1_model):
 
 def test_rn_polynomials_structure(fig1_model):
     rn = sd.rn_polynomials(fig1_model)
-    s = fig1_model.s
-    assert len(rn.affine) == len(rn.xstars) == len(rn.scales) == s
-    assert rn.nu_lead == math.prod(q for _, q in rn.affine)  # top of nu
+    assert len(rn.xstars) == len(rn.scales) == fig1_model.s
     a, b = sd.mp_support(fig1_model)
     xs = np.concatenate([np.linspace(a, b, 64), [0.0]])
-    for j, (p, q) in enumerate(rn.affine):
-        assert q < 0  # affine with negative slope
+    for j, d in enumerate(fig1_model.deltas):
+        # scale_j is minus the slope of the affine ratio nu_j
+        assert rn.scales[j] == -nu_affine(fig1_model, d)[1] > 0
         assert np.all(rn.scales[j] * (rn.xstars[j] - xs) > 0)
-        xstar = sd.outlier_location(fig1_model, fig1_model.deltas[j])
+        xstar = sd.outlier_location(fig1_model, d)
         # nu_j's factor is exactly zero at its outlier
         assert rn.scales[j] * (rn.xstars[j] - xstar) == 0.0
+    # one table per model
+    assert sd.rn_polynomials(fig1_model) is rn
 
 
 def test_rn_combination_matches_products():
-    # running-product form against the direct products nu = prod_j nu_j
-    # and nu_{-i} = prod_{j != i} nu_j
+    # a rule's numerator N = b_0 + sum_j b_j / nu_j is Q0 / nu for the
+    # product form Q0 = b_0 nu + sum_j b_j nu_{-j}
     model = SpikedModel(1.0, 2.0, ((2.0, 0.4), (3.0, 0.3), (5.0, 0.5),
                                    (7.0, 0.2)), 3.0, 1.0)
     rn = sd.rn_polynomials(model)
-    coeffs = [0.7, -1.3, 2.1, 0.4, -0.9]
-    xs = np.concatenate([np.linspace(0.0, 12.0, 97), rn.xstars])
+    coeffs = (0.7, -1.3, 2.1, 0.4, -0.9)
+    rule = dataclasses.replace(sd.optimal_est_rule(model), b=coeffs)
+    xs = np.linspace(0.0, 12.0, 97)
+    xs = xs[~np.isin(xs, rn.xstars)]  # N has its poles there
     factors = [sc * (xstar - xs) for sc, xstar in zip(rn.scales, rn.xstars)]
-    terms = [coeffs[0] * math.prod(factors)] + [
+    nu = math.prod(factors)
+    terms = [coeffs[0] * nu] + [
         coeffs[i + 1] * math.prod(f for j, f in enumerate(factors) if j != i)
         for i in range(model.s)]
-    values = rn.value(coeffs, xs)
-    assert np.all(np.abs(values - sum(terms)) <= 1e-14 * sum(map(np.abs, terms)))
-    # `value` works on any array shape
-    square = xs[:100].reshape(10, 10)
-    assert rn.value(coeffs, square).tobytes() == values[:100].tobytes()
-    # one table per model
-    assert sd.rn_polynomials(model) is rn
+    values = rule.numerator(xs)
+    assert np.all(np.abs(values * nu - sum(terms))
+                  <= 1e-14 * sum(map(np.abs, terms))), xs
+    # `numerator` works on any array shape
+    square = xs[:81].reshape(9, 9)
+    assert rule.numerator(square).tobytes() == values[:81].tobytes()
 
 
 @pytest.mark.parametrize("path", CLOSED_FORM_CONFIGS, ids=lambda p: p.stem)
 def test_rn_combination_with_coefficient_slopes_is_two_calls(path):
-    # P = (a0 x + noise) nu + sum_j a_j x nu_{-j} has coefficients that vary
-    # with x, with slopes a0 = r^2 omega0 and a_j = r^2 omega_j. `value` is
-    # linear in its coefficients, so the one call on P's coefficients is
-    # x times the call on the slopes plus noise times the call on nu, up to
-    # the rounding of the sums
+    # P0/nu = r^2 x (omega0 + sum_j omega_j / nu_j) + c sigma_eps^2 has the
+    # coefficients of the estimation optimum's numerator N, r^2 omega0 and
+    # r^2 omega_j, as slopes: x N(x) + noise is K F(x), K = r^2 omega0,
+    # with F the secular form whose roots are P's, up to the rounding of
+    # the sums
     model = parse_model(json.loads(path.read_text())["model"])
-    rn = sd.rn_polynomials(model)
+    est = sd.optimal_est_rule(model)
     w = sd.mixture_weights(model)
-    slopes = (model.r**2 * w.omega0, *(model.r**2 * om for om in w.omegas))
+    assert est.b == tuple(model.r**2 * v for v in (w.omega0, *w.omegas))
+    secular, lam0, poles = sd.optimal._secular(model)
     noise = model.c * model.sigma_eps_sq
     rng = np.random.default_rng(0)
-    top = 2.0 * max([model.sigma0_sq, *rn.xstars])
-    xs = np.array([0.0, *rn.xstars, *rng.uniform(-top, top, size=16)])
-    coeffs = (slopes[0] * xs + noise, *(a * xs for a in slopes[1:]))
-    one = rn.value(coeffs, xs)
-    two = xs * rn.value(slopes, xs) + noise * rn.value((1.0,) + (0.0,) * model.s, xs)
-    factors = [sc * (xstar - xs) for sc, xstar in zip(rn.scales, rn.xstars)]
-    products = [math.prod(factors)] + [
-        math.prod(f for j, f in enumerate(factors) if j != i) for i in range(model.s)]
-    size = sum(np.abs(c) * np.abs(q) for c, q in zip(
-        (np.abs(slopes[0] * xs) + noise, *(np.abs(a * xs) for a in slopes[1:])), products))
-    assert np.all(np.isfinite(one)) and np.all(np.isfinite(size))
-    assert np.all(np.abs(one - two) <= 1e-14 * size), xs[np.abs(one - two) > 1e-14 * size]
+    top = 2.0 * max([model.sigma0_sq, *est.rn.xstars])
+    for x in [0.0, *rng.uniform(-top, top, size=16)]:
+        one = x * float(est.numerator(x)) + noise
+        two = est.K * secular(x)[0]
+        size = abs(x) * (est.b[0] + sum(abs(b / (sc * (xs - x))) for b, sc, xs in zip(
+            est.b[1:], est.rn.scales, est.rn.xstars))) + noise
+        assert math.isfinite(size)
+        assert abs(one - two) <= 1e-14 * size, x
 
 
 def test_mu_partition_of_unity(fig1_model):
@@ -279,12 +281,13 @@ def test_grid_mu_matches_the_reference_formula(fig1_model):
     assert np.all(np.abs(grid.mu() - want) <= 1e-13 * want)
 
 
-def test_gram_system_is_finite_where_bulk_weights_underflow():
+def test_no_bulk_weight_underflows_at_small_sigma0_sq():
     # at sigma0^2 = 1e-150 and c = 1 the MP weights of the nodes next to
-    # a = 0 underflow to 0: those nodes carry no mass, and their mu is 0
-    model = SpikedModel(1e-150, 1.0, ((3.0, 0.6),), 2.0, 1.0)
+    # a = 0 once underflowed to 0, and 32 nodes carried no mass; divided by
+    # sigma0^2 c before the product of the edge offsets, every node keeps
+    # its weight, and mu and H are finite
+    model = SpikedModel(1e-150, 1.0, ((3e-150, 0.6),), 2.0, 1.0)
     grid = sd.get_grid(model)
-    dead = grid.w_alpha == 0.0
-    assert dead.any()
-    assert np.all(grid.mu()[:, dead] == 0.0)
+    assert np.all(grid.w_alpha[:grid.x.size] > 0.0)
+    assert np.all(np.isfinite(grid.mu()))
     assert np.all(np.isfinite(sd.gram_system(model).H))

@@ -9,7 +9,7 @@ import spectral_distill as sd
 from spectral_distill import NumericalError, SpikedModel, StructuralError
 from spectral_distill.cli import parse_model
 from conftest import many_spike_model, random_model
-from oracles import isotropic_optimal, monomial_rational_rule
+from oracles import isotropic_optimal, monomial_rational_rule, nu_products
 
 
 def test_b0_closed_form(fig1_model):
@@ -30,9 +30,12 @@ def test_inner_products_are_shared_read_only(fig1_model):
 def test_degrees(fig1_model):
     rule, _ = sd.optimal_pred_rule(fig1_model)
     s = fig1_model.s
-    p, q = rule.monomial_coeffs()
-    assert len(q) == s + 1 and q[-1] == pytest.approx(1.0)
-    assert len(p) == s + 2 and p[-1] == pytest.approx(1.0)
+    # Q/P with monic P of degree s + 1 and Q of degree s whose leading
+    # coefficient is 1: s + 1 simple poles whose residues sum to 1, and
+    # x f(x) -> 1 as x grows
+    assert len(rule.roots_of_p) == len(rule.b) == s + 1
+    assert sum(rule.residues()) == pytest.approx(1.0, rel=1e-14)
+    assert 1e8 * float(rule(1e8)) == pytest.approx(1.0, rel=1e-7)
 
 
 def test_fixed_point_residual(fig1_model):
@@ -61,14 +64,14 @@ def test_root_structure_two_spikes(fig1_model):
 
 
 def factored_p(model, x):
-    """Monic P at x from the model's factored nu form."""
+    """Monic P at x from the paper's nu products."""
     rn = sd.rn_polynomials(model)
     w = sd.mixture_weights(model)
     x = np.asarray(x, dtype=float)
-    mix = rn.value((w.omega0, *w.omegas), x)
-    nu = rn.value((1.0,) + (0.0,) * model.s, x)
+    mix = nu_products(rn, (w.omega0, *w.omegas), x)
+    nu = nu_products(rn, (1.0,) + (0.0,) * model.s, x)
     p0 = model.r**2 * x * mix + model.c * model.sigma_eps_sq * nu
-    return p0 / (model.r**2 * w.omega0 * rn.nu_lead)
+    return p0 / (model.r**2 * w.omega0 * math.prod(-sc for sc in rn.scales))
 
 
 def test_roots_polish_residual(fig1_model):
@@ -149,7 +152,8 @@ def test_synthesis_one_spike_closed_system(fig4_model):
     rule, _ = sd.optimal_pred_rule(fig4_model)
     params = sd.synthesize_sd_params(rule)
     g0 = -params.lambdas[0]
-    t1 = -rule.q(0.0) / g0
+    q_at_0 = float(rule(0.0)) * math.prod(-g for g in rule.roots_of_p)  # Q = f P
+    t1 = -q_at_0 / g0
     t0 = 1.0 - t1
     assert params.xis[0] == pytest.approx(t0 / (t0 + t1))
 
@@ -430,6 +434,36 @@ def test_roots_match_high_precision_reference(name):
     assert sd.fixed_point_residual(model, rule) <= 1e-13
 
 
+@pytest.mark.parametrize("name", ["readme", "s1-006", "close-s9-553", "many-s14-0"])
+def test_rule_matches_50_digit_q0_over_p0(name):
+    # N/(K F) at every point of the grid, atoms included, against the
+    # paper's Q0/P0 from the nu products at 50 digits, with the same float
+    # b and the model's floats taken as exact. Q0 evaluated from its nu
+    # products in floats erred by up to 2.1e-13 of max|f| on many-s14-0
+    mpmath = pytest.importorskip("mpmath")
+    model = parse_model(json.loads((CORPUS / f"optimal__{name}.json").read_text())["model"])
+    rule, coef = sd.optimal_pred_rule(model)
+    x = sd.get_grid(model).support_points
+    with mpmath.workdps(50):
+        mp = mpmath.mpf
+        s0, c, r2 = mp(model.sigma0_sq), mp(model.c), mp(model.r) ** 2
+        omegas = [mp(a) ** 2 / r2 for a in model.alphas]
+        poles = [((mp(d) + s0) * (mp(d) + c * s0) / mp(d), mp(d) / (c * s0 * (mp(d) + s0)))
+                 for d in model.deltas]
+
+        def q0_over_p0(t):
+            nus = [scale * (xstar - t) for xstar, scale in poles]
+            nu = mpmath.fprod(nus)
+            minus = [mpmath.fprod(nus[:j] + nus[j + 1:]) for j in range(len(nus))]
+            q0 = coef.b[0] * nu + mpmath.fsum(b * m for b, m in zip(coef.b[1:], minus))
+            mix = (1 - mpmath.fsum(omegas)) * nu + mpmath.fsum(
+                om * m for om, m in zip(omegas, minus))
+            return q0 / (s0 * (r2 * t * mix + c * mp(model.sigma_eps_sq) * nu))
+
+        want = np.array([float(q0_over_p0(mp(t))) for t in x])
+    assert np.max(np.abs(rule(x) - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 # Roots of P for the many-spike corpus models, computed once with mpmath at
 # 60 digits from the models' float inputs (bisection on the factored P),
 # rounded here to 25.
@@ -478,9 +512,9 @@ SECULAR_CONFIGS = sorted(p for command in ("optimal", "sd-params", "federated")
 @pytest.mark.parametrize("path", SECULAR_CONFIGS, ids=lambda p: p.stem)
 def test_secular_value_and_slope_match_p_over_nu(path):
     # F = P0 / (r^2 omega0 nu) with P0 = r^2 x (omega0 nu + sum_j omega_j
-    # nu_{-j}) + c sigma_eps^2 nu: its value against the factored P0 and nu
-    # of `rn.value`, its slope against a 50-digit derivative of P0 / nu, at
-    # random points and next to each pole
+    # nu_{-j}) + c sigma_eps^2 nu: its value against P0 and nu from their
+    # products (`oracles.nu_products`), its slope against a 50-digit
+    # derivative of P0 / nu, at random points and next to each pole
     mpmath = pytest.importorskip("mpmath")
     model = parse_model(json.loads(path.read_text())["model"])
     secular, lam0, poles = sd.optimal._secular(model)
@@ -491,9 +525,9 @@ def test_secular_value_and_slope_match_p_over_nu(path):
               *(xstar * (1.0 + e) for xstar in rn.xstars for e in (-1e-6, 1e-6))]
     for x in points:
         value, slope = secular(x)
-        p0 = rn.value((r2 * w.omega0 * x + noise, *(r2 * om * x for om in w.omegas)),
-                      np.float64(x))
-        want = p0 / (r2 * w.omega0 * rn.value((1.0,) + (0.0,) * model.s, np.float64(x)))
+        p0 = nu_products(rn, (r2 * w.omega0 * x + noise, *(r2 * om * x for om in w.omegas)),
+                         np.float64(x))
+        want = p0 / (r2 * w.omega0 * nu_products(rn, (1.0,) + (0.0,) * model.s, np.float64(x)))
         size = abs(x) + lam0 + sum(abs(x * b / (xstar - x)) for xstar, b in poles)
         assert abs(value - want) <= 1e-14 * size, x
         with mpmath.workdps(50):

@@ -425,6 +425,18 @@ def test_mp_bulk_mass_is_one_at_small_c(c):
     assert abs(grid.w_mp.sum() - 1.0) <= 4 * np.spacing(1.0)
 
 
+@pytest.mark.parametrize("c", [1.0, 1.0 + 1e-6])
+def test_mp_bulk_mass_at_small_sigma0_sq_is_that_at_one(c):
+    # the MP weights are divided by sigma0^2 c before the product of the
+    # edge offsets, which next to a = 0 underflowed at sigma0^2 = 1e-150:
+    # the bulk mass was off by -1.2e-8 at c = 1 and 1.2e-12 at c = 1 + 1e-6
+    errors = []
+    for sigma0_sq in (1.0, 1e-150):
+        grid = sd.get_grid(SpikedModel(sigma0_sq, c, ((3.0 * sigma0_sq, 0.5),), 1.0, 1.0))
+        errors.append(grid.w_mp[:grid.x.size].sum() - 1.0 / c)
+    assert abs(errors[1] - errors[0]) <= 4 * np.spacing(1.0)
+
+
 def test_quantile_monotone():
     model = iso(1.3, 0.6)
     taus = np.linspace(0.01, 0.95, 12)
