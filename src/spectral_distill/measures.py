@@ -79,7 +79,8 @@ def gram_system(model: SpikedModel) -> GramSystem:
 
     Row i of H is int x mu_j / w dF_{measure_i}, where measure_0 = F_MP and
     measure_i = F_{delta_i}: 0 at the zero atom, where w may be 0 too. An
-    integrand that is not finite elsewhere leaves H not finite, refused below.
+    integrand that is not finite elsewhere is refused before it is summed,
+    and so is an H that overflows in the sums.
     """
     grid = get_grid(model)
     x = grid.support_points
@@ -87,6 +88,8 @@ def gram_system(model: SpikedModel) -> GramSystem:
     with np.errstate(divide="ignore", invalid="ignore"):
         integrand = mu * (x / _weight(model, x, mu[0]))
     integrand[:, x == 0.0] = 0.0
+    if not np.all(np.isfinite(integrand)):
+        raise NumericalError("Gram matrix assembly produced non-finite entries")
     sums = grid.integrate(integrand)
     H = np.stack([sums.mp, *sums.delta])
     H = 0.5 * (H + H.T)  # symmetrize away quadrature roundoff

@@ -8,8 +8,8 @@ D = diag(0, delta_1 alpha_1^2, ...) and is the rational function
                + c sigma0^2 sigma_eps^2 nu).
 
 Its monic denominator P has s+1 distinct real roots, exactly one of
-them negative and the positive ones interlacing the outliers; ordering
-those roots and matching coefficients turns Q/P into an s-step
+them negative and the positive ones interlacing the outliers; peeling
+one stage per root off its partial fractions turns Q/P into an s-step
 self-distillation chain.
 
 Divided by nu = prod_j nu_j, numerator and denominator are sums of
@@ -19,17 +19,18 @@ simple poles at the outliers, with no products:
     K = sigma0^2 r^2 omega0,   F = P/(r^2 omega0 nu) (`_secular`).
 
 Optimal rules are `shrinkage.RationalRule`s in this form. P is kept as
-its roots, found on F with analytic brackets; every risk, inner product,
-the coprimality check and the chain synthesis read N, F and the rule's
-residues at P's roots, so a rule scales with its model where products
-of s factors would leave the double range.
+its roots, found on F with analytic brackets; every risk, inner product
+and the coprimality check read N and F, and the chain synthesis reads
+the rule's residues at P's roots and ratios of those roots, so a rule
+scales with its model where products of s factors would leave the
+double range.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 
 import numpy as np
 
@@ -38,79 +39,6 @@ from .errors import AssumptionError, NumericalError, StructuralError
 from .shrinkage import RationalRule, SDChain, SDParams, validate_rule
 # get_grid stays bound here for perfbench's tracer, which wraps each binding
 from .spectra import SpikedModel, bracketed_newton, fsum, get_grid  # noqa: F401
-
-
-class _DD:
-    """Double-double number hi + lo, about 32 significant digits.
-
-    Dekker's error-free sum and product in plain floats; enough of the
-    arithmetic for the chain synthesis's forward substitution.
-    """
-
-    __slots__ = ("hi", "lo")
-
-    def __init__(self, hi: float, lo: float = 0.0):
-        self.hi, self.lo = hi, lo
-
-    def __add__(self, other):
-        if type(other) is not _DD:
-            other = _DD(float(other))
-        a, b = self.hi, other.hi
-        s = a + b
-        v = s - a
-        e = (a - (s - v)) + (b - v) + self.lo + other.lo  # two-sum error
-        hi = s + e
-        return _DD(hi, e - (hi - s))
-
-    def __neg__(self):
-        return _DD(-self.hi, -self.lo)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if type(other) is not _DD:
-            other = _DD(float(other))
-        a, b = self.hi, other.hi
-        p = a * b
-        t = 134217729.0 * a  # split at 2^27 + 1: halves multiply exactly
-        ah = t - (t - a)
-        t = 134217729.0 * b
-        bh = t - (t - b)
-        al, bl = a - ah, b - bh
-        e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
-        e += a * other.lo + self.lo * b
-        hi = p + e
-        return _DD(hi, e - (hi - p))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if type(other) is not _DD:
-            other = _DD(float(other))
-        q1 = self.hi / other.hi
-        r = self - other * q1
-        q2 = r.hi / other.hi
-        r = r - other * q2
-        return _DD(q1) + q2 + r.hi / other.hi
-
-    def __float__(self):
-        return self.hi + self.lo
-
-
-def _basis_values(g, chosen, others) -> list:
-    """[B_0, ..., B_len(chosen)], stage j's basis x^(d-j) prod_{i<j} (x -
-    chosen_i) at a root g of P over P'(g): the product of g / (g - gamma)
-    over the roots other than g and chosen[:j], which are `others` and
-    chosen[j:]. Ratios, which a scale of the roots leaves as they are.
-    Works on floats and _DD alike.
-    """
-    out = [1.0]
-    for gamma in others:
-        out[0] = out[0] * (g / (g - gamma))
-    for gamma in reversed(chosen):
-        out.append(out[-1] * (g / (g - gamma)))
-    return out[::-1]
 
 
 @dataclass(frozen=True)
@@ -264,80 +192,52 @@ def optimal_est_rule(model: SpikedModel) -> RationalRule:
 
 
 def synthesize_sd_params(rule: RationalRule) -> SDParams:
-    """Self-distillation parameters realizing Q/P exactly in s steps.
+    """Self-distillation parameters realizing the rule exactly in s steps.
 
-    Orders the roots of P and builds coefficients t_0..t_s such that
+    Stage j of the chain is f_j = ((1 - xi_j) + xi_j x f_{j-1}) / (x +
+    lambda_j), so xi_j = 1 - lambda_j f_j(0). Written as sum_k rho_k / (x -
+    gamma_k) over the roots of P, with residues rho_k that sum to 1, a rule
+    whose last stage sits at the root g = -lambda_j therefore has
 
-        Q(x) = sum_j t_j x^{d-j} prod_{i<j} (x - gamma_i),
+        xi = sum_{k != g} rho_k (1 - g / gamma_k),
 
-    then maps lambda_i = -gamma_i and xi_i = (t_0+..+t_{i-1})/(t_0+..+t_i).
-    Divided by P'(gamma) at each root gamma of P, Q is the rule's residue
-    there and each basis value a product of ratios (`_basis_values`), so
-    the forward substitution forms no product of the roots. Roots are
-    consumed in descending order, skipping any root where the partial sum
-    of the stage weights vanishes (which would break the construction);
-    the descending order puts the largest root at stage 0 so the initial
-    ridge has the single large negative penalty.
+    and the chain before that stage is the rule with residues rho_k (1 -
+    g / gamma_k) / xi at the other roots, which again sum to 1. The peel
+    runs from the smallest root up, passing over a root whose xi cancels
+    to 1e-10 of the sum of its terms or less, and leaves the largest root
+    for stage 0, so the initial ridge has the single large negative
+    penalty. The sums run in 40-digit decimal arithmetic from the float
+    roots and residues, each xi rounded once: with close roots the terms
+    cancel, and in floats the xis lose digits.
     """
-    gammas_all = list(rule.roots_of_p)
-    d = len(gammas_all) - 1
-    residue = dict(zip(gammas_all, rule.residues()))
-
-    chosen: list[float] = []
-    ts: list[_DD] = []
-    remaining = sorted(gammas_all, reverse=True)
-    for k in range(-1, d):
-        ts_f = [float(t) for t in ts]
-        partial = fsum(ts_f)
-
-        def r_k(idx):
-            # the partial sum through the candidate root's stage, times its
-            # basis value
-            g = remaining[idx]
-            basis = _basis_values(g, chosen, remaining[:idx] + remaining[idx + 1:])
-            val = residue[g] - fsum(t * b for t, b in zip(ts_f, basis))
-            return val + partial * basis[k + 1]
-
-        rvals = [abs(r_k(idx)) for idx in range(len(remaining))]
-        scale = max(rvals) if rvals else 0.0
-        pick = None
-        for idx, g in enumerate(remaining):
-            if g != 0.0 and rvals[idx] > 1e-10 * scale:
-                pick = idx
-                break
-        if pick is None:
-            shared = _shared_roots(rule)
-            if shared.size:
-                raise AssumptionError("P and Q must be coprime for the s-step chain; "
-                                      f"they share the root {float(shared[0])!r}")
-            raise StructuralError(
-                "self-distillation synthesis failed: every remaining root makes "
-                "the partial sums degenerate (numerical-precision failure)"
-            )
-        g = remaining.pop(pick)
-        # Forward substitution in double-double arithmetic: with close
-        # roots the terms cancel, and in floats the stage weights lose most
-        # of their digits.
-        basis = _basis_values(_DD(g), chosen, remaining)
-        if float(basis[k + 1]) == 0.0:
-            raise NumericalError(
-                "self-distillation synthesis failed: the stage basis at root "
-                f"{g!r} underflows to zero in double precision"
-            )
-        num = _DD(residue[g]) - sum((t * b for t, b in zip(ts, basis)), _DD(0.0))
-        ts.append(num / basis[k + 1])
-        chosen.append(g)
-
-    sums = list(itertools.accumulate(ts))
-    if not abs(float(sums[-1]) - 1.0) <= 1e-8:
-        raise StructuralError(
-            f"synthesized stage weights must sum to 1, got {float(sums[-1])}"
-        )
-    if any(abs(float(v)) < 1e-14 for v in sums):
-        raise StructuralError("degenerate partial sum in stage weights")
-    lambdas = tuple(-g for g in chosen)
-    xis = tuple(float(sums[i - 1] / sums[i]) for i in range(1, d + 1))
-    return SDParams(lambdas, xis)
+    shared = _shared_roots(rule)
+    if shared.size:
+        raise AssumptionError("P and Q must be coprime for the s-step chain; "
+                              f"they share the root {float(shared[0])!r}")
+    gammas, rhos = rule.roots_of_p, rule.residues()
+    if 0.0 in gammas or not all(map(math.isfinite, gammas + rhos)):
+        raise NumericalError("self-distillation synthesis failed: P has a root "
+                             "at 0 or a residue of the rule is not finite")
+    if not abs(fsum(rhos) - 1.0) <= 1e-8:
+        raise StructuralError(f"the rule's residues must sum to 1, got {fsum(rhos)}")
+    left = sorted(zip(map(Decimal, gammas), map(Decimal, rhos)))
+    peeled, xis = [], []
+    with localcontext() as ctx:
+        ctx.prec = 40
+        while len(left) > 1:
+            for i, (g, _) in enumerate(left):
+                rest = left[:i] + left[i + 1:]
+                terms = [rho * (1 - g / gamma) for gamma, rho in rest]
+                xi = sum(terms)
+                if abs(xi) > Decimal("1e-10") * sum(map(abs, terms)):
+                    break
+            else:
+                raise StructuralError("self-distillation synthesis failed: every "
+                                      "remaining root cancels its stage's xi")
+            left = [(gamma, t / xi) for (gamma, _), t in zip(rest, terms)]
+            peeled.append(g)
+            xis.append(float(xi))
+    return SDParams([-float(g) for g in [left[0][0], *reversed(peeled)]], xis[::-1])
 
 
 def coprimality_check(rule: RationalRule) -> bool:
@@ -350,14 +250,14 @@ def _shared_roots(rule: RationalRule) -> np.ndarray:
 
     Q is nu N times a constant, and nu = prod_j scale_j (x*_j - x), so Q
     has the sign of N(x) prod_j sign(x*_j - x), read at gamma_k -+ h for
-    each root gamma_k of P, h = 1e-8 times the root spacing. The roots
-    are exact to a few ulp and N is a sum of s + 1 terms, so a sign
-    change (or a zero) between the two puts a root of Q within h of
-    gamma_k. A root equal to an outlier, N's pole, is not read itself.
+    each root gamma_k of P, h = 1e-8 times the smallest root spacing (or
+    |gamma_0| at s = 0), which scales with the model. The roots are exact
+    to a few ulp and N is a sum of s + 1 terms, so a sign change (or a
+    zero) between the two puts a root of Q within h of gamma_k. A root equal to an outlier, N's pole, is not read itself.
     """
     p_roots = np.asarray(rule.roots_of_p)
-    spacing = np.min(np.diff(np.sort(p_roots))) if p_roots.size > 1 else 1.0
-    h = 1e-8 * max(spacing, 1e-30)
+    spacing = np.min(np.diff(np.sort(p_roots))) if p_roots.size > 1 else abs(p_roots[0])
+    h = 1e-8 * spacing
     x = p_roots[:, None] + np.array([-h, h])
     sign = np.sign(rule.numerator(x))
     for xstar in rule.rn.xstars:

@@ -759,6 +759,13 @@ def _refusal(tmp_path, kind):
         config["risk"] = {"rules": [{"kind": "gd", "etas": [0.2],
                                      "steps": [20000]}]}
         return "risk", config, [], 4
+    if kind == "gram-overflow":
+        # the weight w underflows to 0 on the bulk, so the Gram integrand
+        # x mu_j / w is inf there; summing it once printed numpy's
+        # invalid-value warning before the refusal
+        model = {"sigma0_sq": 1e-150, "c": 2.0, "r": 1e-150, "sigma_eps_sq": 1e-300,
+                 "spikes": [{"delta": 7e-150, "alpha": 5e-151}]}
+        return "optimal", {"model": model, "optimal": {}}, [], 4
     if kind.startswith("shared-root-"):
         # a spike of 1e-150 makes Q and P share their root past the
         # outlier: the rule is the 0-step ridge, no 1-step chain
@@ -775,7 +782,7 @@ def _refusal(tmp_path, kind):
 @pytest.mark.parametrize("kind", ["infinite-grid-bound", "simulate-huge-c",
                                   "sweep-huge-c", "missing-directory",
                                   "gd-huge-eta", "sd-huge-xi",
-                                  "gd-diverges-at-outlier",
+                                  "gd-diverges-at-outlier", "gram-overflow",
                                   "shared-root-optimal", "shared-root-sd-params",
                                   "shared-root-federated"])
 def test_refused_input_prints_one_line_in_a_fresh_process(tmp_path, kind):
@@ -1154,17 +1161,19 @@ def test_rule_that_cannot_exist_exits_3_under_every_command(tmp_path, capsys,
     assert captured.err.count("\n") == 1
 
 
-def test_underflowing_chain_basis_is_numerical_failure(tmp_path, capsys):
-    # at r = 2^70 the roots of P sit near -1e-42, and the synthesis basis
-    # x^14 prod (x - gamma_i) underflows to 0; this once escaped as a
-    # ZeroDivisionError
+def test_chain_past_the_double_range_of_its_outliers_shares_a_root(tmp_path, capsys):
+    # at r = 2^70 alpha_j^2 / r^2 is about 1e-42: the residues at the 14
+    # roots next to the outliers are round-off of zero, so Q shares those
+    # roots. The synthesis once formed the basis x^14 prod (x - gamma_i),
+    # which underflowed to 0 and escaped as a ZeroDivisionError, then exited
+    # 4; the coprimality check in front of it refuses the rule first
     config = json.loads((CORPUS / "federated__many-s14-0.json").read_text())
     config["model"]["r"] = 2**70
-    assert main(["federated", "--config", write_cfg(tmp_path, config)]) == 4
+    assert main(["federated", "--config", write_cfg(tmp_path, config)]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("numerical failure:")
-    assert "underflows to zero" in captured.err
+    assert captured.err.startswith("assumption violation: P and Q must be coprime")
+    assert "they share the root 6.047437231553536" in captured.err
     assert captured.err.count("\n") == 1
 
 

@@ -21,9 +21,10 @@ eigenvalues by k: pred stays, est scales by 1/k, the lambdas by k, the
 xis stay. Multiplying r and every alpha by t and sigma_eps^2 by t^2
 scales both risks by t^2. With k and t powers of two every input is
 exact, so every `optimal`, `sd-params` and `federated` corpus case must
-give the same exit code and exactly rescaled risks and chain parameters,
-at k = 2^+-4, 2^+-20, 2^+-60 and 2^+-120 and at t = 2^+-40, and so must
-`optimal` on small random models at k = 2^e for even e in [-120, 120].
+give the same exit code, exactly rescaled risks and chain parameters and
+the same `coprime` flag, at k = 2^+-4, 2^+-20, 2^+-60 and 2^+-120 and at
+t = 2^+-40, and so must `optimal` on small random models at k = 2^e for
+even e in [-120, 120].
 """
 
 import importlib.util
@@ -255,12 +256,13 @@ def _scaled(model: dict, k: float, t: float) -> dict:
 
 
 def _rescaled(payload: dict, k: float, t: float):
-    """(risks, lambdas, xis) of a payload as the scaled model must print
-    them."""
+    """(risks, lambdas, xis, coprime) of a payload as the scaled model must
+    print them."""
     params = payload.get("sd_params", payload)
     risks = {key: value * t * t / (k if key == "est" else 1.0)
              for key, value in payload.get("risks", {}).items()}
-    return risks, [lam * k for lam in params["lambdas"]], params["xis"]
+    return (risks, [lam * k for lam in params["lambdas"]], params["xis"],
+            payload.get("coprime"))
 
 
 @pytest.mark.parametrize("name", SCALED_CASES)

@@ -630,3 +630,57 @@ def test_gauss_solve_swaps_rows_for_the_largest_pivot():
     assert gauss_solve([[1e-20, 1.0], [1.0, 1.0]], [1.0, 2.0]) == [1.0, 1.0]
     A = [[1.0, 2.0, 1.0], [4.0, 1.0, -2.0], [-2.0, 8.0, 1.0]]
     assert gauss_solve(A, [0.0, -4.0, -15.0]) == [1.0, -2.0, 3.0]
+
+
+def test_each_xi_is_the_correctly_rounded_peel():
+    # each xi is the 60-digit peel of the rule's float roots and residues,
+    # rounded once; the peel order is the chain's stages from the last one
+    # back. A forward substitution in double-double arithmetic was off by
+    # up to 3.2 ulp (many-s20-1)
+    mpmath = pytest.importorskip("mpmath")
+    seen = set()
+    for name, block in CLOSED_FORM_MODELS:
+        model = parse_model(block)
+        if model in seen or model.sigma_eps_sq == 0.0 or (
+                model.s > 4 and "many-s" not in name):
+            continue
+        seen.add(model)
+        rule = sd.optimal_pred_rule(model)[0]
+        params = sd.synthesize_sd_params(rule)
+        with mpmath.workdps(60):
+            left = dict(zip(map(mpmath.mpf, rule.roots_of_p),
+                            map(mpmath.mpf, rule.residues())))
+            want = []
+            for lam in reversed(params.lambdas[1:]):
+                g = mpmath.mpf(-lam)
+                del left[g]
+                terms = {k: rho * (1 - g / k) for k, rho in left.items()}
+                xi = mpmath.fsum(terms.values())
+                left = {k: t / xi for k, t in terms.items()}
+                want.append(float(xi))
+        assert params.xis == tuple(reversed(want)), name
+    assert len(seen) >= 50 and max(model.s for model in seen) == 20
+
+
+def test_root_that_cancels_its_xi_is_passed_over():
+    # 1 + gamma f(0) = 0 at gamma = -1, so the last stage cannot sit at the
+    # smallest root: the peel takes 2 there, then -1, and leaves 3 for
+    # stage 0
+    roots, rhos = (-1.0, 2.0, 3.0), (1.0375, 0.3, -0.3375)
+    poly = np.polynomial.polynomial
+    q = sum(rho * poly.polyfromroots([g for g in roots if g != root])
+            for root, rho in zip(roots, rhos))
+    rule = monomial_rational_rule(roots, q)
+    params = sd.synthesize_sd_params(rule)
+    assert params.lambdas == (-3.0, 1.0, -2.0)
+    # no point within 0.01 of the poles 2 and 3, next to which both sides
+    # lose digits to the cancellation of their own terms
+    x = np.linspace(0.1, 10.0, 64)
+    assert np.max(np.abs(sd.SDChain(params)(x) - rule(x))) <= 1e-10
+
+
+def test_root_at_zero_is_numerical_failure():
+    # the residue there is nan and the peel would divide by the root
+    rule = monomial_rational_rule((0.0, 2.0), [1.0, 1.0])
+    with pytest.raises(NumericalError, match="root at 0"):
+        sd.synthesize_sd_params(rule)
