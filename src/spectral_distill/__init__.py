@@ -41,12 +41,10 @@ from .shrinkage import (
     pcr_component_limit_risk,
 )
 from .optimal import (
-    OptimalCoefficients,
     optimal_pred_rule,
     optimal_est_rule,
     denominator_roots,
     synthesize_sd_params,
-    coprimality_check,
     fixed_point_residual,
     sd_round_trip_error,
 )

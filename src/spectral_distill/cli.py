@@ -294,7 +294,7 @@ def build_rules(spec, model):
     if kind == "min_norm":
         return [("min_norm", "", "", shrinkage.min_norm_rule(model))]
     if kind == "optimal_pred":
-        return [("optimal_pred", "", "", optimal.optimal_pred_rule(model)[0])]
+        return [("optimal_pred", "", "", optimal.optimal_pred_rule(model))]
     return [("optimal_est", "", "", optimal.optimal_est_rule(model))]
 
 
@@ -349,16 +349,15 @@ def _optimum_payload(model, rule, b, sd_params):
             "pred": shrinkage.limiting_pred_risk(model, rule).total,
             "est": shrinkage.limiting_est_risk(model, rule).total,
         },
-        "coprime": optimal.coprimality_check(rule),
         "self_check": {"round_trip_sup_error": round_trip},
     }
 
 
 def cmd_optimal(model, block, tag):
-    rule, coef = optimal.optimal_pred_rule(model)
+    rule = optimal.optimal_pred_rule(model)
     params = optimal.synthesize_sd_params(rule)
-    payload = _optimum_payload(model, rule, coef.b, params)
-    payload["A"] = list(coef.A)
+    payload = _optimum_payload(model, rule, rule.b, params)
+    payload["A"] = list(shrinkage.validate_rule(model, rule).xf[1:])
     payload["self_check"]["fixed_point_residual"] = (
         optimal.fixed_point_residual(model, rule)
     )
@@ -367,7 +366,7 @@ def cmd_optimal(model, block, tag):
 
 
 def cmd_sd_params(model, block, tag):
-    rule, _ = optimal.optimal_pred_rule(model)
+    rule = optimal.optimal_pred_rule(model)
     params = optimal.synthesize_sd_params(rule)
     payload = {
         "lambdas": list(params.lambdas),
@@ -485,7 +484,7 @@ def cmd_sweep(base, block, tag):
             if sim_block:
                 row += [reports[label].empirical_mean, reports[label].std_error]
         if include_params:
-            rule, _ = optimal.optimal_pred_rule(model)
+            rule = optimal.optimal_pred_rule(model)
             params = optimal.synthesize_sd_params(rule)
             row += list(params.lambdas) + list(params.xis)
             row += [spectra.outlier_location(model, d) for d in model.deltas]

@@ -57,7 +57,6 @@ def federated_b(model: SpikedModel, K: int) -> np.ndarray:
 def federated_optimum(model: SpikedModel, K: int) -> FederatedOptimum:
     """Solve the K-client system and synthesize the local rule's chain."""
     K = int(K)
-    optimal._require_noise(model)
     b = federated_b(model, K)
     if abs(b[0]) < 1e-10 * math.hypot(*measures._gram_rhs(model)):
         raise AssumptionError(

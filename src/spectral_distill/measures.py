@@ -1,11 +1,13 @@
-"""Mixture weights, the outliers' nu ratios, and the weighted Gram system.
+"""Mixture weights, the table of the optimal rules' poles, and the
+weighted Gram system.
 
 The mixture F_alpha = omega0 F_MP + sum_j omega_j F_{delta_j} carries
 the signal's alignment with the spike directions. The affine ratios
 nu_j = dF_MP/dF_{delta_j} = scale_j (x*_j - x) place the optimal rules'
 poles: divided by nu = prod_j nu_j, their numerator Q and denominator P
-are sums of simple poles at the outliers x*_j (`RnPolynomials`), and no
-product of the nu_j is formed. The densities mu_j of F_{delta_j} and
+are sums of simple poles at the outliers x*_j, and no product of the
+nu_j is formed: one table per model (`rn_polynomials`) holds the x*_j,
+the scales and P's secular form. The densities mu_j of F_{delta_j} and
 mu_0 of F_MP with respect to F_alpha are the grid's weight ratios
 (`SpectralGrid.mu`); from them come the weight w, the target g and the
 basis h_j at the grid's points (`_target_and_basis`; at an outlier,
@@ -24,28 +26,47 @@ import numpy as np
 
 from . import spectra
 from .errors import NumericalError
-from .spectra import SpectralGrid, SpikedModel, get_grid, mixture_weights
+from .spectra import SpectralGrid, SpikedModel, fsum, get_grid, mixture_weights
 
 
 @dataclass(frozen=True)
 class RnPolynomials:
-    """The outliers x*_j and the scales of the ratios nu_j, in spike order.
+    """The model's table of the optimal rules' poles, in spike order.
 
     nu_j(x) = scale_j (x*_j - x), scale_j = delta_j / (c sigma0^2
-    (delta_j + sigma0^2)) > 0, which vanishes exactly at its outlier.
-    P's secular form F and the optimal rules' numerator N
-    (`shrinkage.RationalRule`) have their poles there.
+    (delta_j + sigma0^2)) > 0, vanishes exactly at its outlier x*_j.
+    Divided by r^2 omega0 nu, P is the secular function
+
+        F(x) = x + lam0 + x sum_j w_j / (x*_j - x),
+
+    lam0 = c sigma_eps^2 / (r^2 omega0), w_j = omega_j / (omega0 scale_j)
+    > 0, with slope F'(x) = 1 + sum_j w_j x*_j / (x*_j - x)^2 > 0: it
+    rises strictly between its poles, the outliers, where the optimal
+    rules' numerator N (`shrinkage.RationalRule`) has its poles too.
     """
 
     xstars: tuple[float, ...]
     scales: tuple[float, ...]
+    lam0: float
+    weights: tuple[float, ...]
+
+    def secular(self, x: float, skip: int | None = None) -> tuple[float, float]:
+        """(F(x), F'(x)) in O(s) with no products; skip=j leaves out the
+        pole at x*_j."""
+        poles = [(xs, w / (xs - x))
+                 for j, (xs, w) in enumerate(zip(self.xstars, self.weights)) if j != skip]
+        slope = fsum(t * (xs / (xs - x)) for xs, t in poles)
+        return x + self.lam0 + x * fsum(t for _, t in poles), 1.0 + slope
 
 
 def rn_polynomials(model: SpikedModel) -> RnPolynomials:
     def build():
-        deltas = [d for d, _ in model.spikes]
+        deltas, w = [d for d, _ in model.spikes], mixture_weights(model)
+        scales = tuple(-spectra.nu_affine(model, d)[1] for d in deltas)
+        lam0 = model.c * model.sigma_eps_sq / model.r**2 / w.omega0
         return RnPolynomials(tuple(spectra.outlier_location(model, d) for d in deltas),
-                             tuple(-spectra.nu_affine(model, d)[1] for d in deltas))
+                             scales, lam0,
+                             tuple(om / w.omega0 / sc for om, sc in zip(w.omegas, scales)))
 
     return spectra.cached(model, ("nu basis",), build)
 

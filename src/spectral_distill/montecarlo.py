@@ -315,7 +315,7 @@ def _ridge_tuned(model, n, p):
 
 
 def _sd_optimal(model, n, p):
-    rule, _ = optimal.optimal_pred_rule(model)
+    rule = optimal.optimal_pred_rule(model)
     return optimal.synthesize_sd_params(rule), _rule(model, rule)[1]
 
 

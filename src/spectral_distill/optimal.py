@@ -16,20 +16,21 @@ Divided by nu = prod_j nu_j, numerator and denominator are sums of
 simple poles at the outliers, with no products:
 
     f*(x) = N(x) / (K F(x)),   N = b_0 + sum_j b_j / nu_j,
-    K = sigma0^2 r^2 omega0,   F = P/(r^2 omega0 nu) (`_secular`).
+    K = sigma0^2 r^2 omega0,   F = P/(r^2 omega0 nu),
 
-Optimal rules are `shrinkage.RationalRule`s in this form. P is kept as
-its roots, found on F with analytic brackets; every risk, inner product
-and the coprimality check read N and F, and the chain synthesis reads
-the rule's residues at P's roots and ratios of those roots, so a rule
-scales with its model where products of s factors would leave the
-double range.
+where F is P's secular form, whose data are the model's table of poles
+(`measures.rn_polynomials`). Optimal rules are `shrinkage.RationalRule`s
+in this form, each checked against the support once it is built. P is
+kept as its roots, found on F with analytic brackets; every risk and
+inner product reads N and F, and the chain synthesis reads the rule's
+residues at P's roots and ratios of those roots, refusing a root that Q
+shares, so a rule scales with its model where products of s factors
+would leave the double range.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -41,79 +42,43 @@ from .shrinkage import RationalRule, SDChain, SDParams, validate_rule
 from .spectra import SpikedModel, bracketed_newton, fsum, get_grid  # noqa: F401
 
 
-@dataclass(frozen=True)
-class OptimalCoefficients:
-    """Solution b of the optimality system plus the diagnostic inner
-    products A_j = <f*, h_j>_w."""
+def denominator_roots(model: SpikedModel) -> tuple[float, ...]:
+    """All s+1 real roots of the monic denominator P, ascending.
 
-    b: tuple[float, ...]
-    A: tuple[float, ...]
-
-
-def _require_noise(model: SpikedModel):
-    if model.sigma_eps_sq == 0.0:
+    They are the zeros of P's secular form F (`measures.RnPolynomials`),
+    whose brackets are analytic: one root between each pair of
+    consecutive outliers, one in [-lambda0, 0), where F(-lambda0) <= 0 <
+    lambda0 = F(0), and one in (x*_max, x*_max + sum_j w_j], where F >=
+    lambda0. At s = 0 F is x + lambda0 and the root is -lambda* of the
+    isotropic ridge.
+    """
+    rn = measures.rn_polynomials(model)
+    if not rn.lam0 > 0.0:
         raise AssumptionError(
             "optimal-rule synthesis needs positive noise variance: at "
             "sigma_eps_sq = 0 the denominator gains a root at zero, the "
             "guaranteed negative root disappears, and the distillation "
             "parameterization degenerates"
+            + ("" if model.sigma_eps_sq == 0.0 else "; here lambda0 underflows to 0")
         )
-
-
-def _secular(model: SpikedModel):
-    """(F, lambda0, [(x*_j, b_j)] in spike order) for P's secular form.
-
-    Divided by r^2 omega0 nu, P is the secular function
-
-        F(x) = x + lambda0 + x sum_j b_j / (x*_j - x),
-
-    lambda0 = c sigma_eps^2 / (r^2 omega0), b_j = omega_j / (omega0 scale_j)
-    > 0, with slope F'(x) = 1 + sum_j b_j x*_j / (x*_j - x)^2 > 0: it
-    rises strictly between its poles, the outliers. F(x) returns the value
-    and the slope, each in O(s) with no products.
-    """
-    w = measures.mixture_weights(model)
-    lam0 = model.c * model.sigma_eps_sq / model.r**2 / w.omega0
-    rn = measures.rn_polynomials(model)
-    poles = [(xstar, om / w.omega0 / sc)
-             for xstar, om, sc in zip(rn.xstars, w.omegas, rn.scales)]
-
-    def secular(x: float) -> tuple[float, float]:
-        terms = [b / (xstar - x) for xstar, b in poles]
-        slope = fsum(t * xstar / (xstar - x) for t, (xstar, _) in zip(terms, poles))
-        return x + lam0 + x * fsum(terms), 1.0 + slope
-
-    return secular, lam0, poles
-
-
-def denominator_roots(model: SpikedModel) -> tuple[float, ...]:
-    """All s+1 real roots of the monic denominator P, ascending.
-
-    They are the zeros of P's secular form F (`_secular`), whose brackets
-    are analytic: one root between each pair of consecutive outliers, one
-    in [-lambda0, 0), where F(-lambda0) <= 0 < lambda0 = F(0), and one in
-    (x*_max, x*_max + sum_j b_j], where F >= lambda0. At s = 0 F is
-    x + lambda0 and the root is -lambda* of the isotropic ridge.
-    """
-    secular, lam0, poles = _secular(model)
-    xs = sorted(xstar for xstar, _ in poles)
+    xs = sorted(rn.xstars)
     if any(hi - lo < 1e-9 * hi for lo, hi in zip(xs, xs[1:])):
         raise StructuralError(
             "two outlier locations nearly coincide; the model sits on an "
             "excluded degeneracy and root interlacing would be corrupted"
         )
-    top = xs[-1] + fsum(b for _, b in poles) if xs else 0.0
-    if not (lam0 < math.inf and top < math.inf and all(b > 0.0 for _, b in poles)):
+    top = xs[-1] + fsum(rn.weights) if xs else 0.0
+    if not (rn.lam0 < math.inf and top < math.inf and all(w > 0.0 for w in rn.weights)):
         raise NumericalError(
             "the secular form of the denominator leaves the double range: a "
             "pole weight underflows to zero or a bracket end overflows"
         )
     # from -lambda0 F is exact at s = 0, where it is the root
-    roots = [bracketed_newton(secular, -lam0, 0.0, -lam0)]
+    roots = [bracketed_newton(rn.secular, -rn.lam0, 0.0, -rn.lam0)]
     for lo, hi in zip(xs, [*xs[1:], top]):
         mid = 0.5 * (lo + hi)
         # no float strictly inside: the root is within an ulp of the pole lo
-        roots.append(bracketed_newton(secular, lo, hi, mid) if lo < mid < hi else lo)
+        roots.append(bracketed_newton(rn.secular, lo, hi, mid) if lo < mid < hi else lo)
     return tuple(roots)
 
 
@@ -144,7 +109,8 @@ def _solve_system(model: SpikedModel, dmat_diag: np.ndarray) -> np.ndarray:
 
 def _rational_rule(model: SpikedModel, b, s0sq: float,
                    rho: float = 1.0) -> RationalRule:
-    """Q0/(rho P0) = N/(rho K F) as a rule, for the numerator coefficients b.
+    """Q0/(rho P0) = N/(rho K F) as a rule, for the numerator coefficients b,
+    checked against the model's support before any synthesis reads it.
 
     Q0 = nu N and P0 = s0sq (r^2 x (omega0 nu + sum_j omega_j nu_{-j}) +
     c sigma_eps^2 nu) = nu K F with K = s0sq r^2 omega0, nu = prod_j nu_j
@@ -152,10 +118,11 @@ def _rational_rule(model: SpikedModel, b, s0sq: float,
     optimum, 1 the estimation optimum; both have P's roots. rho scales a
     federated optimum down to its local rule, whose numerator is N/rho.
     """
-    _, lam0, poles = _secular(model)
     K = s0sq * model.r**2 * measures.mixture_weights(model).omega0
-    return RationalRule(denominator_roots(model), tuple(float(v) / rho for v in b), K,
-                        measures.rn_polynomials(model), lam0, tuple(w for _, w in poles))
+    rule = RationalRule(denominator_roots(model), tuple(float(v) / rho for v in b), K,
+                        measures.rn_polynomials(model))
+    validate_rule(model, rule)
+    return rule
 
 
 def fixed_point_residual(model: SpikedModel, rule: RationalRule) -> float:
@@ -168,25 +135,15 @@ def fixed_point_residual(model: SpikedModel, rule: RationalRule) -> float:
     return float(np.max(np.abs(resid - g)))
 
 
-def inner_products_with_basis(model: SpikedModel, rule) -> np.ndarray:
-    """A_j = <rule, h_j>_w = int x rule dF_{delta_j}, j = 1..s; read-only."""
-    return validate_rule(model, rule).xf[1:]
-
-
-def optimal_pred_rule(model: SpikedModel) -> tuple[RationalRule, OptimalCoefficients]:
+def optimal_pred_rule(model: SpikedModel) -> RationalRule:
     """Prediction-risk-optimal rule; at s = 0 it is the isotropic ridge."""
-    _require_noise(model)
     dmat = np.concatenate([[0.0], model.deltas * model.alphas**2])
-    b = _solve_system(model, dmat)
-    rule = _rational_rule(model, b, model.sigma0_sq)
-    A = inner_products_with_basis(model, rule)
-    return rule, OptimalCoefficients(tuple(b), tuple(A))
+    return _rational_rule(model, _solve_system(model, dmat), model.sigma0_sq)
 
 
 def optimal_est_rule(model: SpikedModel) -> RationalRule:
     """Estimation-risk-optimal rule; same denominator roots as the
     prediction optimum up to the sigma0^2 factor."""
-    _require_noise(model)
     w = measures.mixture_weights(model)
     return _rational_rule(model, model.r**2 * np.array([w.omega0, *w.omegas]), 1.0)
 
@@ -240,11 +197,6 @@ def synthesize_sd_params(rule: RationalRule) -> SDParams:
     return SDParams([-float(g) for g in [left[0][0], *reversed(peeled)]], xis[::-1])
 
 
-def coprimality_check(rule: RationalRule) -> bool:
-    """True iff P and Q share no root: then no shorter chain realizes the rule."""
-    return _shared_roots(rule).size == 0
-
-
 def _shared_roots(rule: RationalRule) -> np.ndarray:
     """The roots of P that Q shares (tolerance relative to root spacing).
 
@@ -253,7 +205,8 @@ def _shared_roots(rule: RationalRule) -> np.ndarray:
     each root gamma_k of P, h = 1e-8 times the smallest root spacing (or
     |gamma_0| at s = 0), which scales with the model. The roots are exact
     to a few ulp and N is a sum of s + 1 terms, so a sign change (or a
-    zero) between the two puts a root of Q within h of gamma_k. A root equal to an outlier, N's pole, is not read itself.
+    zero) between the two puts a root of Q within h of gamma_k. A root
+    equal to an outlier, N's pole, is not read itself.
     """
     p_roots = np.asarray(rule.roots_of_p)
     spacing = np.min(np.diff(np.sort(p_roots))) if p_roots.size > 1 else abs(p_roots[0])

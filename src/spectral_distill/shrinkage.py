@@ -109,20 +109,18 @@ class RationalRule(ShrinkageFn):
         N(x) = b_0 + sum_j b_j / nu_j(x),     nu_j = scale_j (x*_j - x),
         F(x) = x + lam0 + x sum_j w_j / (x*_j - x),
 
-    with x*_j and scale_j > 0 from `rn`; F is P's secular form. N and F
-    are O(s) sums of simple poles at the x*_j, a barycentric-type form:
-    no product of s factors, which would leave the double range under a
-    scale of the model, is formed. At x*_j the value is the ratio of the
-    residues of N and K F there. The rules of `optimal` use their model's
-    x*_j and scales.
+    with x*_j, scale_j > 0, lam0 and w_j from `rn`, whose `secular` is F
+    at a point. N and F are O(s) sums of simple poles at the x*_j, a
+    barycentric-type form: no product of s factors, which would leave the
+    double range under a scale of the model, is formed. At x*_j the value
+    is the ratio of the residues of N and K F there. The rules of
+    `optimal` use their model's table.
     """
 
     roots_of_p: tuple[float, ...]
     b: tuple[float, ...]
     K: float
     rn: RnPolynomials
-    lam0: float
-    weights: tuple[float, ...]
 
     def poles(self):
         return self.roots_of_p
@@ -143,42 +141,40 @@ class RationalRule(ShrinkageFn):
         G'(g) e - x*_j G(g)/g, where nothing has a pole at x*_j: a root
         within an ulp of its outlier, whose e has no correct digit, keeps
         its residue. A root at 0 gets nan."""
-        poles = list(zip(self.rn.xstars, self.weights, self.b[1:], self.rn.scales))
-        out = []
+        rn, out = self.rn, []
         for g in self.roots_of_p:
-            if not poles:  # f = b_0 / (K (x + lam0))
+            if not rn.xstars:  # f = b_0 / (K (x + lam0))
                 out.append(self.b[0] / self.K)
                 continue
-            j = min(range(len(poles)), key=lambda i: abs(poles[i][0] - g))
-            (xj, _, bj, scj), rest = poles[j], poles[:j] + poles[j + 1:]
-            m = fsum([self.b[0], *(b / (sc * (xs - g)) for xs, _, b, sc in rest)])
-            G = g + self.lam0 + g * fsum(w / (xs - g) for xs, w, *_ in rest)
-            dG = 1.0 + fsum(w / (xs - g) * (xs / (xs - g)) for xs, w, *_ in rest)
-            e = xj - g
-            out.append((m * e + bj / scj) / self.K / (dG * e - xj * (G / g)) if g else math.nan)
+            j = min(range(len(rn.xstars)), key=lambda i: abs(rn.xstars[i] - g))
+            m = fsum([self.b[0], *(b / (sc * (xs - g)) for i, (xs, b, sc)
+                                   in enumerate(zip(rn.xstars, self.b[1:], rn.scales))
+                                   if i != j)])
+            G, dG = rn.secular(g, skip=j)
+            e = rn.xstars[j] - g
+            out.append((m * e + self.b[j + 1] / rn.scales[j]) / self.K
+                       / (dG * e - rn.xstars[j] * (G / g)) if g else math.nan)
         return tuple(out)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        num = self.numerator(x)
+        num, rn = self.numerator(x), self.rn
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             den = np.zeros_like(x)
-            for w, xstar in zip(self.weights, self.rn.xstars):
+            for w, xstar in zip(rn.weights, rn.xstars):
                 den = den + w / (xstar - x)
-            out = (num / self.K) / (x + self.lam0 + x * den)
-            for b, scale, w, xstar in zip(self.b[1:], self.rn.scales, self.weights,
-                                          self.rn.xstars):
+            out = (num / self.K) / (x + rn.lam0 + x * den)
+            for b, scale, w, xstar in zip(self.b[1:], rn.scales, rn.weights, rn.xstars):
                 out = np.where(x == xstar, (b / scale) / self.K / (xstar * w), out)
         return out
 
 
 @dataclass(frozen=True)
 class SDChain(ShrinkageFn):
-    """Closed-form rule of the k-step self-distillation chain.
-
-    f_k(x) = sum_{j=0..k} (1-xi_j) (prod_{t>j} xi_t) (prod_{t>j} x/(x+lambda_t))
-             / (x + lambda_j),  with xi_0 = 0.
-    """
+    """Rule f_k of the k-step self-distillation chain, evaluated stage by
+    stage, f_j = ((1 - xi_j) + xi_j x f_{j-1}) / (x + lambda_j) from f_{-1} =
+    0 and xi_0 = 0: next to a pole that cancels less than the closed form's
+    sum of terms."""
 
     params: SDParams
 
@@ -186,8 +182,6 @@ class SDChain(ShrinkageFn):
         return tuple(-l for l in self.params.lambdas)
 
     def __call__(self, x):
-        # stage by stage, f_j = ((1 - xi_j) + xi_j x f_{j-1}) / (x + lambda_j):
-        # next to a pole this cancels less than the sum of the terms above
         x = np.asarray(x, dtype=float)
         out = np.zeros_like(x)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):

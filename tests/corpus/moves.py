@@ -11,9 +11,11 @@ outputs that differ at all.
 
 A JSON output's field is its key path, list indices dropped
 (`risks.pred`, `sd_params.lambdas`). A CSV output's field is its column
-name; a `# name,...` comment line's is its first token. A case whose
-structure changed (other fields, rows or strings) is reported as
-`structure` with a relative move of inf.
+name; a `# name,...` comment line's is its first token. Fields that both
+runs print are compared value by value; a field that only one prints is
+reported on its own line as `added` or `removed`, with the first case
+and the count of the others. A field whose number of values changed is
+reported as `structure`, and a string that changed as a move of inf.
 """
 
 from __future__ import annotations
@@ -70,22 +72,37 @@ def _number(value):
         return None
 
 
-def largest_moves(old_dir, new_dir) -> tuple[dict, list, int]:
-    """({(command, field): (move, case, old, new)}, differing cases, cases)."""
+def _by_field(pairs: list) -> dict:
+    out = {}
+    for field, value in pairs:
+        out.setdefault(field, []).append(value)
+    return out
+
+
+def largest_moves(old_dir, new_dir) -> tuple[dict, dict, list, int]:
+    """({(command, field): (move, case, old, new)}, {(command, field, 'added'
+    or 'removed'): [cases]}, differing cases, cases)."""
     old_dir, new_dir = pathlib.Path(old_dir), pathlib.Path(new_dir)
     names = sorted(p.stem for p in old_dir.glob("*.out"))
-    worst, differ = {}, []
+    worst, lone, differ = {}, {}, []
     for name in names:
         old, new = (d.joinpath(f"{name}.out").read_text() for d in (old_dir, new_dir))
         if old == new:
             continue
         differ.append(name)
         command = name.split("__")[0]
-        before, after = fields(old), fields(new)
-        pairs = list(zip(before, after))
-        if len(before) != len(after) or any(fo != fn for (fo, _), (fn, _) in pairs):
-            pairs = [(("structure", old), ("structure", new))]
-        for (field, vo), (_, vn) in pairs:
+        before, after = _by_field(fields(old)), _by_field(fields(new))
+        for field in sorted(before.keys() ^ after.keys()):
+            kind = "removed" if field in before else "added"
+            lone.setdefault((command, field, kind), []).append(name)
+        pairs = []
+        for field in before.keys() & after.keys():
+            vo, vn = before[field], after[field]
+            if len(vo) != len(vn):
+                vo, vn = [old], [new]
+                field = "structure"
+            pairs.extend((field, o, n) for o, n in zip(vo, vn))
+        for field, vo, vn in pairs:
             if vo == vn:
                 continue
             no, nn = _number(vo), _number(vn)
@@ -95,7 +112,7 @@ def largest_moves(old_dir, new_dir) -> tuple[dict, list, int]:
                 move = abs(nn - no) / max(abs(no), abs(nn))
             if move > worst.get((command, field), (-1.0,))[0]:
                 worst[command, field] = (move, name, vo, vn)
-    return worst, differ, len(names)
+    return worst, lone, differ, len(names)
 
 
 def main(argv=None) -> int:
@@ -103,12 +120,16 @@ def main(argv=None) -> int:
     if len(argv) != 2:
         print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
         return 2
-    worst, differ, total = largest_moves(*argv)
-    for (command, field), (move, name, vo, vn) in sorted(worst.items()):
-        if field == "structure":
-            print(f"{command} structure {name}")
-        else:
-            print(f"{command} {field} {move:.2e} {name} {vo} -> {vn}")
+    worst, lone, differ, total = largest_moves(*argv)
+    lines = {key: f"{' '.join(key)} {names[0]}"
+             + (f" and {len(names) - 1} more" if len(names) > 1 else "")
+             for key, names in lone.items()}
+    for (command, field), (move, name, vo, vn) in worst.items():
+        lines[command, field, ""] = (
+            f"{command} structure {name}" if field == "structure"
+            else f"{command} {field} {move:.2e} {name} {vo} -> {vn}")
+    for key in sorted(lines):
+        print(lines[key])
     print(f"{len(differ)} of {total} outputs differ")
     return 0
 

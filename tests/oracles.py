@@ -334,8 +334,8 @@ def monomial_rational_rule(roots_of_p, q_coeffs) -> RationalRule:
     lam0 = -sum(roots_of_p) + sum(nodes) + sum(weights)
     lead = float(q_coeffs[m]) if len(q_coeffs) > m else 0.0
     b = (sign * lead, *(-sign * q / dp for q, dp in zip(q_at, dprime)))
-    rn = measures.RnPolynomials(tuple(nodes), (1.0,) * m)
-    return RationalRule(tuple(roots_of_p), b, sign, rn, lam0, weights)
+    rn = measures.RnPolynomials(tuple(nodes), (1.0,) * m, lam0, weights)
+    return RationalRule(tuple(roots_of_p), b, sign, rn)
 
 
 # ---------------------------------------------------------------------------

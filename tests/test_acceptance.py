@@ -135,7 +135,7 @@ def test_criterion_04_optimal_rule_structure():
     worst_resid = worst_b0 = 0.0
     for i in range(30):
         model = random_model(rng, s=int(rng.integers(1, 4)))
-        rule, coef = sd.optimal_pred_rule(model)
+        rule = sd.optimal_pred_rule(model)
         roots = np.sort(rule.roots_of_p)
         assert len(set(rule.roots_of_p)) == model.s + 1
         assert np.sum(roots < 0) == 1
@@ -145,7 +145,7 @@ def test_criterion_04_optimal_rule_structure():
         assert roots[-1] > xs[-1]
         worst_resid = max(worst_resid, sd.fixed_point_residual(model, rule))
         gamma0 = model.sigma0_sq * model.r**2 * sd.mixture_weights(model).omega0
-        worst_b0 = max(worst_b0, abs(coef.b[0] - gamma0))
+        worst_b0 = max(worst_b0, abs(rule.b[0] - gamma0))
     report(
         4,
         worst_resid < 1e-8 and worst_b0 < 1e-12,
@@ -161,7 +161,7 @@ def test_criterion_05_sd_round_trip(fig1_model, fig4_model):
     ]
     worst = 0.0
     for model in models:
-        rule, _ = sd.optimal_pred_rule(model)
+        rule = sd.optimal_pred_rule(model)
         params = sd.synthesize_sd_params(rule)
         worst = max(worst, sd.sd_round_trip_error(model, rule, params))
         assert sum(1 for l in params.lambdas if l < 0) == model.s
@@ -209,7 +209,7 @@ def test_criterion_06_dominance(fig1_model, fig3_factory, fig4_model):
     ]
     worst_margin_pred = worst_margin_est = math.inf
     for model in models:
-        rule, _ = sd.optimal_pred_rule(model)
+        rule = sd.optimal_pred_rule(model)
         best = sd.limiting_pred_risk(model, rule).total
         comp = _competitor_risks(
             model, lambda f: sd.limiting_pred_risk(model, f)
@@ -233,10 +233,10 @@ def test_criterion_06_dominance(fig1_model, fig3_factory, fig4_model):
 
 def test_criterion_07_federated_closed_forms(fig1_model):
     # K = 1 reduction
-    rule, coef = sd.optimal_pred_rule(fig1_model)
+    rule = sd.optimal_pred_rule(fig1_model)
     fed1 = sd.federated_optimum(fig1_model, 1)
     k1_err = max(
-        np.max(np.abs(np.array(fed1.b) - np.array(coef.b))),
+        np.max(np.abs(np.array(fed1.b) - np.array(rule.b))),
         abs(fed1.rho_star - 1.0),
     )
     # isotropic closed form
@@ -277,7 +277,7 @@ def test_criterion_08_monte_carlo_convergence(fig4_model):
     model = fig4_model  # c=2, delta=7, alpha=1.7, r=2, sigma_eps=2, sigma0=1
     n, p = 1000, 2000
     lam, ridge_lim = sd.best_ridge(model)
-    rule, _ = sd.optimal_pred_rule(model)
+    rule = sd.optimal_pred_rule(model)
     params = sd.synthesize_sd_params(rule)
     sd_lim = sd.limiting_pred_risk(model, rule).total
     targets = {
@@ -344,7 +344,7 @@ def test_criterion_10_optimal_parameter_phenomenology(fig3_factory):
     xi_at_small = None
     for d in deltas:
         model = fig3_factory(float(d))
-        params = sd.synthesize_sd_params(sd.optimal_pred_rule(model)[0])
+        params = sd.synthesize_sd_params(sd.optimal_pred_rule(model))
         if xi_at_small is None:
             xi_at_small = params.xis[0]
         lam0.append(params.lambdas[0])
@@ -405,7 +405,7 @@ def test_criterion_11_fewer_steps_are_strictly_worse(fig1_model, fig4_model):
         for i, s in enumerate((1, 2, 2, 3))]
     gaps, ref_err = [], 0.0
     for name, model in models:
-        rule, _ = sd.optimal_pred_rule(model)
+        rule = sd.optimal_pred_rule(model)
         optimum = sd.limiting_pred_risk(model, rule).total
         params = sd.synthesize_sd_params(rule)
         lam_ridge, _ = sd.best_ridge(model)

@@ -159,7 +159,7 @@ def test_optimal_json(tmp_path):
     assert payload["self_check"]["round_trip_sup_error"] < 1e-8
     assert payload["self_check"]["fixed_point_residual"] < 1e-8
     assert len(payload["P_roots"]) == 3
-    assert payload["coprime"] is True
+    assert "coprime" not in payload
 
 
 def test_federated_json_k1_equals_optimal(tmp_path):
@@ -358,13 +358,14 @@ def test_closed_form_op_scans_poles_once_per_rule(tmp_path, monkeypatch,
 
 
 @pytest.mark.parametrize("command,block,integrals", [
-    ("optimal", "optimal", 5), ("sd-params", "sd_params", 2),
+    ("optimal", "optimal", 5), ("sd-params", "sd_params", 1),
     ("federated", "federated", 6)])
 def test_closed_form_op_integrates_each_integrand_once(tmp_path, monkeypatch,
                                                        command, block, integrals):
     # the Gram system is one integrand, x mu_j / w; the two risks share
     # three moments; A_j, the fixed-point residual and the federated inner
-    # products share one x f pass; the federated norm adds x^2 f^2 and
+    # products share one x f pass, which sd-params, printing none of
+    # them, does not integrate; the federated norm adds x^2 f^2 and
     # reads x f^2 from the risk moments
     from spectral_distill import spectra
 
@@ -381,6 +382,26 @@ def test_closed_form_op_integrates_each_integrand_once(tmp_path, monkeypatch,
     spectra._per_model.clear()
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
     assert len(calls) == integrals
+
+
+@pytest.mark.parametrize("command,block", [
+    ("optimal", {}), ("sd-params", {}), ("federated", {"K": 3})])
+def test_closed_form_op_probes_for_shared_roots_once(tmp_path, monkeypatch,
+                                                     command, block):
+    # the synthesis is the one place that looks for a root Q shares with P
+    from spectral_distill import optimal
+
+    calls = []
+    shared_roots = optimal._shared_roots
+
+    def counting(rule):
+        calls.append(rule)
+        return shared_roots(rule)
+
+    monkeypatch.setattr(optimal, "_shared_roots", counting)
+    cfg = write_cfg(tmp_path, {"model": README_MODEL, command.replace("-", "_"): block})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("command,block", [
@@ -775,6 +796,16 @@ def _refusal(tmp_path, kind):
                                                        "alpha": 1.7}]},
                   command.replace("-", "_"): block}
         return command, config, [], 3
+    if kind.startswith("tiny-noise-"):
+        # lambda0 = c sigma_eps^2 / (r^2 omega0) is subnormal or 0 here: the
+        # rule then has a pole inside the support, or P a root at 0, which
+        # the synthesis once met first and exited 4 on
+        command = kind.removeprefix("tiny-noise-")
+        name, noise = {"federated": ("federated__readme", 1e-320),
+                       "sd-params": ("sd-params__iso-c05", 5e-324)}[command]
+        config = json.loads((CORPUS / f"{name}.json").read_text())
+        config["model"]["sigma_eps_sq"] = noise
+        return command, config, [], 3
     config = {"model": FIG1_MODEL, "optimal": {}}
     return "optimal", config, ["--out", str(tmp_path / "missing" / "x.json")], 2
 
@@ -784,7 +815,8 @@ def _refusal(tmp_path, kind):
                                   "gd-huge-eta", "sd-huge-xi",
                                   "gd-diverges-at-outlier", "gram-overflow",
                                   "shared-root-optimal", "shared-root-sd-params",
-                                  "shared-root-federated"])
+                                  "shared-root-federated", "tiny-noise-federated",
+                                  "tiny-noise-sd-params"])
 def test_refused_input_prints_one_line_in_a_fresh_process(tmp_path, kind):
     # warnings are shown in a fresh process, unlike under pytest
     command, config, extra, code = _refusal(tmp_path, kind)
@@ -1161,19 +1193,20 @@ def test_rule_that_cannot_exist_exits_3_under_every_command(tmp_path, capsys,
     assert captured.err.count("\n") == 1
 
 
-def test_chain_past_the_double_range_of_its_outliers_shares_a_root(tmp_path, capsys):
-    # at r = 2^70 alpha_j^2 / r^2 is about 1e-42: the residues at the 14
-    # roots next to the outliers are round-off of zero, so Q shares those
-    # roots. The synthesis once formed the basis x^14 prod (x - gamma_i),
-    # which underflowed to 0 and escaped as a ZeroDivisionError, then exited
-    # 4; the coprimality check in front of it refuses the rule first
+def test_chain_past_the_double_range_of_its_outliers_has_a_pole_on_the_support(
+        tmp_path, capsys):
+    # at r = 2^70 lambda0 = c sigma_eps^2 / (r^2 omega0) is about 1e-42, and
+    # so is P's negative root: the rule has a pole next to the zero atom,
+    # inside the support of this c > 1 model. The federated rule is checked
+    # against the support before any synthesis, as the optimal and
+    # sd-params rules are, so no synthesis reads its round-off residues
     config = json.loads((CORPUS / "federated__many-s14-0.json").read_text())
     config["model"]["r"] = 2**70
     assert main(["federated", "--config", write_cfg(tmp_path, config)]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("assumption violation: P and Q must be coprime")
-    assert "they share the root 6.047437231553536" in captured.err
+    assert captured.err.startswith("assumption violation: rule has a pole at "
+                                   "-1.501226402742095e-42, inside the limiting support")
     assert captured.err.count("\n") == 1
 
 

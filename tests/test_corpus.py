@@ -21,10 +21,9 @@ eigenvalues by k: pred stays, est scales by 1/k, the lambdas by k, the
 xis stay. Multiplying r and every alpha by t and sigma_eps^2 by t^2
 scales both risks by t^2. With k and t powers of two every input is
 exact, so every `optimal`, `sd-params` and `federated` corpus case must
-give the same exit code, exactly rescaled risks and chain parameters and
-the same `coprime` flag, at k = 2^+-4, 2^+-20, 2^+-60 and 2^+-120 and at
-t = 2^+-40, and so must `optimal` on small random models at k = 2^e for
-even e in [-120, 120].
+give the same exit code and exactly rescaled risks and chain parameters
+at k = 2^+-4, 2^+-20, 2^+-60 and 2^+-120 and at t = 2^+-40, and so must
+`optimal` on small random models at k = 2^e for even e in [-120, 120].
 """
 
 import importlib.util
@@ -224,6 +223,9 @@ def test_moves_reports_the_largest_move_of_each_field(tmp_path, capsys):
         "risk__a": ("# config=x\nrule,pred\nridge,2.0\n",
                     "# config=y\nrule,pred\nridge,2.0000000000000004\n"),
         "risk__b": ("# config=x\nrule,pred\nridge,1.0\n",) * 2,
+        # a key set that changed hides no move of the keys both print
+        "optimal__c": ('{"b": [1.0, 2.0], "coprime": true, "config": "x"}',
+                       '{"b": [1.0, 4.0], "A": [0.5], "config": "x"}'),
     }
     for directory, side in ((old, 0), (new, 1)):
         directory.mkdir()
@@ -231,9 +233,11 @@ def test_moves_reports_the_largest_move_of_each_field(tmp_path, capsys):
             (directory / f"{name}.out").write_text(texts[side])
     assert moves.main([str(old), str(new)]) == 0
     assert capsys.readouterr().out.splitlines() == [
-        "optimal b 2.00e-01 optimal__a 2.0 -> 2.5",
+        "optimal A added optimal__c",
+        "optimal b 5.00e-01 optimal__c 2.0 -> 4.0",
+        "optimal coprime removed optimal__c",
         "risk pred 2.22e-16 risk__a 2.0 -> 2.0000000000000004",
-        "3 of 4 outputs differ",
+        "4 of 5 outputs differ",
     ]
 
 
@@ -256,13 +260,13 @@ def _scaled(model: dict, k: float, t: float) -> dict:
 
 
 def _rescaled(payload: dict, k: float, t: float):
-    """(risks, lambdas, xis, coprime) of a payload as the scaled model must
-    print them."""
+    """(risks, lambdas, xis) of a payload as the scaled model must print
+    them; a root that Q falsely shares with P would make the scaled run
+    exit 3."""
     params = payload.get("sd_params", payload)
     risks = {key: value * t * t / (k if key == "est" else 1.0)
              for key, value in payload.get("risks", {}).items()}
-    return (risks, [lam * k for lam in params["lambdas"]], params["xis"],
-            payload.get("coprime"))
+    return risks, [lam * k for lam in params["lambdas"]], params["xis"]
 
 
 @pytest.mark.parametrize("name", SCALED_CASES)

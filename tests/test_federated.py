@@ -15,9 +15,9 @@ ONE = lambda x: np.ones_like(x)
 
 
 def test_k1_reduces_to_single_client(fig1_model):
-    rule, coef = sd.optimal_pred_rule(fig1_model)
+    rule = sd.optimal_pred_rule(fig1_model)
     fed = sd.federated_optimum(fig1_model, 1)
-    assert np.max(np.abs(np.array(fed.b) - np.array(coef.b))) < 1e-10
+    assert np.max(np.abs(np.array(fed.b) - np.array(rule.b))) < 1e-10
     assert fed.rho_star == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(fed.local_rule.roots_of_p, rule.roots_of_p)
     assert np.allclose(fed.local_rule.b, rule.b)
@@ -84,7 +84,7 @@ def test_local_rule_round_trip(fig1_model):
         lams = np.array(fed.sd_params.lambdas)
         assert np.sum(lams < 0) == fig1_model.s
         # same denominator as the single-client optimum
-        single, _ = sd.optimal_pred_rule(fig1_model)
+        single = sd.optimal_pred_rule(fig1_model)
         assert np.allclose(fed.local_rule.roots_of_p, single.roots_of_p)
 
 

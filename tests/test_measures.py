@@ -75,6 +75,23 @@ def test_rn_polynomials_structure(fig1_model):
     assert sd.rn_polynomials(fig1_model) is rn
 
 
+@pytest.mark.parametrize("name", ["optimal__readme", "optimal__many-s14-0"])
+def test_secular_form_without_a_pole_lacks_that_term_alone(name):
+    # secular(x, skip=j) plus the j-th term of F, and of F', is secular(x)
+    model = parse_model(json.loads((CORPUS / f"{name}.json").read_text())["model"])
+    rn = sd.rn_polynomials(model)
+    top = 2.0 * max([model.sigma0_sq, *rn.xstars])
+    for x in [0.0, *np.random.default_rng(0).uniform(-top, top, size=16).tolist()]:
+        terms = [x * w / (xs - x) for xs, w in zip(rn.xstars, rn.weights)]
+        slopes = [w / (xs - x) * (xs / (xs - x)) for xs, w in zip(rn.xstars, rn.weights)]
+        value, slope = rn.secular(x)
+        for j in range(model.s):
+            rest, rest_slope = rn.secular(x, skip=j)
+            assert (abs(rest + terms[j] - value)
+                    <= 1e-14 * (abs(x) + rn.lam0 + sum(map(abs, terms)))), (x, j)
+            assert abs(rest_slope + slopes[j] - slope) <= 1e-14 * (1.0 + sum(slopes)), (x, j)
+
+
 def test_rn_combination_matches_products():
     # a rule's numerator N = b_0 + sum_j b_j / nu_j is Q0 / nu for the
     # product form Q0 = b_0 nu + sum_j b_j nu_{-j}
@@ -109,13 +126,12 @@ def test_rn_combination_with_coefficient_slopes_is_two_calls(path):
     est = sd.optimal_est_rule(model)
     w = sd.mixture_weights(model)
     assert est.b == tuple(model.r**2 * v for v in (w.omega0, *w.omegas))
-    secular, lam0, poles = sd.optimal._secular(model)
     noise = model.c * model.sigma_eps_sq
     rng = np.random.default_rng(0)
     top = 2.0 * max([model.sigma0_sq, *est.rn.xstars])
     for x in [0.0, *rng.uniform(-top, top, size=16)]:
         one = x * float(est.numerator(x)) + noise
-        two = est.K * secular(x)[0]
+        two = est.K * est.rn.secular(x)[0]
         size = abs(x) * (est.b[0] + sum(abs(b / (sc * (xs - x))) for b, sc, xs in zip(
             est.b[1:], est.rn.scales, est.rn.xstars))) + noise
         assert math.isfinite(size)

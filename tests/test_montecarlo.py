@@ -454,7 +454,7 @@ def test_finite_sample_dominance_fig4():
     # optimal SD beats the tuned ridge in finite samples, beyond noise
     model = SpikedModel(1.0, 2.0, ((7.0, 1.7),), 2.0, 4.0)
     lam, ridge_lim = sd.best_ridge(model)
-    rule, _ = sd.optimal_pred_rule(model)
+    rule = sd.optimal_pred_rule(model)
     params = sd.synthesize_sd_params(rule)
     cfg = SimConfig(model, n=700, p=1400, seed=12, n_replicates=12)
     reports = sd.harness_suite(

@@ -13,22 +13,23 @@ from oracles import isotropic_optimal, monomial_rational_rule, nu_products
 
 
 def test_b0_closed_form(fig1_model):
-    rule, coef = sd.optimal_pred_rule(fig1_model)
-    assert coef.b[0] == pytest.approx(25.0 * 0.39, abs=1e-12)
+    rule = sd.optimal_pred_rule(fig1_model)
+    assert rule.b[0] == pytest.approx(25.0 * 0.39, abs=1e-12)
 
 
 def test_inner_products_are_shared_read_only(fig1_model):
     # A_j comes from the rule's cached x f pass, which callers must not alter
-    rule, coef = sd.optimal_pred_rule(fig1_model)
-    A = sd.optimal.inner_products_with_basis(fig1_model, rule)
-    assert tuple(A) == coef.A and A.shape == (fig1_model.s,)
+    rule = sd.optimal_pred_rule(fig1_model)
+    A = sd.shrinkage.validate_rule(fig1_model, rule).xf[1:]
+    assert A.base is sd.shrinkage.validate_rule(fig1_model, rule).xf
+    assert A.shape == (fig1_model.s,)
     assert not A.flags.writeable
     with pytest.raises(ValueError):
         A[0] = 0.0
 
 
 def test_degrees(fig1_model):
-    rule, _ = sd.optimal_pred_rule(fig1_model)
+    rule = sd.optimal_pred_rule(fig1_model)
     s = fig1_model.s
     # Q/P with monic P of degree s + 1 and Q of degree s whose leading
     # coefficient is 1: s + 1 simple poles whose residues sum to 1, and
@@ -39,12 +40,12 @@ def test_degrees(fig1_model):
 
 
 def test_fixed_point_residual(fig1_model):
-    rule, _ = sd.optimal_pred_rule(fig1_model)
+    rule = sd.optimal_pred_rule(fig1_model)
     assert sd.fixed_point_residual(fig1_model, rule) < 1e-8
 
 
 def test_root_structure_one_spike(fig4_model):
-    rule, _ = sd.optimal_pred_rule(fig4_model)
+    rule = sd.optimal_pred_rule(fig4_model)
     roots = np.array(rule.roots_of_p)
     assert roots.size == 2
     assert np.sum(roots < 0) == 1
@@ -53,7 +54,7 @@ def test_root_structure_one_spike(fig4_model):
 
 
 def test_root_structure_two_spikes(fig1_model):
-    rule, _ = sd.optimal_pred_rule(fig1_model)
+    rule = sd.optimal_pred_rule(fig1_model)
     roots = np.sort(np.array(rule.roots_of_p))
     xs = np.sort([sd.outlier_location(fig1_model, d) for d in fig1_model.deltas])
     assert roots[0] < 0
@@ -75,7 +76,7 @@ def factored_p(model, x):
 
 
 def test_roots_polish_residual(fig1_model):
-    rule, _ = sd.optimal_pred_rule(fig1_model)
+    rule = sd.optimal_pred_rule(fig1_model)
     vals = factored_p(fig1_model, rule.roots_of_p)
     scale = np.max(np.abs(factored_p(fig1_model, np.array([0.0, *rule.roots_of_p]) + 0.5)))
     assert np.max(np.abs(vals)) < 1e-12 * max(1.0, scale)
@@ -91,9 +92,9 @@ def test_isotropic_optimal():
     with pytest.raises(ValueError):
         isotropic_optimal(SpikedModel(1.0, 2.0, ((1.5, 0.5),), 2.0, 1.0))
     # at s = 0 the optimal rule is that ridge: P = x + lambda*, Q = 1
-    rule, coef = sd.optimal_pred_rule(m)
+    rule = sd.optimal_pred_rule(m)
     assert rule.roots_of_p == (pytest.approx(-ridge.lam, rel=1e-15),)
-    assert coef.A == ()
+    assert sd.shrinkage.validate_rule(m, rule).xf[1:].size == 0
     pts = sd.get_grid(m).support_points
     assert np.max(np.abs(rule(pts) / ridge(pts) - 1.0)) <= 1e-15
 
@@ -109,7 +110,7 @@ def test_isotropic_grid_convexity():
 def test_small_delta_converges_to_isotropic_ridge():
     spiked = SpikedModel(1.0, 2.0, ((1e-6, 0.5),), 2.0, 1.0)
     iso = isotropic_optimal(SpikedModel(1.0, 2.0, (), 2.0, 1.0))
-    rule, _ = sd.optimal_pred_rule(spiked)
+    rule = sd.optimal_pred_rule(spiked)
     grid = sd.get_grid(spiked)
     assert np.max(np.abs(rule(grid.x) - iso(grid.x))) < 1e-6
 
@@ -121,19 +122,19 @@ def test_est_rule_examples(fig1_model):
     xs = np.linspace(0.1, 6.0, 13)
     assert np.allclose(est0(xs), 1.0 / (xs + 0.5))
     # shared denominator with the prediction rule up to the sigma0^2 factor
-    pred, _ = sd.optimal_pred_rule(fig1_model)
+    pred = sd.optimal_pred_rule(fig1_model)
     est = sd.optimal_est_rule(fig1_model)
     assert np.allclose(est.roots_of_p, pred.roots_of_p)
     # estimation risk at the optimum beats the ridge grid
     best = sd.limiting_est_risk(fig1_model, est).total
     assert best <= sd.best_ridge(fig1_model, kind="est")[1] + 1e-12
     # coprime: denominator roots exclude the outliers
-    assert sd.coprimality_check(est)
+    assert sd.optimal._shared_roots(est).size == 0
 
 
 def test_synthesis_round_trip(fig1_model, fig4_model):
     for model in (fig1_model, fig4_model):
-        rule, _ = sd.optimal_pred_rule(model)
+        rule = sd.optimal_pred_rule(model)
         params = sd.synthesize_sd_params(rule)
         assert sd.sd_round_trip_error(model, rule, params) < 1e-9
         lams = np.array(params.lambdas)
@@ -149,7 +150,7 @@ def test_synthesis_round_trip(fig1_model, fig4_model):
 def test_synthesis_one_spike_closed_system(fig4_model):
     # s = 1: the expansion Q(x) = t0 x + t1 (x - gamma0) closes in two
     # unknowns; check it by hand.
-    rule, _ = sd.optimal_pred_rule(fig4_model)
+    rule = sd.optimal_pred_rule(fig4_model)
     params = sd.synthesize_sd_params(rule)
     g0 = -params.lambdas[0]
     q_at_0 = float(rule(0.0)) * math.prod(-g for g in rule.roots_of_p)  # Q = f P
@@ -165,24 +166,26 @@ def test_synthesis_est_rule(fig1_model):
 
 
 def test_coprimality_examples(fig1_model):
-    rule, _ = sd.optimal_pred_rule(fig1_model)
-    assert sd.coprimality_check(rule)
+    rule = sd.optimal_pred_rule(fig1_model)
+    assert sd.optimal._shared_roots(rule).size == 0
     # a reducible representation: (x + lam) / (x + lam)^2
     lam = 0.7
     shared = monomial_rational_rule((-lam, -lam), (lam, 1.0))
-    assert not sd.coprimality_check(shared)
+    assert sd.optimal._shared_roots(shared).size
+    with pytest.raises(sd.AssumptionError, match="P and Q must be coprime"):
+        sd.synthesize_sd_params(shared)
 
 
 def test_coprimality_high_noise_one_spike():
     # one spike above both sqrt(c) and 2c, large noise
     model = SpikedModel(1.0, 0.5, ((3.0, 1.0),), 2.0, 25.0)
-    rule, _ = sd.optimal_pred_rule(model)
-    assert sd.coprimality_check(rule)
+    rule = sd.optimal_pred_rule(model)
+    assert sd.optimal._shared_roots(rule).size == 0
 
 
 def test_optimality_over_random_rules(fig1_model):
     model = fig1_model
-    rule, _ = sd.optimal_pred_rule(model)
+    rule = sd.optimal_pred_rule(model)
     best = sd.limiting_pred_risk(model, rule).total
     rng = np.random.default_rng(23)
     grid = sd.get_grid(model)
@@ -211,11 +214,11 @@ def test_optimality_over_random_rules(fig1_model):
 
 
 def test_fig3_phenomenology(fig3_factory):
-    params = sd.synthesize_sd_params(sd.optimal_pred_rule(fig3_factory(0.01))[0])
+    params = sd.synthesize_sd_params(sd.optimal_pred_rule(fig3_factory(0.01)))
     assert abs(params.xis[0]) < 0.05
     for delta in np.linspace(0.2, 19.8, 12):
         m = fig3_factory(float(delta))
-        p = sd.synthesize_sd_params(sd.optimal_pred_rule(m)[0])
+        p = sd.synthesize_sd_params(sd.optimal_pred_rule(m))
         assert p.lambdas[0] < 0
         assert -p.lambdas[0] > sd.outlier_location(m, float(delta))
 
@@ -224,7 +227,8 @@ def test_acceptance_style_random_structure():
     rng = np.random.default_rng(31)
     for _ in range(8):
         model = random_model(rng, s=int(rng.integers(1, 4)))
-        rule, coef = sd.optimal_pred_rule(model)
+        rule = sd.optimal_pred_rule(model)
+        A = np.array(sd.shrinkage.validate_rule(model, rule).xf[1:])
         roots = np.sort(rule.roots_of_p)
         assert np.sum(roots < 0) == 1
         xs = np.sort([sd.outlier_location(model, d) for d in model.deltas])
@@ -233,9 +237,9 @@ def test_acceptance_style_random_structure():
         assert roots[-1] > xs[-1]
         assert sd.fixed_point_residual(model, rule) < 1e-8
         gamma0 = model.sigma0_sq * model.r**2 * sd.mixture_weights(model).omega0
-        assert abs(coef.b[0] - gamma0) < 1e-12 * max(1.0, gamma0)
+        assert abs(rule.b[0] - gamma0) < 1e-12 * max(1.0, gamma0)
         da2 = model.deltas * model.alphas**2
-        assert np.sum(da2 * (1 - np.array(coef.A)) ** 2) <= np.sum(da2) + 1e-10
+        assert np.sum(da2 * (1 - A) ** 2) <= np.sum(da2) + 1e-10
 
 
 def test_degeneracy_guard():
@@ -296,7 +300,7 @@ def test_optimal_rule_solves_variational_oracle(fig1_model, fig4_model):
     # dense solve's own conditioning in flat directions)
     for model in (fig1_model, fig4_model):
         for kind, build in (
-            ("pred", lambda m: sd.optimal_pred_rule(m)[0]),
+            ("pred", lambda m: sd.optimal_pred_rule(m)),
             ("est", sd.optimal_est_rule),
         ):
             rule = build(model)
@@ -345,10 +349,10 @@ def test_high_noise_round_trip():
     for se2 in (1e2, 1e4):
         model = SpikedModel(1.0, 3.0, ((1.0, 1.0), (4.0, 1.0), (9.0, 1.0)),
                             6.0, se2)
-        rule, _ = sd.optimal_pred_rule(model)
+        rule = sd.optimal_pred_rule(model)
         params = sd.synthesize_sd_params(rule)
         assert sd.sd_round_trip_error(model, rule, params) < 1e-9
-        assert sd.coprimality_check(rule)
+        assert sd.optimal._shared_roots(rule).size == 0
 
 
 # Models with three outliers within about 0.5% of each other at s = 4; with
@@ -381,7 +385,7 @@ CLOSE_OUTLIER_MODELS = [
 def test_close_outlier_round_trip(K, spec):
     model = SpikedModel(spec["sigma0_sq"], spec["c"], tuple(spec["spikes"]),
                         spec["r"], spec["sigma_eps_sq"])
-    rules = [sd.optimal_pred_rule(model)[0], sd.optimal_est_rule(model)]
+    rules = [sd.optimal_pred_rule(model), sd.optimal_est_rule(model)]
     for rule in rules:
         params = sd.synthesize_sd_params(rule)
         assert sd.sd_round_trip_error(model, rule, params) <= 1e-11
@@ -428,7 +432,7 @@ def test_roots_match_high_precision_reference(name):
     # where the outliers, and so the roots, crowd together; the
     # fixed-point residual then drops to round-off too
     model = parse_model(json.loads((CORPUS / f"{name}.json").read_text())["model"])
-    rule, _ = sd.optimal_pred_rule(model)
+    rule = sd.optimal_pred_rule(model)
     ref = np.array([float(v) for v in REFERENCE_ROOTS[name]])
     assert np.max(np.abs(np.array(rule.roots_of_p) / ref - 1.0)) <= 2e-15
     assert sd.fixed_point_residual(model, rule) <= 1e-13
@@ -442,7 +446,7 @@ def test_rule_matches_50_digit_q0_over_p0(name):
     # products in floats erred by up to 2.1e-13 of max|f| on many-s14-0
     mpmath = pytest.importorskip("mpmath")
     model = parse_model(json.loads((CORPUS / f"optimal__{name}.json").read_text())["model"])
-    rule, coef = sd.optimal_pred_rule(model)
+    rule = sd.optimal_pred_rule(model)
     x = sd.get_grid(model).support_points
     with mpmath.workdps(50):
         mp = mpmath.mpf
@@ -455,7 +459,7 @@ def test_rule_matches_50_digit_q0_over_p0(name):
             nus = [scale * (xstar - t) for xstar, scale in poles]
             nu = mpmath.fprod(nus)
             minus = [mpmath.fprod(nus[:j] + nus[j + 1:]) for j in range(len(nus))]
-            q0 = coef.b[0] * nu + mpmath.fsum(b * m for b, m in zip(coef.b[1:], minus))
+            q0 = rule.b[0] * nu + mpmath.fsum(b * m for b, m in zip(rule.b[1:], minus))
             mix = (1 - mpmath.fsum(omegas)) * nu + mpmath.fsum(
                 om * m for om, m in zip(omegas, minus))
             return q0 / (s0 * (r2 * t * mix + c * mp(model.sigma_eps_sq) * nu))
@@ -499,7 +503,7 @@ def test_many_spike_roots_within_4_ulp(name):
     # slope taken from monomial coefficients (8% off at s = 16) once
     # stopped the search early, leaving roots up to 5e-3 relative away
     model = parse_model(json.loads((CORPUS / f"{name}.json").read_text())["model"])
-    rule, _ = sd.optimal_pred_rule(model)
+    rule = sd.optimal_pred_rule(model)
     got = np.array(rule.roots_of_p)
     ref = np.array([float(v) for v in MANY_SPIKE_ROOTS[name]])
     assert np.all(np.abs(got - ref) <= 4 * np.spacing(np.abs(ref)))
@@ -517,18 +521,18 @@ def test_secular_value_and_slope_match_p_over_nu(path):
     # derivative of P0 / nu, at random points and next to each pole
     mpmath = pytest.importorskip("mpmath")
     model = parse_model(json.loads(path.read_text())["model"])
-    secular, lam0, poles = sd.optimal._secular(model)
     rn, w = sd.rn_polynomials(model), sd.mixture_weights(model)
     r2, noise = model.r**2, model.c * model.sigma_eps_sq
     top = 2.0 * max([model.sigma0_sq, *rn.xstars])
     points = [*np.random.default_rng(0).uniform(-top, top, size=8).tolist(),
               *(xstar * (1.0 + e) for xstar in rn.xstars for e in (-1e-6, 1e-6))]
     for x in points:
-        value, slope = secular(x)
+        value, slope = rn.secular(x)
         p0 = nu_products(rn, (r2 * w.omega0 * x + noise, *(r2 * om * x for om in w.omegas)),
                          np.float64(x))
         want = p0 / (r2 * w.omega0 * nu_products(rn, (1.0,) + (0.0,) * model.s, np.float64(x)))
-        size = abs(x) + lam0 + sum(abs(x * b / (xstar - x)) for xstar, b in poles)
+        size = abs(x) + rn.lam0 + sum(abs(x * b / (xstar - x))
+                                      for xstar, b in zip(rn.xstars, rn.weights))
         assert abs(value - want) <= 1e-14 * size, x
         with mpmath.workdps(50):
             def f(t):
@@ -554,7 +558,7 @@ def test_fixed_point_residual_many_spikes():
             if np.min(np.diff(xs) / xs[1:]) < 1e-3:
                 continue
             found += 1
-            rule, _ = sd.optimal_pred_rule(model)
+            rule = sd.optimal_pred_rule(model)
             assert sd.fixed_point_residual(model, rule) <= 1e-11, (s, model)
 
 
@@ -590,9 +594,9 @@ def test_root_within_an_ulp_of_the_last_outlier_is_that_outlier():
     # float (b = 5.2, ulp(x*) = 2^18), and F is not evaluated at its pole
     model = SpikedModel(1.0, 2.0, ((2.0**70, 0.5),), 2.0, 1.0)
     xstar = sd.outlier_location(model, 2.0**70)
-    _, lam0, [(_, b)] = sd.optimal._secular(model)
-    assert xstar + b == xstar
-    assert sd.denominator_roots(model) == (-lam0, xstar)
+    rn = sd.rn_polynomials(model)
+    assert xstar + rn.weights[0] == xstar
+    assert sd.denominator_roots(model) == (-rn.lam0, xstar)
 
 
 def test_underflowing_pole_weight_is_numerical_failure():
@@ -645,7 +649,7 @@ def test_each_xi_is_the_correctly_rounded_peel():
                 model.s > 4 and "many-s" not in name):
             continue
         seen.add(model)
-        rule = sd.optimal_pred_rule(model)[0]
+        rule = sd.optimal_pred_rule(model)
         params = sd.synthesize_sd_params(rule)
         with mpmath.workdps(60):
             left = dict(zip(map(mpmath.mpf, rule.roots_of_p),

@@ -245,7 +245,7 @@ def _edge_values(model):
         "ridge": sd.Ridge(0.3),
         "gd_0.1x1000": sd.GDPoly(0.1, 1000),
         "gd_0.01x10": sd.GDPoly(0.01, 10),
-        "optimal_pred": sd.optimal_pred_rule(model)[0],
+        "optimal_pred": sd.optimal_pred_rule(model),
         "optimal_est": sd.optimal_est_rule(model),
         "min_norm": sd.min_norm_rule(model),
     }
@@ -302,7 +302,7 @@ def test_validate_rule_evaluates_a_rebuilt_grid(fig4_model, monkeypatch):
     # a rule's record is kept in its model's entry with the model's grids,
     # so dropping that entry drops both: a grid rebuilt from other panels
     # is evaluated afresh and never served the older grid's values
-    rule = sd.optimal_pred_rule(fig4_model)[0]
+    rule = sd.optimal_pred_rule(fig4_model)
     checked = sd.shrinkage.validate_rule(fig4_model, rule)
     grid = checked.grid
     assert not checked.values.flags.writeable
@@ -321,7 +321,7 @@ def test_validate_rule_evaluates_a_rebuilt_grid(fig4_model, monkeypatch):
 
 
 def test_pred_and_est_risk_share_one_moment_pass(fig1_model, monkeypatch):
-    rule = sd.optimal_pred_rule(fig1_model)[0]
+    rule = sd.optimal_pred_rule(fig1_model)
     moments = sd.shrinkage._rule_moments
     passes = []
 
@@ -351,7 +351,7 @@ def test_limiting_risks_keep_no_record(fig1_model):
     assert not any(key[0] == "rule" for key in sd.spectra._per_model[fig1_model])
     assert got == [[sd.limiting_pred_risk(fig1_model, f),
                     sd.limiting_est_risk(fig1_model, f)] for f in rules]
-    rule = sd.optimal_pred_rule(fig1_model)[0]
+    rule = sd.optimal_pred_rule(fig1_model)
     kept = sd.shrinkage.validate_rule(fig1_model, rule)
     assert sd.shrinkage.validate_rule(fig1_model, rule, keep=False) is kept
 
@@ -371,7 +371,7 @@ def test_dominance_battery(fig1_model, fig4_model):
     for model in (fig1_model, fig4_model):
         if model.s == 0:
             continue
-        rule, _ = sd.optimal_pred_rule(model)
+        rule = sd.optimal_pred_rule(model)
         best = sd.limiting_pred_risk(model, rule).total
         competitors = [sd.best_ridge(model)[1]]
         competitors.append(
@@ -444,7 +444,7 @@ def test_rule_is_called_once_on_bulk_and_atoms(fig4_model):
     sd.spectra._per_model.clear()
     sd.limiting_pred_risk(fig4_model, rule)
     sd.limiting_est_risk(fig4_model, rule)
-    sd.optimal.inner_products_with_basis(fig4_model, rule)
+    sd.shrinkage.validate_rule(fig4_model, rule).xf
     grid = sd.get_grid(fig4_model)
     assert grid.atom_locs.size == 2
     assert len(calls) == 1
@@ -456,7 +456,7 @@ def test_risk_evaluates_rule_once(fig1_model, which):
     # one limiting risk evaluates the rule on no more points than its
     # grid holds: validation and the moments share one evaluation
     if which == "optimal":
-        rule = sd.optimal_pred_rule(fig1_model)[0]
+        rule = sd.optimal_pred_rule(fig1_model)
     else:
         rule = sd.pcr_rule(fig1_model, 0.1)
     sizes = []
