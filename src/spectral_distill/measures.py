@@ -68,7 +68,7 @@ def rn_polynomials(model: SpikedModel) -> RnPolynomials:
                              scales, lam0,
                              tuple(om / w.omega0 / sc for om, sc in zip(w.omegas, scales)))
 
-    return spectra.cached(model, ("nu basis",), build)
+    return spectra.cached(model, ("poles",), build)
 
 
 def _weight(model: SpikedModel, x, mu0):

@@ -20,9 +20,7 @@ references, are in `tests/oracles.py`.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -66,6 +64,10 @@ class SpikedModel:
     collapses in rounding), delta_j / sigma0_sq in [1e-150, 1e150] (the
     outlier's location and atom mass stay finite) and |alpha_j| >= 1e-150 r
     (alpha_j^2/r^2 stays nonzero).
+
+    `_store` is not a field: it is the model's own dict of records
+    (`cached`), so equal models keep separate stores, `==`, `hash` and
+    `repr` do not read it, and `replace` starts a new one.
     """
 
     sigma0_sq: float
@@ -130,6 +132,7 @@ class SpikedModel:
             raise AssumptionError(
                 "signal must not lie in the spike span: sum alpha_j^2 < r^2 required"
             )
+        object.__setattr__(self, "_store", {})
 
     @property
     def s(self) -> int:
@@ -279,10 +282,8 @@ PANEL_ORDER = 32
 PANEL_MAX_WIDTH = math.pi / 8
 
 
-@lru_cache(maxsize=None)
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    # leggauss is O(n^3): build each table once per process
-    return np.polynomial.legendre.leggauss(n)
+# leggauss is O(n^3): the one table, built at import
+_GAUSS_LEGENDRE = np.polynomial.legendre.leggauss(PANEL_ORDER)
 
 
 def _graded_offsets(d: float) -> list[float]:
@@ -308,7 +309,7 @@ def _panels(knots: set) -> tuple[np.ndarray, np.ndarray]:
         edges.append(hi)
     edges = np.array(edges)
     centre, halfwidth = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
-    u, wu = _gauss_legendre(PANEL_ORDER)
+    u, wu = _GAUSS_LEGENDRE
     return ((centre[:, None] + halfwidth[:, None] * u).ravel(),
             (halfwidth[:, None] * wu).ravel())
 
@@ -542,16 +543,14 @@ class SpectralGrid:
         return ok
 
 
-_per_model: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def cached(model: SpikedModel, key, build, keep: bool = True):
-    """build() once per model and key, freed with the model, which it must
-    not hold; keep=False keeps no new value. Keys: ("grid", breaks),
-    ("nu basis",) and ("rule", f)."""
-    entries = _per_model.setdefault(model, {})
-    value = entries[key] if key in entries else build()
-    return entries.setdefault(key, value) if keep else value
+    """build() once per model object and key, in the model's own store and
+    freed with it; a value must not hold its model, or the two form a cycle
+    that only the cyclic collector frees. keep=False keeps no new value.
+    Keys: ("grid", breaks), ("poles",) and ("rule", f)."""
+    store = model._store
+    value = store[key] if key in store else build()
+    return store.setdefault(key, value) if keep else value
 
 
 def get_grid(model: SpikedModel, breaks: tuple[float, ...] = ()) -> SpectralGrid:

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from spectral_distill import SpikedModel, spectra
+from spectral_distill import SpikedModel
 
 
 @pytest.fixture(autouse=True)
@@ -17,20 +17,13 @@ def _runtime_warnings_are_errors():
         yield
 
 
-@pytest.fixture(autouse=True)
-def _fresh_grid_cache():
-    # every test builds its grids afresh, so the warnings a grid build
-    # raises show in each test that asks for it, whatever ran before
-    spectra._per_model.clear()
-
-
-@pytest.fixture(scope="session")
+@pytest.fixture
 def fig1_model():
     # two-spike benchmark: c=3, delta=(2,3), alpha=(3,2.5), r=5, sigma_eps=2
     return SpikedModel(1.0, 3.0, ((2.0, 3.0), (3.0, 2.5)), 5.0, 4.0)
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def fig3_factory():
     def make(delta):
         return SpikedModel(1.0, 3.0, ((float(delta), 6.0),), 8.0, 16.0)
@@ -38,7 +31,7 @@ def fig3_factory():
     return make
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def fig4_model():
     # one-spike benchmark: c=2, delta=7, alpha=1.7, r=2, sigma_eps=2
     return SpikedModel(1.0, 2.0, ((7.0, 1.7),), 2.0, 4.0)

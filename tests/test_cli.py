@@ -323,7 +323,6 @@ def test_closed_form_op_evaluates_optimal_rule_once(tmp_path, monkeypatch,
     monkeypatch.setattr(shrinkage.RationalRule, "__call__", counting)
     cfg = write_cfg(tmp_path, {"model": FIG1_MODEL,
                                block: {"K": 3} if command == "federated" else {}})
-    spectra._per_model.clear()
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
     assert len(calls) == 1
 
@@ -379,7 +378,6 @@ def test_closed_form_op_integrates_each_integrand_once(tmp_path, monkeypatch,
     monkeypatch.setattr(spectra.SpectralGrid, "integrate", counting)
     cfg = write_cfg(tmp_path, {"model": FIG1_MODEL,
                                block: {"K": 3} if command == "federated" else {}})
-    spectra._per_model.clear()
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
     assert len(calls) == integrals
 
@@ -419,13 +417,15 @@ def test_closed_form_op_probes_for_shared_roots_once(tmp_path, monkeypatch,
 ])
 def test_op_builds_each_grid_and_rule_record_once_and_frees_them(
         tmp_path, monkeypatch, command, block):
-    # an op's grids, nu basis and rule records are kept per model: each is
-    # built once, and all are freed by reference counting when the op
-    # drops its model. The cyclic collector is off, so a kept value that
-    # held the model, or a cycle through one, would leave them alive.
-    built, checked = [], []
+    # an op's grids, pole table and rule records are kept in its model's
+    # store: each is built once, and the model, its store and all of them
+    # are freed by reference counting when the op drops it. The cyclic
+    # collector is off, so a kept value that held the model, or a cycle
+    # through one, would leave them alive.
+    built, checked, models = [], [], []
     init = spectra.SpectralGrid.__init__
     check = shrinkage._check_and_evaluate
+    parse = cli.parse_model
 
     def counting_init(self, model, breaks=()):
         built.append((weakref.ref(self), tuple(breaks)))
@@ -437,22 +437,27 @@ def test_op_builds_each_grid_and_rule_record_once_and_frees_them(
         built.append((weakref.ref(record), ("rule", f)))
         return record
 
+    def recording_parse(block):
+        model = parse(block)
+        models.append(weakref.ref(model))
+        return model
+
     monkeypatch.setattr(spectra.SpectralGrid, "__init__", counting_init)
     monkeypatch.setattr(shrinkage, "_check_and_evaluate", counting_check)
+    monkeypatch.setattr(cli, "parse_model", recording_parse)
     cfg = write_cfg(tmp_path, {"model": README_MODEL, command: block})
     enabled = gc.isenabled()
     gc.disable()
     try:
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-        dead = [ref() is None for ref, _ in built]
-        assert len(spectra._per_model) == 0
+        dead = [ref() is None for ref in [ref for ref, _ in built] + models]
     finally:
         if enabled:
             gc.enable()
     # one model per op, so a grid's breaks name it, and a record its rule
     assert len(built) == len({key for _, key in built}) >= 2
     assert len(checked) == len(set(checked)) >= 1
-    assert all(dead)
+    assert len(models) == 1 and all(dead)
 
 
 def test_assumption_message_names_condition(tmp_path, capsys):

@@ -496,3 +496,33 @@ def test_fsum_is_correctly_rounded_and_never_raises():
     # squares that overflow only when summed: still the span refusal
     with pytest.raises(AssumptionError, match="spike span"):
         SpikedModel(1.0, 2.0, ((3.0, 1e154), (5.0, 1e154)), 2.0, 1.0)
+
+
+def test_equal_models_keep_their_own_records():
+    # the store belongs to the model object: an equal model neither shares
+    # its records nor drops them when it dies
+    m1, m2 = (SpikedModel(1.0, 2.0, ((7.0, 1.7),), 2.0, 4.0) for _ in range(2))
+    assert m1 == m2 and hash(m1) == hash(m2)
+    assert sd.get_grid(m1) is not sd.get_grid(m2)
+    rule = sd.optimal_pred_rule(m2)
+    grid, record = sd.get_grid(m2), sd.shrinkage.validate_rule(m2, rule)
+    del m1
+    assert sd.get_grid(m2) is grid
+    assert sd.shrinkage.validate_rule(m2, rule) is record
+
+
+def test_a_store_hit_reads_no_model_field(monkeypatch):
+    model = SpikedModel(1.0, 2.0, ((7.0, 1.7),), 2.0, 4.0)
+    grid = sd.get_grid(model)
+    calls = []
+
+    def counted(method):
+        def wrapper(self, *args):
+            calls.append(method.__name__)
+            return method(self, *args)
+        return wrapper
+
+    for name in ("__hash__", "__eq__"):
+        monkeypatch.setattr(SpikedModel, name, counted(getattr(SpikedModel, name)))
+    assert all(sd.get_grid(model) is grid for _ in range(10))
+    assert calls == []

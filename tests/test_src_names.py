@@ -9,7 +9,9 @@ checked.
 """
 
 import ast
+import functools
 import pathlib
+import weakref
 
 import spectral_distill
 
@@ -53,6 +55,14 @@ def _referenced(tree):
     return names
 
 
+def _names_a_process_wide_cache(node):
+    """A Name or an Attribute that is functools' cache or its LRU form, or
+    one of weakref's dictionaries: each outlives any one model."""
+    name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", "")
+    return (name.endswith("cache") and hasattr(functools, name)
+            or name.endswith("Dictionary") and hasattr(weakref, name))
+
+
 def test_every_public_name_in_src_is_used_in_src():
     trees = {path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
     used = set().union(*map(_referenced, trees.values()))
@@ -75,3 +85,12 @@ def test_no_module_of_the_package_imports_warnings():
             if "warnings" in names:
                 importers.append(path.stem)
     assert importers == []
+
+
+def test_no_module_of_the_package_keeps_a_process_wide_cache():
+    # every record lives in its model's store (spectra.cached) and dies
+    # with that model; cached_property stays, as it lives on one record
+    caches = [f"{path.stem}:{node.lineno}" for path in SRC.glob("*.py")
+              for node in ast.walk(ast.parse(path.read_text()))
+              if _names_a_process_wide_cache(node)]
+    assert caches == []
